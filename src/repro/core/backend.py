@@ -27,19 +27,25 @@ Four backends are provided:
   against its own fresh :class:`~repro.core.executor.ProcessorState` and
   ships back a compact :class:`_BlockDelta` -- written private-view
   entries, packed shadow bit planes, reduction partials, per-iteration
-  times, folded per-category timeline charges, untested-write sets and the
-  fault/exit outcome.  The parent merges deltas **in block order**, so
+  times, the block's per-category charge totals, untested-write sets and
+  the fault/exit outcome.  The parent merges deltas **in block order**, so
   results, events and virtual-time accounting are bit-identical to serial
-  execution (enforced by running the golden parity suite under both
-  backends).
+  execution (enforced by running the golden parity suite under every
+  backend).
 
 Bit-exactness rests on two invariants the engine's strategies uphold:
 
-* every strategy schedules at most **one block per processor per stage**
-  (blocked drivers by construction, the sliding window assigns its window
-  blocks to distinct processors), so a processor's execution-phase charges
-  all come from a single block and the worker's per-category sums replay
-  to the same floats the serial in-order accumulation produces;
+* every backend folds a block's execution-phase charges in one place, the
+  block's :class:`~repro.core.executor.SpeculativeContext`: per category,
+  seeded with the processor's totals so far, settled once per block --
+  onto the timeline in-process, onto a :class:`_WorkerMachine` in a
+  worker, whose totals the parent replays in block order.  Every strategy
+  schedules at most **one block per processor per stage** (blocked
+  drivers by construction, the sliding window assigns its window blocks
+  to distinct processors), and the only execution-phase charge a
+  processor takes before its block is the pre-initialization copy, which
+  workers make themselves -- so a worker starts from the same seed the
+  serial backend does and replays the same floats in the same order;
 * untested arrays obey the statically-analyzable isolation contract (no
   cross-processor element sharing within a stage -- what ``--self-check``
   verifies), so replaying each block's untested writes in block order
@@ -336,23 +342,31 @@ class _WorkerContext:
         self.reduction_names = reduction_names
 
 
-class _ChargeLog:
+class _WorkerMachine:
     """Duck-typed stand-in for :class:`~repro.machine.machine.Machine`
-    inside a worker: same memory/costs surface, but charges append to a
-    log instead of a timeline (the parent replays their per-category sums
-    against the real timeline)."""
+    inside a worker: same memory/costs/metrics surface, but charges go to
+    one block's per-category totals instead of a timeline.  The context
+    seeds its fold from :attr:`charges` (any pre-initialization copy) and
+    settles its folded sums back into it, so the delta ships the block's
+    totals as they are and the parent replays them once per category."""
 
     __slots__ = ("memory", "costs", "charges", "metrics")
 
     def __init__(self, memory, costs) -> None:
         self.memory = memory
         self.costs = costs
-        self.charges: list[tuple[Category, float]] = []
+        self.charges: dict[Category, float] = {}
         self.metrics = NULL_REGISTRY
 
     def charge(self, proc: int, category: Category, amount: float) -> None:
         if amount:
-            self.charges.append((category, amount))
+            self.charges[category] = self.charges.get(category, 0.0) + amount
+
+    def running_charges(self, proc: int) -> dict[Category, float]:
+        return self.charges
+
+    def settle_charges(self, proc: int, totals) -> None:
+        self.charges.update(totals)
 
 
 def check_unique_procs(name: str, tasks: list[BlockTask]) -> None:
@@ -435,57 +449,51 @@ class _AccessRecorder:
 
 
 def _run_worker_task(wctx: _WorkerContext, task: BlockTask) -> _BlockDelta:
-    log = _ChargeLog(wctx.memory, wctx.costs)
+    machine = _WorkerMachine(wctx.memory, wctx.costs)
     if task.collect_metrics:
-        log.metrics = MetricsRegistry()
+        machine.metrics = MetricsRegistry()
     block = task.block
     recorder = None
     ckpt = None
     if task.all_private:
-        state = make_all_private_state(log, wctx.loop, block.proc)
+        state = make_all_private_state(machine, wctx.loop, block.proc)
     elif task.plain:
         state = make_plain_state(block.proc)
         ckpt = make_capture_checkpoint(wctx.memory)
         if task.log_untested:
             recorder = _AccessRecorder()
     else:
-        state = make_processor_state(log, wctx.loop, block.proc)
+        state = make_processor_state(machine, wctx.loop, block.proc)
         if wctx.ckpt_names:
             ckpt = CheckpointManager(wctx.memory, wctx.ckpt_names, wctx.on_demand)
             ckpt.begin_stage()
         if task.log_untested:
             recorder = _AccessRecorder()
         if task.preload:
-            state.preload(log, skip=wctx.reduction_names)
+            state.preload(machine, skip=wctx.reduction_names)
     # Span window matches the serial backend's: execute_block only, after
     # any preload, so host/virtual block durations are comparable.
-    charges_before = len(log.charges)
     host_before = time.perf_counter() if task.collect_spans else 0.0
     ctx = execute_block(
-        log, wctx.loop, state, block, ckpt,
+        machine, wctx.loop, state, block, ckpt,
         inductions=task.inductions, marklists=task.marklists,
         stage=task.stage, untested_log=recorder,
         slowdown=task.slowdown, death=task.death,
     )
-    charges: dict[Category, float] = {}
-    for category, amount in log.charges:
-        charges[category] = charges.get(category, 0.0) + amount
     delta = _BlockDelta(
         pos=task.pos,
-        charges=list(charges.items()),
+        charges=list(machine.charges.items()),
         fault=ctx.fault,
         fault_permanent=ctx.fault_permanent,
         exit_iteration=ctx.exit_iteration,
         inductions=ctx.induction_values(),
     )
     if task.collect_metrics:
-        delta.metrics = log.metrics.snapshot()
+        delta.metrics = machine.metrics.snapshot()
     if task.collect_spans:
         delta.host_start = host_before
         delta.host_dur = time.perf_counter() - host_before
-        delta.virt_dur = sum(
-            amount for _, amount in log.charges[charges_before:]
-        )
+        delta.virt_dur = ctx.block_time
     if task.all_private:
         return delta
     delta.views = {

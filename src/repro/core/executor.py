@@ -4,7 +4,8 @@ One :class:`ProcessorState` holds everything a processor accumulates during a
 speculative stage: private views and shadows of the tested arrays, reduction
 partials, and measured per-iteration times (fed back to the load balancer).
 :func:`execute_block` runs a contiguous block of iterations through a
-:class:`SpeculativeContext` and charges the machine's timeline.
+:class:`SpeculativeContext`, which folds the block's virtual-time charges
+per category and settles them on the machine's timeline once per block.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from repro.machine.timeline import Category
 from repro.shadow import ShadowArray, make_shadow
 from repro.shadow.marklist import IterationMarks
 from repro.util.blocks import Block
+
+#: The execution-phase charge categories, indexed by the context's fold
+#: slots.  Slots are plain ints so the per-access fold never hashes a
+#: :class:`Category` (``Enum.__hash__`` is a Python-level call).
+_FOLD_CATEGORIES = (Category.WORK, Category.MARK, Category.COPY_IN, Category.CHECKPOINT)
+_WORK, _MARK, _COPY_IN, _CHECKPOINT = range(len(_FOLD_CATEGORIES))
 
 
 class BlockCancelled(Exception):
@@ -136,7 +143,15 @@ class SpeculativeContext(IterationContext):
 
     Tested arrays go through private views with shadow marking and on-demand
     copy-in; untested arrays are written to shared memory under checkpoint.
-    Virtual time is charged to the owning processor as accesses happen.
+
+    Virtual time is *folded*, not charged, as accesses happen: each access
+    adds its (straggler-stretched) amount to a per-category running total
+    of this block, seeded with the processor's totals in the current stage
+    (e.g. a pre-initialization copy).  :meth:`settle_charges` writes the
+    totals back once per block, in first-appearance order -- exactly the
+    floats and dict layout one timeline charge per access would produce.
+    Every backend folds here: the serial backend settles on the machine,
+    worker backends on their stand-in, whose totals ship to the parent.
     """
 
     __slots__ = (
@@ -148,12 +163,15 @@ class SpeculativeContext(IterationContext):
         "_iter_marks",
         "_iter_time",
         "_iter_work",
+        "_folded",
+        "_ckpt_names",
         "_costs",
         "_slowdown",
         "_untested_log",
         "_m_marks",
         "_m_copyin",
         "_m_ckpt",
+        "block_time",
         "exit_iteration",
         "fault",
         "fault_permanent",
@@ -180,6 +198,18 @@ class SpeculativeContext(IterationContext):
         self._iter_marks: dict[str, IterationMarks] | None = None
         self._iter_time = 0.0
         self._iter_work = 0.0
+        # Fold slot -> running total; seeded from the processor's charges
+        # so far this stage so the fold continues them float-for-float.
+        prior = machine.running_charges(state.proc)
+        self._folded: dict[int, float] = {
+            slot: prior[category]
+            for slot, category in enumerate(_FOLD_CATEGORIES)
+            if category in prior
+        }
+        self.block_time = 0.0
+        """Sum of this block's charges in the order they happened (the
+        worker backends' block-span virtual duration)."""
+        self._ckpt_names = checkpoints.name_set if checkpoints is not None else frozenset()
         self._costs = machine.costs
         # Straggler fault: every charge of this block is stretched by the
         # multiplier, but iter_work stays nominal -- the useful work done
@@ -216,12 +246,27 @@ class SpeculativeContext(IterationContext):
     def induction_values(self) -> dict[str, int]:
         return dict(self._inductions)
 
-    def _charge(self, category: Category, amount: float) -> None:
+    def _charge(self, slot: int, amount: float) -> None:
         charged = amount * self._slowdown
-        self._machine.charge(self._state.proc, category, charged)
         self._iter_time += charged
-        if category is Category.WORK:
-            self._iter_work += amount
+        if charged:
+            folded = self._folded
+            folded[slot] = folded.get(slot, 0.0) + charged
+            self.block_time += charged
+
+    def _charge_work(self, amount: float) -> None:
+        self._charge(_WORK, amount)
+        # iter_work stays nominal under a straggler slowdown.
+        self._iter_work += amount
+
+    def settle_charges(self) -> None:
+        """Write the folded per-category totals to the machine (once per
+        block, by :func:`execute_block`)."""
+        if self._folded:
+            self._machine.settle_charges(
+                self._state.proc,
+                [(_FOLD_CATEGORIES[slot], total) for slot, total in self._folded.items()],
+            )
 
     # -- memory access ----------------------------------------------------------
 
@@ -239,10 +284,10 @@ class SpeculativeContext(IterationContext):
         value, copied_in = view.load(index)
         self._state.shadows[name].mark_read(index)
         self._m_marks += 1
-        self._charge(Category.MARK, self._costs.mark)
+        self._charge(_MARK, self._costs.mark)
         if copied_in:
             self._m_copyin[name] = self._m_copyin.get(name, 0) + 1
-            self._charge(Category.COPY_IN, self._costs.copy_in)
+            self._charge(_COPY_IN, self._costs.copy_in)
         if self._iter_marks is not None:
             self._iter_marks[name].mark_read(index)
         return value
@@ -256,19 +301,19 @@ class SpeculativeContext(IterationContext):
         if view is None:
             if self._untested_log is not None:
                 self._untested_log.note_write(self._state.proc, name, index)
-            if self._ckpt is not None and name in self._ckpt.names:
+            if name in self._ckpt_names:
                 saved = self._ckpt.note_write(self._state.proc, name, index)
                 if saved:
                     self._m_ckpt[name] = self._m_ckpt.get(name, 0) + saved
                     self._charge(
-                        Category.CHECKPOINT, self._costs.checkpoint_per_elem * saved
+                        _CHECKPOINT, self._costs.checkpoint_per_elem * saved
                     )
             self._machine.memory[name].data[index] = value
             return
         view.store(index, value)
         self._state.shadows[name].mark_write(index)
         self._m_marks += 1
-        self._charge(Category.MARK, self._costs.mark)
+        self._charge(_MARK, self._costs.mark)
         if self._iter_marks is not None:
             self._iter_marks[name].mark_write(index, value)
 
@@ -280,7 +325,7 @@ class SpeculativeContext(IterationContext):
         partial[index] = op.combine(partial.get(index, op.identity), value)
         self._state.shadows[name].mark_update(index)
         self._m_marks += 1
-        self._charge(Category.MARK, self._costs.mark)
+        self._charge(_MARK, self._costs.mark)
         if self._iter_marks is not None:
             self._iter_marks[name].mark_update(index)
 
@@ -306,10 +351,10 @@ class SpeculativeContext(IterationContext):
         values, copied = view.load_many(idx)
         self._state.shadows[name].mark_read_many(idx)
         self._m_marks += len(idx)
-        self._charge(Category.MARK, self._costs.mark * len(idx))
+        self._charge(_MARK, self._costs.mark * len(idx))
         if copied:
             self._m_copyin[name] = self._m_copyin.get(name, 0) + copied
-            self._charge(Category.COPY_IN, self._costs.copy_in * copied)
+            self._charge(_COPY_IN, self._costs.copy_in * copied)
         if self._iter_marks is not None:
             marks = self._iter_marks[name]
             for i in idx.tolist():
@@ -336,7 +381,7 @@ class SpeculativeContext(IterationContext):
         view.store_many(idx, vals)
         self._state.shadows[name].mark_write_many(idx)
         self._m_marks += len(idx)
-        self._charge(Category.MARK, self._costs.mark * len(idx))
+        self._charge(_MARK, self._costs.mark * len(idx))
         if self._iter_marks is not None:
             marks = self._iter_marks[name]
             for i, v in zip(idx.tolist(), vals):
@@ -361,7 +406,7 @@ class SpeculativeContext(IterationContext):
     def work(self, units: float) -> None:
         if units < 0:
             raise ValueError("work units must be non-negative")
-        self._charge(Category.WORK, units * self._costs.omega)
+        self._charge_work(units * self._costs.omega)
 
     # -- premature exit -----------------------------------------------------------
 
@@ -413,6 +458,10 @@ def execute_block(
 ) -> SpeculativeContext:
     """Run ``block``'s iterations on ``block.proc``, charging virtual time.
 
+    The context's folded charges settle on ``machine`` when the block ends
+    -- also when it ends in an exception, as per-access charging would
+    have left them.
+
     ``marklists`` (array name -> :class:`~repro.shadow.marklist.MarkList`)
     switches on iteration-level marking for DDG extraction.  Returns the
     context so callers can read final induction values.
@@ -449,33 +498,36 @@ def execute_block(
     )
     omega = machine.costs.omega
     completed = 0
-    for i in block.iterations():
-        if cancel is not None and cancel.is_set():
-            raise BlockCancelled(block.proc, i)
-        if death is not None and completed >= death[0]:
-            # Fail-stop: the processor dies here; everything it did this
-            # stage (private state, untested writes) is garbage to roll
-            # back, and any exit it signalled cannot be trusted.
-            ctx.fault = "fail-stop"
-            ctx.fault_permanent = death[1]
-            break
-        ctx.begin_iteration(i)
-        if marklists is not None:
-            ctx.set_iteration_marks(
-                {name: ml.open_level(i) for name, ml in marklists.items()}
-            )
-        base = loop.work_of(i) * omega
-        if base:
-            ctx._charge(Category.WORK, base)
-        loop.body(ctx, i)
-        measured, work_only = ctx.end_iteration()
-        state.iter_times[i] = measured
-        state.iter_work[i] = work_only
-        completed += 1
-        if ctx.exit_iteration is not None:
-            # The iteration that signalled the exit completes; the rest of
-            # the block never executes (speculatively validated later).
-            break
+    try:
+        for i in block.iterations():
+            if cancel is not None and cancel.is_set():
+                raise BlockCancelled(block.proc, i)
+            if death is not None and completed >= death[0]:
+                # Fail-stop: the processor dies here; everything it did this
+                # stage (private state, untested writes) is garbage to roll
+                # back, and any exit it signalled cannot be trusted.
+                ctx.fault = "fail-stop"
+                ctx.fault_permanent = death[1]
+                break
+            ctx.begin_iteration(i)
+            if marklists is not None:
+                ctx.set_iteration_marks(
+                    {name: ml.open_level(i) for name, ml in marklists.items()}
+                )
+            base = loop.work_of(i) * omega
+            if base:
+                ctx._charge_work(base)
+            loop.body(ctx, i)
+            measured, work_only = ctx.end_iteration()
+            state.iter_times[i] = measured
+            state.iter_work[i] = work_only
+            completed += 1
+            if ctx.exit_iteration is not None:
+                # The iteration that signalled the exit completes; the rest of
+                # the block never executes (speculatively validated later).
+                break
+    finally:
+        ctx.settle_charges()
     state.executed.append(block)
     metrics = getattr(machine, "metrics", None)
     if metrics is not None and metrics.enabled:

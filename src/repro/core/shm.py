@@ -36,7 +36,7 @@ pickle blob per block, the existing delta path.
 
 Bit-exactness follows the fork backend's argument: identical worker-side
 execution (same :func:`~repro.core.executor.execute_block`, same charge
-log, same checkpoint discipline), identical block-order merge in the
+folding, same checkpoint discipline), identical block-order merge in the
 parent, plus the observation that dense private data needs no merge at all
 because parent and worker share the storage.  The golden parity matrix
 runs the full 32-case suite under ``shm``, fully instrumented.
@@ -67,7 +67,7 @@ from repro.core.backend import (
     BlockTask,
     ForkBackend,
     _AccessRecorder,
-    _ChargeLog,
+    _WorkerMachine,
     _shutdown_pool,
     make_all_private_state,
     make_capture_checkpoint,
@@ -459,14 +459,14 @@ class _ShmWorkerContext:
 def _run_shm_task(wctx: _ShmWorkerContext, task: BlockTask) -> bytes:
     """Execute one block; dense results land in shared memory, the rest
     is packed into one outcome header + residue blob."""
-    log = _ChargeLog(wctx.memory, wctx.costs)
+    machine = _WorkerMachine(wctx.memory, wctx.costs)
     if task.collect_metrics:
-        log.metrics = MetricsRegistry()
+        machine.metrics = MetricsRegistry()
     block = task.block
     recorder = None
     ckpt = None
     if task.all_private:
-        state = make_all_private_state(log, wctx.loop, block.proc)
+        state = make_all_private_state(machine, wctx.loop, block.proc)
     elif task.plain:
         # Certified fast path: plain state, direct writes.  Image-array
         # writes land in the shared segments (parent-visible) and residue
@@ -486,30 +486,21 @@ def _run_shm_task(wctx: _ShmWorkerContext, task: BlockTask) -> bytes:
         if task.log_untested:
             recorder = _AccessRecorder()
         if task.preload:
-            state.preload(log, skip=wctx.reduction_names)
-    charges_before = len(log.charges)
+            state.preload(machine, skip=wctx.reduction_names)
     host_before = time.perf_counter() if task.collect_spans else 0.0
     ctx = execute_block(
-        log, wctx.loop, state, block, ckpt,
+        machine, wctx.loop, state, block, ckpt,
         inductions=task.inductions, marklists=task.marklists,
         stage=task.stage, untested_log=recorder,
         slowdown=task.slowdown, death=task.death,
     )
     host_dur = time.perf_counter() - host_before if task.collect_spans else 0.0
-    virt_dur = (
-        sum(amount for _, amount in log.charges[charges_before:])
-        if task.collect_spans else 0.0
-    )
-    # Fold the charge log per category, first-appearance order (the same
-    # order the fork backend replays, hence the same per_proc dict layout).
-    charges: dict[Category, float] = {}
-    for category, amount in log.charges:
-        charges[category] = charges.get(category, 0.0) + amount
+    virt_dur = ctx.block_time if task.collect_spans else 0.0
 
     residue: dict = {}
     metrics_in_slots = 0
     if task.collect_metrics:
-        snapshot = log.metrics.snapshot()
+        snapshot = machine.metrics.snapshot()
         if _pack_metrics(snapshot, wctx.metrics_block[block.proc]):
             metrics_in_slots = 1
         else:  # pragma: no cover - future instruments outside the fixed set
@@ -583,14 +574,16 @@ def _run_shm_task(wctx: _ShmWorkerContext, task: BlockTask) -> bytes:
             fault_code,
             1 if ctx.fault_permanent else 0,
             metrics_in_slots,
-            len(charges),
+            len(machine.charges),
             host_before,
             host_dur,
             virt_dur,
             len(blob),
         )
     )
-    for category, amount in charges.items():
+    # The block's folded totals, first-appearance order (the same order
+    # the fork backend replays, hence the same per_proc dict layout).
+    for category, amount in machine.charges.items():
         out += _CHARGE.pack(_CATEGORIES.index(category), amount)
     out += blob
     return bytes(out)

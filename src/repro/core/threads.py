@@ -21,12 +21,14 @@ adoption needed because there is only one address space:
   dispatch; views, shadows, partials, iteration times and the executed
   list land in their final location as the block runs, and the merge
   phase has nothing to copy.
-* Virtual-time charges go to a thread-local
-  :class:`~repro.core.backend._ChargeLog` and are replayed against the
-  real timeline **in block order** during the merge -- the fork backend's
-  proven-bit-identical folding.  Metrics accumulate in a per-task private
-  registry merged the same way, so concurrent completion order never
-  reaches a deterministic stream.
+* Virtual-time charges are folded per category by the block's
+  :class:`~repro.core.executor.SpeculativeContext` onto a thread-local
+  :class:`~repro.core.backend._WorkerMachine` and replayed against the
+  real timeline **in block order** during the merge -- the same folding
+  every backend uses, so the totals are bit-identical to serial.
+  Metrics accumulate in a per-task private registry merged the same
+  way, so concurrent completion order never reaches a deterministic
+  stream.
 * Untested arrays follow the fork worker protocol with a thread-local
   :class:`~repro.machine.checkpoint.CheckpointManager`: the worker writes
   shared memory under its own checkpoint (safe: the statically-analyzable
@@ -91,7 +93,7 @@ from repro.core.backend import (
     BlockTask,
     ExecutionBackend,
     _AccessRecorder,
-    _ChargeLog,
+    _WorkerMachine,
     check_unique_procs,
     hoist_injection,
     make_capture_checkpoint,
@@ -166,17 +168,17 @@ def _run_thread_task(eng, task: BlockTask, cancel: threading.Event) -> _ThreadDe
     (``tools/check_thread_safety.py``).
     """
     # thread-safe: machine.memory/costs are read-only maps here; charges
-    # go to the thread-local log, never the shared timeline.
-    log = _ChargeLog(eng.machine.memory, eng.machine.costs)
+    # go to the thread-local stand-in, never the shared timeline.
+    machine = _WorkerMachine(eng.machine.memory, eng.machine.costs)
     if task.collect_metrics:
-        log.metrics = MetricsRegistry()
+        machine.metrics = MetricsRegistry()
     block = task.block
     recorder = None
     ckpt = None
     if task.all_private:
         # thread-safe: fully privatized state; reads shared memory, all
         # writes land in thread-private views.
-        state = make_all_private_state(log, eng.loop, block.proc)
+        state = make_all_private_state(machine, eng.loop, block.proc)
     elif task.plain:
         # thread-safe: the plain state (no views/shadows) is exclusively
         # ours, and the DOALL certificate guarantees no element we write
@@ -207,15 +209,15 @@ def _run_thread_task(eng, task: BlockTask, cancel: threading.Event) -> _ThreadDe
             recorder = _AccessRecorder()
         if task.preload:
             # thread-safe: bulk copy-in reads shared arrays, writes only
-            # our private views; the charge goes to the thread-local log.
-            state.preload(log, skip=eng.reduction_names)
-    charges_before = len(log.charges)
+            # our private views; the charge goes to the thread-local
+            # stand-in.
+            state.preload(machine, skip=eng.reduction_names)
     host_before = time.perf_counter() if task.collect_spans else 0.0
     try:
         # thread-safe: executes on our exclusive state; untested writes
-        # go through the thread-local checkpoint; charges to the log.
+        # go through the thread-local checkpoint; charges to the stand-in.
         ctx = execute_block(
-            log, eng.loop, state, block, ckpt,
+            machine, eng.loop, state, block, ckpt,
             inductions=task.inductions, marklists=task.marklists,
             stage=task.stage, untested_log=recorder,
             slowdown=task.slowdown, death=task.death,
@@ -227,25 +229,20 @@ def _run_thread_task(eng, task: BlockTask, cancel: threading.Event) -> _ThreadDe
         if ckpt is not None:
             ckpt.restore_failed([block.proc])
         raise
-    charges: dict = {}
-    for category, amount in log.charges:
-        charges[category] = charges.get(category, 0.0) + amount
     delta = _ThreadDelta(
         pos=task.pos,
-        charges=list(charges.items()),
+        charges=list(machine.charges.items()),
         fault=ctx.fault,
         fault_permanent=ctx.fault_permanent,
         exit_iteration=ctx.exit_iteration,
         inductions=ctx.induction_values(),
     )
     if task.collect_metrics:
-        delta.metrics = log.metrics.snapshot()
+        delta.metrics = machine.metrics.snapshot()
     if task.collect_spans:
         delta.host_start = host_before
         delta.host_dur = time.perf_counter() - host_before
-        delta.virt_dur = sum(
-            amount for _, amount in log.charges[charges_before:]
-        )
+        delta.virt_dur = ctx.block_time
     if task.all_private:
         return delta
     if ckpt is not None:

@@ -37,7 +37,8 @@ class CheckpointManager:
 
     def __init__(self, memory: MemoryImage, names: Iterable[str], on_demand: bool) -> None:
         self._memory = memory
-        self._names = sorted(set(names))
+        self._name_set = frozenset(names)
+        self._names = sorted(self._name_set)
         self.on_demand = bool(on_demand)
         # name -> index -> (saving proc, old value); first touch wins.
         self._saved: dict[str, dict[int, tuple[int, object]]] = {}
@@ -51,6 +52,12 @@ class CheckpointManager:
     @property
     def names(self) -> list[str]:
         return list(self._names)
+
+    @property
+    def name_set(self) -> frozenset[str]:
+        """The checkpointed array names as a set (no copy; for per-access
+        membership tests)."""
+        return self._name_set
 
     def begin_stage(self) -> int:
         """Start a stage; returns the number of elements checkpointed now
@@ -67,13 +74,8 @@ class CheckpointManager:
                 self.elements_checkpointed += len(data)
         return self.elements_checkpointed
 
-    def note_write(self, proc: int, name: str, index: int) -> int:
-        """Record a write to an untested element.
-
-        Returns the number of elements newly checkpointed by this call
-        (1 for an on-demand first touch, else 0) so the caller can charge
-        virtual time.
-        """
+    def _check_writable(self, name: str) -> None:
+        """Raise unless a stage is open and ``name`` is checkpointed."""
         if not self._stage_active:
             raise CheckpointError(
                 f"note_write({name!r}) before begin_stage(): the checkpoint "
@@ -82,9 +84,25 @@ class CheckpointManager:
             )
         if name not in self._saved:
             raise CheckpointError(f"array {name!r} is not under checkpoint")
-        writers = self._writers[name].setdefault(index, set())
-        writers.add(proc)
-        saved = self._saved[name]
+
+    def note_write(self, proc: int, name: str, index: int) -> int:
+        """Record a write to an untested element.
+
+        Returns the number of elements newly checkpointed by this call
+        (1 for an on-demand first touch, else 0) so the caller can charge
+        virtual time.
+        """
+        saved = self._saved.get(name)
+        if saved is None:
+            # Always raises (_saved holds every name once a stage is open);
+            # the checks stay off the per-write path.
+            self._check_writable(name)
+        writers_map = self._writers[name]
+        writers = writers_map.get(index)
+        if writers is None:
+            writers_map[index] = {proc}
+        else:
+            writers.add(proc)
         if index not in saved:
             if self.on_demand:
                 saved[index] = (proc, self._memory[name].data[index])
@@ -100,14 +118,7 @@ class CheckpointManager:
         of distinct first touches when on-demand (0 in full mode), so the
         caller charges exactly what per-element calls would have charged.
         """
-        if not self._stage_active:
-            raise CheckpointError(
-                f"note_write({name!r}) before begin_stage(): the checkpoint "
-                "epoch has not been opened; drivers must call begin_stage() "
-                "once per speculative stage before any untested write"
-            )
-        if name not in self._saved:
-            raise CheckpointError(f"array {name!r} is not under checkpoint")
+        self._check_writable(name)
         ids = np.asarray(indices).tolist()
         writers_map = self._writers[name]
         saved = self._saved[name]

@@ -58,6 +58,18 @@ class Machine:
         if amount:
             self.timeline.current.charge(proc, category, amount)
 
+    def running_charges(self, proc: int):
+        """``proc``'s per-category totals in the current stage so far
+        (read-only; empty before its first charge or any stage)."""
+        if not self.timeline.n_stages():
+            return {}
+        return self.timeline.current.per_proc.get(proc, {})
+
+    def settle_charges(self, proc: int, totals) -> None:
+        """Overwrite ``proc``'s current-stage totals with a block's folded
+        ``(category, total)`` pairs (seeded from :meth:`running_charges`)."""
+        self.timeline.current.settle(proc, totals)
+
     def charge_global(self, category: Category, amount: float) -> None:
         """Charge serialized (machine-wide) virtual time."""
         if amount:

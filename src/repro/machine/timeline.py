@@ -62,6 +62,17 @@ class StageRecord:
             raise ValueError(f"negative charge {amount} for {category}")
         self.per_proc[proc][category] += amount
 
+    def settle(self, proc: int, totals) -> None:
+        """Overwrite ``proc``'s running totals with ``(category, total)``
+        pairs: a block's charges folded on top of the totals it started
+        from, the bulk equivalent of one :meth:`charge` per access (see
+        :class:`~repro.core.executor.SpeculativeContext`)."""
+        charges = self.per_proc[proc]
+        for category, total in totals:
+            if total < 0:
+                raise ValueError(f"negative total {total} for {category}")
+            charges[category] = total
+
     def proc_time(self, proc: int) -> float:
         return sum(self.per_proc.get(proc, {}).values())
 

@@ -18,6 +18,9 @@ from repro.kernels import get_kernels
 
 _WORD_BITS = 64
 
+#: ``_MASKS[b]`` is the ``uint64`` word with only bit ``b`` set.
+_MASKS = tuple(np.uint64(1) << np.uint64(b) for b in range(_WORD_BITS))
+
 
 class BitSet:
     """Fixed-capacity set of small non-negative integers.
@@ -92,7 +95,7 @@ class BitSet:
     def _check(self, index: int) -> tuple[int, np.uint64]:
         if not 0 <= index < self._size:
             raise IndexError(f"bit {index} out of range [0, {self._size})")
-        return index >> 6, np.uint64(1) << np.uint64(index & 63)
+        return index >> 6, _MASKS[index & 63]
 
     def set(self, index: int) -> None:
         """Set a single bit."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.backend import BlockTask, _run_worker_task, _WorkerContext
 from repro.core.executor import (
     execute_block,
     make_processor_state,
@@ -10,8 +11,9 @@ from repro.core.executor import (
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
 from repro.loopir.reductions import ReductionOp
 from repro.machine.checkpoint import CheckpointManager
+from repro.machine.costs import CostModel
 from repro.machine.machine import Machine
-from repro.machine.timeline import Category
+from repro.machine.timeline import Category, StageRecord
 from repro.util.blocks import Block
 
 
@@ -177,3 +179,93 @@ class TestProcessorState:
         assert states[0].n_written() == 0
         assert states[0].shadows["A"].is_clear()
         assert len(states[0].iter_times) == 4  # measurements persist
+
+
+# -- the charge fold: one settle per block, identical on every backend -------------
+
+
+def _fold_loop(n=12):
+    """Touches every execution-phase category: WORK (base + extra), MARK,
+    COPY_IN from a sparse view that survives the preload, CHECKPOINT from
+    on-demand first touches of an untested array."""
+
+    def body(ctx, i):
+        ctx.load("S", (3 * i) % 32)
+        ctx.store("A", i, ctx.load("A", (i + 1) % 16) * 0.5)
+        ctx.store("U", i % 5, float(i))
+        ctx.work(0.3)
+
+    return SpeculativeLoop(
+        "fold", n, body,
+        arrays=[
+            ArraySpec("A", np.arange(16.0), tested=True, sparse=False),
+            ArraySpec("S", np.arange(32.0), tested=True, sparse=True),
+            ArraySpec("U", np.arange(8.0), tested=False),
+        ],
+        iter_work=lambda i: 1.0 + 0.1 * i,
+    )
+
+
+def _serial_charges(loop, block, costs, slowdown, count=None):
+    machine = Machine(4, costs=costs, memory=loop.materialize())
+    machine.begin_stage()
+    state = make_processor_state(machine, loop, block.proc)
+    ckpt = CheckpointManager(machine.memory, ["U"], on_demand=True)
+    ckpt.begin_stage()
+    state.preload(machine)  # pre_initialize, as Strategy.before_block does
+    if count is not None:
+        count.clear()
+    execute_block(machine, loop, state, block, ckpt, slowdown=slowdown)
+    return list(machine.timeline.current.per_proc[block.proc].items())
+
+
+def _worker_charges(loop, block, costs, slowdown):
+    wctx = _WorkerContext(
+        loop, costs, loop.materialize(), ["U"], True, frozenset()
+    )
+    task = BlockTask(stage=0, pos=0, block=block, preload=True, slowdown=slowdown)
+    delta = _run_worker_task(wctx, task)
+    # Replay exactly as the fork backend's merge does.
+    machine = Machine(4, costs=costs, memory=loop.materialize())
+    machine.begin_stage()
+    for category, amount in delta.charges:
+        machine.charge(block.proc, category, amount)
+    return list(machine.timeline.current.per_proc[block.proc].items())
+
+
+class TestChargeFold:
+    def test_serial_and_worker_fold_identically(self):
+        loop = _fold_loop()
+        block = Block(2, 0, 12)
+        costs = CostModel(mark=0.013, copy_in=0.029, checkpoint_per_elem=0.017)
+        serial = _serial_charges(loop, block, costs, slowdown=1.7)
+        worker = _worker_charges(loop, block, costs, slowdown=1.7)
+        assert [c for c, _ in serial] == [
+            Category.COPY_IN, Category.WORK, Category.MARK, Category.CHECKPOINT,
+        ]
+        assert [(c, repr(v)) for c, v in serial] == [(c, repr(v)) for c, v in worker]
+
+    def test_zero_amount_charges_insert_no_key(self):
+        loop = _fold_loop()
+        block = Block(1, 0, 6)
+        costs = CostModel(mark=0.0, copy_in=0.0, bulk_copy_per_elem=0.0)
+        for charges in (
+            _serial_charges(loop, block, costs, slowdown=1.0),
+            _worker_charges(loop, block, costs, slowdown=1.0),
+        ):
+            assert [c for c, _ in charges] == [Category.WORK, Category.CHECKPOINT]
+
+    def test_timeline_written_once_per_block_not_per_access(self, monkeypatch):
+        calls = []
+        original = StageRecord.charge
+
+        def counting(self, proc, category, amount):
+            calls.append(category)
+            original(self, proc, category, amount)
+
+        monkeypatch.setattr(StageRecord, "charge", counting)
+        loop = _fold_loop()
+        _serial_charges(loop, Block(0, 0, 12), CostModel(), 1.0, count=calls)
+        # 12 iterations make 77 charges: folding bounds timeline writes
+        # by the number of categories, whatever the access count.
+        assert len(calls) <= len(Category)

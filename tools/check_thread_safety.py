@@ -5,7 +5,7 @@ The threads backend (``repro/core/threads.py``) executes blocks on worker
 threads **inside the engine's process**: any statement that reaches
 through the live engine object can race the supervisor, the merge phase
 or another worker.  Its safety argument is a short list of invariants
-(one block per processor per stage, thread-local charge logs and
+(one block per processor per stage, thread-local charge totals and
 checkpoints, merge-in-block-order), and each touch of shared state must
 say which invariant covers it.
 
