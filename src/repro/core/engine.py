@@ -667,6 +667,11 @@ class StageEngine:
                 self.bus.close()
             finally:
                 self.backend.close()
+                # Cut the backend's back-reference: with the engine <->
+                # backend cycle gone, a finished run's memory image is freed
+                # as soon as the caller drops the result, not at the next
+                # cyclic garbage collection.
+                self.backend.eng = None
 
     # -- operational plane -------------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Hot-path kernels: one vectorized marking/copy/reduction API, two impls.
 
 Every per-element inner loop of the runtime -- shadow marking, private-view
-copy-in/copy-out, untested-write application, checkpoint restore and the
-analysis reductions -- funnels through the primitives defined here, so the
-innermost loop of every layer (shadow, memory, analysis, and both parallel
-backends) sits behind a single seam.  Two interchangeable implementations
+copy-in/copy-out, untested-write application, checkpoint restore, the
+analysis reductions and the certifier's exact trace dependence test --
+funnels through the primitives defined here, so the innermost loop of every
+layer (shadow, memory, analysis, certification, and the parallel backends)
+sits behind a single seam.  Two interchangeable implementations
 are provided:
 
 * :mod:`repro.kernels.vector` -- numpy-vectorized, the production default;
@@ -28,6 +29,12 @@ import os
 
 from repro.errors import ConfigurationError
 from repro.kernels import scalar, vector
+from repro.kernels.scalar import (  # the trace columns' kind codes
+    ACCESS_KINDS as ACCESS_KINDS,
+    READ as READ,
+    UPDATE as UPDATE,
+    WRITE as WRITE,
+)
 
 #: Registered implementations; both expose the same module-level functions.
 KERNELS = {"vector": vector, "scalar": scalar}

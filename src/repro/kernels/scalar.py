@@ -17,7 +17,10 @@ Shared conventions:
 * ``indices`` are integer arrays (possibly with duplicates, possibly
   unsorted); bounds are checked against ``size`` where one is given, and
   the error reports the first offending index in iteration order;
-* dict/set-backed sparse structures keep Python ``int`` keys.
+* dict/set-backed sparse structures keep Python ``int`` keys;
+* access traces are four parallel int64 columns -- iteration, kind code
+  (:data:`ACCESS_KINDS`), array code, element index -- in execution order
+  (iterations non-decreasing).
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ from __future__ import annotations
 import numpy as np
 
 _ONE = np.uint64(1)
+
+#: Access-kind codes of trace columns: ``ACCESS_KINDS[code]`` is the kind
+#: (read, write, reduction update).
+ACCESS_KINDS = "rwu"
+READ, WRITE, UPDATE = 0, 1, 2
 
 
 def _check_range(index: int, size: int) -> None:
@@ -282,3 +290,59 @@ def reduce_min_max(values: np.ndarray) -> tuple[int, int]:
         if value > hi:
             hi = value
     return lo, hi
+
+
+# -- certification: exact trace dependence test ------------------------------------
+
+
+def trace_dependences(
+    iterations: np.ndarray,
+    kinds: np.ndarray,
+    arrays: np.ndarray,
+    indices: np.ndarray,
+) -> tuple[int, list[tuple[int, int]], int, int, int]:
+    """Exact dependence scan of an iteration-ordered access trace.
+
+    Returns ``(conflicts, flow_edges, critical_path, max_distance,
+    sink_iterations)``: elements shared across iterations with a write
+    (u-u sharing commutes and r-only sharing is harmless), the sorted
+    ``(source, sink)`` flow pairs (a read of an earlier iteration's
+    write), the longest flow chain in iterations, the longest flow
+    distance, and the number of distinct dependence sinks (flow sinks and
+    writes over an earlier iteration's write).
+    """
+    by_elem: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for iteration, kind, array, index in zip(
+        np.asarray(iterations).tolist(), np.asarray(kinds).tolist(),
+        np.asarray(arrays).tolist(), np.asarray(indices).tolist(),
+    ):
+        by_elem.setdefault((array, index), []).append((iteration, kind))
+    conflicts = 0
+    flow: dict[int, set[int]] = {}
+    max_distance = 0
+    sinks: set[int] = set()
+    for accesses in by_elem.values():
+        last_write: int | None = None
+        touched = {i for i, _ in accesses}
+        kind_set = {k for _, k in accesses}
+        # Cross-iteration sharing invalidates DOALL unless every access is
+        # a read, or every access is a commuting reduction update.
+        if len(touched) > 1 and kind_set != {READ} and kind_set != {UPDATE}:
+            conflicts += 1
+        for iteration, kind in accesses:
+            if kind == READ and last_write is not None and last_write < iteration:
+                flow.setdefault(iteration, set()).add(last_write)
+                max_distance = max(max_distance, iteration - last_write)
+                sinks.add(iteration)
+            if kind == WRITE:
+                if last_write is not None and last_write != iteration:
+                    sinks.add(iteration)
+                last_write = iteration
+    depth: dict[int, int] = {}
+    for sink in sorted(flow):
+        depth[sink] = 1 + max(
+            (depth.get(src, 1) for src in flow[sink]), default=1
+        )
+    critical = max(depth.values(), default=1)
+    edges = [(src, sink) for sink, srcs in flow.items() for src in sorted(srcs)]
+    return conflicts, sorted(edges), critical, max_distance, len(sinks)

@@ -3,10 +3,12 @@
 Same API and bit-identical semantics as the scalar reference
 (:mod:`repro.kernels.scalar` -- see its docstring for the conventions);
 each primitive here replaces the reference's per-element Python loop with
-a constant number of numpy array operations.  The dict/set-backed sparse
-primitives are the one exception: Python containers admit no true
+a constant number of numpy array operations.  There are two exceptions.
+The dict/set-backed sparse primitives: Python containers admit no true
 vectorization, so those kernels batch the bounds checks and bulk
 ``update`` calls but still touch elements through the container protocol.
+And the trace dependence test keeps one Python loop, the critical-path
+walk: one step per distinct flow edge rather than per access.
 
 Equivalence with the scalar reference is enforced by the property-based
 differential tests in ``tests/test_kernels.py`` (random index/value decks
@@ -17,6 +19,8 @@ the full matrix under ``REPRO_KERNELS=scalar``.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.kernels.scalar import READ, UPDATE, WRITE
 
 _ONE = np.uint64(1)
 
@@ -227,3 +231,69 @@ def intersect_indices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def reduce_min_max(values: np.ndarray) -> tuple[int, int]:
     arr = np.asarray(values)
     return int(arr.min()), int(arr.max())
+
+
+# -- certification: exact trace dependence test ------------------------------------
+
+
+def trace_dependences(
+    iterations: np.ndarray,
+    kinds: np.ndarray,
+    arrays: np.ndarray,
+    indices: np.ndarray,
+) -> tuple[int, list[tuple[int, int]], int, int, int]:
+    it = np.asarray(iterations, dtype=np.int64)
+    m = it.size
+    if m == 0:
+        return 0, [], 1, 0, 0
+    kinds, arrays, indices = (np.asarray(c) for c in (kinds, arrays, indices))
+    # One stable sort groups the trace by element (array, index); each
+    # group keeps its accesses in execution order, so its iterations are
+    # non-decreasing.
+    order = np.lexsort((indices, arrays))
+    it, kind = it[order], kinds[order]
+    array, index = arrays[order], indices[order]
+    first = np.ones(m, dtype=bool)
+    first[1:] = (array[1:] != array[:-1]) | (index[1:] != index[:-1])
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], m) - 1
+    # Cross-iteration sharing is a conflict unless the element's accesses
+    # are all reads or all commuting reduction updates.
+    conflicts = int(np.count_nonzero(
+        (it[starts] != it[ends])
+        & (np.maximum.reduceat(kind, starts) != READ)
+        & (np.minimum.reduceat(kind, starts) != UPDATE)
+    ))
+    # Forward-fill the position of the last write strictly before each
+    # access; it is the element's own only if it is not before the group.
+    is_write = kind == WRITE
+    last_write = np.maximum.accumulate(np.where(is_write, np.arange(m), -1))
+    prev = np.empty(m, dtype=np.int64)
+    prev[0] = -1
+    prev[1:] = last_write[:-1]
+    has_prev = prev >= np.repeat(starts, ends - starts + 1)
+    writer = it[prev]
+    is_flow = (kind == READ) & has_prev & (writer < it)
+    rewrite = is_write & has_prev & (writer != it)
+    srcs, dsts = writer[is_flow], it[is_flow]
+    max_distance = int((dsts - srcs).max()) if dsts.size else 0
+    sink_ids = np.sort(np.concatenate((dsts, it[rewrite])))
+    sink_iterations = int(np.count_nonzero(sink_ids[1:] != sink_ids[:-1]))
+    sink_iterations += int(sink_ids.size > 0)
+    # Deduplicated flow edges in (source, sink) order.
+    by_source = np.lexsort((dsts, srcs))
+    srcs, dsts = srcs[by_source], dsts[by_source]
+    keep = np.ones(srcs.size, dtype=bool)
+    keep[1:] = (srcs[1:] != srcs[:-1]) | (dsts[1:] != dsts[:-1])
+    edges = list(zip(srcs[keep].tolist(), dsts[keep].tolist()))
+    depth: dict[int, int] = {}
+    # Critical-path walk in source order: an iteration's in-edges all come
+    # from earlier iterations, so its depth is final before its out-edges.
+    for src, sink in edges:
+        level = depth.get(src, 1) + 1
+        if level > depth.get(sink, 0):
+            depth[sink] = level
+    return (
+        conflicts, edges, max(depth.values(), default=1), max_distance,
+        sink_iterations,
+    )

@@ -23,9 +23,11 @@ Two levels of evidence come out of a probe:
 
 The dependence tests themselves (:func:`trace_dependences`,
 :func:`affine_dependences`) are exact over their respective inputs: the
-trace test scans the recorded stream per element, the affine test
-intersects the two index progressions over ``[0, n)`` and checks for a
-common element touched at two different iterations.
+trace test follows each element's access history through the recorded
+stream (the ``trace_dependences`` primitive of :mod:`repro.kernels`, run
+on the probe's columnar log), the affine test intersects the two index
+progressions over ``[0, n)`` and checks for a common element touched at
+two different iterations.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels import ACCESS_KINDS, READ, UPDATE, WRITE, get_kernels
 from repro.loopir.context import AccessRecord, IterationContext
 from repro.loopir.loop import SpeculativeLoop
 from repro.machine.memory import MemoryImage, SharedArray
+
 
 
 class ProbeContext(IterationContext):
@@ -46,13 +50,19 @@ class ProbeContext(IterationContext):
     tracing, never enforcing reduction-only access discipline (the
     certifier wants to *observe* what the body does, not police it), and
     collecting premature exits instead of acting on them.
+
+    The trace is a flat columnar log: every access appends its
+    ``(iteration, kind code, array code, index)`` quad to ``log``, with
+    array codes indexing ``array_names`` -- no per-access record object.
     """
 
     __slots__ = (
         "_memory",
+        "_arrays",
         "_reductions",
         "_inductions",
-        "records",
+        "array_names",
+        "log",
         "exit_at",
         "extra_work",
     )
@@ -65,24 +75,43 @@ class ProbeContext(IterationContext):
     ) -> None:
         super().__init__()
         self._memory = memory
+        self.array_names = memory.names()
+        self._arrays = {
+            name: (memory[name].data, code)
+            for code, name in enumerate(self.array_names)
+        }
         self._reductions = dict(reductions or {})
         self._inductions = dict(inductions or {})
-        self.records: list[AccessRecord] = []
+        self.log: list[int] = []
         self.exit_at: int | None = None
         self.extra_work = 0.0
 
     def load(self, name: str, index: int):
-        self.records.append(AccessRecord(self.iteration, "r", name, int(index)))
-        return self._memory[name].data[index]
+        try:
+            data, code = self._arrays[name]
+        except KeyError:
+            self._memory[name]  # raises the image's descriptive KeyError
+            raise
+        self.log += (self.iteration, READ, code, index)
+        return data[index]
 
     def store(self, name: str, index: int, value) -> None:
-        self.records.append(AccessRecord(self.iteration, "w", name, int(index)))
-        self._memory[name].data[index] = value
+        try:
+            data, code = self._arrays[name]
+        except KeyError:
+            self._memory[name]  # raises the image's descriptive KeyError
+            raise
+        self.log += (self.iteration, WRITE, code, index)
+        data[index] = value
 
     def update(self, name: str, index: int, value) -> None:
-        self.records.append(AccessRecord(self.iteration, "u", name, int(index)))
+        try:
+            data, code = self._arrays[name]
+        except KeyError:
+            self._memory[name]  # raises the image's descriptive KeyError
+            raise
+        self.log += (self.iteration, UPDATE, code, index)
         op = self._reductions.get(name)
-        data = self._memory[name].data
         data[index] = op.combine(data[index], value) if op is not None else value
 
     # -- bulk memory access -------------------------------------------------------
@@ -94,6 +123,8 @@ class ProbeContext(IterationContext):
     def store_many(self, name: str, indices, values) -> None:
         # Scalar loop: later duplicates win, matching the bulk contract.
         idx = np.asarray(indices, dtype=np.int64)
+        # hot-path: each element re-enters store() so the log keeps
+        # per-element program order
         for i, v in zip(idx.tolist(), np.asarray(values)):
             self.store(name, i, v)
 
@@ -111,6 +142,13 @@ class ProbeContext(IterationContext):
     def exit_loop(self) -> None:
         if self.exit_at is None or self.iteration < self.exit_at:
             self.exit_at = self.iteration
+
+
+def _log_columns(log: list[int]) -> np.ndarray:
+    """The flat quad log as a ``(4, m)`` int64 array of columns:
+    iteration, kind code, array code, index."""
+    flat = np.fromiter(log, dtype=np.int64, count=len(log))
+    return flat.reshape(-1, 4).T
 
 
 @dataclass(frozen=True)
@@ -136,13 +174,34 @@ class ProbeResult:
     full: bool
     """Every iteration in ``[0, n)`` was executed with sequential
     semantics (the trace is exact evidence)."""
-    records: list[AccessRecord]
+    log: list[int]
+    """The columnar access log: flat ``(iteration, kind code, array code,
+    index)`` quads in execution order (see :class:`ProbeContext`)."""
+    array_names: list[str]
+    """Array code -> array name."""
     exit_at: int | None
-    uniform: bool
-    """Every probed iteration issued the same (kind, array) call sequence."""
+    uniform: bool | None
+    """Every probed iteration issued the same (kind, array) call sequence;
+    ``None`` on full probes, which need no affine fit."""
     sites: list[AffineSite] | None
-    """Exact affine fits per call site; ``None`` when the probe was not
-    uniform or some site's indices do not fit ``stride * i + offset``."""
+    """Exact affine fits per call site; ``None`` when the probe was full,
+    was not uniform, or some site's indices do not fit
+    ``stride * i + offset``."""
+
+    @property
+    def records(self) -> list[AccessRecord]:
+        """The trace as :class:`AccessRecord` objects, built on demand
+        (tests and inspectors; the certifier reads the columns)."""
+        log, names = self.log, self.array_names
+        return [
+            AccessRecord(i, ACCESS_KINDS[k], names[a], int(x))
+            for i, k, a, x in zip(log[0::4], log[1::4], log[2::4], log[3::4])
+        ]
+
+    def dependences(self) -> DependenceSummary:
+        """Exact dependence summary of the recorded trace (meaningful as a
+        proof only for a full probe)."""
+        return _trace_summary(_log_columns(self.log))
 
 
 def probe_loop(
@@ -162,10 +221,13 @@ def probe_loop(
     the result is only usable through the affine model).
     """
     n = loop.n_iterations
-    base = memory if memory is not None else loop.materialize()
-    scratch = MemoryImage(
-        SharedArray(name, base[name].data) for name in base.names()
-    )
+    if memory is None:
+        # A fresh materialization is already a private copy.
+        scratch = loop.materialize()
+    else:
+        scratch = MemoryImage(
+            SharedArray(name, memory[name].data) for name in memory.names()
+        )
     full = n <= limit
     if full:
         iterations = list(range(n))
@@ -176,17 +238,23 @@ def probe_loop(
         scratch, reductions=loop.reductions,
         inductions=loop.initial_inductions(),
     )
+    # hot-path: per-iteration body dispatch (the probe executes user code)
     for i in iterations:
         ctx.iteration = i
         loop.body(ctx, i)
         if full and ctx.exit_at is not None:
             break
-    uniform, sites = _fit_sites(ctx.records, iterations, ctx.exit_at)
+    uniform, sites = None, None
+    if not full:
+        uniform, sites = _fit_sites(
+            _log_columns(ctx.log), ctx.array_names, iterations, ctx.exit_at
+        )
     return ProbeResult(
         n=n,
         iterations=iterations,
         full=full,
-        records=ctx.records,
+        log=ctx.log,
+        array_names=ctx.array_names,
         exit_at=ctx.exit_at,
         uniform=uniform,
         sites=sites,
@@ -194,42 +262,56 @@ def probe_loop(
 
 
 def _fit_sites(
-    records: list[AccessRecord],
+    columns: np.ndarray,
+    array_names: list[str],
     iterations: list[int],
     exit_at: int | None,
 ) -> tuple[bool, list[AffineSite] | None]:
-    """Group the trace by call ordinal and fit each site affinely."""
-    per_iter: dict[int, list[AccessRecord]] = {}
-    for rec in records:
-        per_iter.setdefault(rec.iteration, []).append(rec)
-    executed = [i for i in iterations if exit_at is None or i <= exit_at]
-    if not executed:
+    """Group the trace by call ordinal and fit each site affinely.
+
+    The log is iteration-ordered, so with a uniform signature of ``c``
+    calls the executed iterations' accesses form an ``(E, c)`` grid whose
+    columns are the call sites.
+    """
+    executed = np.asarray(
+        [i for i in iterations if exit_at is None or i <= exit_at],
+        dtype=np.int64,
+    )
+    if not executed.size:
         return True, []
-    signatures = {
-        tuple((r.kind, r.array) for r in per_iter.get(i, ())) for i in executed
-    }
-    if len(signatures) != 1:
+    it, kind, array, index = columns
+    lo = np.searchsorted(it, executed, side="left")
+    counts = np.searchsorted(it, executed, side="right") - lo
+    calls = int(counts[0])
+    if (counts != calls).any():
         return False, None
-    signature = next(iter(signatures))
-    if len(executed) < 2:
+    # Equal counts and an iteration-ordered log: the executed iterations'
+    # accesses are the first ``E * calls`` entries.
+    grid = slice(0, executed.size * calls)
+    kinds = kind[grid].reshape(executed.size, calls)
+    arrays = array[grid].reshape(executed.size, calls)
+    if (kinds != kinds[0]).any() or (arrays != arrays[0]).any():
+        return False, None
+    if executed.size < 2:
         # One data point cannot pin a stride; callers treat a single-
         # iteration loop as trivially independent before fitting.
         return True, None
-    sites: list[AffineSite] = []
-    i0, i1 = executed[0], executed[1]
-    for ordinal, (kind, array) in enumerate(signature):
-        x0 = per_iter[i0][ordinal].index
-        x1 = per_iter[i1][ordinal].index
-        span = i1 - i0
-        if (x1 - x0) % span:
-            return True, None
-        stride = (x1 - x0) // span
-        offset = x0 - stride * i0
-        for i in executed:
-            if per_iter[i][ordinal].index != stride * i + offset:
-                return True, None
-        sites.append(AffineSite(ordinal, kind, array, stride, offset))
-    return True, sites
+    x = index[grid].reshape(executed.size, calls)
+    i0, i1 = int(executed[0]), int(executed[1])
+    dx = x[1] - x[0]
+    if (dx % (i1 - i0)).any():
+        return True, None
+    stride = dx // (i1 - i0)
+    offset = x[0] - stride * i0
+    if (x != executed[:, None] * stride + offset).any():
+        return True, None
+    return True, [
+        AffineSite(o, ACCESS_KINDS[k], array_names[a], s, off)
+        for o, (k, a, s, off) in enumerate(
+            zip(kinds[0].tolist(), arrays[0].tolist(), stride.tolist(),
+                offset.tolist())
+        )
+    ]
 
 
 @dataclass
@@ -249,54 +331,40 @@ class DependenceSummary:
     """Distinct iterations that are the sink of at least one dependence."""
 
 
+def _trace_summary(columns: np.ndarray) -> DependenceSummary:
+    conflicts, edges, critical, max_distance, sinks = (
+        get_kernels().trace_dependences(*columns)
+    )
+    return DependenceSummary(
+        conflicts=conflicts,
+        flow_edges=edges,
+        critical_path=critical,
+        max_distance=max_distance,
+        sink_iterations=sinks,
+    )
+
+
 def trace_dependences(records: list[AccessRecord], n: int) -> DependenceSummary:
     """Exact dependence extraction from a full sequential trace.
 
-    Scans each element's access history in iteration order.  Reduction
+    Scans each element's access history in iteration order (the
+    ``trace_dependences`` kernel of :mod:`repro.kernels`).  Reduction
     (``u``) accesses commute with each other, so u-u sharing is not a
     conflict; any r/w access mixing with another iteration's write (or
     update) is.
     """
-    by_elem: dict[tuple[str, int], list[tuple[int, str]]] = {}
-    for rec in records:
-        by_elem.setdefault((rec.array, rec.index), []).append(
-            (rec.iteration, rec.kind)
+    codes: dict[str, int] = {}
+    log = [
+        field
+        for rec in records
+        for field in (
+            rec.iteration,
+            ACCESS_KINDS.index(rec.kind),
+            codes.setdefault(rec.array, len(codes)),
+            rec.index,
         )
-    conflicts = 0
-    flow: dict[int, set[int]] = {}
-    max_distance = 0
-    sinks: set[int] = set()
-    for accesses in by_elem.values():
-        last_write: int | None = None
-        touched = {i for i, _ in accesses}
-        kinds = {k for _, k in accesses}
-        # Cross-iteration sharing invalidates DOALL unless every access is
-        # a read, or every access is a commuting reduction update.
-        if len(touched) > 1 and kinds != {"r"} and kinds != {"u"}:
-            conflicts += 1
-        for iteration, kind in accesses:
-            if kind == "r" and last_write is not None and last_write < iteration:
-                flow.setdefault(iteration, set()).add(last_write)
-                max_distance = max(max_distance, iteration - last_write)
-                sinks.add(iteration)
-            if kind == "w":
-                if last_write is not None and last_write != iteration:
-                    sinks.add(iteration)
-                last_write = iteration
-    depth: dict[int, int] = {}
-    for sink in sorted(flow):
-        depth[sink] = 1 + max(
-            (depth.get(src, 1) for src in flow[sink]), default=1
-        )
-    critical = max(depth.values(), default=1)
-    edges = [(src, sink) for sink, srcs in flow.items() for src in sorted(srcs)]
-    return DependenceSummary(
-        conflicts=conflicts,
-        flow_edges=sorted(edges),
-        critical_path=critical,
-        max_distance=max_distance,
-        sink_iterations=len(sinks),
-    )
+    ]
+    return _trace_summary(_log_columns(log))
 
 
 def _site_indices(site: AffineSite, n: int) -> np.ndarray:
@@ -312,22 +380,26 @@ def affine_dependences(sites: list[AffineSite], n: int) -> DependenceSummary:
     intersection is a vectorized exact computation, not a heuristic.
     """
     conflicts = 0
-    flow: dict[int, set[int]] = {}
     max_distance = 0
-    sinks: set[int] = set()
+    sinks: list[np.ndarray] = []
+    flow_srcs: list[np.ndarray] = []
+    flow_dsts: list[np.ndarray] = []
 
     def note_pair(i_src: int, i_dst: int, is_flow: bool) -> None:
         nonlocal conflicts, max_distance
         conflicts += 1
         src, dst = min(i_src, i_dst), max(i_src, i_dst)
-        sinks.add(dst)
+        sinks.append(np.array([dst], dtype=np.int64))
         max_distance = max(max_distance, dst - src)
         if is_flow and i_src < i_dst:
-            flow.setdefault(i_dst, set()).add(i_src)
+            flow_srcs.append(np.array([i_src], dtype=np.int64))
+            flow_dsts.append(np.array([i_dst], dtype=np.int64))
 
+    # hot-path: the per-site-pair affine test (sites, not elements)
     for a in sites:
         if a.kind not in ("w", "u"):
             continue
+        # hot-path: inner half of the per-site-pair affine test
         for b in sites:
             if b.array != a.array:
                 continue
@@ -370,22 +442,29 @@ def affine_dependences(sites: list[AffineSite], n: int) -> DependenceSummary:
             srcs = np.minimum(ia[diff], ib[diff])
             dsts = np.maximum(ia[diff], ib[diff])
             conflicts += int(diff.sum())
-            sinks.update(int(d) for d in dsts)
+            sinks.append(dsts)
             max_distance = max(max_distance, int((dsts - srcs).max()))
             if is_flow:
                 reads_after = ib[diff] > ia[diff]
-                for src, dst in zip(ia[diff][reads_after], ib[diff][reads_after]):
-                    flow.setdefault(int(dst), set()).add(int(src))
-    depth: dict[int, int] = {}
-    for sink in sorted(flow):
-        depth[sink] = 1 + max(
-            (depth.get(src, 1) for src in flow[sink]), default=1
+                flow_srcs.append(ia[diff][reads_after])
+                flow_dsts.append(ib[diff][reads_after])
+    edges: list[tuple[int, int]] = []
+    if flow_srcs:
+        # Rows sorted by (source, sink), duplicates dropped.
+        pairs = np.unique(
+            np.stack((np.concatenate(flow_srcs), np.concatenate(flow_dsts)), 1),
+            axis=0,
         )
-    edges = [(src, sink) for sink, srcs in flow.items() for src in sorted(srcs)]
+        edges = list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+    depth: dict[int, int] = {}
+    # hot-path: critical-path walk over the deduplicated flow edges, in
+    # source order (every in-edge of an iteration comes from an earlier one)
+    for src, sink in edges:
+        depth[sink] = max(depth.get(sink, 0), depth.get(src, 1) + 1)
     return DependenceSummary(
         conflicts=conflicts,
-        flow_edges=sorted(edges),
+        flow_edges=edges,
         critical_path=max(depth.values(), default=1),
         max_distance=max_distance,
-        sink_iterations=len(sinks),
+        sink_iterations=np.unique(np.concatenate(sinks)).size if sinks else 0,
     )

@@ -33,7 +33,6 @@ from repro.loopir.symbolic import (
     DependenceSummary,
     affine_dependences,
     probe_loop,
-    trace_dependences,
 )
 from repro.machine.memory import MemoryImage
 
@@ -184,7 +183,7 @@ def certify_loop(
         )
 
     if probe.full:
-        deps = trace_dependences(probe.records, n)
+        deps = probe.dependences()
         stats = {
             "probed": len(probe.iterations),
             "conflicts": deps.conflicts,

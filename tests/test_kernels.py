@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import ConfigurationError, RuntimeConfig
 from repro.core.runner import parallelize
@@ -27,6 +27,8 @@ from repro.kernels import (
     use_kernels,
     vector,
 )
+from repro.loopir.context import AccessRecord
+from repro.loopir.symbolic import trace_dependences
 from repro.machine.memory import SharedArray, make_private_view
 from repro.shadow.dense import DenseShadow
 from repro.shadow.sparse import SparseShadow
@@ -143,6 +145,75 @@ def test_intersect_falls_back_outside_table_span():
     assert np.array_equal(
         vector.intersect_indices(a, b), scalar.intersect_indices(a, b)
     )
+
+
+#: Iteration-ordered access traces: runs of (kind, array, index) accesses,
+#: each run a gap of 0-3 after the previous one (0 = the same iteration
+#: again, so one iteration can repeat an access), over several arrays and
+#: small negative or duplicate indices.
+trace_decks = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.lists(
+            st.tuples(
+                st.sampled_from("rwu"),
+                st.sampled_from(["A", "B", "C"]),
+                st.integers(min_value=-3, max_value=5),
+            ),
+            max_size=6,
+        ),
+    ),
+    max_size=14,
+)
+
+
+def _trace_records(deck) -> list[AccessRecord]:
+    records, iteration = [], 0
+    for gap, accesses in deck:
+        iteration += gap
+        records.extend(AccessRecord(iteration, *access) for access in accesses)
+    return records
+
+
+@given(deck=trace_decks)
+@example(deck=[])
+@example(deck=[(0, [("w", "A", 0), ("r", "A", 0), ("u", "B", -1)])])
+@example(deck=[(0, [("w", "A", 0)]), (1, [("r", "A", 0), ("w", "A", 0)]),
+               (1, [("r", "A", 0), ("r", "A", 0)])])
+@settings(max_examples=200, deadline=None)
+def test_trace_dependence_kernels_match(deck):
+    records = _trace_records(deck)
+    codes = {"A": 0, "B": 1, "C": 2}
+    columns = [
+        _idx([r.iteration for r in records]),
+        _idx(["rwu".index(r.kind) for r in records]),
+        _idx([codes[r.array] for r in records]),
+        _idx([r.index for r in records]),
+    ]
+    assert vector.trace_dependences(*columns) == scalar.trace_dependences(
+        *columns
+    )
+    summaries = {}
+    for name in KERNELS:
+        with use_kernels(name):
+            summaries[name] = trace_dependences(records, len(deck))
+    assert summaries["vector"] == summaries["scalar"]
+    assert summaries["vector"].flow_edges == summaries["scalar"].flow_edges
+
+
+def test_trace_dependence_kernels_on_a_chain():
+    # w0; r1 w1; r2 w2 ... with each read repeated: edges deduplicate and
+    # the chain covers every iteration.
+    records = [AccessRecord(0, "w", "A", 0)]
+    for i in range(1, 6):
+        records += [AccessRecord(i, "r", "A", 0)] * 2
+        records.append(AccessRecord(i, "w", "A", 0))
+    for name in KERNELS:
+        with use_kernels(name):
+            deps = trace_dependences(records, 6)
+        assert deps.flow_edges == [(i, i + 1) for i in range(5)]
+        assert (deps.critical_path, deps.max_distance) == (6, 1)
+        assert (deps.conflicts, deps.sink_iterations) == (1, 5)
 
 
 @pytest.mark.parametrize("impl_name", sorted(KERNELS))

@@ -34,6 +34,7 @@ HOT_PATHS = (
     "shadow",
     "machine/memory.py",
     "core/analysis.py",
+    "loopir/symbolic.py",
 )
 
 ANNOTATION = "hot-path:"
