@@ -20,18 +20,23 @@ import pathlib
 
 import numpy as np
 
-from repro.config import RuntimeConfig
+from repro.config import RuntimeConfig, TestCondition
+from repro.core.ddg import DDGResult, extract_ddg
 from repro.core.induction_runner import run_induction
 from repro.core.iterwise import run_blocked_iterwise
+from repro.core.lrpd import run_doall_lrpd
 from repro.core.rlrpd import run_blocked
 from repro.core.window import run_sliding_window
 from repro.faults import FaultEvent, FaultKind, FaultPlan, random_plan
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
 from repro.machine.topology import Topology
 from repro.workloads.patterns import scatter_loop
+from repro.workloads.spice import make_dcdcmp15_loop
 from repro.workloads.synthetic import (
     chain_loop,
+    copyin_loop,
     geometric_chain_targets,
+    privatizable_loop,
     random_dependence_loop,
 )
 from repro.workloads.track_extend import ExtendDeck, make_extend_loop
@@ -84,6 +89,9 @@ def _untested(n: int = 48) -> SpeculativeLoop:
 def _extend() -> SpeculativeLoop:
     return make_extend_loop(ExtendDeck("parity", n=240, keep_prob=0.55,
                                        lookback_prob=0.01))
+
+
+_PRIV = TestCondition.PRIVATIZATION
 
 
 def _fail0() -> FaultPlan:
@@ -191,11 +199,56 @@ CASES = {
     "iterwise-rd-chain": lambda: run_blocked_iterwise(
         _chain(), P, RuntimeConfig.rd()
     ),
+    # -- doall LRPD baseline ----------------------------------------------------
+    "lrpd-copyin-pass": lambda: run_doall_lrpd(copyin_loop(64), P),
+    "lrpd-priv-fail": lambda: run_doall_lrpd(
+        copyin_loop(64), P, RuntimeConfig.nrd(condition=_PRIV)
+    ),
+    "lrpd-priv-pass": lambda: run_doall_lrpd(
+        privatizable_loop(64), P, RuntimeConfig.nrd(condition=_PRIV)
+    ),
+    "lrpd-chain-fail": lambda: run_doall_lrpd(_chain(), P),
+    "lrpd-preinit": lambda: run_doall_lrpd(
+        _rand(), P, RuntimeConfig.nrd(pre_initialize=True)
+    ),
+    "lrpd-untested": lambda: run_doall_lrpd(_untested(), P),
+    "lrpd-exit": lambda: run_doall_lrpd(_exit_loop(), P),
+    # -- DDG extraction (sliding window) -----------------------------------------
+    "ddg8-chain": lambda: extract_ddg(_chain(), P, RuntimeConfig.sw(window_size=8)),
+    "ddg16-chain": lambda: extract_ddg(
+        _chain(), P, RuntimeConfig.sw(window_size=16)
+    ),
+    "ddg8-rand": lambda: extract_ddg(_rand(), P, RuntimeConfig.sw(window_size=8)),
+    "ddg16-rand": lambda: extract_ddg(_rand(), P, RuntimeConfig.sw(window_size=16)),
+    "ddg8-untested": lambda: extract_ddg(
+        _untested(), P, RuntimeConfig.sw(window_size=8)
+    ),
+    "ddg16-untested": lambda: extract_ddg(
+        _untested(), P, RuntimeConfig.sw(window_size=16)
+    ),
+    "ddg16-spice-perfect-up": lambda: extract_ddg(
+        make_dcdcmp15_loop("perfect-up"), P, RuntimeConfig.sw(window_size=16)
+    ),
 }
 
 
 def summarize(result) -> dict:
-    """Bit-exact observables of one run (floats as reprs)."""
+    """Bit-exact observables of one run (floats as reprs).
+
+    A DDG extraction summarizes its run plus a digest of the sorted edge
+    set.
+    """
+    if isinstance(result, DDGResult):
+        h = hashlib.sha256()
+        for e in sorted(result.edges, key=lambda e: (
+            e.src, e.dst, e.kind.value, e.array, e.index
+        )):
+            h.update(f"{e.src} {e.dst} {e.kind.value} {e.array} {e.index};".encode())
+        return {
+            **summarize(result.extraction),
+            "n_edges": len(result.edges),
+            "edges_sha": h.hexdigest(),
+        }
     mem = result.memory
     h = hashlib.sha256()
     for name in sorted(mem.names()):
