@@ -41,8 +41,6 @@ from repro.core import (
     extract_ddg,
     parallelize,
     register_strategy,
-    require_fault_support,
-    require_serial_backend,
     resolve_strategy,
     run_blocked,
     run_blocked_iterwise,
@@ -152,8 +150,6 @@ __all__ = [
     "resolve_strategy",
     "strategy_for_config",
     "strategy_names",
-    "require_fault_support",
-    "require_serial_backend",
     "backend_names",
     "use_backend",
     # stage-event observability

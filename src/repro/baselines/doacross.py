@@ -23,7 +23,8 @@ execution, which is what commit-in-order guarantees.
 
 from __future__ import annotations
 
-from repro.core.results import RunResult, StageResult
+from repro.core.engine import stage_result
+from repro.core.results import RunResult
 from repro.errors import InspectorUnavailableError
 from repro.loopir.context import SequentialContext
 from repro.loopir.loop import SpeculativeLoop
@@ -108,23 +109,10 @@ def run_doacross(
     record.charge(-1, Category.WORK, makespan - overhead)
     record.charge(-1, Category.SYNC, overhead)
 
-    stages = [
-        StageResult(
-            index=0,
-            blocks=[Block(0, 0, loop.n_iterations)],
-            failed=False,
-            earliest_sink_pos=None,
-            committed_iterations=loop.n_iterations,
-            remaining_after=0,
-            committed_work=total_work,
-            n_arcs=len(edges.edges(EdgeKind.FLOW)),
-            committed_elements=0,
-            restored_elements=0,
-            redistributed_iterations=0,
-            span=record.span(),
-            breakdown=record.breakdown(),
-        )
-    ]
+    stages = [stage_result(
+        0, [Block(0, 0, loop.n_iterations)], record, loop.n_iterations, 0,
+        work=total_work, n_arcs=len(edges.edges(EdgeKind.FLOW)),
+    )]
     return RunResult(
         loop_name=loop.name,
         strategy="DOACROSS",

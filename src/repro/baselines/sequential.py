@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.results import RunResult, StageResult
+from repro.core.engine import stage_result
+from repro.core.results import RunResult
 from repro.loopir.context import SequentialContext
 from repro.loopir.loop import SpeculativeLoop
 from repro.machine.costs import CostModel
@@ -48,21 +49,7 @@ def run_sequential(
     machine.charge(0, Category.WORK, total)
     n_done = len(iter_times)
     stages = [
-        StageResult(
-            index=0,
-            blocks=[Block(0, 0, loop.n_iterations)],
-            failed=False,
-            earliest_sink_pos=None,
-            committed_iterations=n_done,
-            remaining_after=0,
-            committed_work=total,
-            n_arcs=0,
-            committed_elements=0,
-            restored_elements=0,
-            redistributed_iterations=0,
-            span=record.span(),
-            breakdown=record.breakdown(),
-        )
+        stage_result(0, [Block(0, 0, loop.n_iterations)], record, n_done, 0, work=total)
     ]
     return RunResult(
         loop_name=loop.name,

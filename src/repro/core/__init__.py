@@ -28,8 +28,6 @@ from repro.core.backend import (
 from repro.core.engine import (
     StageEngine,
     register_strategy,
-    require_fault_support,
-    require_serial_backend,
     resolve_strategy,
     strategy_for_config,
     strategy_names,
@@ -61,8 +59,6 @@ __all__ = [
     "resolve_strategy",
     "strategy_for_config",
     "strategy_names",
-    "require_fault_support",
-    "require_serial_backend",
     "backend_names",
     "get_default_backend",
     "set_default_backend",

@@ -160,7 +160,6 @@ class BlockTask:
     block: Block
     inductions: dict[str, int] | None = None
     marklists: dict | None = None
-    extras: dict = field(default_factory=dict)
     preload: bool = False
     all_private: bool = False
     """Run on a fully privatized state with no checkpoint or injector (the
@@ -195,6 +194,9 @@ class BlockOutcome:
     fault_permanent: bool = False
     exit_iteration: int | None = None
     inductions: dict[str, int] = field(default_factory=dict)
+    marklists: dict | None = None
+    """The block's filled-in mark lists (the task's own object in-process,
+    a shipped copy from out-of-process workers)."""
     host_start: float = 0.0
     """Run-relative host seconds at block start (``collect_spans`` only)."""
     host_dur: float = 0.0
@@ -264,11 +266,12 @@ class SerialBackend(ExecutionBackend):
                 state = make_all_private_state(eng.machine, eng.loop, block.proc)
                 ckpt = injector = untested_log = None
             else:
-                eng.strategy.before_block(eng, block)
                 state = eng.states[block.proc]
                 ckpt = eng.ckpt
                 injector = eng.injector if task.use_injector else None
                 untested_log = eng.untested_log if task.log_untested else None
+                if task.preload:
+                    state.preload(eng.machine, skip=eng.reduction_names)
             if collect_spans:
                 record = eng.machine.timeline.current
                 virt_before = record.proc_time(block.proc)
@@ -277,13 +280,14 @@ class SerialBackend(ExecutionBackend):
                 eng.machine, eng.loop, state, block, ckpt,
                 inductions=task.inductions, marklists=task.marklists,
                 injector=injector, stage=task.stage,
-                untested_log=untested_log, **task.extras,
+                untested_log=untested_log,
             )
             outcome = BlockOutcome(
                 pos=task.pos, block=block, fault=ctx.fault,
                 fault_permanent=ctx.fault_permanent,
                 exit_iteration=ctx.exit_iteration,
                 inductions=ctx.induction_values(),
+                marklists=task.marklists,
             )
             if collect_spans:
                 outcome.host_start = host_before
@@ -762,13 +766,6 @@ class ForkBackend(ExecutionBackend):
         eng = self.eng
         if not tasks:
             return []
-        for task in tasks:
-            if task.extras:
-                raise ConfigurationError(
-                    f"strategy {eng.strategy.name!r} passes execute_block "
-                    f"kwargs {sorted(task.extras)} the {self.name} backend "
-                    "cannot ship to workers; use backend='serial'"
-                )
         check_unique_procs(self.name, tasks)
         self._ensure_workers()
         hoist_injection(eng, tasks)
@@ -808,6 +805,7 @@ class ForkBackend(ExecutionBackend):
             fault_permanent=delta.fault_permanent,
             exit_iteration=delta.exit_iteration,
             inductions=delta.inductions,
+            marklists=delta.marklists,
         )
         if task.collect_spans:
             # Worker clocks are absolute perf_counter readings; rebase onto
@@ -836,8 +834,6 @@ class ForkBackend(ExecutionBackend):
                 eng.untested_log.note_read(proc, name, index)
             for name, index in delta.untested_writes:
                 eng.untested_log.note_write(proc, name, index)
-        if task.marklists is not None:
-            eng.strategy.install_marklists(eng, task.pos, block, delta.marklists)
         return outcome
 
     def resource_info(self) -> dict:

@@ -25,21 +25,10 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from repro.config import RuntimeConfig, Strategy
-from repro.core.analysis import analyze_stage
-from repro.core.commit import commit_states, reinit_states
-from repro.core.engine import require_fault_support, require_serial_backend
-from repro.core.executor import execute_block
-from repro.core.results import RunResult, StageResult
-from repro.core.stage import (
-    charge_analysis,
-    charge_checkpoint_begin,
-    committed_work,
-    make_speculative_machine,
-    perform_restore,
-)
-from repro.core.window import default_window
-from repro.errors import ConfigurationError, NoProgressError, SpeculationError
+from repro.config import RuntimeConfig
+from repro.core.engine import StageEngine
+from repro.core.results import RunResult
+from repro.core.window import SlidingWindow
 from repro.loopir.loop import SpeculativeLoop
 from repro.machine.costs import CostModel
 from repro.machine.memory import MemoryImage
@@ -100,6 +89,44 @@ def _log_iteration_edges(
             lastref.record_write(name, index, iteration)
 
 
+class DDGExtraction(SlidingWindow):
+    """The sliding-window strategy, logging edges as iterations commit.
+
+    Every block executes with one mark list per tested array; the lists
+    the backend returns are adopted per block, and after each stage the
+    committing blocks' iterations are logged in order.  Not registered:
+    reachable through :func:`extract_ddg` only.
+    """
+
+    name = "sw-ddg"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.edges = InvertedEdgeTable()
+        self.lastref = LastReferenceTable()
+        self.marklists: dict[int, dict[str, MarkList]] = {}
+
+    def run_label(self, eng: StageEngine) -> str:
+        return f"SW-DDG(w={self.window})"
+
+    def task_inputs(self, eng: StageEngine, pos: int, block: Block):
+        return None, {
+            name: MarkList(name, block.proc) for name in eng.loop.tested_names
+        }
+
+    def after_block(self, eng: StageEngine, pos: int, block: Block, ctx) -> None:
+        self.marklists[block.proc] = ctx.marklists
+
+    def after_stage(self, eng, committing, failing, f_pos) -> None:
+        # Harvest edges from the committed (correct) iterations, in order.
+        for block in committing:
+            lists = self.marklists[block.proc]
+            for k, i in enumerate(block.iterations()):
+                marks = {name: ml.level(k) for name, ml in lists.items()}
+                _log_iteration_edges(self.edges, self.lastref, i, marks)
+        super().after_stage(eng, committing, failing, f_pos)
+
+
 def extract_ddg(
     loop: SpeculativeLoop,
     n_procs: int,
@@ -107,135 +134,19 @@ def extract_ddg(
     costs: CostModel | None = None,
     memory: MemoryImage | None = None,
 ) -> DDGResult:
-    """Execute ``loop`` under the SW R-LRPD test while extracting its DDG."""
+    """Execute ``loop`` under the SW R-LRPD test while extracting its DDG.
+
+    Runs on any execution backend and honors fault plans, ``--self-check``,
+    ``pre_initialize`` and ``adaptive_window`` like the ``sw`` strategy.
+    """
     config = config or RuntimeConfig.sw()
-    require_fault_support(config, "DDG extraction")
-    require_serial_backend(config, "DDG extraction")
-    if config.strategy is not Strategy.SLIDING_WINDOW:
-        raise ConfigurationError("DDG extraction uses the sliding-window strategy")
-    if loop.inductions:
-        raise ConfigurationError(
-            "DDG extraction does not support speculative inductions"
-        )
-
-    machine, states, ckpt = make_speculative_machine(
-        loop, n_procs, config, costs, memory
-    )
-
-    n = loop.n_iterations
-    window = config.window_size or default_window(n_procs)
-    b = max(1, window // n_procs)
-    tested = loop.tested_names
-
-    edges = InvertedEdgeTable()
-    lastref = LastReferenceTable()
-    committed_upto = 0
-    stage_results: list[StageResult] = []
-    sequential_work = 0.0
-    final_iter_times: dict[int, float] = {}
-    stage_idx = 0
-
-    def block_at(j: int) -> Block:
-        start = min(j * b, n)
-        return Block(j % n_procs, start, min(start + b, n))
-
-    while committed_upto < n:
-        if stage_idx >= config.max_stages:
-            raise SpeculationError(
-                f"{loop.name}: exceeded max_stages={config.max_stages}"
-            )
-        j0 = committed_upto // b
-        window_blocks: list[Block] = []
-        marklists: dict[int, dict[str, MarkList]] = {}
-        for j in range(j0, j0 + n_procs):
-            blk = block_at(j)
-            if len(blk) == 0:
-                break
-            window_blocks.append(blk)
-        if not window_blocks:
-            raise SpeculationError(f"{loop.name}: empty window with work left")
-
-        record = machine.begin_stage()
-        charge_checkpoint_begin(machine, ckpt)
-        for block in window_blocks:
-            ml = {name: MarkList(name, block.proc) for name in tested}
-            marklists[block.proc] = ml
-            ctx = execute_block(
-                machine, loop, states[block.proc], block, ckpt, marklists=ml
-            )
-            if ctx.exit_iteration is not None:
-                raise ConfigurationError(
-                    f"{loop.name}: premature exits need the blocked runner"
-                )
-        machine.barrier()
-
-        groups = [(blk.proc, states[blk.proc].shadows) for blk in window_blocks]
-        analysis = analyze_stage(groups)
-        charge_analysis(machine, analysis, [blk.proc for blk in window_blocks])
-
-        f_pos = analysis.earliest_sink_pos
-        committing = window_blocks if f_pos is None else window_blocks[:f_pos]
-        failing = [] if f_pos is None else window_blocks[f_pos:]
-        if not committing:
-            raise NoProgressError(
-                f"{loop.name}: DDG window stage {stage_idx} committed nothing"
-            )
-
-        committed_elements = commit_states(
-            machine, loop, [states[blk.proc] for blk in committing]
-        )
-        stage_work = committed_work(states, committing)
-        sequential_work += stage_work
-
-        # Harvest edges from the committed (correct) iterations, in order.
-        for block in committing:
-            ml_dict = marklists[block.proc]
-            for k, i in enumerate(block.iterations()):
-                marks = {name: ml_dict[name].level(k) for name in tested}
-                _log_iteration_edges(edges, lastref, i, marks)
-            times = states[block.proc].iter_times
-            for i in block.iterations():
-                final_iter_times[i] = times[i]
-
-        restored = perform_restore(machine, ckpt, [blk.proc for blk in failing])
-        reinit_states(machine, [states[blk.proc] for blk in failing])
-        for block in committing:
-            states[block.proc].reset()
-
-        committed_upto = committing[-1].stop
-        stage_results.append(
-            StageResult(
-                index=stage_idx,
-                blocks=list(window_blocks),
-                failed=f_pos is not None,
-                earliest_sink_pos=f_pos,
-                committed_iterations=sum(len(blk) for blk in committing),
-                remaining_after=n - committed_upto,
-                committed_work=stage_work,
-                n_arcs=len(analysis.arcs),
-                committed_elements=committed_elements,
-                restored_elements=restored,
-                redistributed_iterations=0,
-                span=record.span(),
-                breakdown=record.breakdown(),
-            )
-        )
-        stage_idx += 1
-
-    extraction = RunResult(
-        loop_name=loop.name,
-        strategy=f"SW-DDG(w={window})",
-        n_procs=n_procs,
-        n_iterations=n,
-        stages=stage_results,
-        timeline=machine.timeline,
-        sequential_work=sequential_work,
-        iteration_times=final_iter_times,
-        memory=machine.memory,
-    )
+    strategy = DDGExtraction()
+    extraction = StageEngine(
+        loop, n_procs, strategy, config, costs=costs, memory=memory,
+    ).run()
     return DDGResult(
         loop_name=loop.name,
-        n_iterations=n,
-        edges=edges,
+        n_iterations=loop.n_iterations,
+        edges=strategy.edges,
         extraction=extraction,
     )

@@ -8,20 +8,25 @@ the commit point moves at, and what pre/post phases wrap a stage.  The
 engine implements the recursion exactly once:
 
 * partition/schedule the remaining iterations (delegated to the strategy);
-* checkpoint untested state, execute every block under fault injection;
+* checkpoint untested state, execute every block through the execution
+  backend under fault injection;
 * analyze for the earliest sink, merge injected faults into the failure
   point, validate premature exits;
-* commit the valid prefix, restore and re-initialize the rest;
+* commit the valid prefix (an exit's prefix included), restore and
+  re-initialize the rest, and close every stage through one builder;
 * charge every virtual-time cost, enforce ``max_fault_retries`` over
   consecutive zero-commit stages, shrink the processor pool on permanent
   fail-stop deaths, and run the ``--self-check`` oracle.
 
-Strategies are small policy objects subclassing :class:`Strategy` and
-registered by name (:func:`register_strategy`); the concrete policies live
-next to their documentation: ``BlockedNRD``/``BlockedRD``/``AdaptiveBlocked``
+Strategies are small policy objects subclassing :class:`Strategy`; the
+concrete policies live next to their documentation.  Registered by name
+(:func:`register_strategy`): ``BlockedNRD``/``BlockedRD``/``AdaptiveBlocked``
 in :mod:`repro.core.rlrpd`, ``SlidingWindow`` in :mod:`repro.core.window`,
 ``InductionTwoPhase`` in :mod:`repro.core.induction_runner`, and
-``IterwiseBlocked`` in :mod:`repro.core.iterwise`.
+``IterwiseBlocked`` in :mod:`repro.core.iterwise`.  Unregistered, reached
+through their runners: the doall LRPD baseline (:mod:`repro.core.lrpd`),
+DDG extraction (:mod:`repro.core.ddg`) and the certified fast paths
+(:mod:`repro.core.fastpath`).
 
 The engine narrates each run as a typed event stream (:mod:`repro.obs`):
 ``RunBegin (StageBegin BlockExecuted* FaultInjected* DependenceFound?
@@ -45,13 +50,7 @@ from repro.config import (
     Strategy as ScheduleKind,
 )
 from repro.core.analysis import analyze_stage
-from repro.core.backend import (
-    BACKENDS,
-    BlockTask,
-    backend_names,
-    make_backend,
-    resolve_backend_name,
-)
+from repro.core.backend import BACKENDS, BlockTask, make_backend
 from repro.core.commit import commit_states, reinit_states
 from repro.core.executor import make_processor_state
 from repro.core.results import RunResult, StageResult
@@ -65,7 +64,6 @@ from repro.core.stage import (
     charge_analysis,
     charge_checkpoint_begin,
     charge_checkpoint_fault_recovery,
-    committed_work,
     perform_restore,
 )
 from repro.errors import (
@@ -105,7 +103,7 @@ from repro.obs.metrics import (
 from repro.obs.oplog import get_oplog
 from repro.obs.resources import ResourceSampler, resolve_resources_enabled
 from repro.obs.sinks import AggregatingSink, EventBus, EventSink, JsonlTraceSink
-from repro.obs.spans import PerfettoTraceSink, SpanTracker
+from repro.obs.spans import NullTracer, PerfettoTraceSink, SpanTracker
 from repro.obs.top import StatusStreamSink
 from repro.util.blocks import Block
 
@@ -117,10 +115,9 @@ class Strategy:
     overrides only the hooks where its policy departs from it.  Hooks are
     invoked by :class:`StageEngine` in a fixed order per stage::
 
-        schedule -> pre_stage -> [begin_stage] -> charge_schedule ->
-        begin_stage_states -> (before_block -> execute -> after_block)* ->
-        [barrier] -> analyze -> adjust_sink -> on_failure_point ->
-        commit -> advance -> after_stage
+        schedule -> pre_stage -> charge_schedule ->
+        (task_inputs -> execute -> after_block)* -> [barrier] -> analyze ->
+        commit_point -> (commit | zero_commit) -> after_stage
 
     Strategies may keep per-run mutable state on ``self``; one instance
     serves exactly one engine run.
@@ -132,9 +129,9 @@ class Strategy:
     #: validates it against the failure point (blocked drivers),
     #: ``"reject"`` raises ``ConfigurationError``, ``"ignore"`` drops it.
     exit_mode = "reject"
-    #: Noun used in the FaultError raised when the zero-commit retry
-    #: budget is exhausted ("stages" / "windows").
-    zero_noun = "stages"
+    #: Whether ``config.pre_initialize`` bulk-copies each block's private
+    #: views in before the block executes (every backend honors it).
+    preloads = True
     #: Certified fast paths set this: blocks run on plain processor
     #: states (no views/shadows/checkpoint) and out-of-process backends
     #: dispatch them as ``plain`` tasks (:mod:`repro.core.fastpath`).
@@ -156,7 +153,8 @@ class Strategy:
         return eng.config.label()
 
     def schedule(self, eng: "StageEngine") -> list[Block]:
-        """Non-empty blocks for this stage (raise SpeculationError if none)."""
+        """Non-empty blocks for this stage (raise SpeculationError if none);
+        per-stage private state is refreshed here (default: it persists)."""
         raise NotImplementedError
 
     def pre_stage(self, eng: "StageEngine", blocks: list[Block]) -> None:
@@ -171,38 +169,17 @@ class Strategy:
         ``(migrated iterations, migration distance)``."""
         return 0, 0.0
 
-    def begin_stage_states(self, eng: "StageEngine", blocks: list[Block]) -> None:
-        """Refresh per-stage private state (default: states persist)."""
-
-    def before_block(self, eng: "StageEngine", block: Block) -> None:
-        if eng.config.pre_initialize:
-            eng.states[block.proc].preload(eng.machine, skip=eng.reduction_names)
-
-    def wants_preload(self, eng: "StageEngine") -> bool:
-        """Whether out-of-process backends should bulk pre-initialize each
-        block's private views before executing (must mirror what
-        :meth:`before_block` does in-process)."""
-        return eng.config.pre_initialize
-
-    def exec_kwargs(self, eng: "StageEngine", pos: int, block: Block) -> dict:
-        """Extra keyword arguments for ``execute_block``."""
-        return {}
+    def task_inputs(
+        self, eng: "StageEngine", pos: int, block: Block
+    ) -> tuple[dict | None, dict | None]:
+        """``(starting induction values, mark lists)`` handed to one
+        block's ``execute_block``; ``None`` for either means none."""
+        return None, None
 
     def after_block(self, eng: "StageEngine", pos: int, block: Block, ctx) -> None:
-        """Bookkeeping right after one block executed (owner maps, extra
-        marking charges, induction finals).  ``ctx`` is a
-        :class:`~repro.core.backend.BlockOutcome`: ``fault``,
-        ``fault_permanent``, ``exit_iteration``, ``induction_values()``."""
-
-    def install_marklists(
-        self, eng: "StageEngine", pos: int, block: Block, marklists
-    ) -> None:
-        """Accept a block's mark lists shipped back by an out-of-process
-        backend (only strategies passing ``marklists`` via
-        :meth:`exec_kwargs` need this)."""
-        raise ConfigurationError(
-            f"strategy {self.name!r} does not accept shipped mark lists"
-        )
+        """Bookkeeping right after one block executed (owner maps, marking
+        charges, induction finals, returned mark lists); ``ctx`` is its
+        :class:`~repro.core.backend.BlockOutcome`."""
 
     def analyze(
         self, eng: "StageEngine", blocks: list[Block]
@@ -214,33 +191,15 @@ class Strategy:
         charge_analysis(eng.machine, analysis, [b.proc for b in blocks])
         return analysis.earliest_sink_pos, len(analysis.arcs)
 
-    def adjust_sink(
+    def commit_point(
         self, eng: "StageEngine", blocks: list[Block], f_pos: int | None
-    ) -> int | None:
-        """Fold strategy-specific failure conditions (e.g. induction
-        increment mismatches) into the failure point."""
-        return f_pos
-
-    def on_failure_point(
-        self,
-        eng: "StageEngine",
-        blocks: list[Block],
-        f_pos: int | None,
-        fault_forced: bool,
-    ) -> None:
-        """Observe the merged failure point before the commit phase."""
-
-    def sink_field(self, eng: "StageEngine", f_pos: int | None) -> int | None:
-        """Value recorded as ``StageResult.earliest_sink_pos`` (block
-        position by default; the iteration-wise test reports an iteration)."""
-        return f_pos
-
-    def partial_progress(
-        self, eng: "StageEngine", blocks: list[Block], f_pos: int | None
-    ) -> bool:
-        """Whether the stage advances the commit point even though no block
-        commits wholesale (iteration-granularity prefix commit)."""
-        return False
+    ) -> tuple[int | None, int]:
+        """Given the failure point (injected faults merged in), return ``(sink
+        recorded for the stage, iteration the commit point moves to)``; a
+        stage that leaves the commit point in place committed nothing."""
+        if f_pos is None:
+            return None, blocks[-1].stop
+        return f_pos, blocks[f_pos - 1].stop if f_pos else eng.committed_upto
 
     def commit(
         self, eng: "StageEngine", committing: list[Block], failing: list[Block]
@@ -249,32 +208,24 @@ class Strategy:
         committed_elements = commit_states(
             eng.machine, eng.loop, [eng.states[b.proc] for b in committing]
         )
-        stage_work = committed_work(eng.states, committing)
+        stage_work = 0.0  # work-only virtual time of the committed iterations
         for block in committing:
-            times = eng.states[block.proc].iter_times
+            state = eng.states[block.proc]
+            work, times = state.iter_work, state.iter_times
+            stage_work += sum(work[i] for i in block.iterations())
             for i in block.iterations():
                 eng.final_iter_times[i] = times[i]
         return committed_elements, stage_work
 
-    def advance(self, eng: "StageEngine", committing: list[Block]) -> int:
-        return committing[-1].stop
-
-    def committed_iterations(
-        self, eng: "StageEngine", committing: list[Block], advance: int
-    ) -> int:
-        return sum(len(b) for b in committing)
-
-    def zero_commit_message(self, eng: "StageEngine", f_pos: int | None) -> str:
-        return (
-            f"{eng.loop.name}: stage {eng.stage_idx} committed nothing "
-            f"(earliest sink at position {f_pos})"
-        )
-
-    def advance_stall_message(self, eng: "StageEngine") -> str:
-        return (
-            f"{eng.loop.name}: stage {eng.stage_idx} failed to advance "
-            "the commit point"
-        )
+    def zero_commit(self, eng: "StageEngine", fault_caused: bool) -> bool:
+        """The stage committed nothing.  Return whether its blocks retry
+        (under the fault-retry budget); raise when no fault explains it."""
+        if not fault_caused:
+            raise NoProgressError(
+                f"{eng.loop.name}: {eng.label} stage {eng.stage_idx} "
+                "committed nothing"
+            )
+        return True
 
     def after_stage(
         self,
@@ -283,11 +234,8 @@ class Strategy:
         failing: list[Block],
         f_pos: int | None,
     ) -> None:
-        """Post-commit policy updates (pending blocks, window re-grid,
-        induction base advance)."""
-
-    def after_zero_commit(self, eng: "StageEngine", failing: list[Block]) -> None:
-        """Policy updates after a fault-caused zero-commit retry."""
+        """Policy updates once the stage closed (pending blocks, window
+        re-grid, induction base advance, edge harvest)."""
 
     def result_extras(self, eng: "StageEngine") -> dict:
         """Extra ``RunResult`` constructor fields (e.g. induction finals)."""
@@ -354,45 +302,52 @@ def strategy_for_config(
     return STRATEGIES[key]()
 
 
-def require_fault_support(config: RuntimeConfig | None, runner: str) -> None:
-    """Refuse fault injection / self-check on runners that ignore them.
-
-    Engine-based strategies all support both; baselines that bypass the
-    engine (the doall LRPD test, DDG extraction) call this so a requested
-    ``--faults``/``--self-check`` fails loudly instead of silently doing
-    nothing.
-    """
-    if config is None:
-        return
-    if config.fault_plan is not None:
-        raise ConfigurationError(
-            f"{runner} does not support fault injection; drop the fault "
-            "plan or use an engine-based strategy "
-            f"({', '.join(strategy_names())})"
-        )
-    if config.self_check:
-        raise ConfigurationError(
-            f"{runner} does not support --self-check; drop it or use an "
-            f"engine-based strategy ({', '.join(strategy_names())})"
-        )
+# -- stage results ----------------------------------------------------------------
 
 
-def require_serial_backend(config: RuntimeConfig | None, runner: str) -> None:
-    """Refuse non-serial execution backends on runners that bypass the
-    StageEngine (the doall LRPD test, DDG extraction): they call
-    ``execute_block`` directly and would silently run serially while the
-    user believes the fork pool is active.
-    """
-    if config is None:
-        return
-    if resolve_backend_name(config) != "serial":
-        raise ConfigurationError(
-            f"{runner} runs outside the StageEngine and supports only the "
-            f"serial execution backend (requested "
-            f"{resolve_backend_name(config)!r}; known: "
-            f"{', '.join(backend_names())}); drop --backend or use an "
-            f"engine-based strategy ({', '.join(strategy_names())})"
-        )
+def stage_result(
+    index: int,
+    blocks: Sequence[Block],
+    record,
+    committed: int,
+    remaining: int,
+    *,
+    failed: bool = False,
+    sink: int | None = None,
+    work: float = 0.0,
+    elements: int = 0,
+    restored: int = 0,
+    n_arcs: int = 0,
+    redistributed: int = 0,
+    migration: float = 0.0,
+    faulted_procs: Sequence[int] = (),
+    degraded: bool = False,
+    redispatched: Sequence[int] = (),
+) -> StageResult:
+    """The one :class:`StageResult` builder: span and breakdown come from
+    the stage's timeline ``record``, every count not given is zero.  The
+    engine closes its stages through it, and the schedule executors
+    (wavefront, list schedule, the sequential and DOACROSS baselines)
+    record theirs with it."""
+    return StageResult(
+        index=index,
+        blocks=list(blocks),
+        failed=failed,
+        earliest_sink_pos=sink,
+        committed_iterations=committed,
+        remaining_after=remaining,
+        committed_work=work,
+        n_arcs=n_arcs,
+        committed_elements=elements,
+        restored_elements=restored,
+        redistributed_iterations=redistributed,
+        span=record.span(),
+        migration_distance=migration,
+        breakdown=record.breakdown(),
+        faulted_procs=list(faulted_procs),
+        degraded=degraded,
+        redispatched_procs=list(redispatched),
+    )
 
 
 # -- the engine ------------------------------------------------------------------
@@ -461,7 +416,6 @@ class StageEngine:
         self.degraded_stages = 0
         self.zero_commit_streak = 0
         self.exit_iteration: int | None = None
-        self.remaining = self.n
         self.degraded = False
         self.faulted: dict[int, str] = {}
         self.states = {}
@@ -521,9 +475,10 @@ class StageEngine:
             SpanTracker(
                 self.emit, self.host_now, self.machine.timeline.virtual_now
             )
-            if self.spans_enabled else None
+            if self.spans_enabled else NullTracer()
         )
         self._stage_span = None
+        self._record = None
 
     # -- clocks -----------------------------------------------------------------
 
@@ -550,15 +505,31 @@ class StageEngine:
             histograms=snap["histograms"],
         ))
 
-    def _end_stage(self, result: StageResult) -> None:
-        """Close the open stage: emit the stage's metrics snapshot, close
-        its span, emit StageEnd (the aggregating sink files the result) and
-        advance the stage counter."""
+    def open_stage(self, blocks: list[Block]) -> int:
+        """Announce a stage; start its timeline record and span."""
+        stage = self.stage_idx
+        self.emit(StageBegin(
+            stage=stage, blocks=list(blocks),
+            remaining=self.n - self.committed_upto, degraded=self.degraded,
+        ))
+        self._record = self.machine.begin_stage()
+        self._stage_span = self.tracer.begin("stage", "stage", stage=stage)
+        return stage
+
+    def close_stage(self, blocks: list[Block], committed: int, **counts) -> None:
+        """Build the open stage's result (``counts`` as for
+        :func:`stage_result`); emit its metrics snapshot, close its span,
+        emit StageEnd (the aggregating sink files the result) and advance
+        the stage counter."""
+        result = stage_result(
+            self.stage_idx, blocks, self._record, committed,
+            self.n - self.committed_upto, degraded=self.degraded,
+            redispatched=self.supervision.take_stage_redispatched(), **counts,
+        )
         if self.metrics_enabled:
             self._emit_metrics("stage", result.index)
-        if self._stage_span is not None:
-            self.tracer.end(self._stage_span)
-            self._stage_span = None
+        self.tracer.end(self._stage_span)
+        self._stage_span = None
         self.emit(StageEnd(stage=result.index, result=result))
         self.stage_idx += 1
 
@@ -588,18 +559,16 @@ class StageEngine:
             "to": target,
             "reason": str(degradation),
         })
+        stage = self.stage_idx if degradation.stage is None else degradation.stage
         self.emit(BackendDegraded(
-            stage=degradation.stage if degradation.stage is not None
-            else self.stage_idx,
+            stage=stage,
             from_backend=self.backend.name,
             to_backend=target,
             reason=degradation.reason,
         ))
         self.oplog.log(
             "engine", "backend-degraded", severity="warn",
-            loop=self.loop.name,
-            stage=degradation.stage if degradation.stage is not None
-            else self.stage_idx,
+            loop=self.loop.name, stage=stage,
             from_backend=self.backend.name, to_backend=target,
             reason=degradation.reason,
         )
@@ -632,14 +601,11 @@ class StageEngine:
                 loop=self.loop.name, strategy=self.label,
                 n_procs=self.n_procs, n_iterations=self.n,
             ))
-            run_span = (
-                self.tracer.begin("run", "run") if self.tracer else None
-            )
+            run_span = self.tracer.begin("run", "run")
             result = self._run_loop()
             if self.metrics_enabled:
                 self._emit_metrics("run", None)
-            if run_span is not None:
-                self.tracer.end(run_span)
+            self.tracer.end(run_span)
             self.emit(RunEnd(
                 loop=self.loop.name, strategy=self.label,
                 stages=result.n_stages, restarts=result.n_restarts,
@@ -742,128 +708,107 @@ class StageEngine:
 
     def _run_loop(self) -> RunResult:
         loop, config, machine = self.loop, self.config, self.machine
-        strategy = self.strategy
+        strategy, tracer = self.strategy, self.tracer
         n = self.n
         while self.committed_upto < n:
             if self.stage_idx >= config.max_stages:
                 raise SpeculationError(
                     f"{loop.name}: exceeded max_stages={config.max_stages}"
                 )
-            self.remaining = n - self.committed_upto
             self.degraded = len(self.alive) < self.n_procs
             if self.degraded:
                 self.degraded_stages += 1
 
             blocks = strategy.schedule(self)
             strategy.pre_stage(self, blocks)
-            stage = self.stage_idx
-            self.emit(StageBegin(
-                stage=stage, blocks=list(blocks),
-                remaining=n - self.committed_upto, degraded=self.degraded,
-            ))
+            stage = self.open_stage(blocks)
 
             # -- checkpoint + execute under fault injection ---------------------
-            record = machine.begin_stage()
-            tracer = self.tracer
-            if tracer is not None:
-                self._stage_span = tracer.begin("stage", "stage", stage=stage)
-                ckpt_span = tracer.begin("checkpoint", "phase", stage=stage)
-            charge_checkpoint_begin(machine, self.ckpt, self.injector, stage)
-            redistributed, migration = strategy.charge_schedule(self, blocks)
-            if tracer is not None:
-                tracer.end(ckpt_span)
+            with tracer.phase("checkpoint", stage):
+                charge_checkpoint_begin(machine, self.ckpt, self.injector, stage)
+                redistributed, migration = strategy.charge_schedule(self, blocks)
             if self.untested_log is not None:
                 self.untested_log.reset()
-            strategy.begin_stage_states(self, blocks)
             exits: dict[int, int] = {}  # block position -> exit iteration
             faulted: dict[int, str] = {}  # block position -> fault class
             self.faulted = faulted
-            preload = strategy.wants_preload(self)
+            preload = strategy.preloads and config.pre_initialize
             log_untested = self.untested_log is not None
             tasks = []
             for pos, block in enumerate(blocks):
-                kwargs = strategy.exec_kwargs(self, pos, block)
+                inductions, marklists = strategy.task_inputs(self, pos, block)
                 tasks.append(BlockTask(
                     stage=stage, pos=pos, block=block,
-                    inductions=kwargs.pop("inductions", None),
-                    marklists=kwargs.pop("marklists", None),
-                    extras=kwargs,
-                    preload=preload,
-                    log_untested=log_untested,
+                    inductions=inductions, marklists=marklists,
+                    preload=preload, log_untested=log_untested,
                     plain=strategy.plain_tasks,
                 ))
-            if tracer is not None:
-                exec_span = tracer.begin("execute", "phase", stage=stage)
-            outcomes = self.execute_tasks(tasks)
-            for outcome in outcomes:
-                pos, block = outcome.pos, outcome.block
-                strategy.after_block(self, pos, block, outcome)
-                if outcome.fault is not None:
-                    # A faulted block's work (and any exit it signalled) is
-                    # untrusted; its processor joins the failed set below.
-                    faulted[pos] = outcome.fault
-                    if outcome.fault_permanent and len(self.alive) > 1:
-                        self.alive.remove(block.proc)
-                        self.injector.mark_dead(block.proc)
-                elif (
-                    self.injector is not None
-                    and self.injector.corrupt(
-                        stage, block.proc, self.states[block.proc]
-                    ) is not None
-                ):
-                    # Corrupted speculative write, caught by the stage's
-                    # integrity check: discard the block's private state and
-                    # re-execute, same as a failed-speculation processor.
-                    faulted[pos] = "corrupt-write"
-                elif outcome.exit_iteration is not None:
-                    if strategy.exit_mode == "collect":
-                        exits[pos] = outcome.exit_iteration
-                    elif strategy.exit_mode == "reject":
-                        raise ConfigurationError(
-                            f"{loop.name}: premature exits need the blocked runner"
-                        )
-                self.emit(BlockExecuted(
-                    stage=stage, pos=pos, proc=block.proc,
-                    start=block.start, stop=block.stop,
-                    fault=faulted.get(pos),
-                    exit_iteration=outcome.exit_iteration,
-                ))
-                if pos in faulted:
-                    self.emit(FaultInjected(
-                        stage=stage, proc=block.proc, fault=faulted[pos],
+            with tracer.phase("execute", stage) as exec_span:
+                for outcome in self.execute_tasks(tasks):
+                    pos, block = outcome.pos, outcome.block
+                    strategy.after_block(self, pos, block, outcome)
+                    if outcome.fault is not None:
+                        # A faulted block's work (and any exit it signalled)
+                        # is untrusted; its processor joins the failed set.
+                        faulted[pos] = outcome.fault
+                        if outcome.fault_permanent and len(self.alive) > 1:
+                            self.alive.remove(block.proc)
+                            self.injector.mark_dead(block.proc)
+                    elif (
+                        self.injector is not None
+                        and self.injector.corrupt(
+                            stage, block.proc, self.states[block.proc]
+                        ) is not None
+                    ):
+                        # Corrupted speculative write, caught by the stage's
+                        # integrity check: discard the block's private state
+                        # and re-execute, same as a failed-speculation
+                        # processor.
+                        faulted[pos] = "corrupt-write"
+                    elif outcome.exit_iteration is not None:
+                        if strategy.exit_mode == "collect":
+                            exits[pos] = outcome.exit_iteration
+                        elif strategy.exit_mode == "reject":
+                            raise ConfigurationError(
+                                f"{loop.name}: premature exits need the "
+                                "blocked runner"
+                            )
+                    self.emit(BlockExecuted(
+                        stage=stage, pos=pos, proc=block.proc,
+                        start=block.start, stop=block.stop,
+                        fault=faulted.get(pos),
+                        exit_iteration=outcome.exit_iteration,
                     ))
-                    # Operational echo: faults are deterministic events,
-                    # but an operator tailing the oplog should see them
-                    # next to the supervisor/backend records they explain.
-                    self.oplog.log(
-                        "faults", "fault-injected", severity="warn",
-                        loop=loop.name, stage=stage, proc=block.proc,
-                        fault=faulted[pos],
-                    )
-                if tracer is not None:
+                    if pos in faulted:
+                        self.emit(FaultInjected(
+                            stage=stage, proc=block.proc, fault=faulted[pos],
+                        ))
+                        # Operational echo: faults are deterministic events,
+                        # but an operator tailing the oplog should see them
+                        # next to the supervisor/backend records they explain.
+                        self.oplog.log(
+                            "faults", "fault-injected", severity="warn",
+                            loop=loop.name, stage=stage, proc=block.proc,
+                            fault=faulted[pos],
+                        )
                     # Block spans interleave with BlockExecuted in block
                     # order; every block starts at the execute phase's
-                    # virtual start (blocks run concurrently in virtual
-                    # time).
+                    # virtual start (blocks run concurrently in virtual time).
                     tracer.block_span(
                         stage, block.proc,
                         outcome.host_start, outcome.host_dur,
                         exec_span.virt_start, outcome.virt_dur,
                     )
-            machine.barrier()
-            charge_checkpoint_fault_recovery(machine, self.ckpt, self.injector, stage)
-            if tracer is not None:
-                tracer.end(exec_span)
+                machine.barrier()
+                charge_checkpoint_fault_recovery(
+                    machine, self.ckpt, self.injector, stage
+                )
 
             # -- analyze --------------------------------------------------------
-            if tracer is not None:
-                analyze_span = tracer.begin("analyze", "phase", stage=stage)
-            f_pos, n_arcs = strategy.analyze(self, blocks)
-            if self.untested_log is not None:
-                self.untested_log.verify(loop.name, stage)
-            f_pos = strategy.adjust_sink(self, blocks, f_pos)
-            if tracer is not None:
-                tracer.end(analyze_span)
+            with tracer.phase("analyze", stage):
+                f_pos, n_arcs = strategy.analyze(self, blocks)
+                if self.untested_log is not None:
+                    self.untested_log.verify(loop.name, stage)
 
             # The effective failure point folds injected faults into the
             # recursion: everything from the first faulted block on
@@ -879,40 +824,46 @@ class StageEngine:
                 self.retries += 1
                 if self.metrics_enabled:
                     machine.metrics.counter("faults.forced_retries").inc()
-            strategy.on_failure_point(self, blocks, f_pos, fault_forced)
-            faulted_procs = sorted(blocks[pos].proc for pos in faulted)
+            sink, upto = strategy.commit_point(self, blocks, f_pos)
             self.emit(DependenceFound(
-                stage=stage, earliest_sink_pos=strategy.sink_field(self, f_pos),
+                stage=stage, earliest_sink_pos=sink,
                 n_arcs=n_arcs, fault_forced=fault_forced,
             ))
 
             # -- premature exit (DCDCMP loop 70 style) --------------------------
             # An exit is trustworthy only if its processor's own work is:
             # its block must lie strictly before the earliest failure point.
-            valid_exits = {
-                pos: e for pos, e in exits.items()
-                if f_pos is None or pos < f_pos
-            }
-            if valid_exits:
-                return self._commit_exit(
-                    blocks, valid_exits, stage, record, n_arcs,
-                    redistributed, migration, faulted_procs,
-                )
+            # The earliest valid exit commits every block before it plus its
+            # own block up to the exit iteration, and ends the loop.
+            pos_e = min(
+                (pos for pos in exits if f_pos is None or pos < f_pos), default=None
+            )
+            if pos_e is not None:
+                e = self.exit_iteration = exits[pos_e]
+                exit_block = blocks[pos_e]
+                committing = blocks[:pos_e] + [
+                    Block(exit_block.proc, exit_block.start, e + 1)
+                ]
+                failing = blocks[pos_e + 1 :]
+                f_pos = sink = None
+                upto = e + 1
+            else:
+                committing = blocks if f_pos is None else blocks[:f_pos]
+                failing = [] if f_pos is None else blocks[f_pos:]
+            failed_procs = [b.proc for b in failing]
 
-            committing = blocks if f_pos is None else blocks[:f_pos]
-            failing = [] if f_pos is None else blocks[f_pos:]
-            if not committing and not strategy.partial_progress(self, blocks, f_pos):
-                # The lowest-ranked block can never be an analysis sink, so
-                # a zero-commit stage is provably fault-caused: roll
-                # everything back and retry, up to the configured bound.
-                if fault_pos != 0:
-                    raise NoProgressError(strategy.zero_commit_message(self, f_pos))
+            # -- commit / restore / re-init -------------------------------------
+            # A stage that commits nothing is provably fault-caused (the
+            # lowest-ranked block can never be an analysis sink): roll the
+            # failed blocks back and retry, up to the configured bound.
+            committed = upto - self.committed_upto
+            retry = not committed and strategy.zero_commit(self, fault_pos == 0)
+            if retry:
                 self.zero_commit_streak += 1
                 if self.zero_commit_streak > config.max_fault_retries:
                     raise FaultError(
                         f"gave up after {self.zero_commit_streak} consecutive "
-                        f"zero-progress {strategy.zero_noun} wiped out by "
-                        "injected faults "
+                        "zero-progress stages wiped out by injected faults "
                         f"(max_fault_retries={config.max_fault_retries})",
                         loop=loop.name,
                         stage=stage,
@@ -921,165 +872,37 @@ class StageEngine:
                 self.emit(Retry(stage=stage, streak=self.zero_commit_streak))
                 if self.metrics_enabled:
                     machine.metrics.counter("faults.zero_commit_retries").inc()
-                if tracer is not None:
-                    restore_span = tracer.begin("restore", "phase", stage=stage)
-                restored = perform_restore(
-                    machine, self.ckpt, [b.proc for b in failing]
-                )
-                reinit_states(machine, [self.states[b.proc] for b in failing])
-                if tracer is not None:
-                    tracer.end(restore_span)
-                if failing:
-                    self.emit(Restore(
-                        stage=stage, elements=restored,
-                        procs=[b.proc for b in failing],
-                    ))
-                self._end_stage(StageResult(
-                    index=stage,
-                    blocks=list(blocks),
-                    failed=True,
-                    earliest_sink_pos=strategy.sink_field(self, f_pos),
-                    committed_iterations=0,
-                    remaining_after=n - self.committed_upto,
-                    committed_work=0.0,
-                    n_arcs=n_arcs,
-                    committed_elements=0,
-                    restored_elements=restored,
-                    redistributed_iterations=redistributed,
-                    span=record.span(),
-                    migration_distance=migration,
-                    breakdown=record.breakdown(),
-                    faulted_procs=faulted_procs,
-                    degraded=self.degraded,
-                    redispatched_procs=self.supervision.take_stage_redispatched(),
+            elif committed:
+                self.zero_commit_streak = 0
+            elements, work = 0, 0.0
+            with tracer.phase("commit" if committed else "restore", stage):
+                if committed:
+                    elements, work = strategy.commit(self, committing, failing)
+                    self.sequential_work += work
+                restored = perform_restore(machine, self.ckpt, failed_procs)
+                if committed or retry:
+                    reinit_states(machine, [self.states[p] for p in failed_procs])
+                for block in committing:
+                    self.states[block.proc].reset()  # committed data is shared now
+            if committed:
+                self.emit(Commit(
+                    stage=stage, iterations=committed, elements=elements,
+                    work=work, committed_upto=upto,
                 ))
-                strategy.after_zero_commit(self, failing)
-                continue
-            self.zero_commit_streak = 0
-
-            # -- commit / restore / re-init -------------------------------------
-            if tracer is not None:
-                commit_span = tracer.begin("commit", "phase", stage=stage)
-            committed_elements, stage_work = strategy.commit(self, committing, failing)
-            self.sequential_work += stage_work
-            restored = perform_restore(machine, self.ckpt, [b.proc for b in failing])
-            reinit_states(machine, [self.states[b.proc] for b in failing])
-            for block in committing:
-                self.states[block.proc].reset()  # committed data is shared now
-            if tracer is not None:
-                tracer.end(commit_span)
-
-            advance = strategy.advance(self, committing)
-            if advance <= self.committed_upto:
-                raise NoProgressError(strategy.advance_stall_message(self))
-            committed_iters = strategy.committed_iterations(self, committing, advance)
-            self.committed_upto = advance
-            self.emit(Commit(
-                stage=stage, iterations=committed_iters,
-                elements=committed_elements, work=stage_work,
-                committed_upto=advance,
-            ))
+                self.committed_upto = n if self.exit_iteration is not None else upto
             if failing:
                 self.emit(Restore(
-                    stage=stage, elements=restored,
-                    procs=[b.proc for b in failing],
+                    stage=stage, elements=restored, procs=failed_procs,
                 ))
-            self._end_stage(StageResult(
-                index=stage,
-                blocks=list(blocks),
-                failed=f_pos is not None,
-                earliest_sink_pos=strategy.sink_field(self, f_pos),
-                committed_iterations=committed_iters,
-                remaining_after=n - self.committed_upto,
-                committed_work=stage_work,
-                n_arcs=n_arcs,
-                committed_elements=committed_elements,
-                restored_elements=restored,
-                redistributed_iterations=redistributed,
-                span=record.span(),
-                migration_distance=migration,
-                breakdown=record.breakdown(),
-                faulted_procs=faulted_procs,
-                degraded=self.degraded,
-                redispatched_procs=self.supervision.take_stage_redispatched(),
-            ))
+            self.close_stage(
+                blocks, committed, failed=f_pos is not None, sink=sink,
+                work=work, elements=elements, restored=restored,
+                n_arcs=n_arcs, redistributed=redistributed,
+                migration=migration,
+                faulted_procs=sorted(blocks[pos].proc for pos in faulted),
+            )
             strategy.after_stage(self, committing, failing, f_pos)
 
-        return self._finalize()
-
-    def _commit_exit(
-        self,
-        blocks: list[Block],
-        valid_exits: dict[int, int],
-        stage: int,
-        record,
-        n_arcs: int,
-        redistributed: int,
-        migration: float,
-        faulted_procs: list[int],
-    ) -> RunResult:
-        """Commit up to and including a validated premature exit; done."""
-        machine, loop = self.machine, self.loop
-        if self.tracer is not None:
-            commit_span = self.tracer.begin(
-                "commit", "phase", stage=stage
-            )
-        pos_e = min(valid_exits)
-        e = valid_exits[pos_e]
-        exit_block = blocks[pos_e]
-        committing = blocks[:pos_e]
-        committed_elements = commit_states(
-            machine, loop,
-            [self.states[b.proc] for b in committing]
-            + [self.states[exit_block.proc]],
-        )
-        stage_work = committed_work(self.states, committing)
-        for block in committing:
-            times = self.states[block.proc].iter_times
-            for i in block.iterations():
-                self.final_iter_times[i] = times[i]
-        prefix = range(exit_block.start, e + 1)
-        times = self.states[exit_block.proc].iter_times
-        works = self.states[exit_block.proc].iter_work
-        for i in prefix:
-            self.final_iter_times[i] = times[i]
-            stage_work += works[i]
-        self.sequential_work += stage_work
-        discarded = blocks[pos_e + 1 :]
-        restored = perform_restore(machine, self.ckpt, [b.proc for b in discarded])
-        reinit_states(machine, [self.states[b.proc] for b in discarded])
-        if self.tracer is not None:
-            self.tracer.end(commit_span)
-        committed_iters = (e + 1) - self.committed_upto
-        self.emit(Commit(
-            stage=stage, iterations=committed_iters,
-            elements=committed_elements, work=stage_work, committed_upto=e + 1,
-        ))
-        if discarded:
-            self.emit(Restore(
-                stage=stage, elements=restored,
-                procs=[b.proc for b in discarded],
-            ))
-        self._end_stage(StageResult(
-            index=stage,
-            blocks=list(blocks),
-            failed=False,
-            earliest_sink_pos=None,
-            committed_iterations=committed_iters,
-            remaining_after=0,
-            committed_work=stage_work,
-            n_arcs=n_arcs,
-            committed_elements=committed_elements,
-            restored_elements=restored,
-            redistributed_iterations=redistributed,
-            span=record.span(),
-            migration_distance=migration,
-            breakdown=record.breakdown(),
-            faulted_procs=faulted_procs,
-            degraded=self.degraded,
-            redispatched_procs=self.supervision.take_stage_redispatched(),
-        ))
-        self.exit_iteration = e
         return self._finalize()
 
     def _finalize(self) -> RunResult:

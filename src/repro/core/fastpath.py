@@ -39,10 +39,10 @@ from __future__ import annotations
 from repro.config import RuntimeConfig
 from repro.core.engine import StageEngine, Strategy
 from repro.core.executor import make_plain_state
-from repro.core.stage import committed_work
+from repro.core.rlrpd import partition_blocks
 from repro.errors import ConfigurationError, SpeculationError
 from repro.loopir.loop import SpeculativeLoop
-from repro.util.blocks import Block, partition_even, partition_weighted
+from repro.util.blocks import Block
 
 
 class _CertifiedBase(Strategy):
@@ -51,6 +51,7 @@ class _CertifiedBase(Strategy):
     #: Backends run this strategy's blocks on plain states (direct
     #: shared-memory access, charge-free worker-side write capture).
     plain_tasks = True
+    preloads = False  # no private views to pre-initialize
 
     def __init__(self, certificate=None) -> None:
         self.certificate = certificate
@@ -91,30 +92,9 @@ class _CertifiedBase(Strategy):
     def run_label(self, eng: StageEngine) -> str:
         return self.name
 
-    def before_block(self, eng: StageEngine, block: Block) -> None:
-        # No private views to pre-initialize.
-        pass
-
-    def wants_preload(self, eng: StageEngine) -> bool:
-        return False
-
     def analyze(self, eng, blocks):
         # The certificate *is* the dependence test; charge nothing.
         return None, 0
-
-    def commit(self, eng, committing, failing):
-        # Nothing to copy out: plain stores already landed in committed
-        # memory.  Account the committed work and iteration times exactly
-        # like the speculative commit does.
-        stage_work = committed_work(eng.states, committing)
-        for block in committing:
-            times = eng.states[block.proc].iter_times
-            for i in block.iterations():
-                eng.final_iter_times[i] = times[i]
-        return 0, stage_work
-
-    def result_extras(self, eng: StageEngine) -> dict:
-        return {}
 
 
 class CertifiedDoall(_CertifiedBase):
@@ -131,13 +111,7 @@ class CertifiedDoall(_CertifiedBase):
     exit_mode = "reject"
 
     def schedule(self, eng: StageEngine) -> list[Block]:
-        start, stop = eng.committed_upto, eng.n
-        if eng.weights is None:
-            blocks = partition_even(start, stop, eng.alive)
-        else:
-            blocks = partition_weighted(
-                start, stop, eng.alive, eng.weights[start:stop]
-            )
+        blocks = partition_blocks(eng.committed_upto, eng.n, eng.alive, eng.weights)
         nonempty = [b for b in blocks if len(b)]
         if not nonempty:
             raise SpeculationError(

@@ -35,12 +35,12 @@ from repro.core.backend import BlockTask
 from repro.core.engine import StageEngine, register_strategy
 from repro.core.engine import Strategy as EngineStrategy
 from repro.core.executor import make_processor_state
-from repro.core.results import RunResult, StageResult
+from repro.core.results import RunResult
 from repro.errors import ConfigurationError
 from repro.loopir.loop import SpeculativeLoop
 from repro.machine.costs import CostModel
 from repro.machine.memory import MemoryImage
-from repro.obs.events import BlockExecuted, StageBegin
+from repro.obs.events import BlockExecuted
 from repro.util.blocks import Block, partition_even
 
 
@@ -50,6 +50,7 @@ class InductionTwoPhase(EngineStrategy):
 
     name = "induction"
     exit_mode = "ignore"
+    preloads = False  # phase B always starts cold: offsets correct the copy-in
 
     def __init__(self) -> None:
         self.ivar_base: dict[str, int] = {}
@@ -76,6 +77,10 @@ class InductionTwoPhase(EngineStrategy):
         return "R-LRPD+induction"
 
     def schedule(self, eng: StageEngine) -> list[Block]:
+        eng.states = {
+            p: make_processor_state(eng.machine, eng.loop, p) for p in eng.alive
+        }
+        self._finals = {}
         blocks = partition_even(eng.committed_upto, eng.n, eng.alive)
         return [b for b in blocks if len(b)]
 
@@ -86,13 +91,7 @@ class InductionTwoPhase(EngineStrategy):
         the interesting failure surface -- speculative state that must be
         rolled back -- exists only in the re-execution.
         """
-        machine = eng.machine
-        stage = eng.stage_idx
-        eng.emit(StageBegin(
-            stage=stage, blocks=list(blocks),
-            remaining=eng.n - eng.committed_upto, degraded=eng.degraded,
-        ))
-        record_a = machine.begin_stage()
+        stage = eng.open_stage(blocks)
         # Range collection is itself a doall, so it goes through the
         # execution backend like any speculative stage.  ``all_private``
         # states keep even untested writes out of shared memory;
@@ -116,27 +115,11 @@ class InductionTwoPhase(EngineStrategy):
                 stage=stage, pos=outcome.pos, proc=block.proc,
                 start=block.start, stop=block.stop,
             ))
-        machine.barrier()
-        eng._end_stage(StageResult(
-            index=stage,
-            blocks=list(blocks),
-            # Range collection is a *planned* extra doall, not a failed
-            # speculation: it does not count as a restart for PR (the
-            # doubled execution time already shows up in the speedup).
-            failed=False,
-            earliest_sink_pos=None,
-            committed_iterations=0,
-            remaining_after=eng.n - eng.committed_upto,
-            committed_work=0.0,
-            n_arcs=0,
-            committed_elements=0,
-            restored_elements=0,
-            redistributed_iterations=0,
-            span=record_a.span(),
-            breakdown=record_a.breakdown(),
-            degraded=eng.degraded,
-            redispatched_procs=eng.supervision.take_stage_redispatched(),
-        ))
+        eng.machine.barrier()
+        # Range collection is a *planned* extra doall, not a failed
+        # speculation: it does not count as a restart for PR (the doubled
+        # execution time already shows up in the speedup).
+        eng.close_stage(blocks, 0)
         self._increments = increments
 
         # Prefix sums give per-processor starting offsets.
@@ -148,31 +131,19 @@ class InductionTwoPhase(EngineStrategy):
                 running[name] += increments[block.proc][name]
         self._offsets = offsets
 
-    def begin_stage_states(self, eng: StageEngine, blocks: list[Block]) -> None:
-        eng.states = {
-            p: make_processor_state(eng.machine, eng.loop, p) for p in eng.alive
-        }
-        self._finals = {}
-
-    def before_block(self, eng: StageEngine, block: Block) -> None:
-        pass  # phase B always starts cold: offsets correct the copy-in
-
-    def wants_preload(self, eng: StageEngine) -> bool:
-        return False
-
-    def exec_kwargs(self, eng: StageEngine, pos: int, block: Block) -> dict:
-        start = {
+    def task_inputs(self, eng: StageEngine, pos: int, block: Block):
+        return {
             name: self.ivar_base[name] + self._offsets[block.proc][name]
             for name in self.ivar_base
-        }
-        return {"inductions": start}
+        }, None
 
     def after_block(self, eng: StageEngine, pos: int, block: Block, ctx) -> None:
         self._finals[block.proc] = ctx.induction_values()
 
-    def adjust_sink(
-        self, eng: StageEngine, blocks: list[Block], f_pos: int | None
-    ) -> int | None:
+    def analyze(
+        self, eng: StageEngine, blocks: list[Block]
+    ) -> tuple[int | None, int]:
+        f_pos, n_arcs = super().analyze(eng, blocks)
         # An increment mismatch means the counter's control flow read data
         # whose address depended on the counter -- treat as a sink.  A
         # faulted block's counter is untrusted garbage, not a mismatch; the
@@ -189,10 +160,7 @@ class InductionTwoPhase(EngineStrategy):
             if self._finals[block.proc] != expected:
                 f_pos = pos if f_pos is None else min(f_pos, pos)
                 break
-        return f_pos
-
-    def zero_commit_message(self, eng: StageEngine, f_pos: int | None) -> str:
-        return f"{eng.loop.name}: induction stage {eng.stage_idx} committed nothing"
+        return f_pos, n_arcs
 
     def after_stage(self, eng, committing, failing, f_pos) -> None:
         # Advance the committed counter values past the committing prefix.

@@ -27,20 +27,19 @@ from __future__ import annotations
 
 import math
 
-from repro.config import RedistributionPolicy, RuntimeConfig, Strategy
-from repro.core.engine import StageEngine, register_strategy
-from repro.core.engine import Strategy as EngineStrategy
+from repro.config import RuntimeConfig, Strategy
 from repro.core.commit import commit_states
+from repro.core.engine import StageEngine, register_strategy
 from repro.core.results import RunResult
-from repro.core.stage import charge_redistribution
-from repro.errors import ConfigurationError, SpeculationError
+from repro.core.rlrpd import BlockedBase
+from repro.errors import ConfigurationError
 from repro.loopir.loop import SpeculativeLoop
 from repro.machine.costs import CostModel
 from repro.machine.machine import Machine
 from repro.machine.memory import MemoryImage
 from repro.machine.timeline import Category
 from repro.shadow.marklist import MarkList
-from repro.util.blocks import Block, partition_even
+from repro.util.blocks import Block
 
 
 def _iterwise_analysis(
@@ -108,21 +107,19 @@ def _commit_prefix(
 
 
 @register_strategy
-class IterwiseBlocked(EngineStrategy):
-    """Blocked schedule with iteration-granularity commit."""
+class IterwiseBlocked(BlockedBase):
+    """The blocked schedule with iteration-granularity commit."""
 
     name = "iterwise"
+    exit_mode = "reject"
+    preloads = False  # per-iteration value logs subsume bulk pre-initialization
 
     def __init__(self) -> None:
-        self.pending: list[Block] = []
+        super().__init__()
         self.marklists: dict[int, dict[str, MarkList]] = {}
-        self._redistributing = False
         self._sink: int | None = None  # earliest sink iteration this stage
+        self._pos: int | None = None  # its block position
         self._partial: Block | None = None
-
-    @classmethod
-    def default_config(cls, **overrides) -> RuntimeConfig:
-        return RuntimeConfig.adaptive(**overrides)
 
     def validate(self, loop: SpeculativeLoop, config: RuntimeConfig) -> None:
         if config.strategy is not Strategy.BLOCKED:
@@ -142,79 +139,26 @@ class IterwiseBlocked(EngineStrategy):
     def run_label(self, eng: StageEngine) -> str:
         return f"R-LRPD-iterwise({eng.config.label()})"
 
-    def schedule(self, eng: StageEngine) -> list[Block]:
-        if eng.stage_idx == 0:
-            blocks = partition_even(0, eng.n, eng.alive)
-            self._redistributing = False
-        else:
-            policy = eng.config.redistribution
-            self._redistributing = policy is RedistributionPolicy.ALWAYS or (
-                policy is RedistributionPolicy.ADAPTIVE
-                and eng.machine.costs.should_redistribute(
-                    eng.remaining, len(eng.alive)
-                )
-            )
-            blocks = (
-                partition_even(eng.committed_upto, eng.n, eng.alive)
-                if self._redistributing
-                else self.pending
-            )
-        nonempty = [b for b in blocks if len(b)]
-        if not self._redistributing and eng.degraded and any(
-            b.proc not in eng.alive for b in nonempty
-        ):
-            # A pending block's owner died: re-block the remainder over the
-            # survivors (same rule as the processor-wise NRD driver).
-            nonempty = [
-                b for b in partition_even(eng.committed_upto, eng.n, eng.alive)
-                if len(b)
-            ]
-        if not nonempty:
-            raise SpeculationError(f"{eng.loop.name}: empty schedule with work left")
-        return nonempty
-
     def charge_schedule(
         self, eng: StageEngine, blocks: list[Block]
     ) -> tuple[int, float]:
-        if eng.stage_idx > 0 and self._redistributing:
-            redistributed = charge_redistribution(
-                eng.machine, ((b.proc, len(b)) for b in blocks),
-                eng.machine.costs.ell,
-            )
-        else:
-            redistributed = 0
-        return redistributed, 0.0
+        # The iteration-wise cost model never charged re-blocking a dead
+        # owner's iterations (the processor-wise NRD charges the moves).
+        if self._orphan_rebalanced:
+            return 0, 0.0
+        return super().charge_schedule(eng, blocks)
 
-    def begin_stage_states(self, eng: StageEngine, blocks: list[Block]) -> None:
-        self.marklists = {}
-        self._partial = None
-
-    def before_block(self, eng: StageEngine, block: Block) -> None:
-        pass  # per-iteration value logs subsume bulk pre-initialization
-
-    def wants_preload(self, eng: StageEngine) -> bool:
-        return False
-
-    def exec_kwargs(self, eng: StageEngine, pos: int, block: Block) -> dict:
-        ml = {
+    def task_inputs(self, eng: StageEngine, pos: int, block: Block):
+        return None, {
             name: MarkList(name, block.proc, log_values=True)
             for name in eng.loop.tested_names
         }
-        self.marklists[block.proc] = ml
-        return {"marklists": ml}
-
-    def install_marklists(
-        self, eng: StageEngine, pos: int, block: Block, marklists
-    ) -> None:
-        # An out-of-process backend mutated a pickled copy of the lists
-        # handed out by exec_kwargs; adopt the filled-in copy.
-        self.marklists[block.proc] = marklists
 
     def after_block(self, eng: StageEngine, pos: int, block: Block, ctx) -> None:
+        super().after_block(eng, pos, block, ctx)
+        self.marklists[block.proc] = ctx.marklists
         # Iteration-level marking costs an extra pass over the marks.
-        extra_refs = sum(
-            m.distinct_refs() for m in self.marklists[block.proc].values()
-        )
+        extra_refs = sum(m.distinct_refs() for m in ctx.marklists.values())
         eng.machine.charge(
             block.proc, Category.MARK, eng.machine.costs.mark * extra_refs
         )
@@ -236,33 +180,21 @@ class IterwiseBlocked(EngineStrategy):
                 eng.machine.costs.analysis_per_ref * refs * log_p,
             )
         self._sink = sink
-        if sink is None:
-            return None, n_arcs
         # Block-position failure point: first block not entirely before the
         # sink iteration (the engine's commit split works on positions).
-        return sum(1 for b in blocks if b.stop <= sink), n_arcs
+        self._pos = None if sink is None else sum(1 for b in blocks if b.stop <= sink)
+        return self._pos, n_arcs
 
-    def on_failure_point(
-        self, eng: StageEngine, blocks: list[Block], f_pos: int | None,
-        fault_forced: bool,
-    ) -> None:
-        if fault_forced:
-            # A faulted block's value log is untrusted: clamp the commit
-            # point to the faulted block's start (no partial prefix).
-            self._sink = blocks[f_pos].start
-
-    def sink_field(self, eng: StageEngine, f_pos: int | None) -> int | None:
-        return self._sink  # an iteration, not a position
-
-    def partial_progress(
+    def commit_point(
         self, eng: StageEngine, blocks: list[Block], f_pos: int | None
-    ) -> bool:
-        return (
-            self._sink is not None
-            and f_pos is not None
-            and f_pos < len(blocks)
-            and self._sink > blocks[f_pos].start
-        )
+    ) -> tuple[int | None, int]:
+        if f_pos != self._pos:
+            # A fault forced the failure point below the analysis sink; the
+            # faulted block's value log is untrusted: clamp the commit
+            # point to its start (no partial prefix).
+            self._sink = blocks[f_pos].start
+        # The sink recorded is an iteration, not a block position.
+        return self._sink, eng.n if self._sink is None else self._sink
 
     def commit(
         self, eng: StageEngine, committing: list[Block], failing: list[Block]
@@ -296,23 +228,6 @@ class IterwiseBlocked(EngineStrategy):
         self._partial = partial
         return committed_elements, stage_work
 
-    def advance(self, eng: StageEngine, committing: list[Block]) -> int:
-        return eng.n if self._sink is None else self._sink
-
-    def committed_iterations(
-        self, eng: StageEngine, committing: list[Block], advance: int
-    ) -> int:
-        return advance - eng.committed_upto
-
-    def zero_commit_message(self, eng: StageEngine, f_pos: int | None) -> str:
-        return (
-            f"{eng.loop.name}: iteration-wise stage {eng.stage_idx} stalled at "
-            f"{eng.committed_upto}"
-        )
-
-    def advance_stall_message(self, eng: StageEngine) -> str:
-        return self.zero_commit_message(eng, None)
-
     def after_stage(self, eng, committing, failing, f_pos) -> None:
         # NRD continuation: the partial block's remainder plus the failing
         # blocks re-execute in place.
@@ -323,9 +238,7 @@ class IterwiseBlocked(EngineStrategy):
             )
         pending.extend(b for b in failing if b is not self._partial)
         self.pending = pending
-
-    def after_zero_commit(self, eng: StageEngine, failing: list[Block]) -> None:
-        self.pending = failing
+        self._partial = None
 
 
 def run_blocked_iterwise(

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from repro.core.results import RunResult, StageResult
+from repro.core.engine import stage_result
+from repro.core.results import RunResult
 from repro.errors import ScheduleError
 from repro.loopir.context import SequentialContext
 from repro.loopir.loop import SpeculativeLoop
@@ -167,23 +168,8 @@ def execute_list_schedule(
     record.charge(-1, Category.WORK, min(schedule.makespan, work_span))
     record.charge(-1, Category.SYNC, max(0.0, schedule.makespan - work_span))
 
-    stages = [
-        StageResult(
-            index=0,
-            blocks=[Block(0, 0, loop.n_iterations)] if loop.n_iterations else [],
-            failed=False,
-            earliest_sink_pos=None,
-            committed_iterations=loop.n_iterations,
-            remaining_after=0,
-            committed_work=sequential_work,
-            n_arcs=0,
-            committed_elements=0,
-            restored_elements=0,
-            redistributed_iterations=0,
-            span=record.span(),
-            breakdown=record.breakdown(),
-        )
-    ]
+    blocks = [Block(0, 0, loop.n_iterations)] if loop.n_iterations else []
+    stages = [stage_result(0, blocks, record, loop.n_iterations, 0, work=sequential_work)]
     return RunResult(
         loop_name=loop.name,
         strategy=f"list-sched(p={schedule.n_procs})",

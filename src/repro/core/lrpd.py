@@ -8,23 +8,20 @@ slowdown the R-LRPD test was designed to eliminate.
 
 Both test conditions are supported: the original privatization condition
 and the weaker copy-in condition (Section 2's overhead-reduction step).
+
+The doall LRPD test is the first stage of the R-LRPD recursion without
+the recursion, so it runs on :class:`~repro.core.engine.StageEngine` as an
+unregistered strategy: the speculative attempt is an ordinary engine stage
+(every backend, fault plans and ``--self-check`` included), and a failed
+attempt restores all processors and closes with one sequential stage.
 """
 
 from __future__ import annotations
 
-
 from repro.config import RuntimeConfig
-from repro.core.analysis import analyze_stage, doall_valid
-from repro.core.commit import commit_states
-from repro.core.engine import require_fault_support, require_serial_backend
-from repro.core.executor import execute_block
-from repro.core.results import RunResult, StageResult
-from repro.core.stage import (
-    charge_analysis,
-    charge_checkpoint_begin,
-    committed_work,
-    make_speculative_machine,
-)
+from repro.core.analysis import doall_valid
+from repro.core.engine import StageEngine, Strategy
+from repro.core.results import RunResult
 from repro.errors import ConfigurationError
 from repro.loopir.context import SequentialContext
 from repro.loopir.loop import SpeculativeLoop
@@ -32,7 +29,8 @@ from repro.machine.costs import CostModel
 from repro.machine.machine import Machine
 from repro.machine.memory import MemoryImage
 from repro.machine.timeline import Category
-from repro.util.blocks import partition_even
+from repro.obs.events import Commit
+from repro.util.blocks import Block, partition_even
 
 
 def run_sequential_fallback(
@@ -65,6 +63,67 @@ def run_sequential_fallback(
     return total, iter_times
 
 
+class DoallLRPD(Strategy):
+    """One speculative doall stage; a sequential stage if it fails.
+
+    Not registered: the baseline is reachable through
+    :func:`run_doall_lrpd` only, never via ``--strategy``.
+    """
+
+    name = "lrpd-doall"
+    # The plain doall LRPD predates the premature-exit technique: a loop
+    # that exits early fails speculation and re-runs sequentially.
+    exit_mode = "ignore"
+    saw_exit = False
+    sink: int | None = None  # the failed test's earliest sink, as recorded
+
+    def validate(self, loop: SpeculativeLoop, config: RuntimeConfig) -> None:
+        if loop.inductions:
+            raise ConfigurationError(
+                f"loop {loop.name!r} declares induction variables; the doall "
+                "baseline does not support speculative inductions"
+            )
+
+    def run_label(self, eng: StageEngine) -> str:
+        return f"LRPD-doall({eng.config.condition.value})"
+
+    def schedule(self, eng: StageEngine) -> list[Block]:
+        return [b for b in partition_even(0, eng.n, eng.alive) if len(b)]
+
+    def after_block(self, eng: StageEngine, pos: int, block: Block, ctx) -> None:
+        self.saw_exit = self.saw_exit or ctx.exit_iteration is not None
+
+    def analyze(self, eng: StageEngine, blocks: list[Block]):
+        sink, n_arcs = super().analyze(eng, blocks)
+        groups = [(b.proc, eng.states[b.proc].shadows) for b in blocks]
+        valid = not (self.saw_exit or eng.faulted) and doall_valid(
+            groups, eng.config.condition
+        )
+        # All or nothing: a failed test fails every block.
+        self.sink = None if valid else sink
+        return (None if valid else 0), n_arcs
+
+    def commit_point(self, eng: StageEngine, blocks: list[Block], f_pos):
+        return self.sink, eng.n if f_pos is None else eng.committed_upto
+
+    def zero_commit(self, eng: StageEngine, fault_caused: bool) -> bool:
+        return False  # no retry: the sequential fallback follows
+
+    def after_stage(self, eng: StageEngine, committing, failing, f_pos) -> None:
+        if f_pos is None:
+            return
+        # Speculation failed: the whole loop re-runs serially, as one stage.
+        stage = eng.open_stage([])
+        work, eng.final_iter_times = run_sequential_fallback(eng.machine, eng.loop)
+        eng.sequential_work += work
+        eng.emit(Commit(
+            stage=stage, iterations=eng.n, elements=0, work=work,
+            committed_upto=eng.n,
+        ))
+        eng.committed_upto = eng.n
+        eng.close_stage([], eng.n, work=work)
+
+
 def run_doall_lrpd(
     loop: SpeculativeLoop,
     n_procs: int,
@@ -72,125 +131,12 @@ def run_doall_lrpd(
     costs: CostModel | None = None,
     memory: MemoryImage | None = None,
 ) -> RunResult:
-    """One speculative doall attempt; sequential re-execution on failure."""
+    """One speculative doall attempt; sequential re-execution on failure.
+
+    Runs on any execution backend and honors fault plans and
+    ``--self-check`` like the engine's registered strategies.
+    """
     config = config or RuntimeConfig.nrd()
-    require_fault_support(config, "the doall LRPD baseline")
-    require_serial_backend(config, "the doall LRPD baseline")
-    if loop.inductions:
-        raise ConfigurationError(
-            f"loop {loop.name!r} declares induction variables; the doall "
-            "baseline does not support speculative inductions"
-        )
-    machine, states, ckpt = make_speculative_machine(
-        loop, n_procs, config, costs, memory
-    )
-
-    n = loop.n_iterations
-    blocks = partition_even(0, n, list(range(n_procs)))
-    nonempty = [b for b in blocks if len(b)]
-
-    record = machine.begin_stage()
-    charge_checkpoint_begin(machine, ckpt)
-    saw_exit = False
-    reduction_names = frozenset(loop.reductions)
-    for block in nonempty:
-        if config.pre_initialize:
-            states[block.proc].preload(machine, skip=reduction_names)
-        ctx = execute_block(machine, loop, states[block.proc], block, ckpt)
-        if ctx.exit_iteration is not None:
-            saw_exit = True
-    machine.barrier()
-
-    groups = [(b.proc, states[b.proc].shadows) for b in nonempty]
-    analysis = analyze_stage(groups)
-    charge_analysis(machine, analysis, [b.proc for b in nonempty])
-    # The plain doall LRPD predates the premature-exit technique: a loop
-    # that exits early fails speculation and re-runs sequentially.
-    valid = (not saw_exit) and doall_valid(groups, config.condition)
-
-    stages: list[StageResult] = []
-    if valid:
-        committed_elements = commit_states(
-            machine, loop, [states[b.proc] for b in nonempty]
-        )
-        stage_work = committed_work(states, nonempty)
-        iter_times = {}
-        for block in nonempty:
-            times = states[block.proc].iter_times
-            for i in block.iterations():
-                iter_times[i] = times[i]
-        stages.append(
-            StageResult(
-                index=0,
-                blocks=nonempty,
-                failed=False,
-                earliest_sink_pos=None,
-                committed_iterations=n,
-                remaining_after=0,
-                committed_work=stage_work,
-                n_arcs=len(analysis.arcs),
-                committed_elements=committed_elements,
-                restored_elements=0,
-                redistributed_iterations=0,
-                span=record.span(),
-                breakdown=record.breakdown(),
-            )
-        )
-        sequential_work = stage_work
-    else:
-        # Discard all private data, restore untested state, run serially.
-        restored = 0
-        if ckpt is not None:
-            restored = ckpt.restore_failed([b.proc for b in nonempty])
-            if restored:
-                share = machine.costs.restore_per_elem * restored / len(nonempty)
-                for b in nonempty:
-                    machine.charge(b.proc, Category.RESTORE, share)
-        stages.append(
-            StageResult(
-                index=0,
-                blocks=nonempty,
-                failed=True,
-                earliest_sink_pos=analysis.earliest_sink_pos,
-                committed_iterations=0,
-                remaining_after=n,
-                committed_work=0.0,
-                n_arcs=len(analysis.arcs),
-                committed_elements=0,
-                restored_elements=restored,
-                redistributed_iterations=0,
-                span=record.span(),
-                breakdown=record.breakdown(),
-            )
-        )
-        serial_record = machine.begin_stage()
-        sequential_work, iter_times = run_sequential_fallback(machine, loop)
-        stages.append(
-            StageResult(
-                index=1,
-                blocks=[],
-                failed=False,
-                earliest_sink_pos=None,
-                committed_iterations=n,
-                remaining_after=0,
-                committed_work=sequential_work,
-                n_arcs=0,
-                committed_elements=0,
-                restored_elements=0,
-                redistributed_iterations=0,
-                span=serial_record.span(),
-                breakdown=serial_record.breakdown(),
-            )
-        )
-
-    return RunResult(
-        loop_name=loop.name,
-        strategy=f"LRPD-doall({config.condition.value})",
-        n_procs=n_procs,
-        n_iterations=n,
-        stages=stages,
-        timeline=machine.timeline,
-        sequential_work=sequential_work,
-        iteration_times=iter_times,
-        memory=machine.memory,
-    )
+    return StageEngine(
+        loop, n_procs, DoallLRPD(), config, costs=costs, memory=memory,
+    ).run()

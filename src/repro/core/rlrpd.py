@@ -39,18 +39,20 @@ from repro.machine.topology import Topology
 from repro.util.blocks import Block, partition_even, partition_weighted
 
 
-def _partition(
+def partition_blocks(
     start: int,
     stop: int,
     procs: list[int],
     weights: np.ndarray | None,
 ) -> list[Block]:
+    """Block ``[start, stop)`` over ``procs``: evenly, or balanced by the
+    per-iteration ``weights`` when given."""
     if weights is None:
         return partition_even(start, stop, procs)
     return partition_weighted(start, stop, procs, weights[start:stop])
 
 
-class _BlockedBase(EngineStrategy):
+class BlockedBase(EngineStrategy):
     """Shared blocked policy: one block per processor, redistribution per
     the configured :class:`~repro.config.RedistributionPolicy`."""
 
@@ -60,6 +62,10 @@ class _BlockedBase(EngineStrategy):
         self.pending: list[Block] = []  # failed blocks awaiting re-execution
         self._redistributing = False
         self._orphan_rebalanced = False
+
+    @classmethod
+    def default_config(cls, **overrides) -> RuntimeConfig:
+        return RuntimeConfig.adaptive(**overrides)
 
     def validate(self, loop: SpeculativeLoop, config: RuntimeConfig) -> None:
         if config.strategy is not Strategy.BLOCKED:
@@ -81,7 +87,7 @@ class _BlockedBase(EngineStrategy):
 
     def schedule(self, eng: StageEngine) -> list[Block]:
         if eng.stage_idx == 0:
-            blocks = _partition(0, eng.n, eng.alive, eng.weights)
+            blocks = partition_blocks(0, eng.n, eng.alive, eng.weights)
             self._redistributing = False
         else:
             policy = eng.config.redistribution
@@ -89,12 +95,12 @@ class _BlockedBase(EngineStrategy):
                 self._redistributing = True
             elif policy is RedistributionPolicy.ADAPTIVE:
                 self._redistributing = eng.machine.costs.should_redistribute(
-                    eng.remaining, len(eng.alive)
+                    eng.n - eng.committed_upto, len(eng.alive)
                 )
             else:
                 self._redistributing = False
             if self._redistributing:
-                blocks = _partition(eng.committed_upto, eng.n, eng.alive, eng.weights)
+                blocks = partition_blocks(eng.committed_upto, eng.n, eng.alive, eng.weights)
             else:
                 blocks = self.pending
 
@@ -113,7 +119,7 @@ class _BlockedBase(EngineStrategy):
             # moved are charged, below.
             nonempty = [
                 b
-                for b in _partition(eng.committed_upto, eng.n, eng.alive, eng.weights)
+                for b in partition_blocks(eng.committed_upto, eng.n, eng.alive, eng.weights)
                 if len(b)
             ]
             self._orphan_rebalanced = True
@@ -159,12 +165,9 @@ class _BlockedBase(EngineStrategy):
     def after_stage(self, eng, committing, failing, f_pos) -> None:
         self.pending = failing
 
-    def after_zero_commit(self, eng: StageEngine, failing: list[Block]) -> None:
-        self.pending = failing
-
 
 @register_strategy
-class BlockedNRD(_BlockedBase):
+class BlockedNRD(BlockedBase):
     """No redistribution: failed processors re-execute their own blocks."""
 
     name = "nrd"
@@ -175,7 +178,7 @@ class BlockedNRD(_BlockedBase):
 
 
 @register_strategy
-class BlockedRD(_BlockedBase):
+class BlockedRD(BlockedBase):
     """Always redistribute: re-block the remainder over all processors."""
 
     name = "rd"
@@ -186,14 +189,10 @@ class BlockedRD(_BlockedBase):
 
 
 @register_strategy
-class AdaptiveBlocked(_BlockedBase):
+class AdaptiveBlocked(BlockedBase):
     """Redistribute while Eq. (4)'s payoff condition holds, then NRD."""
 
     name = "adaptive"
-
-    @classmethod
-    def default_config(cls, **overrides) -> RuntimeConfig:
-        return RuntimeConfig.adaptive(**overrides)
 
 
 _POLICY_TO_STRATEGY = {

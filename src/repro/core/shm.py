@@ -1096,6 +1096,7 @@ class ShmBackend(ForkBackend):
             fault_permanent=delta.fault_permanent,
             exit_iteration=delta.exit_iteration,
             inductions=residue.get("inductions", {}),
+            marklists=residue.get("marklists"),
         )
         if task.collect_spans:
             outcome.host_start = eng.rebase_host(delta.host_start)
@@ -1129,10 +1130,6 @@ class ShmBackend(ForkBackend):
                 eng.untested_log.note_read(proc, name, index)
             for name, index in residue.get("untested_writes", ()):
                 eng.untested_log.note_write(proc, name, index)
-        if task.marklists is not None:
-            eng.strategy.install_marklists(
-                eng, task.pos, block, residue.get("marklists")
-            )
         return outcome
 
     def resource_info(self) -> dict:

@@ -13,28 +13,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.analysis import StageAnalysis
-from repro.core.executor import ProcessorState, make_processor_state
 from repro.machine.checkpoint import CheckpointManager
 from repro.machine.machine import Machine
 from repro.machine.timeline import Category
-
-
-def make_speculative_machine(loop, n_procs, config, costs=None, memory=None):
-    """Machine, per-processor states and checkpoint manager for one run.
-
-    The common setup of the engine-bypassing runners (the doall LRPD
-    baseline, DDG extraction); :class:`~repro.core.engine.StageEngine`
-    builds its own topology-aware variant with strategy-provided states.
-    """
-    machine = Machine(n_procs, costs=costs, memory=memory or loop.materialize())
-    states = {p: make_processor_state(machine, loop, p) for p in range(n_procs)}
-    untested = loop.untested_names
-    ckpt = (
-        CheckpointManager(machine.memory, untested, config.on_demand_checkpoint)
-        if untested
-        else None
-    )
-    return machine, states, ckpt
 
 
 def charge_checkpoint_begin(
@@ -79,26 +60,22 @@ def charge_checkpoint_fault_recovery(
     ckpt: CheckpointManager | None,
     injector,
     stage: int,
-) -> bool:
+) -> None:
     """Recover an on-demand checkpoint log lost to a storage fault.
 
     Called after the execution barrier: the first-touch log collected this
     stage is re-saved (the in-memory old values survive, only the stable
     copy was lost), charged as a parallel re-write of the saved elements.
-    Returns whether a fault fired.
     """
     if ckpt is None or injector is None or not ckpt.on_demand:
-        return False
-    if injector.checkpoint_fault(stage) is None:
-        return False
-    if ckpt.elements_checkpointed:
+        return
+    if injector.checkpoint_fault(stage) is not None and ckpt.elements_checkpointed:
         machine.charge_global(
             Category.CHECKPOINT,
             machine.costs.checkpoint_per_elem
             * ckpt.elements_checkpointed
             / machine.n_procs,
         )
-    return True
 
 
 def charge_analysis(
@@ -189,12 +166,3 @@ def charge_redistribution_topo(
         if cost:
             machine.charge(block.proc, Category.REDISTRIBUTION, cost)
     return migrated, total_distance
-
-
-def committed_work(states: dict[int, ProcessorState], blocks) -> float:
-    """Work-only virtual time of the iterations in the committing blocks."""
-    total = 0.0
-    for block in blocks:
-        work = states[block.proc].iter_work
-        total += sum(work[i] for i in block.iterations())
-    return total

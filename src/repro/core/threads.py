@@ -221,7 +221,7 @@ def _run_thread_task(eng, task: BlockTask, cancel: threading.Event) -> _ThreadDe
             inductions=task.inductions, marklists=task.marklists,
             stage=task.stage, untested_log=recorder,
             slowdown=task.slowdown, death=task.death,
-            cancel=cancel, **task.extras,
+            cancel=cancel,
         )
     except BlockCancelled:
         # Roll our partial untested writes back before acknowledging; the
@@ -672,6 +672,7 @@ class ThreadsBackend(ExecutionBackend):
             fault_permanent=delta.fault_permanent,
             exit_iteration=delta.exit_iteration,
             inductions=delta.inductions,
+            marklists=task.marklists,
         )
         if task.collect_spans:
             outcome.host_start = eng.rebase_host(delta.host_start)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
+from repro.core.engine import stage_result
 from repro.core.results import RunResult, StageResult
 from repro.errors import ScheduleError
 from repro.loopir.context import SequentialContext
@@ -150,24 +151,12 @@ def execute_wavefront(
             if t:
                 machine.charge(proc, Category.WORK, t)
         machine.barrier()
-        stage_results.append(
-            StageResult(
-                index=k,
-                blocks=[Block(0, min(level), max(level) + 1)] if level else [],
-                failed=False,
-                earliest_sink_pos=None,
-                committed_iterations=len(level),
-                remaining_after=schedule.n_iterations
-                - sum(len(lv) for lv in schedule.levels[: k + 1]),
-                committed_work=sum(iter_times[i] for i in level),
-                n_arcs=0,
-                committed_elements=0,
-                restored_elements=0,
-                redistributed_iterations=0,
-                span=record.span(),
-                breakdown=record.breakdown(),
-            )
-        )
+        stage_results.append(stage_result(
+            k, [Block(0, min(level), max(level) + 1)] if level else [], record,
+            len(level),
+            schedule.n_iterations - sum(len(lv) for lv in schedule.levels[: k + 1]),
+            work=sum(iter_times[i] for i in level),
+        ))
 
     return RunResult(
         loop_name=loop.name,

@@ -48,7 +48,6 @@ class SlidingWindow(EngineStrategy):
     """Circular super-iteration assignment with in-place re-execution."""
 
     name = "sw"
-    zero_noun = "windows"
 
     def __init__(self) -> None:
         self.window = 0
@@ -65,12 +64,12 @@ class SlidingWindow(EngineStrategy):
     def validate(self, loop: SpeculativeLoop, config: RuntimeConfig) -> None:
         if config.strategy is not Strategy.SLIDING_WINDOW:
             raise ConfigurationError(
-                f"run_sliding_window got strategy {config.strategy}"
+                f"the sliding-window test got strategy {config.strategy}"
             )
         if loop.inductions:
             raise ConfigurationError(
-                f"loop {loop.name!r} declares induction variables; use "
-                "repro.core.runner.parallelize"
+                f"loop {loop.name!r} declares induction variables, which the "
+                "sliding-window test does not support"
             )
 
     def setup(self, eng: StageEngine) -> None:
@@ -102,12 +101,10 @@ class SlidingWindow(EngineStrategy):
             raise SpeculationError(f"{eng.loop.name}: empty window with work left")
         return window_blocks
 
-    def zero_commit_message(self, eng: StageEngine, f_pos: int | None) -> str:
-        return f"{eng.loop.name}: window stage {eng.stage_idx} committed nothing"
-
     def after_stage(self, eng, committing, failing, f_pos) -> None:
-        if f_pos is not None and eng.config.adaptive_window:
-            # Many close dependences: grow the super-iteration so short
+        if committing and f_pos is not None and eng.config.adaptive_window:
+            # Many close dependences (a stage that committed nothing was
+            # wiped out by faults instead): grow the super-iteration so short
             # arcs fall inside one block.  Re-grid from the commit point.
             p_now = len(eng.alive)
             self.b = min(

@@ -61,9 +61,9 @@ class SpanTracker:
     ``emit`` is the engine's event-bus emit; ``host_now`` returns seconds
     relative to the run start; ``virt_now`` returns the timeline's current
     virtual time.  The tracker itself keeps no stack -- the engine owns
-    span lifetimes explicitly (phases nest lexically, the stage span is
-    closed by ``_end_stage``), which keeps `continue`/`return` paths in
-    the engine loop from leaking spans.
+    span lifetimes explicitly (phases nest lexically as ``with phase(...)``
+    blocks, the stage span is closed by ``close_stage``), which keeps
+    `continue`/`return` paths in the engine loop from leaking spans.
     """
 
     def __init__(
@@ -122,6 +122,35 @@ class SpanTracker:
             host_start=host_start, host_dur=host_dur,
             virt_start=virt_start, virt_dur=virt_dur,
         ))
+
+
+class NullTracer:
+    """The engine's tracer when span collection is off: every call is a
+    no-op, so the engine's phases need no ``if tracer`` guards."""
+
+    class _Phase:
+        __slots__ = ()
+        virt_start = 0.0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc) -> bool:
+            return False
+
+    _PHASE = _Phase()
+
+    def begin(self, name, cat, stage=None, proc=None) -> None:
+        return None
+
+    def end(self, span) -> None:
+        pass
+
+    def phase(self, name: str, stage: int) -> "NullTracer._Phase":
+        return self._PHASE
+
+    def block_span(self, *timings) -> None:
+        pass
 
 
 def make_host_clock() -> Callable[[], float]:

@@ -2,7 +2,8 @@
 
 Bit-exact serial/fork parity over the full strategy matrix lives in
 ``test_engine_parity.py``; this file covers the backend machinery itself
--- selection, defaults, engine-bypassing-runner guards -- and the
+-- selection, defaults, the doall LRPD baseline and DDG extraction on
+every backend -- and the
 vectorized view/shadow/context operations the backends and the commit
 phase rely on.
 """
@@ -26,6 +27,7 @@ from repro.core.executor import execute_block, make_processor_state
 from repro.core.lrpd import run_doall_lrpd
 from repro.core.runner import parallelize
 from repro.errors import ConfigurationError
+from repro.faults import random_plan
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
 from repro.machine.machine import Machine
 from repro.machine.memory import (
@@ -35,7 +37,8 @@ from repro.machine.memory import (
 )
 from repro.shadow import make_shadow
 from repro.util.blocks import Block
-from repro.workloads.synthetic import fully_parallel_loop
+from repro.workloads.synthetic import fully_parallel_loop, random_dependence_loop
+from tests.conftest import assert_matches_sequential
 
 
 # -- registry and defaults --------------------------------------------------------
@@ -341,32 +344,86 @@ class TestShmSegmentLifecycle:
                 shared_memory.SharedMemory(name=name)
 
 
-# -- engine-bypassing runners refuse non-serial backends --------------------------
+# -- the doall LRPD baseline and DDG extraction run on every backend ------------
 
 
-class TestSerialOnlyGuards:
-    def test_doall_lrpd_rejects_fork(self):
-        with pytest.raises(ConfigurationError, match="serial execution backend"):
-            run_doall_lrpd(
-                fully_parallel_loop(64), 4, RuntimeConfig.nrd(backend="fork")
-            )
+def _dep_loop():
+    return random_dependence_loop(96, density=0.2, max_distance=6, seed=5)
 
-    def test_ddg_extraction_rejects_fork(self):
-        with pytest.raises(ConfigurationError, match="serial execution backend"):
-            extract_ddg(
-                fully_parallel_loop(64), 4, RuntimeConfig.sw(backend="fork")
-            )
 
-    def test_guard_honors_scoped_default(self):
+def _untested_loop(n: int = 48) -> SpeculativeLoop:
+    """Disjoint untested writes beside a tested flow chain."""
+
+    def body(ctx, i):
+        ctx.work(1.0)
+        x = ctx.load("A", max(0, i - 9))
+        ctx.store("A", i, x + 1.0)
+        ctx.store("B", i, float(i) + 1.0)
+
+    return SpeculativeLoop(
+        "untested", n, body,
+        arrays=[
+            ArraySpec("A", np.zeros(n)),
+            ArraySpec("B", np.zeros(n), tested=False),
+        ],
+    )
+
+
+class TestBaselinesOnEveryBackend:
+    def test_doall_lrpd_runs_on_fork(self):
+        fork = run_doall_lrpd(_dep_loop(), 4, RuntimeConfig.nrd(backend="fork"))
+        serial = run_doall_lrpd(_dep_loop(), 4, RuntimeConfig.nrd(backend="serial"))
+        assert fork.backend == "fork"
+        assert fork.memory.equals(serial.memory.snapshot())
+        assert repr(fork.total_time) == repr(serial.total_time)
+
+    def test_ddg_extraction_runs_on_fork(self):
+        fork = extract_ddg(
+            _dep_loop(), 4, RuntimeConfig.sw(window_size=8, backend="fork")
+        )
+        serial = extract_ddg(
+            _dep_loop(), 4, RuntimeConfig.sw(window_size=8, backend="serial")
+        )
+        assert fork.extraction.backend == "fork"
+        assert list(fork.edges) == list(serial.edges)
+        assert repr(fork.extraction.total_time) == repr(
+            serial.extraction.total_time
+        )
+
+    def test_scoped_default_backend_applies(self):
         with use_backend("fork"):
-            with pytest.raises(ConfigurationError, match="serial execution backend"):
-                run_doall_lrpd(fully_parallel_loop(64), 4, RuntimeConfig.nrd())
+            result = run_doall_lrpd(fully_parallel_loop(64), 4, RuntimeConfig.nrd())
+        assert result.backend == "fork"
 
     def test_serial_still_accepted(self):
         result = run_doall_lrpd(
             fully_parallel_loop(64), 4, RuntimeConfig.nrd(backend="serial")
         )
         assert result.n_stages == 1
+
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_doall_lrpd_faults_and_self_check(self, backend):
+        # Seed 10 loses processor 0's block and the checkpoint copy of the
+        # speculative stage.
+        result = run_doall_lrpd(_untested_loop(), 4, RuntimeConfig.nrd(
+            backend=backend, fault_plan=random_plan(10, n_procs=4), self_check=True,
+        ))
+        assert result.fault_counts == {"fail-stop": 1, "checkpoint": 1}
+        assert [s.failed for s in result.stages] == [True, False]
+        assert result.stages[0].restored_elements > 0
+        assert_matches_sequential(result, _untested_loop())
+
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_ddg_extraction_faults_and_self_check(self, backend):
+        config = RuntimeConfig.sw(
+            window_size=8, backend=backend, self_check=True,
+            fault_plan=random_plan(11, n_procs=4),
+        )
+        result = extract_ddg(_untested_loop(), 4, config)
+        clean = extract_ddg(_untested_loop(), 4, RuntimeConfig.sw(window_size=8))
+        assert result.extraction.faults_survived > 0
+        assert list(result.edges) == list(clean.edges)
+        assert_matches_sequential(result.extraction, _untested_loop())
 
 
 # -- vectorized private-view operations -------------------------------------------

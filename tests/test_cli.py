@@ -89,6 +89,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "critical path" in out
 
+    def test_ddg_on_shm_matches_serial(self, capsys):
+        outs = {}
+        for backend in ("serial", "shm"):
+            argv = ["ddg", "spice15:adder.128", "-p", "8", "--backend", backend]
+            assert main(argv) == 0
+            outs[backend] = capsys.readouterr().out
+        assert "5657 edges" in outs["serial"]
+        assert outs["shm"] == outs["serial"]
+
     def test_run_induction_workload(self, capsys):
         assert main(["run", "extend:clean", "-p", "4"]) == 0
         out = capsys.readouterr().out

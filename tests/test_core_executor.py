@@ -212,7 +212,7 @@ def _serial_charges(loop, block, costs, slowdown, count=None):
     state = make_processor_state(machine, loop, block.proc)
     ckpt = CheckpointManager(machine.memory, ["U"], on_demand=True)
     ckpt.begin_stage()
-    state.preload(machine)  # pre_initialize, as Strategy.before_block does
+    state.preload(machine)  # pre_initialize, as the serial backend does
     if count is not None:
         count.clear()
     execute_block(machine, loop, state, block, ckpt, slowdown=slowdown)

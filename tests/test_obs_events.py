@@ -14,7 +14,6 @@ import pytest
 from repro.config import RuntimeConfig
 from repro.core.engine import StageEngine, resolve_strategy
 from repro.core.runner import parallelize
-from repro.errors import ConfigurationError
 from repro.faults import FaultEvent, FaultKind, FaultPlan, random_plan
 from repro.obs.events import (
     Commit,
@@ -38,6 +37,7 @@ from repro.workloads.synthetic import (
     random_dependence_loop,
 )
 from repro.workloads.track_extend import ExtendDeck, make_extend_loop
+from tests.conftest import assert_matches_sequential
 
 P = 4
 
@@ -389,26 +389,40 @@ class TestCliProgressSink:
         assert "1.00x" not in out
 
 
-class TestFaultSupportGuard:
-    def test_doall_baseline_rejects_fault_plan(self):
+class TestBaselinesHonorFaults:
+    """The doall LRPD baseline and DDG extraction run on the engine, so a
+    fault plan or ``self_check`` is honored, not refused."""
+
+    def test_doall_baseline_survives_fault_plan(self):
         from repro.core.lrpd import run_doall_lrpd
 
-        config = RuntimeConfig.nrd(fault_plan=random_plan(1, n_procs=P))
-        with pytest.raises(ConfigurationError, match="fault injection"):
-            run_doall_lrpd(fully_parallel_loop(16), P, config)
+        plan = FaultPlan(events=(
+            FaultEvent(FaultKind.FAIL_STOP, stage=0, proc=1, after_fraction=0.5),
+        ))
+        result = run_doall_lrpd(
+            fully_parallel_loop(16), P, RuntimeConfig.nrd(fault_plan=plan)
+        )
+        # The lost block fails the all-or-nothing doall: sequential fallback.
+        assert result.faults_survived == 1
+        assert [s.failed for s in result.stages] == [True, False]
+        assert_matches_sequential(result, fully_parallel_loop(16))
 
-    def test_doall_baseline_rejects_self_check(self):
+    def test_doall_baseline_runs_self_check(self):
         from repro.core.lrpd import run_doall_lrpd
 
-        with pytest.raises(ConfigurationError, match="self-check"):
-            run_doall_lrpd(fully_parallel_loop(16), P,
-                           RuntimeConfig.nrd(self_check=True))
+        result = run_doall_lrpd(fully_parallel_loop(16), P,
+                                RuntimeConfig.nrd(self_check=True))
+        assert result.n_stages == 1
+        assert_matches_sequential(result, fully_parallel_loop(16))
 
-    def test_ddg_extraction_rejects_fault_plan(self):
+    def test_ddg_extraction_survives_fault_plan(self):
         from repro.core.ddg import extract_ddg
 
         config = RuntimeConfig.sw(
-            window_size=8, fault_plan=random_plan(1, n_procs=P)
+            window_size=8, fault_plan=random_plan(11, n_procs=P)
         )
-        with pytest.raises(ConfigurationError, match="fault injection"):
-            extract_ddg(_rand(), P, config)
+        result = extract_ddg(_rand(), P, config)
+        clean = extract_ddg(_rand(), P, RuntimeConfig.sw(window_size=8))
+        assert result.extraction.faults_survived > 0
+        assert list(result.edges) == list(clean.edges)
+        assert result.extraction.memory.equals(clean.extraction.memory.snapshot())

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """CI guard: the speculate->analyze->commit lifecycle must not fork.
 
-Before the engine refactor, five driver modules each carried their own
+Before the engine refactor, seven driver modules each carried their own
 copy of the stage loop (checkpoint, execute, analyze, commit/restore,
-retry bounds) and they drifted.  Two checks keep that from recurring:
+retry bounds) and they drifted.  Four checks keep that from recurring:
 
 1. **Lifecycle tokens** -- the identifiers implementing zero-commit
    retry accounting and the ``max_fault_retries`` bound may appear in
@@ -12,6 +12,13 @@ retry bounds) and they drifted.  Two checks keep that from recurring:
 2. **Duplicate code runs** -- no two core modules may share a run of
    ``WINDOW`` identical normalized code lines; a shared run that long
    means a lifecycle fragment was copied instead of hooked.
+3. **One stage-result builder** -- ``StageResult(...)`` is called only in
+   ``repro/core/engine.py`` (its ``stage_result`` helper); the event
+   deserializer, which rebuilds a recorded result, is exempt.
+4. **Blocks execute through a backend** -- ``execute_block(...)`` is
+   called only from the execution backends, so a runner that bypasses
+   the engine (and with it backends, faults and the self-check) cannot
+   return.
 
 Exits non-zero with a report on violation.  Run from the repo root::
 
@@ -20,11 +27,13 @@ Exits non-zero with a report on violation.  Run from the repo root::
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-CORE = ROOT / "src" / "repro" / "core"
+SRC = ROOT / "src" / "repro"
+CORE = SRC / "core"
 
 #: Identifiers that constitute lifecycle logic.  Only the engine may use them.
 LIFECYCLE_TOKENS = ("zero_commit_streak", "max_fault_retries")
@@ -40,7 +49,14 @@ DUPLICATION_SCOPE = (
     "lrpd.py",
     "ddg.py",
     "runner.py",
+    "fastpath.py",
 )
+
+#: Callee -> the modules (relative to ``src/repro``) allowed to call it.
+RESTRICTED_CALLS = {
+    "StageResult": ("core/engine.py", "obs/events.py"),
+    "execute_block": ("core/backend.py", "core/threads.py", "core/shm.py"),
+}
 
 WINDOW = 10  # consecutive identical normalized lines that count as a fork
 
@@ -93,8 +109,27 @@ def check_duplicate_runs() -> list[str]:
     return problems
 
 
+def check_restricted_calls() -> list[str]:
+    problems = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if callee in RESTRICTED_CALLS and module not in RESTRICTED_CALLS[callee]:
+                problems.append(
+                    f"src/repro/{module}:{node.lineno}: calls {callee}() "
+                    f"outside {', '.join(RESTRICTED_CALLS[callee])}"
+                )
+    return problems
+
+
 def main() -> int:
-    problems = check_lifecycle_tokens() + check_duplicate_runs()
+    problems = (
+        check_lifecycle_tokens() + check_duplicate_runs() + check_restricted_calls()
+    )
     for problem in problems:
         print(f"LIFECYCLE FORK: {problem}", file=sys.stderr)
     if problems:
