@@ -208,6 +208,8 @@ def _kernel_microbench(n: int, repeats: int) -> dict:
     shared = rng.standard_normal(n)
     half_a = np.unique(rng.integers(0, 2 * n, size=n, dtype=np.int64))
     half_b = np.unique(rng.integers(0, 2 * n, size=n, dtype=np.int64))
+    # A block's signed access log: reads ``i``, writes ``~i``.
+    access_log = np.where(rng.random(n) < 0.3, ~indices, indices)
     n_words = (n + 63) // 64
 
     def _cases(k):
@@ -229,6 +231,7 @@ def _kernel_microbench(n: int, repeats: int) -> dict:
             "copy_out_dense": lambda: k.copy_out_dense(values, written),
             "scatter": lambda: k.scatter(dest, indices, new_values),
             "intersect_indices": lambda: k.intersect_indices(half_a, half_b),
+            "resolve_access_log": lambda: k.resolve_access_log(access_log),
             "reduce_min_max": lambda: k.reduce_min_max(indices),
         }
 

@@ -405,35 +405,30 @@ def hoist_injection(eng, tasks: list[BlockTask]) -> None:
         )
 
 
-class _CaptureCheckpoint(CheckpointManager):
-    """Checkpoint that records old values but charges nothing.
+def make_capture_checkpoint(memory: MemoryImage) -> CheckpointManager:
+    """Charge-free capture checkpoint over *every* array of ``memory``.
 
     Certified plain tasks run with ``eng.ckpt = None``, so the parent-side
-    charge profile has zero CHECKPOINT entries
-    (:meth:`~repro.core.executor.SpeculativeContext.store` only charges
-    when ``note_write`` reports a saved element).  Out-of-process workers
+    charge profile has zero CHECKPOINT entries.  Out-of-process workers
     still need the *bookkeeping* half of a checkpoint -- which elements
     this block wrote (to ship them home) and their old values (to roll the
-    block back under cancellation or local restore).  Returning 0 from the
-    ``note_write`` hooks keeps the capture while suppressing the charge.
+    block back under cancellation or local restore) -- over any array,
+    since plain tasks write shared memory directly.
     """
-
-    def note_write(self, proc: int, name: str, index: int) -> int:
-        super().note_write(proc, name, index)
-        return 0
-
-    def note_write_many(self, proc: int, name: str, indices) -> int:
-        super().note_write_many(proc, name, indices)
-        return 0
-
-
-def make_capture_checkpoint(memory: MemoryImage) -> _CaptureCheckpoint:
-    """Charge-free capture checkpoint over *every* array of ``memory``
-    (plain tasks write shared memory directly, so any array may need
-    rollback/shipping, not just the untested set)."""
-    ckpt = _CaptureCheckpoint(memory, list(memory.names()), True)
+    ckpt = CheckpointManager(memory, list(memory.names()), True, charge_saves=False)
     ckpt.begin_stage()
     return ckpt
+
+
+def replay_untested(eng, proc: int, untested) -> None:
+    """Merge a block's shipped untested writes (``name -> (indices,
+    values)``) into the parent: the parent checkpoint records them first
+    (saving the pre-stage values), then one scatter applies them."""
+    memory = eng.machine.memory
+    for name, (indices, values) in untested.items():
+        if eng.ckpt is not None:
+            eng.ckpt.note_write_many(proc, name, indices)
+        get_kernels().scatter(memory[name].data, indices, values)
 
 
 class _AccessRecorder:
@@ -514,10 +509,7 @@ def _run_worker_task(wctx: _WorkerContext, task: BlockTask) -> _BlockDelta:
     delta.iter_times = dict(state.iter_times)
     delta.iter_work = dict(state.iter_work)
     if ckpt is not None:
-        for name, indices in ckpt.modified_by([block.proc]).items():
-            if indices:
-                idx = np.asarray(indices, dtype=np.int64)
-                delta.untested[name] = (idx, get_kernels().gather(wctx.memory[name].data, idx))
+        delta.untested = ckpt.export_writes(block.proc)
         # Undo this block's untested writes locally: the worker's memory
         # must stay equal to the last parent broadcast, else rolled-back
         # stages would leave stale values behind the parent's sync diff.
@@ -825,10 +817,7 @@ class ForkBackend(ExecutionBackend):
         state.iter_times.update(delta.iter_times)
         state.iter_work.update(delta.iter_work)
         state.executed.append(block)
-        for name, (indices, values) in delta.untested.items():
-            if eng.ckpt is not None:
-                eng.ckpt.note_write_many(proc, name, indices)
-            get_kernels().scatter(machine.memory[name].data, indices, values)
+        replay_untested(eng, proc, delta.untested)
         if eng.untested_log is not None:
             for name, index in delta.untested_reads:
                 eng.untested_log.note_read(proc, name, index)

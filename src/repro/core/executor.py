@@ -6,6 +6,13 @@ partials, and measured per-iteration times (fed back to the load balancer).
 :func:`execute_block` runs a contiguous block of iterations through a
 :class:`SpeculativeContext`, which folds the block's virtual-time charges
 per category and settles them on the machine's timeline once per block.
+
+Shadow marking is columnar: each tested-array access appends its element
+index (a write as ``~index``) to its array's per-block log, and the block's
+``finally`` applies every log with one kernel pass per array
+(:meth:`~repro.shadow.base.ShadowArray.apply_log`).  Untested writes save
+their first-touch old value eagerly and append to their processor's
+checkpoint column (:meth:`~repro.machine.checkpoint.CheckpointManager.write_handles`).
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.kernels import get_kernels
 from repro.loopir.context import IterationContext
 from repro.loopir.loop import SpeculativeLoop
 from repro.machine.checkpoint import CheckpointManager
@@ -29,6 +37,13 @@ from repro.util.blocks import Block
 #: :class:`Category` (``Enum.__hash__`` is a Python-level call).
 _FOLD_CATEGORIES = (Category.WORK, Category.MARK, Category.COPY_IN, Category.CHECKPOINT)
 _WORK, _MARK, _COPY_IN, _CHECKPOINT = range(len(_FOLD_CATEGORIES))
+
+#: Write handles of a context without a checkpoint.
+_NO_WRITES: dict[str, tuple] = {}
+
+
+def _out_of_range(index, size: int) -> IndexError:
+    return IndexError(f"element {index} out of range [0, {size})")
 
 
 class BlockCancelled(Exception):
@@ -65,6 +80,18 @@ class ProcessorState:
     iter_work: dict[int, float] = field(default_factory=dict)
     """Useful-work-only per-iteration time (sequential-time accounting)."""
     executed: list[Block] = field(default_factory=list)
+    access: dict[str, tuple[PrivateView, int, list[int]]] = field(
+        init=False, repr=False
+    )
+    """Per tested array ``(view, size, log)``: the access path's records,
+    built once per state.  ``log`` holds the current block's accesses
+    until the block ends (see :meth:`SpeculativeContext.flush_marks`)."""
+
+    def __post_init__(self) -> None:
+        self.access = {
+            name: (view, self.shadows[name].n_elements, [])
+            for name, view in self.views.items()
+        }
 
     def distinct_refs(self) -> int:
         return sum(shadow.distinct_refs() for shadow in self.shadows.values())
@@ -76,10 +103,13 @@ class ProcessorState:
 
     def reset(self) -> None:
         """Discard private data and marks (between recursive stages)."""
+        # hot-path: per tested array; each reset is a bulk op
         for view in self.views.values():
             view.reset()
-        for shadow in self.shadows.values():
+        for shadow in self.shadows.values():  # hot-path: per tested array
             shadow.reset()
+        for _, _, log in self.access.values():  # hot-path: per tested array
+            log.clear()
         self.partials.clear()
         self.executed.clear()
         # iter_times persist: the balancer wants the latest measurement of
@@ -91,7 +121,7 @@ class ProcessorState:
         the processor.  Reduction arrays are skipped -- their partials
         start at the operator identity, never at the shared values."""
         total = 0
-        for name, view in self.views.items():
+        for name, view in self.views.items():  # hot-path: per array, bulk copy
             if name in skip:
                 continue
             total += view.preload()
@@ -108,7 +138,7 @@ def make_processor_state(machine: Machine, loop: SpeculativeLoop, proc: int) -> 
     """Allocate views and shadows for every tested array of ``loop``."""
     views: dict[str, PrivateView] = {}
     shadows: dict[str, ShadowArray] = {}
-    for spec in loop.arrays:
+    for spec in loop.arrays:  # hot-path: per array, state setup
         if not spec.tested:
             continue
         shared = machine.memory[spec.name]
@@ -131,7 +161,7 @@ def make_all_private_state(machine: Machine, loop: SpeculativeLoop, proc: int) -
     indices are provisional)."""
     views: dict[str, PrivateView] = {}
     shadows: dict[str, ShadowArray] = {}
-    for spec in loop.arrays:
+    for spec in loop.arrays:  # hot-path: per array, state setup
         shared = machine.memory[spec.name]
         views[spec.name] = make_private_view(shared, sparse=spec.sparse)
         shadows[spec.name] = make_shadow(len(shared), sparse=spec.sparse)
@@ -143,6 +173,13 @@ class SpeculativeContext(IterationContext):
 
     Tested arrays go through private views with shadow marking and on-demand
     copy-in; untested arrays are written to shared memory under checkpoint.
+
+    Each access does only its eager work: the private-view value, copy-in
+    detection, the virtual-time additions and one append to the array's
+    access log (tested) or the processor's checkpoint column after the
+    first-touch save (untested).  Shadow marks are applied from the logs
+    when the block ends (:meth:`flush_marks`), with exactly the result
+    per-access marking would have had.
 
     Virtual time is *folded*, not charged, as accesses happen: each access
     adds its (straggler-stretched) amount to a per-category running total
@@ -156,17 +193,22 @@ class SpeculativeContext(IterationContext):
 
     __slots__ = (
         "_machine",
-        "_loop",
         "_state",
+        "_access",
+        "_arrays",
+        "_reductions",
         "_ckpt",
+        "_ckpt_writes",
         "_inductions",
         "_iter_marks",
         "_iter_time",
         "_iter_work",
         "_folded",
-        "_ckpt_names",
         "_costs",
         "_slowdown",
+        "_mark_charge",
+        "_copy_in_charge",
+        "_save_charge",
         "_untested_log",
         "_m_marks",
         "_m_copyin",
@@ -189,8 +231,10 @@ class SpeculativeContext(IterationContext):
     ) -> None:
         super().__init__()
         self._machine = machine
-        self._loop = loop
         self._state = state
+        self._access = state.access
+        self._arrays = machine.memory.arrays
+        self._reductions = loop.reductions
         self._ckpt = checkpoints
         self._inductions = dict(inductions or {})
         # Optional per-iteration mark sink (DDG extraction); maps array name
@@ -209,17 +253,25 @@ class SpeculativeContext(IterationContext):
         self.block_time = 0.0
         """Sum of this block's charges in the order they happened (the
         worker backends' block-span virtual duration)."""
-        self._ckpt_names = checkpoints.name_set if checkpoints is not None else frozenset()
-        self._costs = machine.costs
+        costs = self._costs = machine.costs
         # Straggler fault: every charge of this block is stretched by the
         # multiplier, but iter_work stays nominal -- the useful work done
         # is unchanged, only the time to do it grows.
         self._slowdown = slowdown
+        # The per-access charges, stretched once per block: the same
+        # floats ``amount * slowdown`` per access would compute.
+        self._mark_charge = costs.mark * slowdown
+        self._copy_in_charge = costs.copy_in * slowdown
+        self._save_charge: float | None = None
+        self._ckpt_writes = _NO_WRITES
+        if checkpoints is not None:
+            self._ckpt_writes = checkpoints.write_handles(state.proc)
+            if checkpoints.charge_saves:
+                self._save_charge = costs.checkpoint_per_elem * slowdown
         # Self-check: per-stage recorder of untested-array traffic.
         self._untested_log = untested_log
-        # Metrics accumulators: plain slot updates on the hot paths, folded
-        # into the registry once per block (flush_metrics) -- and only when
-        # metrics are on, so the disabled cost is one integer add per access.
+        # Metrics accumulators, folded into the registry once per block
+        # (flush_metrics) and only when metrics are on.
         self._m_marks = 0
         self._m_copyin: dict[str, int] = {}
         self._m_ckpt: dict[str, int] = {}
@@ -268,95 +320,178 @@ class SpeculativeContext(IterationContext):
                 [(_FOLD_CATEGORIES[slot], total) for slot, total in self._folded.items()],
             )
 
+    def flush_marks(self) -> None:
+        """Apply the block's access logs to the shadows (once per block, by
+        :func:`execute_block`; also when the block ends in an exception,
+        so the marks match what per-access marking would have left)."""
+        reductions = self._reductions
+        shadows = self._state.shadows
+        # hot-path: once per tested array per block; the marking is a
+        # kernel pass over the whole log
+        for name, (_, _, log) in self._access.items():
+            if not log:
+                continue
+            self._m_marks += len(log)
+            try:
+                if name in reductions:
+                    shadows[name].mark_update_many(np.array(log, dtype=np.int64))
+                else:
+                    shadows[name].apply_log(log)
+            finally:
+                log.clear()
+
     # -- memory access ----------------------------------------------------------
 
     def load(self, name: str, index: int):
-        if name in self._loop.reductions:
+        if name in self._reductions:
             raise ValueError(
                 f"array {name!r} is declared a reduction; use update() only"
             )
-        view = self._state.views.get(name)
-        if view is None:
+        record = self._access.get(name)
+        if record is None:
             # Untested array: direct shared read, no instrumentation.
             if self._untested_log is not None:
                 self._untested_log.note_read(self._state.proc, name, index)
-            return self._machine.memory[name].data[index]
+            try:
+                return self._arrays[name].data[index]
+            except KeyError:
+                self._machine.memory[name]  # raises the image's descriptive KeyError
+                raise
+        view, size, log = record
+        if not 0 <= index < size:
+            raise _out_of_range(index, size)
         value, copied_in = view.load(index)
-        self._state.shadows[name].mark_read(index)
-        self._m_marks += 1
-        self._charge(_MARK, self._costs.mark)
+        log.append(index)
+        charged = self._mark_charge
+        self._iter_time += charged
+        if charged:
+            folded = self._folded
+            folded[_MARK] = folded.get(_MARK, 0.0) + charged
+            self.block_time += charged
         if copied_in:
-            self._m_copyin[name] = self._m_copyin.get(name, 0) + 1
-            self._charge(_COPY_IN, self._costs.copy_in)
+            copies = self._m_copyin
+            copies[name] = copies.get(name, 0) + 1
+            charged = self._copy_in_charge
+            self._iter_time += charged
+            if charged:
+                folded = self._folded
+                folded[_COPY_IN] = folded.get(_COPY_IN, 0.0) + charged
+                self.block_time += charged
         if self._iter_marks is not None:
             self._iter_marks[name].mark_read(index)
         return value
 
     def store(self, name: str, index: int, value) -> None:
-        if name in self._loop.reductions:
+        if name in self._reductions:
             raise ValueError(
                 f"array {name!r} is declared a reduction; use update() only"
             )
-        view = self._state.views.get(name)
-        if view is None:
+        record = self._access.get(name)
+        if record is None:
             if self._untested_log is not None:
                 self._untested_log.note_write(self._state.proc, name, index)
-            if name in self._ckpt_names:
-                saved = self._ckpt.note_write(self._state.proc, name, index)
-                if saved:
-                    self._m_ckpt[name] = self._m_ckpt.get(name, 0) + saved
-                    self._charge(
-                        _CHECKPOINT, self._costs.checkpoint_per_elem * saved
-                    )
-            self._machine.memory[name].data[index] = value
+            handle = self._ckpt_writes.get(name)
+            if handle is not None:
+                saved, column, shared = handle
+                if saved is not None and index not in saved:
+                    # On-demand first touch: save before the write lands.
+                    saved[index] = shared.data[index]
+                    charged = self._save_charge
+                    if charged is not None:
+                        saves = self._m_ckpt
+                        saves[name] = saves.get(name, 0) + 1
+                        self._iter_time += charged
+                        if charged:
+                            folded = self._folded
+                            folded[_CHECKPOINT] = folded.get(_CHECKPOINT, 0.0) + charged
+                            self.block_time += charged
+                column.append(index)
+            try:
+                self._arrays[name].data[index] = value
+            except KeyError:
+                self._machine.memory[name]  # raises the image's descriptive KeyError
+                raise
             return
+        view, size, log = record
+        if not 0 <= index < size:
+            raise _out_of_range(index, size)
         view.store(index, value)
-        self._state.shadows[name].mark_write(index)
-        self._m_marks += 1
-        self._charge(_MARK, self._costs.mark)
+        log.append(~index)
+        charged = self._mark_charge
+        self._iter_time += charged
+        if charged:
+            folded = self._folded
+            folded[_MARK] = folded.get(_MARK, 0.0) + charged
+            self.block_time += charged
         if self._iter_marks is not None:
             self._iter_marks[name].mark_write(index, value)
 
     def update(self, name: str, index: int, value) -> None:
-        op = self._loop.reductions.get(name)
+        op = self._reductions.get(name)
         if op is None:
             raise ValueError(f"array {name!r} has no declared reduction operator")
+        _, size, log = self._access[name]
+        if not 0 <= index < size:
+            raise _out_of_range(index, size)
         partial = self._state.partials.setdefault(name, {})
         partial[index] = op.combine(partial.get(index, op.identity), value)
-        self._state.shadows[name].mark_update(index)
-        self._m_marks += 1
-        self._charge(_MARK, self._costs.mark)
+        log.append(index)
+        charged = self._mark_charge
+        self._iter_time += charged
+        if charged:
+            folded = self._folded
+            folded[_MARK] = folded.get(_MARK, 0.0) + charged
+            self.block_time += charged
         if self._iter_marks is not None:
             self._iter_marks[name].mark_update(index)
 
     # -- bulk memory access -------------------------------------------------------
 
-    def load_many(self, name: str, indices) -> np.ndarray:
-        """Vectorized :meth:`load` over an index array of one tested array.
-
-        Marking and charging are batched: one ``mark_read_many`` on the
-        shadow, one MARK charge of ``mark * len(indices)``, one COPY_IN
-        charge for the distinct elements actually copied in.  Semantically
-        a single bulk read: every index sees the current private state,
-        none of this batch's own side effects.
-        """
-        if name in self._loop.reductions:
+    def _bulk_record(self, name: str, idx: np.ndarray):
+        """The access record of a bulk access to ``name`` (``None`` for an
+        untested array), bounds-checked before any private state moves."""
+        if name in self._reductions:
             raise ValueError(
                 f"array {name!r} is declared a reduction; use update() only"
             )
+        record = self._access.get(name)
+        if record is not None and idx.size:
+            size = record[1]
+            bad = (idx < 0) | (idx >= size)
+            if bad.any():
+                raise _out_of_range(int(idx[int(np.argmax(bad))]), size)
+        return record
+
+    def load_many(self, name: str, indices) -> np.ndarray:
+        """Vectorized :meth:`load` over an index array.
+
+        Tested arrays: one bulk copy-in, one MARK charge of
+        ``mark * len(indices)``, one COPY_IN charge for the distinct
+        elements actually copied in, and the reads join the block's log.
+        Semantically a single bulk read: every index sees the current
+        private state, none of this batch's own side effects.  Untested
+        arrays: one gather from shared memory.  Either way the result has
+        the shared array's dtype.
+        """
         idx = np.asarray(indices, dtype=np.int64)
-        view = self._state.views.get(name)
-        if view is None:
-            return np.array([self.load(name, int(i)) for i in idx])
+        record = self._bulk_record(name, idx)
+        if record is None:
+            if self._untested_log is not None:
+                proc = self._state.proc
+                # hot-path: self-check recording only (off by default)
+                for i in idx.tolist():
+                    self._untested_log.note_read(proc, name, i)
+            return get_kernels().gather(self._machine.memory[name].data, idx)
+        view, _, log = record
         values, copied = view.load_many(idx)
-        self._state.shadows[name].mark_read_many(idx)
-        self._m_marks += len(idx)
+        log.extend(idx.tolist())
         self._charge(_MARK, self._costs.mark * len(idx))
         if copied:
             self._m_copyin[name] = self._m_copyin.get(name, 0) + copied
             self._charge(_COPY_IN, self._costs.copy_in * copied)
         if self._iter_marks is not None:
             marks = self._iter_marks[name]
+            # hot-path: DDG extraction's per-iteration marks stay eager
             for i in idx.tolist():
                 marks.mark_read(i)
         return values
@@ -364,26 +499,39 @@ class SpeculativeContext(IterationContext):
     def store_many(self, name: str, indices, values) -> None:
         """Vectorized :meth:`store` over parallel index/value arrays.
 
-        Later duplicates win, matching the scalar loop.  One
-        ``mark_write_many`` on the shadow, one batched MARK charge.
+        Later duplicates win, matching the scalar loop.  Tested arrays:
+        one bulk private store and one batched MARK charge.  Untested
+        arrays: one checkpoint column append with its first-touch saves,
+        one charge per save (as element-wise stores would add them), and
+        one scatter into shared memory.
         """
-        if name in self._loop.reductions:
-            raise ValueError(
-                f"array {name!r} is declared a reduction; use update() only"
-            )
         idx = np.asarray(indices, dtype=np.int64)
         vals = np.asarray(values)
-        view = self._state.views.get(name)
-        if view is None:
-            for i, v in zip(idx.tolist(), vals):
-                self.store(name, i, v)
+        record = self._bulk_record(name, idx)
+        if record is None:
+            proc = self._state.proc
+            if self._untested_log is not None:
+                # hot-path: self-check recording only (off by default)
+                for i in idx.tolist():
+                    self._untested_log.note_write(proc, name, i)
+            if name in self._ckpt_writes:
+                saves = self._ckpt.note_write_many(proc, name, idx)
+                if saves:
+                    self._m_ckpt[name] = self._m_ckpt.get(name, 0) + saves
+                    amount = self._costs.checkpoint_per_elem
+                    # hot-path: one fold addition per first-touch save
+                    # keeps the charges bit-identical to element-wise stores
+                    for _ in range(saves):
+                        self._charge(_CHECKPOINT, amount)
+            get_kernels().scatter(self._machine.memory[name].data, idx, vals)
             return
+        view, _, log = record
         view.store_many(idx, vals)
-        self._state.shadows[name].mark_write_many(idx)
-        self._m_marks += len(idx)
+        log.extend((~idx).tolist())
         self._charge(_MARK, self._costs.mark * len(idx))
         if self._iter_marks is not None:
             marks = self._iter_marks[name]
+            # hot-path: DDG extraction's per-iteration marks stay eager
             for i, v in zip(idx.tolist(), vals):
                 marks.mark_write(i, v)
 
@@ -419,17 +567,20 @@ class SpeculativeContext(IterationContext):
     def flush_metrics(self, registry, iterations: int) -> None:
         """Fold this block's accumulated counts into ``registry``.
 
-        Called once per block (never per access); byte counts derive from
-        the shared arrays' element sizes so "how much data moved" is
-        reportable without touching the hot paths.
+        Called once per block (never per access), after :meth:`flush_marks`
+        has counted the block's marks; byte counts derive from the shared
+        arrays' element sizes so "how much data moved" is reportable
+        without touching the hot paths.
         """
         registry.counter("shadow.marks").inc(self._m_marks)
         memory = self._machine.memory
+        # hot-path: per array with copy-ins this block
         for name, n in self._m_copyin.items():
             registry.counter("shadow.copy_in.elements").inc(n)
             registry.counter("shadow.copy_in.bytes").inc(
                 n * memory[name].data.itemsize
             )
+        # hot-path: per array with checkpoint saves this block
         for name, n in self._m_ckpt.items():
             registry.counter("checkpoint.saved.elements").inc(n)
             registry.counter("checkpoint.saved.bytes").inc(
@@ -499,6 +650,8 @@ def execute_block(
     omega = machine.costs.omega
     completed = 0
     try:
+        # hot-path: the iteration loop itself; cancellation, fail-stop and
+        # exits keep their per-iteration boundaries
         for i in block.iterations():
             if cancel is not None and cancel.is_set():
                 raise BlockCancelled(block.proc, i)
@@ -528,6 +681,7 @@ def execute_block(
                 break
     finally:
         ctx.settle_charges()
+        ctx.flush_marks()
     state.executed.append(block)
     metrics = getattr(machine, "metrics", None)
     if metrics is not None and metrics.enabled:

@@ -71,6 +71,7 @@ from repro.core.backend import (
     _shutdown_pool,
     make_all_private_state,
     make_capture_checkpoint,
+    replay_untested,
 )
 from repro.core import frames
 from repro.core.executor import ProcessorState, execute_block, make_plain_state
@@ -542,18 +543,14 @@ def _run_shm_task(wctx: _ShmWorkerContext, task: BlockTask) -> bytes:
         if partials:
             residue["partials"] = partials
         if ckpt is not None:
-            untested = {}
-            for name, indices in ckpt.modified_by([block.proc]).items():
-                if indices:
-                    idx = np.asarray(indices, dtype=np.int64)
-                    untested[name] = (idx, get_kernels().gather(wctx.memory[name].data, idx))
+            untested = ckpt.export_writes(block.proc)
             if untested:
                 residue["untested"] = untested
             # Undo this block's untested writes: with the image in shared
             # memory they are already parent-visible, but the merge phase
             # replays them through the parent's checkpoint manager so it
             # learns the true old values -- the memory must hold those old
-            # values until the parent's note_write has read them.
+            # values until the parent's note_write_many has read them.
             ckpt.restore_failed([block.proc])
         if recorder is not None:
             residue["untested_reads"] = sorted(recorder.reads)
@@ -1121,10 +1118,7 @@ class ShmBackend(ForkBackend):
                 zip(span, scratch[proc, 1, : delta.iter_count].tolist())
             )
         state.executed.append(block)
-        for name, (indices, values) in residue.get("untested", {}).items():
-            if eng.ckpt is not None:
-                eng.ckpt.note_write_many(proc, name, indices)
-            get_kernels().scatter(machine.memory[name].data, indices, values)
+        replay_untested(eng, proc, residue.get("untested", {}))
         if eng.untested_log is not None:
             for name, index in residue.get("untested_reads", ()):
                 eng.untested_log.note_read(proc, name, index)

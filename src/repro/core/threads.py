@@ -97,6 +97,7 @@ from repro.core.backend import (
     check_unique_procs,
     hoist_injection,
     make_capture_checkpoint,
+    replay_untested,
 )
 from repro.core.executor import (
     BlockCancelled,
@@ -112,7 +113,6 @@ from repro.core.supervise import (
     log_supervision,
 )
 from repro.errors import BackendError, ConfigurationError
-from repro.kernels import get_kernels
 from repro.machine.checkpoint import CheckpointManager
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.oplog import get_oplog
@@ -246,13 +246,8 @@ def _run_thread_task(eng, task: BlockTask, cancel: threading.Event) -> _ThreadDe
     if task.all_private:
         return delta
     if ckpt is not None:
-        for name, indices in ckpt.modified_by([block.proc]).items():
-            if indices:
-                idx = np.asarray(indices, dtype=np.int64)
-                # thread-safe: gathers only elements this block wrote.
-                delta.untested[name] = (
-                    idx, get_kernels().gather(eng.machine.memory[name].data, idx)
-                )
+        # thread-safe: gathers only elements this block wrote.
+        delta.untested = ckpt.export_writes(block.proc)
         # Undo our untested writes: the merge replays them through the
         # parent's checkpoint manager in block order, which must observe
         # the pre-stage values as "old" for rollback to stay serial.
@@ -680,10 +675,7 @@ class ThreadsBackend(ExecutionBackend):
             outcome.virt_dur = delta.virt_dur
         if task.all_private:
             return outcome
-        for name, (indices, values) in delta.untested.items():
-            if eng.ckpt is not None:
-                eng.ckpt.note_write_many(proc, name, indices)
-            get_kernels().scatter(machine.memory[name].data, indices, values)
+        replay_untested(eng, proc, delta.untested)
         if eng.untested_log is not None:
             for name, index in delta.untested_reads:
                 eng.untested_log.note_read(proc, name, index)

@@ -20,7 +20,10 @@ Shared conventions:
 * dict/set-backed sparse structures keep Python ``int`` keys;
 * access traces are four parallel int64 columns -- iteration, kind code
   (:data:`ACCESS_KINDS`), array code, element index -- in execution order
-  (iterations non-decreasing).
+  (iterations non-decreasing);
+* a block's access log is one signed int64 column per tested array, in
+  execution order: a read of element ``i`` is logged as ``i``, a write as
+  ``~i`` (``-i - 1``).
 """
 
 from __future__ import annotations
@@ -134,6 +137,55 @@ def mark_reads_set(
         any_read_set.add(index)
         if index not in write_set:
             exposed_set.add(index)
+
+
+def resolve_access_log(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split a block's signed access log into the element sets its marks
+    need, in the order a shadow applies them: ``(open_reads, writes,
+    covered_reads)``, each sorted and unique.
+
+    An element is an *open read* when its first access in the log is a
+    read (that read is exposed unless the element already carried a
+    write mark when the block started), a *covered read* when it is read
+    but its first access is a write.  Marking the open reads, then the
+    writes, then the covered reads reproduces per-access marking exactly:
+    a covered read's element is write-marked by then, so it sets only the
+    any-read bit, and every later read of an open element found the
+    any-read bit its first read set.
+    """
+    first_is_read: dict[int, bool] = {}
+    reads: set[int] = set()
+    writes: set[int] = set()
+    for entry in np.asarray(entries, dtype=np.int64).tolist():
+        if entry < 0:
+            writes.add(~entry)
+            first_is_read.setdefault(~entry, False)
+        else:
+            reads.add(entry)
+            first_is_read.setdefault(entry, True)
+    open_reads = {index for index, first in first_is_read.items() if first}
+    covered = {index for index in reads if not first_is_read[index]}
+    return tuple(
+        np.fromiter(sorted(group), dtype=np.int64, count=len(group))
+        for group in (open_reads, writes, covered)
+    )
+
+
+def mark_log_set(
+    write_set: set, exposed_set: set, any_read_set: set, size: int, entries
+) -> None:
+    """Sparse marking of a whole signed access log, in log order: each
+    write adds to the write plane, each read to the any-read plane and,
+    unless its element is write-marked by then, to the exposed plane."""
+    for entry in np.asarray(entries, dtype=np.int64).tolist():
+        if entry < 0:
+            _check_range(~entry, size)
+            write_set.add(~entry)
+        else:
+            _check_range(entry, size)
+            any_read_set.add(entry)
+            if entry not in write_set:
+                exposed_set.add(entry)
 
 
 # -- dense private-view copies ---------------------------------------------------

@@ -23,6 +23,8 @@ import numpy as np
 from repro.kernels.scalar import READ, UPDATE, WRITE
 
 _ONE = np.uint64(1)
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
 
 
 def _check_bounds(idx: np.ndarray, size: int) -> None:
@@ -111,6 +113,56 @@ def mark_reads_set(
     ids = idx.tolist()
     exposed_set.update(i for i in ids if i not in write_set)
     any_read_set.update(ids)
+
+
+def resolve_access_log(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    log = np.asarray(entries, dtype=np.int64)
+    if not log.size or log.min() >= 0:
+        return np.unique(log), _EMPTY, _EMPTY
+    # One stable sort groups the log by element, each group in log order;
+    # a group's first entry says whether the element was read first.
+    index = log ^ (log >> 63)  # ~i for writes, i for reads
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    write = log[order] < 0
+    first = np.empty(index.size, dtype=bool)
+    first[0] = True
+    np.not_equal(index[1:], index[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    elements = index[starts]
+    write_first = write[starts]
+    written = np.logical_or.reduceat(write, starts)
+    read = ~np.logical_and.reduceat(write, starts)
+    return elements[~write_first], elements[written], elements[write_first & read]
+
+
+def mark_log_set(
+    write_set: set, exposed_set: set, any_read_set: set, size: int, entries
+) -> None:
+    log = np.asarray(entries, dtype=np.int64)
+    if not log.size:
+        return
+    lo, hi = int(log.min()), int(log.max())
+    if lo < -size or hi >= size:
+        # Report the first offending entry, as the reference loop does.
+        bad = (log < -size) | (log >= size)
+        entry = int(log[int(np.argmax(bad))])
+        raise IndexError(f"element {entry if entry >= 0 else ~entry} out of range [0, {size})")
+    ids = log.tolist()
+    if lo >= 0:
+        # No writes: every read sees the block-start write plane.
+        any_read_set.update(ids)
+        exposed_set.update(i for i in ids if i not in write_set)
+        return
+    # Order matters once the log writes: one pass over the set planes
+    # (Python containers admit no vectorization).
+    for entry in ids:  # hot-path: set-backed planes, one pass per block
+        if entry < 0:
+            write_set.add(~entry)
+        else:
+            any_read_set.add(entry)
+            if entry not in write_set:
+                exposed_set.add(entry)
 
 
 # -- dense private-view copies ---------------------------------------------------

@@ -117,8 +117,21 @@ class ProbeContext(IterationContext):
     # -- bulk memory access -------------------------------------------------------
 
     def load_many(self, name: str, indices) -> np.ndarray:
+        # One gather, so the result keeps the array's dtype (also when
+        # empty); the log still gets one read quad per element.
         idx = np.asarray(indices, dtype=np.int64)
-        return np.array([self.load(name, int(i)) for i in idx])
+        try:
+            data, code = self._arrays[name]
+        except KeyError:
+            self._memory[name]  # raises the image's descriptive KeyError
+            raise
+        quads = np.empty((idx.size, 4), dtype=np.int64)
+        quads[:, 0] = self.iteration
+        quads[:, 1] = READ
+        quads[:, 2] = code
+        quads[:, 3] = idx
+        self.log += quads.ravel().tolist()
+        return get_kernels().gather(data, idx)
 
     def store_many(self, name: str, indices, values) -> None:
         # Scalar loop: later duplicates win, matching the bulk contract.

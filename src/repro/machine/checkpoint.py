@@ -33,19 +33,44 @@ from repro.machine.memory import MemoryImage
 
 
 class CheckpointManager:
-    """Tracks old values of untested arrays for one speculative stage."""
+    """Tracks old values of untested arrays for one speculative stage.
 
-    def __init__(self, memory: MemoryImage, names: Iterable[str], on_demand: bool) -> None:
+    Writes are recorded as per-(array, processor) index columns: the
+    executor appends each untested write's index to its processor's column
+    (see :meth:`write_handles`) and saves the element's old value eagerly
+    on its first touch, before the write lands.  Rollback, the contract
+    check and the backends' write capture are kernel passes over those
+    columns.
+
+    ``charge_saves=False`` makes a *capture* checkpoint: it records old
+    values and writers exactly the same way, but its first-touch saves
+    cost no virtual time (the backends' bookkeeping for certified plain
+    tasks, whose parent-side run has no checkpoint at all).
+    """
+
+    def __init__(
+        self,
+        memory: MemoryImage,
+        names: Iterable[str],
+        on_demand: bool,
+        charge_saves: bool = True,
+    ) -> None:
         self._memory = memory
-        self._name_set = frozenset(names)
-        self._names = sorted(self._name_set)
+        self._names = sorted(set(names))
         self.on_demand = bool(on_demand)
-        # name -> index -> (saving proc, old value); first touch wins.
-        self._saved: dict[str, dict[int, tuple[int, object]]] = {}
+        self.charge_saves = bool(charge_saves) and self.on_demand
+        """Whether a first-touch save is charged (on-demand mode only: a
+        full checkpoint is paid for once, at stage begin)."""
+        # name -> index -> old value; first touch wins.  On-demand only:
+        # full mode reads old values from the stage-begin copy.
+        self._saved: dict[str, dict[int, object]] = {}
         self._full: dict[str, np.ndarray] = {}
-        # name -> index -> set of procs that wrote it this stage.
-        self._writers: dict[str, dict[int, set[int]]] = {}
-        self.elements_checkpointed = 0
+        # name -> proc -> indices the proc wrote this stage, in write order.
+        self._columns: dict[str, dict[int, list[int]]] = {}
+        # proc -> its write handles (see write_handles), built once a stage.
+        self._handles: dict[int, dict[str, tuple]] = {}
+        self._full_elements = 0
+        self._dropped_saves = 0
         self.last_restored_bytes = 0
         self._stage_active = False
 
@@ -54,142 +79,175 @@ class CheckpointManager:
         return list(self._names)
 
     @property
-    def name_set(self) -> frozenset[str]:
-        """The checkpointed array names as a set (no copy; for per-access
-        membership tests)."""
-        return self._name_set
+    def elements_checkpointed(self) -> int:
+        """Elements saved this stage: the whole state in full mode, every
+        first-touch save (rolled-back ones included) when on-demand."""
+        if not self.on_demand:
+            return self._full_elements
+        return self._dropped_saves + sum(len(s) for s in self._saved.values())
 
     def begin_stage(self) -> int:
         """Start a stage; returns the number of elements checkpointed now
         (full mode copies everything up front, on-demand copies nothing)."""
-        self._saved = {name: {} for name in self._names}
-        self._writers = {name: {} for name in self._names}
+        self._saved = {name: {} for name in self._names} if self.on_demand else {}
+        self._columns = {name: {} for name in self._names}
+        self._handles = {}
         self._full = {}
-        self.elements_checkpointed = 0
+        self._full_elements = 0
+        self._dropped_saves = 0
         self._stage_active = True
         if not self.on_demand:
-            for name in self._names:
+            for name in self._names:  # hot-path: per array, once a stage
                 data = self._memory[name].data
                 self._full[name] = data.copy()
-                self.elements_checkpointed += len(data)
-        return self.elements_checkpointed
+                self._full_elements += len(data)
+        return self._full_elements
 
-    def _check_writable(self, name: str) -> None:
-        """Raise unless a stage is open and ``name`` is checkpointed."""
+    def _require_open(self, what: str) -> None:
         if not self._stage_active:
             raise CheckpointError(
-                f"note_write({name!r}) before begin_stage(): the checkpoint "
+                f"{what} before begin_stage(): the checkpoint "
                 "epoch has not been opened; drivers must call begin_stage() "
                 "once per speculative stage before any untested write"
             )
-        if name not in self._saved:
+
+    def _check_writable(self, name: str) -> None:
+        """Raise unless a stage is open and ``name`` is checkpointed."""
+        self._require_open(f"note_write({name!r})")
+        if name not in self._columns:
             raise CheckpointError(f"array {name!r} is not under checkpoint")
+
+    def write_handles(self, proc: int) -> dict[str, tuple]:
+        """``proc``'s per-array ``(saved, column, shared)`` write handles.
+
+        ``saved`` maps index -> old value (``None`` in full mode), shared
+        by every processor; ``column`` is ``proc``'s own index column and
+        ``shared`` the checkpointed :class:`SharedArray`.  A writer saves
+        ``shared.data[index]`` into ``saved`` if the index is not there
+        yet, appends the index to ``column``, then writes -- what
+        :meth:`note_write` does, without a call per write.  Built once per
+        (stage, processor); restoring the processor invalidates them.
+        """
+        handles = self._handles.get(proc)
+        if handles is None:
+            self._require_open(f"write_handles({proc})")
+            handles = {
+                name: (
+                    self._saved.get(name),
+                    self._columns[name].setdefault(proc, []),
+                    self._memory[name],
+                )
+                for name in self._names
+            }
+            self._handles[proc] = handles
+        return handles
 
     def note_write(self, proc: int, name: str, index: int) -> int:
         """Record a write to an untested element.
 
         Returns the number of elements newly checkpointed by this call
-        (1 for an on-demand first touch, else 0) so the caller can charge
-        virtual time.
+        that cost virtual time (1 for a charged on-demand first touch,
+        else 0) so the caller can charge it.
         """
-        saved = self._saved.get(name)
-        if saved is None:
-            # Always raises (_saved holds every name once a stage is open);
-            # the checks stay off the per-write path.
-            self._check_writable(name)
-        writers_map = self._writers[name]
-        writers = writers_map.get(index)
-        if writers is None:
-            writers_map[index] = {proc}
-        else:
-            writers.add(proc)
-        if index not in saved:
-            if self.on_demand:
-                saved[index] = (proc, self._memory[name].data[index])
-                self.elements_checkpointed += 1
-                return 1
-            saved[index] = (proc, self._full[name][index])
-        return 0
+        self._check_writable(name)
+        saved, column, shared = self.write_handles(proc)[name]
+        column.append(index)
+        if saved is None or index in saved:
+            return 0
+        saved[index] = shared.data[index]
+        return 1 if self.charge_saves else 0
 
     def note_write_many(self, proc: int, name: str, indices: np.ndarray) -> int:
         """Batch :meth:`note_write` over an index array (duplicates allowed).
 
-        Returns the number of elements newly checkpointed, i.e. the number
-        of distinct first touches when on-demand (0 in full mode), so the
-        caller charges exactly what per-element calls would have charged.
+        Returns the number of charged first touches (the distinct indices
+        not saved before), so the caller charges exactly what per-element
+        calls would have charged.
         """
         self._check_writable(name)
-        ids = np.asarray(indices).tolist()
-        writers_map = self._writers[name]
-        saved = self._saved[name]
-        new: list[int] = []
-        seen_new: set[int] = set()
-        for index in ids:
-            writers_map.setdefault(index, set()).add(proc)
-            if index not in saved and index not in seen_new:
-                seen_new.add(index)
-                new.append(index)
+        idx = np.asarray(indices, dtype=np.int64)
+        saved, column, shared = self.write_handles(proc)[name]
+        column.extend(idx.tolist())
+        if saved is None or not idx.size:
+            return 0
+        new = [i for i in np.unique(idx).tolist() if i not in saved]
         if new:
-            source = self._memory[name].data if self.on_demand else self._full[name]
-            old = get_kernels().gather(source, np.fromiter(new, np.int64, len(new)))
-            for k, index in enumerate(new):
-                saved[index] = (proc, old[k])
-            if self.on_demand:
-                self.elements_checkpointed += len(new)
-        return len(new) if self.on_demand else 0
+            old = get_kernels().gather(
+                shared.data, np.fromiter(new, dtype=np.int64, count=len(new))
+            )
+            saved.update(zip(new, old))
+        return len(new) if self.charge_saves else 0
+
+    def _written(self, name: str, procs) -> np.ndarray:
+        """Sorted unique indices of ``name`` written by any of ``procs``."""
+        columns = self._columns[name]
+        parts = [columns[p] for p in procs if columns.get(p)]
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return np.unique(np.concatenate([np.asarray(c, dtype=np.int64) for c in parts]))
 
     def restore_failed(self, failed_procs: Iterable[int]) -> int:
-        """Roll back elements first-touched by failed processors.
+        """Roll back elements written by failed processors.
 
         Returns the element count restored (for virtual-time charging).
         Raises if a committing and a failed processor both wrote the same
         untested element (contract violation).
         """
         failed = set(failed_procs)
+        kernels = get_kernels()
         restored = 0
         self.last_restored_bytes = 0
-        for name in self._names:
-            data = self._memory[name].data
-            writers_map = self._writers[name]
-            saved = self._saved[name]
-            dirty: list[int] = []
-            for index, writers in writers_map.items():
-                touched_failed = writers & failed
-                if not touched_failed:
-                    continue
-                if writers - failed:
-                    raise CheckpointError(
-                        f"untested array {name!r} element {index} written by both "
-                        f"committing procs {sorted(writers - failed)} and failed "
-                        f"procs {sorted(touched_failed)}; declare it tested instead"
-                    )
-                dirty.append(index)
-            if dirty:
-                # One kernel scatter over the dirty slice instead of a
-                # per-element Python loop over the whole array.
-                indices = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
-                old = get_kernels().pack_values(
-                    [saved[index][1] for index in dirty], data.dtype
+        for proc in failed:  # hot-path: per failed processor
+            self._handles.pop(proc, None)
+        for name in self._names:  # hot-path: per array; kernels inside
+            columns = self._columns[name]
+            dirty = self._written(name, failed)
+            if not dirty.size:
+                continue
+            committing = [p for p in columns if p not in failed]
+            clash = kernels.intersect_indices(dirty, self._written(name, committing))
+            if clash.size:
+                index = int(clash[0])
+                raise CheckpointError(
+                    f"untested array {name!r} element {index} written by both "
+                    f"committing procs "
+                    f"{sorted(p for p in committing if index in columns[p])} and "
+                    f"failed procs "
+                    f"{sorted(p for p in failed if index in columns.get(p, ()))}; "
+                    "declare it tested instead"
                 )
-                get_kernels().scatter(data, indices, old)
-                restored += len(dirty)
-                self.last_restored_bytes += len(dirty) * data.dtype.itemsize
-            # Failed procs will re-write; drop their logs so the next stage
-            # re-checkpoints from the (restored) current values.
-            for index in dirty:
-                del writers_map[index]
-                del saved[index]
+            data = self._memory[name].data
+            if self.on_demand:
+                # Failed procs will re-write: dropping their saves makes
+                # the next first touch re-checkpoint the restored value.
+                saved = self._saved[name]
+                old = kernels.pack_values(
+                    list(map(saved.pop, dirty.tolist())), data.dtype
+                )
+                self._dropped_saves += len(dirty)
+            else:
+                old = kernels.gather(self._full[name], dirty)
+            kernels.scatter(data, dirty, old)
+            restored += len(dirty)
+            self.last_restored_bytes += len(dirty) * data.dtype.itemsize
+            for proc in failed:  # hot-path: per failed processor
+                columns.pop(proc, None)
         return restored
 
     def modified_by(self, procs: Iterable[int]) -> dict[str, list[int]]:
         """Indices written by the given processors, per array (diagnostics)."""
-        wanted = set(procs)
-        return {
-            name: sorted(
-                i for i, writers in self._writers[name].items() if writers & wanted
-            )
-            for name in self._names
-        }
+        wanted = list(procs)
+        return {name: self._written(name, wanted).tolist() for name in self._names}
+
+    def export_writes(self, proc: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """``name -> (indices, current values)`` of every checkpointed array
+        ``proc`` wrote, indices sorted (a worker's untested-write delta)."""
+        out = {}
+        for name in self._names:  # hot-path: per array; one gather each
+            idx = self._written(name, (proc,))
+            if idx.size:
+                out[name] = (idx, get_kernels().gather(self._memory[name].data, idx))
+        return out
 
 
 def verify_untested_isolation(
@@ -204,9 +262,11 @@ def verify_untested_isolation(
     unsound and should mark it tested instead).
     """
     problems: list[str] = []
+    # hot-path: the self-check validator (off by default) walks its own
+    # per-stage log once per stage, never the access path
     for name, write_map in writes.items():
         read_map = reads.get(name, {})
-        for index, writer_procs in write_map.items():
+        for index, writer_procs in write_map.items():  # hot-path: see above
             reader_procs = read_map.get(index, set())
             foreign = {r for r in reader_procs if any(w != r for w in writer_procs)}
             if foreign and len(writer_procs | reader_procs) > 1:

@@ -78,6 +78,13 @@ class MemoryImage:
     def __contains__(self, name: str) -> bool:
         return name in self._arrays
 
+    @property
+    def arrays(self) -> Mapping[str, SharedArray]:
+        """The name -> :class:`SharedArray` map itself (no copy): hot paths
+        index it directly.  Arrays are stable objects; their ``data`` may
+        be rebound (the shm backend maps it onto shared segments)."""
+        return self._arrays
+
     def names(self) -> list[str]:
         return sorted(self._arrays)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels import get_kernels
+
 
 class ShadowArray:
     """Marking bits for one (processor, tested array) pair during one stage.
@@ -19,6 +21,13 @@ class ShadowArray:
 
     ``distinct_refs`` is the number of elements carrying any mark -- the
     quantity the analysis-phase cost is proportional to.
+
+    The speculative executor does not mark per access: it logs each
+    block's reads and writes and hands the log to :meth:`apply_log` when
+    the block ends.  The scalar ``mark_*`` methods are the specification
+    that batch marking is tested against, and the generic ``mark_*_many``
+    fallbacks replay through them, so a custom shadow that implements only
+    the scalar methods still receives every mark.
     """
 
     __slots__ = ("n_elements",)
@@ -59,6 +68,17 @@ class ShadowArray:
         # hot-path: generic fallback (see mark_read_many)
         for index in indices.tolist():
             self.mark_update(index)
+
+    def apply_log(self, entries) -> None:
+        """Mark one block's signed access log (reads ``i``, writes ``~i``,
+        in execution order; a list or an int64 array) with the same result
+        as marking each access as it happened: a read is exposed only if
+        its element carried no write mark when the block started and no
+        earlier write in the log hit it."""
+        open_reads, writes, covered = get_kernels().resolve_access_log(entries)
+        self.mark_read_many(open_reads)
+        self.mark_write_many(writes)
+        self.mark_read_many(covered)
 
     # -- analysis-phase queries ---------------------------------------------------
 

@@ -59,6 +59,13 @@ class SparseShadow(ShadowArray):
     def mark_update_many(self, indices) -> None:
         get_kernels().mark_writes_set(self._update, self.n_elements, indices)
 
+    def apply_log(self, entries) -> None:
+        # The planes are Python sets, so one ordered pass over the log
+        # beats splitting it into index arrays first (see mark_log_set).
+        get_kernels().mark_log_set(
+            self._write, self._exposed, self._any_read, self.n_elements, entries
+        )
+
     # -- queries --------------------------------------------------------------
 
     def write_set(self) -> set[int]:

@@ -2,18 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.backend import BlockTask, _run_worker_task, _WorkerContext
 from repro.core.executor import (
+    SpeculativeContext,
     execute_block,
     make_processor_state,
 )
+from repro.errors import CheckpointError
+from repro.faults.selfcheck import UntestedAccessLog
+from repro.kernels import kernel_names, use_kernels
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
 from repro.loopir.reductions import ReductionOp
 from repro.machine.checkpoint import CheckpointManager
 from repro.machine.costs import CostModel
 from repro.machine.machine import Machine
 from repro.machine.timeline import Category, StageRecord
+from repro.shadow.dense import DenseShadow
+from repro.shadow.sparse import SparseShadow
 from repro.util.blocks import Block
 
 
@@ -269,3 +276,361 @@ class TestChargeFold:
         # 12 iterations make 77 charges: folding bounds timeline writes
         # by the number of categories, whatever the access count.
         assert len(calls) <= len(Category)
+
+
+# -- bulk untested access and eager bounds checks ----------------------------------
+
+
+def _int_loop(body, sparse=False):
+    return SpeculativeLoop(
+        "ints", 4, body,
+        arrays=[
+            ArraySpec("A", np.arange(8, dtype=np.int32), tested=True, sparse=sparse),
+            ArraySpec("U", np.arange(8, dtype=np.int32), tested=False),
+        ],
+    )
+
+
+class TestBulkUntestedAccess:
+    @pytest.mark.parametrize("indices", [[], [3], [1, 1, 7]])
+    @pytest.mark.parametrize("name", ["A", "U"])
+    def test_load_many_keeps_the_shared_dtype(self, name, indices):
+        loop = _int_loop(lambda ctx, i: None)
+        machine, states = setup(loop, n_procs=1)
+        ctx = SpeculativeContext(machine, loop, states[0], None)
+        ctx.begin_iteration(0)
+        values = ctx.load_many(name, np.asarray(indices, dtype=np.int64))
+        assert values.dtype == np.int32
+        assert values.tolist() == indices
+
+    def test_untested_load_many_notes_each_read(self):
+        loop = _int_loop(lambda ctx, i: None)
+        machine, states = setup(loop, n_procs=1)
+        log = UntestedAccessLog()
+        ctx = SpeculativeContext(machine, loop, states[0], None, untested_log=log)
+        ctx.begin_iteration(0)
+        ctx.load_many("U", np.array([2, 5, 2], dtype=np.int64))
+        assert log.reads == {"U": {2: {0}, 5: {0}}}
+
+    @pytest.mark.parametrize("on_demand", [True, False])
+    def test_untested_store_many_matches_elementwise_stores(self, on_demand):
+        idx = np.array([4, 1, 4, 6, 1], dtype=np.int64)
+        vals = np.array([10, 11, 12, 13, 14], dtype=np.int32)
+
+        def run(bulk):
+            def body(ctx, i):
+                if bulk:
+                    ctx.store_many("U", idx, vals)
+                else:
+                    for j, v in zip(idx.tolist(), vals.tolist()):
+                        ctx.store("U", j, v)
+
+            loop = _int_loop(body)
+            machine, states = setup(loop, n_procs=1)
+            ckpt = CheckpointManager(machine.memory, ["U"], on_demand=on_demand)
+            ckpt.begin_stage()
+            execute_block(machine, loop, states[0], Block(0, 0, 1), ckpt, slowdown=1.3)
+            charges = list(machine.timeline.current.per_proc[0].items())
+            return machine.memory["U"].data.copy(), ckpt, charges
+
+        bulk_data, bulk_ckpt, bulk_charges = run(True)
+        loop_data, loop_ckpt, loop_charges = run(False)
+        assert bulk_data[[1, 4, 6]].tolist() == [14, 12, 13]  # later duplicates win
+        assert np.array_equal(bulk_data, loop_data)
+        assert [(c, repr(v)) for c, v in bulk_charges] == [
+            (c, repr(v)) for c, v in loop_charges
+        ]
+        assert bulk_ckpt.modified_by([0]) == loop_ckpt.modified_by([0]) == {"U": [1, 4, 6]}
+        assert bulk_ckpt.elements_checkpointed == loop_ckpt.elements_checkpointed
+        assert bulk_ckpt.restore_failed([0]) == 3
+        assert np.array_equal(
+            bulk_ckpt._memory["U"].data, np.arange(8, dtype=np.int32)
+        )
+
+
+class TestEagerBoundsCheck:
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("access", ["load", "store", "load_many", "store_many"])
+    @pytest.mark.parametrize("index", [-1, 8])
+    def test_out_of_range_index_leaves_private_state_untouched(
+        self, sparse, access, index
+    ):
+        def body(ctx, i):
+            if access == "load":
+                ctx.load("A", index)
+            elif access == "store":
+                ctx.store("A", index, 5)
+            elif access == "load_many":
+                ctx.load_many("A", np.array([0, index], dtype=np.int64))
+            else:
+                ctx.store_many("A", np.array([0, index], dtype=np.int64), np.array([5, 5]))
+
+        loop = _int_loop(body, sparse=sparse)
+        machine, states = setup(loop, n_procs=1)
+        with pytest.raises(IndexError):
+            execute_block(machine, loop, states[0], Block(0, 0, 1), None)
+        view = states[0].views["A"]
+        assert not any(view.has_local(i) for i in range(8))
+        assert view.n_written() == 0
+        assert states[0].shadows["A"].is_clear()
+        if not sparse:
+            assert not view._have[-1] and not view._written[-1]
+        else:
+            assert -1 not in view._values
+
+    def test_out_of_range_update_leaves_partials_untouched(self):
+        loop = make_loop(
+            lambda ctx, i: ctx.update("A", -1, 1.0),
+            reductions={"A": ReductionOp.SUM},
+        )
+        machine, states = setup(loop, n_procs=1)
+        with pytest.raises(IndexError):
+            execute_block(machine, loop, states[0], Block(0, 0, 1), None)
+        assert not states[0].partials.get("A")
+
+
+# -- the columnar recorder against per-access marking ------------------------------
+
+#: Element range of the recorder decks: small, so accesses collide.
+REC_N = 6
+REC_PROCS = 3
+REC_COSTS = CostModel(mark=0.013, copy_in=0.029, checkpoint_per_elem=0.017)
+
+_rec_index = st.integers(min_value=0, max_value=REC_N - 1)
+_rec_op = st.one_of(
+    st.tuples(st.sampled_from(["load", "store"]), st.sampled_from("DSU"), _rec_index),
+    st.tuples(st.just("update"), st.just("R"), _rec_index),
+    st.tuples(
+        st.sampled_from(["load_many", "store_many"]),
+        st.sampled_from("DSU"),
+        st.lists(_rec_index, max_size=3),
+    ),
+)
+#: Blocks of one stage, in order: ``(proc, slowdown, ops per iteration)``.
+#: Processors repeat, as a sliding window runs several blocks on one.
+_rec_blocks = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=REC_PROCS - 1),
+        st.sampled_from([1.0, 1.7]),
+        st.lists(st.lists(_rec_op, max_size=4), min_size=1, max_size=4),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _rec_value(i: int, k: int) -> float:
+    return float(100 * i + k)
+
+
+def _rec_loop(program):
+    def body(ctx, i):
+        for k, (op, name, arg) in enumerate(program[i]):
+            if op == "load":
+                ctx.load(name, arg)
+            elif op == "store":
+                ctx.store(name, arg, _rec_value(i, k))
+            elif op == "update":
+                ctx.update(name, arg, 1.0)
+            elif op == "load_many":
+                ctx.load_many(name, np.asarray(arg, dtype=np.int64))
+            else:
+                ctx.store_many(
+                    name, np.asarray(arg, dtype=np.int64),
+                    np.full(len(arg), _rec_value(i, k)) + np.arange(len(arg)),
+                )
+
+    return SpeculativeLoop(
+        "recorder", len(program), body,
+        arrays=[
+            ArraySpec("D", np.arange(float(REC_N)), tested=True, sparse=False),
+            ArraySpec("S", np.arange(float(REC_N)), tested=True, sparse=True),
+            ArraySpec("R", np.zeros(REC_N), tested=True, sparse=False),
+            ArraySpec("U", np.arange(float(REC_N)) + 50.0, tested=False),
+        ],
+        reductions={"R": ReductionOp.SUM},
+        iter_work=lambda i: 1.0 + 0.1 * i,
+    )
+
+
+class _PerAccessReference:
+    """The access path as it was before columnar recording: every access
+    marks its shadow through the scalar ``mark_*`` methods, every untested
+    write logs ``index -> writer set`` and saves ``(proc, old value)`` on
+    first touch, and every charge is one fold addition, in access order."""
+
+    def __init__(self, loop, on_demand):
+        self.loop = loop
+        self.on_demand = on_demand
+        self.shadows = {
+            p: {"D": DenseShadow(REC_N), "S": SparseShadow(REC_N), "R": DenseShadow(REC_N)}
+            for p in range(REC_PROCS)
+        }
+        self.have = {p: {"D": set(), "S": set()} for p in range(REC_PROCS)}
+        self.untested = np.arange(float(REC_N)) + 50.0
+        self.full = self.untested.copy()
+        self.saved: dict[int, tuple[int, float]] = {}
+        self.writers: dict[int, set[int]] = {}
+        self.fold = {p: {} for p in range(REC_PROCS)}
+        self.iter_times = {p: {} for p in range(REC_PROCS)}
+        self.iter_work = {p: {} for p in range(REC_PROCS)}
+        self.block_times: list[float] = []
+
+    def _charge(self, category, amount):
+        charged = amount * self.slowdown
+        self.iter_time += charged
+        if charged:
+            fold = self.fold[self.proc]
+            fold[category] = fold.get(category, 0.0) + charged
+            self.block_time += charged
+
+    def _write_untested(self, index, value):
+        self.writers.setdefault(index, set()).add(self.proc)
+        if index not in self.saved:
+            source = self.untested if self.on_demand else self.full
+            self.saved[index] = (self.proc, float(source[index]))
+            if self.on_demand:
+                self._charge(Category.CHECKPOINT, REC_COSTS.checkpoint_per_elem)
+        self.untested[index] = value
+
+    def _read(self, name, indices, bulk):
+        shadows, have = self.shadows[self.proc], self.have[self.proc]
+        copied = 0
+        for index in indices:
+            shadows[name].mark_read(index)
+            if index not in have[name]:
+                have[name].add(index)
+                copied += 1
+                if not bulk:
+                    self._charge(Category.MARK, REC_COSTS.mark)
+                    self._charge(Category.COPY_IN, REC_COSTS.copy_in)
+                    continue
+            if not bulk:
+                self._charge(Category.MARK, REC_COSTS.mark)
+        if bulk:
+            self._charge(Category.MARK, REC_COSTS.mark * len(indices))
+            if copied:
+                self._charge(Category.COPY_IN, REC_COSTS.copy_in * copied)
+
+    def run_block(self, proc, slowdown, iterations, start):
+        self.proc, self.slowdown, self.block_time = proc, slowdown, 0.0
+        for i in range(start, start + len(iterations)):
+            self.iter_time = 0.0
+            base = self.loop.work_of(i) * REC_COSTS.omega
+            self._charge(Category.WORK, base)
+            for k, (op, name, arg) in enumerate(iterations[i - start]):
+                value = _rec_value(i, k)
+                if name == "U":
+                    if op == "store":
+                        self._write_untested(arg, value)
+                    elif op == "store_many":
+                        for j, index in enumerate(arg):
+                            self._write_untested(index, value + j)
+                elif op == "load":
+                    self._read(name, [arg], bulk=False)
+                elif op == "load_many":
+                    self._read(name, arg, bulk=True)
+                elif op == "update":
+                    self.shadows[proc][name].mark_update(arg)
+                    self._charge(Category.MARK, REC_COSTS.mark)
+                else:
+                    indices = [arg] if op == "store" else arg
+                    for index in indices:
+                        self.have[proc][name].add(index)
+                        self.shadows[proc][name].mark_write(index)
+                    if op == "store":
+                        self._charge(Category.MARK, REC_COSTS.mark)
+                    else:
+                        self._charge(Category.MARK, REC_COSTS.mark * len(arg))
+            self.iter_times[proc][i] = self.iter_time
+            self.iter_work[proc][i] = base
+        self.block_times.append(self.block_time)
+
+    def restore_failed(self, failed):
+        dirty = []
+        for index, writers in self.writers.items():
+            if not writers & failed:
+                continue
+            if writers - failed:
+                raise CheckpointError(f"element {index}")
+            dirty.append(index)
+        for index in dirty:
+            self.untested[index] = self.saved.pop(index)[1]
+            del self.writers[index]
+        return len(dirty)
+
+
+def _planes(shadow):
+    return (
+        shadow.write_set(), shadow.exposed_read_set(),
+        shadow.any_read_set(), shadow.update_set(),
+    )
+
+
+class TestColumnarRecorder:
+    @pytest.mark.parametrize("kernels", kernel_names())
+    @given(
+        blocks=_rec_blocks,
+        on_demand=st.booleans(),
+        failed=st.sets(st.integers(min_value=0, max_value=REC_PROCS - 1)),
+    )
+    @example(  # same-index read-after-write, then write-after-read, in one block
+        blocks=[(0, 1.0, [[("load", "D", 2), ("store", "D", 2), ("load", "D", 2)],
+                          [("store", "S", 1), ("load", "S", 1), ("load", "S", 3)]])],
+        on_demand=True, failed={0},
+    )
+    @example(  # two blocks on one processor; a committing/failed clash on U
+        blocks=[(1, 1.7, [[("store", "U", 4), ("load", "D", 0)]]),
+                (2, 1.0, [[("store_many", "U", [4, 5, 4])]]),
+                (1, 1.0, [[("store", "D", 0), ("load_many", "D", [0, 1, 0])]])],
+        on_demand=True, failed={2},
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_access_marking(self, kernels, blocks, on_demand, failed):
+        program = [ops for _, _, iterations in blocks for ops in iterations]
+        loop = _rec_loop(program)
+        reference = _PerAccessReference(loop, on_demand)
+        with use_kernels(kernels):
+            machine = Machine(REC_PROCS, costs=REC_COSTS, memory=loop.materialize())
+            machine.begin_stage()
+            states = {p: make_processor_state(machine, loop, p) for p in range(REC_PROCS)}
+            ckpt = CheckpointManager(machine.memory, ["U"], on_demand=on_demand)
+            ckpt.begin_stage()
+            start, block_times = 0, []
+            for proc, slowdown, iterations in blocks:
+                block = Block(proc, start, start + len(iterations))
+                ctx = execute_block(machine, loop, states[proc], block, ckpt, slowdown=slowdown)
+                block_times.append(ctx.block_time)
+                reference.run_block(proc, slowdown, iterations, start)
+                start = block.stop
+
+            assert [repr(t) for t in block_times] == [repr(t) for t in reference.block_times]
+            for p in range(REC_PROCS):
+                state = states[p]
+                for name, shadow in reference.shadows[p].items():
+                    assert _planes(state.shadows[name]) == _planes(shadow), (p, name)
+                assert state.iter_times == reference.iter_times[p]
+                assert state.iter_work == reference.iter_work[p]
+                settled = machine.timeline.current.per_proc.get(p, {})
+                assert [(c, repr(v)) for c, v in settled.items()] == [
+                    (c, repr(v)) for c, v in reference.fold[p].items()
+                ]
+                written = set(ckpt.modified_by([p])["U"])
+                assert written == {i for i, w in reference.writers.items() if p in w}
+            if on_demand:
+                assert ckpt._saved["U"] == {i: v for i, (_, v) in reference.saved.items()}
+                assert ckpt.elements_checkpointed == len(reference.saved)
+            u = machine.memory["U"].data
+            assert np.array_equal(u, reference.untested)
+
+            try:
+                expected = reference.restore_failed(failed)
+            except CheckpointError:
+                with pytest.raises(CheckpointError):
+                    ckpt.restore_failed(failed)
+                return
+            assert ckpt.restore_failed(failed) == expected
+            assert ckpt.last_restored_bytes == expected * u.itemsize
+            assert np.array_equal(u, reference.untested)
+            for p in failed:
+                assert ckpt.modified_by([p])["U"] == []

@@ -216,6 +216,72 @@ def test_trace_dependence_kernels_on_a_chain():
         assert (deps.conflicts, deps.sink_iterations) == (1, 5)
 
 
+#: Signed access logs: a read of ``i`` is ``i``, a write is ``~i``.
+access_logs = st.lists(
+    st.integers(min_value=0, max_value=15).flatmap(
+        lambda i: st.sampled_from([i, ~i])
+    ),
+    max_size=40,
+)
+
+
+@given(log=access_logs)
+@example(log=[])
+@example(log=[3, ~3, 3, ~5, 5, 5, 7])
+@example(log=[~2, ~2, 2])
+@settings(max_examples=200, deadline=None)
+def test_access_log_kernels_match(log):
+    entries = _idx(log)
+    got_vector = vector.resolve_access_log(entries)
+    got_scalar = scalar.resolve_access_log(entries)
+    for v, s in zip(got_vector, got_scalar):
+        assert v.dtype == s.dtype == np.int64
+        assert np.array_equal(v, s)
+    # An element is an open read when its first access is a read, a
+    # covered read when it is read but written first.
+    open_reads, writes, covered = got_scalar
+    first = {}
+    for e in log:
+        first.setdefault(e if e >= 0 else ~e, e >= 0)
+    reads = {e for e in log if e >= 0}
+    assert set(open_reads.tolist()) == {i for i, r in first.items() if r}
+    assert set(writes.tolist()) == {~e for e in log if e < 0}
+    assert set(covered.tolist()) == {i for i in reads if not first[i]}
+
+
+@given(log=access_logs, premarked=st.lists(st.integers(0, 15), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_set_log_marking_kernels_match(log, premarked):
+    planes = {}
+    for name, impl in KERNELS.items():
+        write, exposed, any_read = set(premarked), set(), set()
+        impl.mark_log_set(write, exposed, any_read, 16, _idx(log))
+        planes[name] = (write, exposed, any_read)
+    assert planes["vector"] == planes["scalar"]
+
+
+@pytest.mark.parametrize("shadow_cls", [DenseShadow, SparseShadow])
+@given(log=access_logs, premarked=st.lists(st.integers(0, 15), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_apply_log_matches_per_access_marking(shadow_cls, log, premarked):
+    # The block-end log pass leaves exactly the planes per-access marking
+    # leaves, on top of write marks set by earlier blocks.
+    reference = shadow_cls(16)
+    for index in premarked:
+        reference.mark_write(index)
+    for entry in log:
+        if entry < 0:
+            reference.mark_write(~entry)
+        else:
+            reference.mark_read(entry)
+    for name in sorted(KERNELS):
+        with use_kernels(name):
+            shadow = shadow_cls(16)
+            shadow.mark_write_many(_idx(premarked))
+            shadow.apply_log(_idx(log))
+        assert _shadow_fingerprint(shadow) == _shadow_fingerprint(reference)
+
+
 @pytest.mark.parametrize("impl_name", sorted(KERNELS))
 def test_primitive_bounds_errors(impl_name):
     impl = KERNELS[impl_name]
@@ -226,6 +292,10 @@ def test_primitive_bounds_errors(impl_name):
         impl.mark_reads_bits(words, words.copy(), words.copy(), 100, _idx([-1]))
     with pytest.raises(IndexError):
         impl.mark_writes_set(set(), 100, _idx([100]))
+    with pytest.raises(IndexError, match=r"element 100 out of range \[0, 100\)"):
+        impl.mark_log_set(set(), set(), set(), 100, _idx([3, ~100]))
+    with pytest.raises(IndexError, match=r"element 100 out of range"):
+        impl.mark_log_set(set(), set(), set(), 100, _idx([100]))
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,64 @@ class TestContractEnforcement:
         assert ckpt.modified_by([1, 3]) == {"B": [2, 7]}
 
 
+class TestWriterColumns:
+    def test_capture_checkpoint_saves_without_charging(self):
+        mem = make_memory()
+        ckpt = CheckpointManager(mem, ["B"], on_demand=True, charge_saves=False)
+        ckpt.begin_stage()
+        assert ckpt.note_write(0, "B", 3) == 0
+        assert ckpt.note_write_many(0, "B", np.array([3, 4, 4])) == 0
+        mem["B"].data[[3, 4]] = -1.0
+        assert ckpt.restore_failed([0]) == 2
+        assert mem["B"].data.tolist() == list(np.arange(8.0))
+
+    def test_export_writes_gathers_current_values(self):
+        mem = make_memory()
+        ckpt = CheckpointManager(mem, ["B"], on_demand=True)
+        ckpt.begin_stage()
+        ckpt.note_write_many(1, "B", np.array([6, 2, 6]))
+        ckpt.note_write(0, "B", 5)
+        mem["B"].data[[2, 5, 6]] = [-2.0, -5.0, -6.0]
+        (idx, values), = ckpt.export_writes(1).values()
+        assert idx.tolist() == [2, 6] and values.tolist() == [-2.0, -6.0]
+        assert ckpt.export_writes(3) == {}
+
+    def test_full_mode_restores_from_the_stage_copy(self):
+        mem = make_memory()
+        ckpt = CheckpointManager(mem, ["B"], on_demand=False)
+        ckpt.begin_stage()
+        ckpt.note_write_many(2, "B", np.array([1, 7]))
+        mem["B"].data[[1, 7]] = -1.0
+        assert ckpt.restore_failed([2]) == 2
+        assert mem["B"].data[1] == 1.0 and mem["B"].data[7] == 7.0
+        assert ckpt.elements_checkpointed == 8
+
+    def test_rolled_back_element_rechecks_its_first_touch(self):
+        # A restored element's save is dropped, so a later write in the
+        # same stage is a first touch again (and is counted again).
+        mem = make_memory()
+        ckpt = CheckpointManager(mem, ["B"], on_demand=True)
+        ckpt.begin_stage()
+        ckpt.note_write(1, "B", 4)
+        ckpt.restore_failed([1])
+        assert ckpt.note_write(1, "B", 4) == 1
+        assert ckpt.elements_checkpointed == 2
+
+    def test_write_handles_need_an_open_stage(self):
+        ckpt = CheckpointManager(make_memory(), ["B"], on_demand=True)
+        with pytest.raises(CheckpointError, match="begin_stage"):
+            ckpt.write_handles(0)
+
+    def test_clash_names_both_processor_groups(self):
+        ckpt = CheckpointManager(make_memory(), ["B"], on_demand=True)
+        ckpt.begin_stage()
+        ckpt.note_write_many(0, "B", np.array([6, 3]))
+        ckpt.note_write(4, "B", 3)
+        ckpt.note_write(5, "B", 3)
+        with pytest.raises(CheckpointError, match=r"element 3 .*\[0\].*\[4, 5\]"):
+            ckpt.restore_failed([4, 5])
+
+
 class TestIsolationValidator:
     def test_clean_pattern_passes(self):
         reads = {"B": {3: {0}}}

@@ -23,8 +23,11 @@ from repro.core.runner import parallelize
 from repro.errors import ConfigurationError
 from repro.loopir.context import SequentialContext
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
+from repro.machine.memory import MemoryImage, SharedArray
+from repro.kernels import READ
 from repro.loopir.symbolic import (
     AffineSite,
+    ProbeContext,
     affine_dependences,
     probe_loop,
     trace_dependences,
@@ -107,6 +110,16 @@ class TestProbe:
         assert [(r.kind, r.index) for r in per_iter] == [
             ("r", 2), ("r", 2), ("w", 2)
         ]
+
+    @pytest.mark.parametrize("indices", [[], [3, 1, 3]])
+    def test_bulk_load_keeps_the_array_dtype(self, indices):
+        memory = MemoryImage([SharedArray("A", np.arange(4, dtype=np.int32))])
+        ctx = ProbeContext(memory)
+        ctx.iteration = 7
+        values = ctx.load_many("A", np.asarray(indices, dtype=np.int64))
+        assert values.dtype == np.int32
+        assert values.tolist() == indices
+        assert ctx.log == [q for i in indices for q in (7, READ, 0, i)]
 
     def test_premature_exit_recorded(self):
         def body(ctx, i):

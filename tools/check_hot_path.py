@@ -32,6 +32,8 @@ SRC = ROOT / "src" / "repro"
 #: Files and directories whose statement loops need justification.
 HOT_PATHS = (
     "shadow",
+    "core/executor.py",
+    "machine/checkpoint.py",
     "machine/memory.py",
     "core/analysis.py",
     "loopir/symbolic.py",
