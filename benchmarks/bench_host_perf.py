@@ -13,6 +13,11 @@ gate miss or crash, which is how CI gates the parallel backends::
 
     python benchmarks/bench_host_perf.py --quick --out BENCH_host.json
 
+Each process backend's speedup is printed beside the share of its stages
+it ran in the parent (``inline_share``): the fork and shm backends
+dispatch a stage only when its measured pool cost is repaid, so a
+speedup near 1.0x with a full inline share is serial execution.
+
 Speedup gates are conditioned on the host CPU count recorded in the
 results: with 4+ cpus (the CI runner size) shm and threads must reach
 1.5x serial on the dense doall and at least break even on the sparse
@@ -58,6 +63,8 @@ def _speedup_gates(cpus: int):
 
 
 def _check(result) -> list[str]:
+    from repro.bench.hostperf import inline_note
+
     problems = []
     workloads = {entry["name"]: entry for entry in result.data["workloads"]}
     for entry in workloads.values():
@@ -83,6 +90,7 @@ def _check(result) -> list[str]:
             problems.append(
                 f"{backend} speedup {speedup:.2f}x on {name} is below the "
                 f"{floor:.1f}x floor for a {cpus}-cpu host"
+                + inline_note(workloads[name], backend)
             )
     for prim, case in sorted(result.data["kernel_microbench"]["primitives"].items()):
         if case["speedup"] <= 1.0:

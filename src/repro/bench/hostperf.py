@@ -62,9 +62,20 @@ def _summary(result) -> dict:
     }
 
 
+def _inline_share(result) -> float | None:
+    """Share of a process-backend run's stages that ran in the parent
+    (their dispatch would not have paid); ``None`` for backends that
+    make no such choice."""
+    sup = result.supervision
+    inline = sup.get("supervise.inline_stages", 0)
+    total = inline + sup.get("supervise.dispatched_stages", 0)
+    return inline / total if total else None
+
+
 def _time_backends(make_loop, n_procs: int, repeats: int) -> dict:
     timings: dict[str, float] = {}
     summaries: dict[str, dict] = {}
+    inline: dict[str, float | None] = {}
     for backend in BACKENDS:
         # certify="off": the sweep times the full speculative pipeline.
         # Under the default --certify=hint the dense doall would take the
@@ -80,8 +91,12 @@ def _time_backends(make_loop, n_procs: int, repeats: int) -> dict:
         seconds, result = measure_host(fn, repeats)
         timings[backend] = seconds
         summaries[backend] = _summary(result)
+        inline[backend] = _inline_share(result)
     return {
         "seconds": timings,
+        # A process backend's speedup over serial may come from running
+        # its stages in the parent, not in parallel: report the share.
+        "inline_share": inline,
         "speedup": {
             backend: timings["serial"] / timings[backend]
             for backend in BACKENDS
@@ -287,6 +302,13 @@ def _certified_fastpath_microbench(n: int, n_procs: int, repeats: int) -> dict:
     }
 
 
+def inline_note(entry: dict, backend: str) -> str:
+    """``", N% inline"`` for a process backend's sweep entry: a speedup
+    near 1.0x with a full share is serial execution, not a parallel gain."""
+    share = entry["inline_share"][backend]
+    return "" if share is None else f", {share:.0%} inline"
+
+
 @register("host_perf")
 def host_perf(quick: bool) -> ExperimentResult:
     n_procs = 4
@@ -320,7 +342,7 @@ def host_perf(quick: bool) -> ExperimentResult:
         cells = [f"serial {seconds['serial'] * 1e3:8.1f} ms"]
         cells += [
             f"{backend} {seconds[backend] * 1e3:8.1f} ms "
-            f"({speedup[backend]:4.2f}x)"
+            f"({speedup[backend]:4.2f}x{inline_note(entry, backend)})"
             for backend in BACKENDS
             if backend != "serial"
         ]

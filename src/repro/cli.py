@@ -31,6 +31,7 @@ from repro.kernels import kernel_names
 from repro.core.ddg import extract_ddg
 from repro.core.engine import resolve_strategy, strategy_names
 from repro.core.runner import parallelize
+from repro.core.supervise import supervision_acted
 from repro.core.verify import certify
 from repro.core.wavefront import execute_wavefront, wavefront_schedule
 from repro.errors import ConfigurationError
@@ -217,7 +218,9 @@ def cmd_run(args) -> int:
             f"fault retries: {result.retries}; "
             f"degraded stages: {result.degraded_stages}; dead procs: {dead}"
         )
-    if result.supervision:
+    # Printed only when supervision acted: an undisturbed run's output is
+    # the same on every backend, whichever stages it ran in the parent.
+    if supervision_acted(result.supervision):
         sup = result.supervision
         fallbacks = ", ".join(
             f"{d['from']}->{d['to']}"
@@ -228,7 +231,10 @@ def cmd_run(args) -> int:
             f"redispatched blocks: {sup['supervise.redispatched_blocks']}; "
             f"kills: {sup['supervise.kills']}; "
             f"overdue: {sup['supervise.overdue']}; "
-            f"backend fallbacks: {fallbacks}"
+            f"backend fallbacks: {fallbacks}; "
+            f"stages inline: {sup['supervise.inline_stages']}, "
+            f"dispatched: {sup['supervise.dispatched_stages']}; "
+            f"pools started: {sup['supervise.pools_started']}"
         )
     if args.breakdown:
         print()

@@ -620,6 +620,7 @@ class StageEngine:
                 backend=self.backend.name, stages=result.n_stages,
                 restarts=result.n_restarts,
                 host_s=round(self.host_now(), 6),
+                **self.supervision.dispatch_counts(),
             )
             return result
         except BaseException as exc:
@@ -927,7 +928,7 @@ class StageEngine:
         )
         if self.metrics_enabled:
             result.metrics = self.machine.metrics.snapshot()
-        if self.supervision.active:
+        if self.supervision.reported:
             result.supervision = self.supervision.snapshot()
         if self.injector is not None:
             result.retries = self.retries

@@ -126,8 +126,11 @@ class RunResult:
     supervision: dict = field(default_factory=dict)
     """Flat ``supervise.*`` counters (:class:`~repro.core.supervise.
     SupervisionStats`) when the worker supervisor acted this run --
-    respawns, re-dispatched blocks, kills, backend degradations; empty on
-    undisturbed runs.  Host-dependent, deliberately outside ``metrics``."""
+    respawns, re-dispatched blocks, kills, backend degradations -- or a
+    process backend chose where its stages ran (``inline_stages``,
+    ``dispatched_stages``, ``pools_started``); empty on undisturbed
+    serial and threads runs.  Host-dependent, deliberately outside
+    ``metrics``."""
 
     certificate: object = None
     """:class:`~repro.model.certify.LoopCertificate` attached when the

@@ -1136,7 +1136,7 @@ class ShmBackend(ForkBackend):
 
     # -- teardown ---------------------------------------------------------------
 
-    def close(self) -> None:
+    def _release(self) -> None:
         if self._workers is not None:
             workers, self._workers = self._workers, None
             get_oplog().log(

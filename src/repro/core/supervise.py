@@ -36,7 +36,9 @@ Supervision outcomes deliberately stay **out** of the deterministic event
 and metrics streams: a disturbed run must produce a bit-identical trace to
 an undisturbed one (the golden acceptance bar).  Counters live on the
 engine's :class:`SupervisionStats` (surfaced as ``RunResult.supervision``
-and ``StageResult.redispatched_procs``), and kill/respawn/redispatch
+and ``StageResult.redispatched_procs``) -- beside the counts of stages a
+process backend ran in the parent or dispatched, which stay out of those
+streams for the same reason -- and kill/respawn/redispatch
 timings are logged as ``supervise`` records through the unified oplog
 (:mod:`repro.obs.oplog`; point ``REPRO_OPLOG`` -- or its deprecated
 alias ``REPRO_SUPERVISE_LOG`` -- at a path; CI uploads it on chaos-job
@@ -114,6 +116,20 @@ def log_supervision(
     )
 
 
+#: :class:`SupervisionStats` counters that record where stages ran, not
+#: fault handling.
+DISPATCH_COUNTERS = ("inline_stages", "dispatched_stages", "pools_started")
+
+
+def supervision_acted(snapshot: dict) -> bool:
+    """Whether a ``RunResult.supervision`` snapshot records fault handling
+    rather than only the dispatch counts."""
+    return any(
+        value for key, value in snapshot.items()
+        if key.removeprefix("supervise.") not in DISPATCH_COUNTERS
+    )
+
+
 @dataclass
 class SupervisionStats:
     """Engine-lifetime counters of OS-level fault handling.
@@ -148,6 +164,16 @@ class SupervisionStats:
     stage_redispatched_procs: list[int] = field(default_factory=list)
     """Scratch: processors re-dispatched since the last stage drain."""
 
+    inline_stages: int = 0
+    """Process-backend stages run in the parent: their dispatch would not
+    have paid (:meth:`~repro.core.backend.ForkBackend.dispatch_pays`)."""
+
+    dispatched_stages: int = 0
+    """Process-backend stages sent to the worker pool."""
+
+    pools_started: int = 0
+    """Worker pools started (lazily, on the first dispatched stage)."""
+
     @property
     def active(self) -> bool:
         """Whether any supervision action happened this run."""
@@ -156,6 +182,12 @@ class SupervisionStats:
             or self.overdue or self.found_dead or self.quarantined_blocks
             or self.degradations
         )
+
+    @property
+    def reported(self) -> bool:
+        """Whether ``RunResult.supervision`` carries this run's counters:
+        supervision acted, or a process backend decided where stages run."""
+        return self.active or bool(self.inline_stages or self.dispatched_stages)
 
     def take_stage_redispatched(self) -> list[int]:
         """Drain the per-stage redispatch scratch (engine calls this once
@@ -174,7 +206,12 @@ class SupervisionStats:
             "supervise.found_dead": self.found_dead,
             "supervise.quarantined_blocks": self.quarantined_blocks,
             "supervise.degradations": list(self.degradations),
+            **{f"supervise.{k}": v for k, v in self.dispatch_counts().items()},
         }
+
+    def dispatch_counts(self) -> dict:
+        """Where the process backends ran their stages (host plane only)."""
+        return {name: getattr(self, name) for name in DISPATCH_COUNTERS}
 
 
 class PoolDegradation(Exception):

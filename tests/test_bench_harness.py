@@ -116,3 +116,26 @@ class TestJsonExport:
 
         assert main(["fig01", "--quick", "--json", str(tmp_path)]) == 0
         assert (tmp_path / "fig01.json").exists()
+
+
+class TestHostPerfInlineShare:
+    """The backend sweep reports how many of a process backend's stages
+    ran in the parent, so a speedup is not read as parallel when it is
+    serial execution."""
+
+    def test_share_from_the_dispatch_counts(self):
+        from types import SimpleNamespace
+
+        from repro.bench.hostperf import _inline_share, inline_note
+
+        def result(supervision):
+            return SimpleNamespace(supervision=supervision)
+
+        assert _inline_share(result({})) is None
+        share = _inline_share(result({
+            "supervise.inline_stages": 3, "supervise.dispatched_stages": 1,
+        }))
+        assert share == 0.75
+        entry = {"inline_share": {"fork": share, "threads": None}}
+        assert inline_note(entry, "fork") == ", 75% inline"
+        assert inline_note(entry, "threads") == ""

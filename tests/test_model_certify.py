@@ -365,7 +365,8 @@ class TestFastPath:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("loop_name", ["strided-doall", "prefix-sum"])
-    def test_bit_identical_across_backends(self, loop_name, backend):
+    def test_bit_identical_across_backends(self, loop_name, backend, always_dispatch):
+        # Pinned to the pool: fast-path plain tasks must cross each data plane.
         factory = _corpus()
         serial = summarize(parallelize(factory[loop_name], P))
         got = summarize(

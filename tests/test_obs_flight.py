@@ -143,6 +143,7 @@ class TestBundleRoundTrip:
             load_bundle(str(tmp_path / "nope"))
 
 
+@pytest.mark.usefixtures("always_dispatch")
 class TestCrashBundleEndToEnd:
     """A SIGKILL'd fork worker escalates to an uncaught SpeculationError;
     the run leaves a crash bundle that the CLI renders."""

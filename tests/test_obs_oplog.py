@@ -121,6 +121,7 @@ class TestOpLog:
         assert get_oplog() is get_oplog()
 
 
+@pytest.mark.usefixtures("always_dispatch")
 class TestAdoption:
     """Engine + supervisors write through the same oplog file."""
 

@@ -133,6 +133,7 @@ def _sampled_run(backend, consumer, n=96):
     eng.run()
 
 
+@pytest.mark.usefixtures("always_dispatch")
 class TestBackendResourceInfo:
     """Per-backend ``resource_info()`` content, observed through a live
     sampled engine run (poking a closed backend directly is brittle)."""

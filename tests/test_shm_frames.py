@@ -194,6 +194,7 @@ def _summary(result):
     )
 
 
+@pytest.mark.usefixtures("always_dispatch")
 def test_shm_sparse_steady_state_moves_no_pickle(monkeypatch):
     make_loop = lambda: make_dcdcmp15_loop("perfect-up")  # noqa: E731
     config = RuntimeConfig.adaptive(backend="serial")

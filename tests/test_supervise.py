@@ -32,10 +32,15 @@ from tests.engine_parity_cases import summarize
 P = 4
 CHAOS_BACKENDS = ["fork", "shm"]
 
-pytestmark = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="worker pools need the fork start method",
-)
+# Every stage goes to the pool (os_chaos runs dispatch anyway; the
+# self-killing and raising bodies below need workers to act on).
+pytestmark = [
+    pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(),
+        reason="worker pools need the fork start method",
+    ),
+    pytest.mark.usefixtures("always_dispatch"),
+]
 
 
 def _chain():
@@ -209,6 +214,8 @@ class TestHangDetection:
         # process must end up SIGKILLed (not a zombie), its blocks
         # re-dispatched, the results bit-identical.
         log_path = tmp_path / "supervise.jsonl"
+        # REPRO_OPLOG (set by CI) would take precedence over the alias.
+        monkeypatch.delenv("REPRO_OPLOG", raising=False)
         monkeypatch.setenv("REPRO_SUPERVISE_LOG", str(log_path))
         serial = summarize(parallelize(_chain(), P, RuntimeConfig.adaptive()))
         result = parallelize(
@@ -300,6 +307,8 @@ class TestThreadsCancellation:
         self, tmp_path, monkeypatch
     ):
         log_path = tmp_path / "supervise.jsonl"
+        # REPRO_OPLOG (set by CI) would take precedence over the alias.
+        monkeypatch.delenv("REPRO_OPLOG", raising=False)
         monkeypatch.setenv("REPRO_SUPERVISE_LOG", str(log_path))
         serial = summarize(
             parallelize(
@@ -367,6 +376,7 @@ class TestThreadsCancellation:
         import pytest as _pytest
 
         with _pytest.MonkeyPatch.context() as mp_ctx:
+            mp_ctx.delenv("REPRO_OPLOG", raising=False)
             mp_ctx.setenv("REPRO_SUPERVISE_LOG", str(log_path))
             result = parallelize(
                 self._stall_loop({"left": 10**9}), P,

@@ -15,10 +15,13 @@ retry bounds) and they drifted.  Four checks keep that from recurring:
 3. **One stage-result builder** -- ``StageResult(...)`` is called only in
    ``repro/core/engine.py`` (its ``stage_result`` helper); the event
    deserializer, which rebuilds a recorded result, is exempt.
-4. **Blocks execute through a backend** -- ``execute_block(...)`` is
-   called only from the execution backends, so a runner that bypasses
-   the engine (and with it backends, faults and the self-check) cannot
-   return.
+4. **Blocks execute through a backend, in one loop each** --
+   ``execute_block(...)`` is called only from four functions: the serial
+   block loop (``SerialBackend.run_blocks``, which the process backends
+   also use for stages they run in the parent) and the three worker-side
+   task runners.  A runner that bypasses the engine (and with it
+   backends, faults and the self-check) cannot return, and no backend
+   grows a second parent-side block loop.
 
 Exits non-zero with a report on violation.  Run from the repo root::
 
@@ -52,10 +55,16 @@ DUPLICATION_SCOPE = (
     "fastpath.py",
 )
 
-#: Callee -> the modules (relative to ``src/repro``) allowed to call it.
+#: Callee -> where it may be called: a module (relative to ``src/repro``)
+#: or one function in it, ``module::Qualified.name``.
 RESTRICTED_CALLS = {
     "StageResult": ("core/engine.py", "obs/events.py"),
-    "execute_block": ("core/backend.py", "core/threads.py", "core/shm.py"),
+    "execute_block": (
+        "core/backend.py::SerialBackend.run_blocks",
+        "core/backend.py::_run_worker_task",
+        "core/shm.py::_run_shm_task",
+        "core/threads.py::_run_thread_task",
+    ),
 }
 
 WINDOW = 10  # consecutive identical normalized lines that count as a fork
@@ -109,19 +118,31 @@ def check_duplicate_runs() -> list[str]:
     return problems
 
 
+def _calls(node: ast.AST, scope: tuple[str, ...] = ()):
+    """Yield ``(call node, qualified name of the enclosing def)``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = (*scope, child.name)
+        if isinstance(child, ast.Call):
+            yield child, ".".join(scope)
+        yield from _calls(child, inner)
+
+
 def check_restricted_calls() -> list[str]:
     problems = []
     for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC).as_posix()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
+        for node, qualname in _calls(ast.parse(path.read_text())):
             func = node.func
             callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if callee in RESTRICTED_CALLS and module not in RESTRICTED_CALLS[callee]:
+            allowed = RESTRICTED_CALLS.get(callee)
+            if allowed is None:
+                continue
+            if module not in allowed and f"{module}::{qualname}" not in allowed:
                 problems.append(
                     f"src/repro/{module}:{node.lineno}: calls {callee}() "
-                    f"outside {', '.join(RESTRICTED_CALLS[callee])}"
+                    f"outside {', '.join(allowed)}"
                 )
     return problems
 
