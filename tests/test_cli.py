@@ -89,7 +89,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "critical path" in out
 
-    def test_ddg_on_shm_matches_serial(self, capsys):
+    def test_ddg_on_shm_matches_serial(self, capsys, always_dispatch):
         outs = {}
         for backend in ("serial", "shm"):
             argv = ["ddg", "spice15:adder.128", "-p", "8", "--backend", backend]

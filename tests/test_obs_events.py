@@ -159,8 +159,10 @@ class TestStreamGrammar:
         assert len(from_stream) == len(result.stages)
 
 
+@pytest.mark.usefixtures("always_dispatch")
 class TestObservabilityStream:
-    """Span/metric events must obey the contract under both backends."""
+    """Span/metric events must obey the contract under both backends (the
+    fork leg pinned to the pool: its worker metrics and span merge)."""
 
     def _instrumented(self, backend):
         from repro.core.backend import use_backend
