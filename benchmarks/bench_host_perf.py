@@ -1,4 +1,4 @@
-"""Host wall-clock sweep: serial/fork/shm/threads backends + kernels.
+"""Host wall-clock sweep: serial/fork/threads backends + kernels.
 
 As a benchmark (``pytest benchmarks/bench_host_perf.py``) it runs the
 registered ``host_perf`` experiment at quick scale and asserts backend
@@ -14,12 +14,12 @@ gate miss or crash, which is how CI gates the parallel backends::
     python benchmarks/bench_host_perf.py --quick --out BENCH_host.json
 
 Each process backend's speedup is printed beside the share of its stages
-it ran in the parent (``inline_share``): the fork and shm backends
-dispatch a stage only when its measured pool cost is repaid, so a
-speedup near 1.0x with a full inline share is serial execution.
+it ran in the parent (``inline_share``): the fork backend dispatches a
+stage only when its measured pool cost is repaid, so a speedup near
+1.0x with a full inline share is serial execution.
 
 Speedup gates are conditioned on the host CPU count recorded in the
-results: with 4+ cpus (the CI runner size) shm and threads must reach
+results: with 4+ cpus (the CI runner size) fork and threads must reach
 1.5x serial on the dense doall and at least break even on the sparse
 SPICE loop; with 2-3 cpus both must break even (threads on both
 workloads); on a single core no speedup is physically possible, so
@@ -42,13 +42,13 @@ from _common import run_figure
 
 #: (workload name, backend, minimum speedup over serial) by CPU tier.
 _GATES_4CPU = (
-    ("doall-dense", "shm", 1.5),
-    ("spice15-sparse", "shm", 1.0),
+    ("doall-dense", "fork", 1.5),
+    ("spice15-sparse", "fork", 1.0),
     ("doall-dense", "threads", 1.5),
     ("spice15-sparse", "threads", 1.0),
 )
 _GATES_2CPU = (
-    ("doall-dense", "shm", 1.0),
+    ("doall-dense", "fork", 1.0),
     ("doall-dense", "threads", 1.0),
     ("spice15-sparse", "threads", 1.0),
 )

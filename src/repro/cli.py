@@ -364,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--backend", choices=backend_names(), default=None,
         help="execution backend for stage blocks (serial = in-process, "
-        "fork = worker-process pool, shm = worker pool over shared-memory "
-        "segments; results are bit-identical)",
+        "fork = worker-process pool, shm = synonym for fork kept for the "
+        "host-time benchmark; results are bit-identical)",
     )
     run_p.add_argument(
         "--backend-workers", type=int, default=None, dest="backend_workers",
-        metavar="N", help="workers for the fork/shm pools (processes) and "
+        metavar="N", help="workers for the fork pool (processes) and "
         "the threads pool (threads)",
     )
     run_p.add_argument(
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--worker-timeout", type=float, default=None, dest="worker_timeout",
         metavar="SEC", help="floor of the supervisor's per-dispatch worker "
-        "deadline; an unresponsive worker is stopped (fork/shm: SIGKILL, "
+        "deadline; an unresponsive worker is stopped (fork: SIGKILL, "
         "threads: cooperative cancellation) and its blocks re-dispatched "
         "after at most this many seconds",
     )
@@ -389,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-worker-respawns", type=int, default=None,
         dest="max_worker_respawns", metavar="N",
         help="worker recoveries a parallel pool may spend on crashes "
-        "or hangs before degrading to the next backend down the "
-        "shm->fork->serial chain",
+        "or hangs before degrading to the serial backend",
     )
     run_p.add_argument(
         "--metrics", action="store_true",
@@ -410,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--resources", action="store_true",
-        help="sample host resources (RSS, CPU, /dev/shm, worker health) "
+        help="sample host resources (RSS, CPU, worker health) "
         "on a background thread; merged into --perfetto counter tracks",
     )
     run_p.add_argument(

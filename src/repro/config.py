@@ -128,9 +128,9 @@ class RuntimeConfig:
     """Execution backend running each stage's blocks (``None`` = the
     process-wide default, normally ``"serial"``): ``"serial"`` executes
     blocks in-process one after another, ``"fork"`` dispatches them to a
-    persistent pool of forked worker processes, ``"shm"`` runs the same
-    pool over a zero-copy shared-memory data plane with struct-packed
-    pipes (:mod:`repro.core.shm`), and ``"threads"`` runs blocks on
+    persistent pool of forked worker processes, ``"shm"`` is a synonym
+    for ``"fork"`` kept for the host-time benchmark
+    (:mod:`repro.core.shm`), and ``"threads"`` runs blocks on
     worker threads inside the engine's own process over the GIL-releasing
     kernel seam -- no fork, no diff-sync, no pickling
     (:mod:`repro.core.threads`; the cheapest dispatch, truly parallel on
@@ -140,7 +140,7 @@ class RuntimeConfig:
     resolves the backend (:func:`repro.core.backend.make_backend`)."""
 
     backend_workers: int | None = None
-    """Worker count for parallel backends -- processes for fork/shm,
+    """Worker count for parallel backends -- processes for fork,
     threads for the threads backend (``None`` = one per simulated
     processor, capped at the host CPU count)."""
 
@@ -154,7 +154,7 @@ class RuntimeConfig:
 
     worker_timeout: float = 30.0
     """Minimum seconds a worker may hold a dispatched share before the
-    supervisor declares it hung -- fork/shm workers are SIGKILLed and
+    supervisor declares it hung -- fork workers are SIGKILLed and
     re-forked, threads workers get a cooperative cancellation flag
     honoured at the next iteration boundary -- and its blocks are
     re-dispatched (:mod:`repro.core.supervise`,
@@ -169,15 +169,14 @@ class RuntimeConfig:
 
     max_worker_respawns: int = 3
     """Worker recoveries a parallel backend may spend over its lifetime:
-    replacement processes forked after fork/shm crashes or hangs, and
+    replacement processes forked after fork crashes or hangs, and
     cancel-and-redispatch cycles on the threads backend.  On exhaustion
     (or a poison block that kills every worker it touches) the backend
-    degrades gracefully (shm -> fork -> serial, threads -> serial)
-    instead of aborting the run."""
+    degrades gracefully to serial instead of aborting the run."""
 
     os_chaos: "OsChaosPlan | None" = None
     """OS-level chaos schedule (:mod:`repro.faults.os_chaos`): SIGKILL or
-    SIGSTOP real fork/shm workers at planned (stage, worker) points to
+    SIGSTOP real fork workers at planned (stage, worker) points to
     exercise the supervision layer.  ``None`` = no OS faults.  Composable
     with the logical ``fault_plan``.  The threads backend refuses chaos
     configs -- its workers share the engine's process."""
@@ -202,8 +201,8 @@ class RuntimeConfig:
     Implies ``spans`` unless explicitly disabled."""
 
     resources: bool | None = None
-    """Sample host resources (RSS, CPU time, /dev/shm bytes, queue
-    depths) on a background thread during the run
+    """Sample host resources (RSS, CPU time, queue depths) on a
+    background thread during the run
     (:mod:`repro.obs.resources`).  ``None`` = the process default: on
     when ``status_path`` is set or the ``REPRO_RESOURCES`` environment
     variable is truthy, else off.  Samples live strictly on the

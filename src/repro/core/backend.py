@@ -7,7 +7,7 @@ exploits that: the :class:`StageEngine` hands the stage's blocks to a
 backend as :class:`BlockTask` descriptors and receives :class:`BlockOutcome`
 objects back, without caring *where* the blocks ran.
 
-Four backends are provided:
+Three backends are provided, plus one synonym:
 
 * ``serial`` (the default) executes blocks one after another in-process,
   exactly the pre-backend behavior.
@@ -18,10 +18,6 @@ Four backends are provided:
   :mod:`repro.kernels` calls (and truly concurrent on free-threaded
   CPython builds); only folded charges, metrics snapshots and untested
   captures travel through the per-worker queues, merged in block order.
-* ``shm`` (:mod:`repro.core.shm`, registered lazily) runs forked workers
-  over a zero-copy shared-memory data plane: the memory image and the
-  dense private views/shadow bit planes live in shared segments, and the
-  pipes carry only struct-packed task descriptors and outcome headers.
 * ``fork`` dispatches the blocks to a persistent pool of forked worker
   processes.  Each worker runs :func:`~repro.core.executor.execute_block`
   against its own fresh :class:`~repro.core.executor.ProcessorState` and
@@ -32,6 +28,8 @@ Four backends are provided:
   results, events and virtual-time accounting are bit-identical to serial
   execution (enforced by running the golden parity suite under every
   backend).
+* ``shm`` (:mod:`repro.core.shm`, registered lazily) is the fork pool
+  under another name, kept for the host-time benchmark.
 
 Bit-exactness rests on two invariants the engine's strategies uphold:
 
@@ -62,8 +60,11 @@ pipes.  Worker shared memory is kept in sync by broadcasting the contents
 of arrays that changed since the last dispatch (commits, restores,
 reinitializations all funnel through parent memory, so a diff against the
 last synced snapshot catches every mutation without instrumentation).
+Workers write only their own copy-on-write address space and undo their
+untested writes before replying, so the parent's image never holds a
+worker's dirt.
 
-Both out-of-process backends run every dispatch under a
+Every dispatch runs under a
 :class:`~repro.core.supervise.WorkerSupervisor`: a SIGKILLed, OOM-killed
 or wedged worker is detected (process sentinel / dispatch deadline),
 reaped and replaced by a fresh fork, and its blocks are re-dispatched --
@@ -71,14 +72,10 @@ bit-identically, because deltas merge only after *all* replies arrive, so
 the parent carries no trace of the killed attempt.  When the pool is
 beyond repair the supervisor raises
 :class:`~repro.core.supervise.PoolDegradation` and the engine falls back
-down the shm -> fork -> serial chain.  The backend hooks the supervisor
-drives are ``_spawn_worker`` / ``_send_share`` / ``_recv_share`` /
-``_recover_shared_state`` / ``_halt_workers``, which -- with ``_release``
-for teardown -- is also exactly the surface
-:class:`~repro.core.shm.ShmBackend` overrides to reuse this module's
-``run_blocks`` and ``close`` verbatim.
+to serial.  The supervisor drives the pool through ``_spawn_worker`` /
+``_send_share`` / ``_recv_share`` / ``_halt_workers``.
 
-Both process backends dispatch a stage only when it pays
+The fork pool dispatches a stage only when it pays
 (:meth:`ForkBackend.dispatch_pays`), the host-time twin of the paper's
 Eq. 4 (redistribute only while the work saved beats the cost of moving
 it): a stage whose estimated parallel saving does not repay the measured
@@ -247,15 +244,13 @@ class ExecutionBackend:
 
         Purely informational (never affects execution): ``worker_pids``
         are OS process ids the sampler should read ``/proc`` stats for,
-        ``shm_bytes`` the bytes currently held in shared-memory
-        segments, ``inflight`` the blocks dispatched but not yet
-        collected, ``queue_depths`` any per-worker queue backlogs.
+        ``inflight`` the blocks dispatched but not yet collected,
+        ``queue_depths`` any per-worker queue backlogs.
         Backends override what they know; the base backend runs
         everything in-process and holds nothing.
         """
         return {
             "worker_pids": [],
-            "shm_bytes": 0,
             "inflight": 0,
             "queue_depths": [],
         }
@@ -631,9 +626,6 @@ class ForkBackend(ExecutionBackend):
 
     name = "fork"
 
-    #: Worker entry point (overridden by the shm backend).
-    _worker_target = staticmethod(_worker_main)
-
     #: The parent-side path for stages that do not pay for dispatch.
     #: Bound once here, not looked up per call: a wrapper installed on
     #: ``SerialBackend.run_blocks`` (hostbench's outside-in tracer) must
@@ -646,12 +638,11 @@ class ForkBackend(ExecutionBackend):
         self._last_sync: dict[str, np.ndarray] = {}
         self._wctx = None
         self._mp_ctx = None
-        self._updates: dict = {}
         self._updates_bytes: bytes = b""
         self._supervisor: WorkerSupervisor | None = None
 
     def _make_wctx(self):
-        """Build the context workers inherit through fork (hook)."""
+        """Build the context workers inherit through fork."""
         eng = self.eng
         memory = eng.machine.memory
         self._last_sync = {
@@ -717,27 +708,14 @@ class ForkBackend(ExecutionBackend):
         """
         parent_conn, child_conn = self._mp_ctx.Pipe()
         process = self._mp_ctx.Process(
-            target=self._worker_target, args=(child_conn, self._wctx),
+            target=_worker_main, args=(child_conn, self._wctx),
             daemon=True,
         )
         process.start()
         child_conn.close()
         return process, parent_conn
 
-    # -- supervision hooks -------------------------------------------------------
-
-    def _begin_dispatch(self, tasks: list[BlockTask]) -> None:
-        """Per-dispatch setup before shares are sent (hook).
-
-        The memory-update broadcast is pickled **once** here and the same
-        frame reused for every worker's send: re-serializing identical
-        array payloads per share was a measurable slice of fork dispatch
-        (see docs/cost-model.md on the spice15-sparse regression)."""
-        self._updates = self._memory_updates()
-        self._updates_bytes = (
-            pickle.dumps(self._updates, protocol=pickle.HIGHEST_PROTOCOL)
-            if self._updates else b""
-        )
+    # -- what the supervisor drives ----------------------------------------------
 
     def _send_share(self, k: int, share: list[BlockTask], fresh: bool) -> None:
         """Send worker ``k`` its share.  ``fresh`` marks a respawned
@@ -777,15 +755,10 @@ class ForkBackend(ExecutionBackend):
             where = "an empty share"
         return f"{self.name} backend worker {k} (pid {process.pid}) executing {where}"
 
-    def _recover_shared_state(self, procs: list[int]) -> None:
-        """Roll state a lost worker may have dirtied back to its
-        dispatch-time contents (hook).  Fork workers write only their own
-        copy-on-write address space, so there is nothing to undo."""
-
     def _halt_workers(self) -> None:
         """Kill the whole pool immediately (degradation path): live
-        workers may still be executing and must stop before shared state
-        is rolled back and the pool abandoned."""
+        workers may still be executing and must stop before the pool is
+        abandoned."""
         if self._workers is None:
             return
         workers, self._workers = self._workers, None
@@ -930,7 +903,15 @@ class ForkBackend(ExecutionBackend):
         for task in tasks:
             task.collect_metrics = getattr(eng, "metrics_enabled", False)
             task.collect_spans = getattr(eng, "spans_enabled", False)
-        self._begin_dispatch(tasks)
+        # The memory-update broadcast is pickled **once** here and the
+        # same frame reused for every worker's send: re-serializing
+        # identical array payloads per share was a measurable slice of
+        # fork dispatch (docs/cost-model.md, the spice15-sparse case).
+        updates = self._memory_updates()
+        self._updates_bytes = (
+            pickle.dumps(updates, protocol=pickle.HIGHEST_PROTOCOL)
+            if updates else b""
+        )
         # Every worker gets a share, even an empty one: the dispatch also
         # carries the memory-update broadcast, which must reach the whole
         # pool because the diff baseline (_last_sync) has advanced.
@@ -1033,41 +1014,34 @@ class ForkBackend(ExecutionBackend):
     def close(self) -> None:
         """Stop the pool, if one runs, and release its resources; the
         teardown of a running pool is timed as part of ``C_pool``."""
-        running = self._workers is not None
-        t0 = time.perf_counter()
-        self._release()
-        if running:
-            self._costs.pool_close.add(time.perf_counter() - t0)
-
-    def _release(self) -> None:
-        """Backend-specific teardown behind :meth:`close` (hook)."""
         if self._workers is None:
             return
+        t0 = time.perf_counter()
         workers, self._workers = self._workers, None
         get_oplog().log(
             "backend", "pool-closed", backend=self.name,
             workers=len(workers),
         )
-        _shutdown_pool(workers, lambda conn: conn.send(None))
+        _shutdown_pool(workers)
         self._wctx = None
         self._supervisor = None
-        self._updates = {}
+        self._updates_bytes = b""
+        self._costs.pool_close.add(time.perf_counter() - t0)
 
 
 def _iterations(tasks: list[BlockTask]) -> int:
     return sum(len(task.block) for task in tasks)
 
 
-def _shutdown_pool(workers: list, farewell) -> None:
+def _shutdown_pool(workers: list) -> None:
     """Politely stop a worker pool, then escalate until it is gone:
     farewell message -> join -> ``terminate()`` (SIGTERM) -> join ->
     ``kill()`` (SIGKILL) -> reap.  A worker wedged in a signal handler or
     stopped by SIGSTOP ignores SIGTERM but cannot ignore SIGKILL, so no
-    zombie survives close and no worker keeps ``/dev/shm`` segments
-    mapped past the arena's unlink."""
+    zombie survives close."""
     for _, conn in workers:
         try:
-            farewell(conn)
+            conn.send(None)
         except (BrokenPipeError, OSError):
             pass
     for process, conn in workers:

@@ -50,15 +50,11 @@ from repro.config import (
     Strategy as ScheduleKind,
 )
 from repro.core.analysis import analyze_stage
-from repro.core.backend import BACKENDS, BlockTask, make_backend
+from repro.core.backend import BlockTask, SerialBackend, make_backend
 from repro.core.commit import commit_states, reinit_states
 from repro.core.executor import make_processor_state
 from repro.core.results import RunResult, StageResult
-from repro.core.supervise import (
-    DEGRADATION_ORDER,
-    PoolDegradation,
-    SupervisionStats,
-)
+from repro.core.supervise import PoolDegradation, SupervisionStats
 from repro.kernels import resolve_kernels_name, use_kernels
 from repro.core.stage import (
     charge_analysis,
@@ -541,9 +537,9 @@ class StageEngine:
         Nothing is merged until a backend's ``run_blocks`` returns, so on
         :class:`PoolDegradation` the same task list re-runs on the fallback
         backend from identical engine state -- results stay bit-identical,
-        only the execution substrate changes.  The chain is finite
-        (shm -> fork -> serial) and serial cannot degrade, so this loop
-        always terminates.
+        only the execution substrate changes.  Every parallel backend
+        degrades to serial, which cannot degrade, so this loop always
+        terminates.
         """
         while True:
             try:
@@ -552,7 +548,7 @@ class StageEngine:
                 self._degrade_backend(degradation)
 
     def _degrade_backend(self, degradation: PoolDegradation) -> None:
-        target = DEGRADATION_ORDER[self.backend.name]
+        target = SerialBackend.name
         self.supervision.degradations.append({
             "stage": degradation.stage,
             "from": self.backend.name,
@@ -575,18 +571,15 @@ class StageEngine:
         old = self.backend
         self.backend = None
         try:
-            # shm's close() copies the (already recovered) shared image
-            # and adopted state buffers back onto the heap before the
-            # segments unlink -- exactly the fallback backend's input.
             old.close()
         finally:
-            self.backend = BACKENDS[target](self)
+            self.backend = SerialBackend(self)
 
     # -- run --------------------------------------------------------------------
 
     def run(self) -> RunResult:
         # The kernels scope covers worker forking (workers spawn lazily on
-        # the first dispatch), so fork/shm children inherit the run's choice.
+        # the first dispatch), so fork children inherit the run's choice.
         with use_kernels(self.kernels_name):
             return self._run()
 

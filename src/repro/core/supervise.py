@@ -1,7 +1,7 @@
 """Worker-pool supervision: crash/hang detection and bit-identical recovery.
 
-The fork and shm backends run each stage's blocks on real OS processes, so
-they inherit real OS failure modes the logical fault injector
+The fork backend runs each stage's blocks on real OS processes, so it
+inherits real OS failure modes the logical fault injector
 (:mod:`repro.faults`) never produces: a worker SIGKILLed by the OOM
 killer, wedged in uninterruptible sleep, or stopped by SIGSTOP.  Before
 this layer existed, a dead worker raised a terminal
@@ -16,21 +16,20 @@ forever in ``conn.recv()``.
   estimate (floored by ``RuntimeConfig.worker_timeout``), so death and
   hang are both detected without ever blocking indefinitely;
 * **bit-identical re-dispatch** -- a lost worker is reaped (SIGKILL, which
-  a stopped process cannot ignore), the backend rolls any shared state the
-  dead worker dirtied back to its dispatch-time contents
-  (``_recover_shared_state``), a replacement is forked from the parent's
-  current (still pre-merge) state after an exponential backoff, and the
-  lost blocks are re-sent.  Because backends merge deltas only after *all*
-  replies arrive, the parent's memory, states, events and timeline are
-  untouched mid-stage; the killed attempt is invisible and the replayed
-  blocks produce exactly the outcome an undisturbed run would;
+  a stopped process cannot ignore), a replacement is forked from the
+  parent's current (still pre-merge) state after an exponential backoff,
+  and the lost blocks are re-sent.  Workers write only their own
+  copy-on-write memory, so a dead worker leaves nothing to roll back.
+  Because backends merge deltas only after *all* replies arrive, the
+  parent's memory, states, events and timeline are untouched mid-stage;
+  the killed attempt is invisible and the replayed blocks produce
+  exactly the outcome an undisturbed run would;
 * **graceful degradation** -- when the respawn budget
   (``RuntimeConfig.max_worker_respawns``) is exhausted, or one block kills
-  its worker repeatedly (a poison block), the supervisor halts the pool,
-  restores shared state, and raises :class:`PoolDegradation`; the engine
-  catches it, emits a ``BackendDegraded`` event and re-runs the same tasks
-  on the next backend down the :data:`DEGRADATION_ORDER` chain
-  (shm -> fork -> serial) for the remainder of the run.
+  its worker repeatedly (a poison block), the supervisor halts the pool
+  and raises :class:`PoolDegradation`; the engine catches it, emits a
+  ``BackendDegraded`` event and re-runs the same tasks on the serial
+  backend for the remainder of the run.
 
 Supervision outcomes deliberately stay **out** of the deterministic event
 and metrics streams: a disturbed run must produce a bit-identical trace to
@@ -40,9 +39,8 @@ and ``StageResult.redispatched_procs``) -- beside the counts of stages a
 process backend ran in the parent or dispatched, which stay out of those
 streams for the same reason -- and kill/respawn/redispatch
 timings are logged as ``supervise`` records through the unified oplog
-(:mod:`repro.obs.oplog`; point ``REPRO_OPLOG`` -- or its deprecated
-alias ``REPRO_SUPERVISE_LOG`` -- at a path; CI uploads it on chaos-job
-failure).
+(:mod:`repro.obs.oplog`; point ``REPRO_OPLOG`` at a path; CI uploads it
+on chaos-job failure).
 """
 
 from __future__ import annotations
@@ -52,12 +50,6 @@ from dataclasses import dataclass, field
 from multiprocessing import connection
 
 from repro.obs.oplog import get_oplog
-
-#: Graceful fallback chain: the engine replaces a degraded backend with the
-#: next entry (serial has no entry -- it cannot lose workers).  The threads
-#: backend falls straight to serial: its failure modes are in-process, so
-#: neither process backend would be any healthier after a degradation.
-DEGRADATION_ORDER = {"shm": "fork", "fork": "serial", "threads": "serial"}
 
 #: Exponential respawn backoff: ``_BACKOFF_BASE * 2**n`` seconds, capped.
 _BACKOFF_BASE = 0.01
@@ -92,8 +84,7 @@ def log_supervision(
     """One supervision record through the unified oplog.
 
     Shared by the process (:class:`WorkerSupervisor`) and thread
-    (:class:`repro.core.threads._ThreadSupervisor`) supervisors -- the
-    two previously divergent ``REPRO_SUPERVISE_LOG`` writers.  The
+    (:class:`repro.core.threads._ThreadSupervisor`) supervisors.  The
     legacy field names (``event``/``backend``/``worker``/``pid``/
     ``stage``/``blocks``/``procs``/``t``, with ``t`` relative to the
     supervisor's creation) are preserved on top of the oplog envelope,
@@ -217,11 +208,10 @@ class SupervisionStats:
 class PoolDegradation(Exception):
     """Internal control flow: this worker pool is beyond per-worker repair.
 
-    Raised by the supervisor after it has halted the pool and restored
-    shared state; the engine catches it and fails over to the next backend
-    in :data:`DEGRADATION_ORDER`.  Never escapes the engine: if even
-    serial were to fail the failure is a real error, and serial never
-    raises this.
+    Raised by the supervisor after it has halted the pool; the engine
+    catches it and fails over to the serial backend.  Never escapes the
+    engine: if even serial were to fail the failure is a real error, and
+    serial never raises this.
     """
 
     def __init__(
@@ -316,6 +306,7 @@ class WorkerSupervisor:
             self._reap(k)
             self._respawn_slot(k, share)
             fresh = True
+        self._freeze_for_chaos(k, share)
         try:
             backend._send_share(k, share, fresh)
         except (BrokenPipeError, OSError):
@@ -324,6 +315,7 @@ class WorkerSupervisor:
             self._log("worker-found-dead", k, share)
             self._reap(k)
             self._respawn_slot(k, share)
+            self._freeze_for_chaos(k, share)
             backend._send_share(k, share, fresh=True)
         now = time.monotonic()
         self._sent[k] = now
@@ -332,15 +324,7 @@ class WorkerSupervisor:
 
     def _collect(self, pending: dict, replies: list) -> list[int]:
         """Gather replies until every pending worker resolved; return the
-        workers lost (dead or overdue) this round.
-
-        Losses are only *returned* once nothing is left in flight: the
-        recovery rollback (`_recover_shared_state`) is wholesale over the
-        untested arrays, so it must not race a live worker's legal
-        in-flight writes.  Live workers roll their own untested writes
-        back before replying, so after the drain, shared memory equals the
-        dispatch-time state plus only the dead workers' dirt.
-        """
+        workers lost (dead or overdue) this round."""
         backend = self.backend
         shares = self._shares
         lost: list[int] = []
@@ -393,7 +377,7 @@ class WorkerSupervisor:
         return lost
 
     def _recover(self, lost: list[int], pending: dict) -> None:
-        """Roll back, respawn and re-dispatch the lost workers' shares."""
+        """Respawn and re-dispatch the lost workers' shares."""
         backend = self.backend
         shares = self._shares
         for k in lost:
@@ -410,11 +394,6 @@ class WorkerSupervisor:
                         stage=task.stage, worker=k,
                         blocks=tuple(t.pos for t in shares[k]),
                     ))
-        # Dispatch-time rollback of anything the dead workers dirtied,
-        # before any replacement (forked from current state) can see it.
-        backend._recover_shared_state(
-            [task.block.proc for k in lost for task in shares[k]]
-        )
         for k in lost:
             self._respawn_slot(k, shares[k])
             self._dispatch(k, shares[k], fresh=True, pending=pending)
@@ -460,15 +439,9 @@ class WorkerSupervisor:
         self._log("worker-respawned", k, share)
 
     def _fail_pool(self, exc: PoolDegradation) -> None:
-        """Give up on this pool: halt every worker (they may still be
-        writing shared buffers), roll shared state for *all* dispatched
-        blocks back to dispatch-time contents (nothing was merged, so the
-        whole stage re-runs on the fallback backend), and raise."""
-        backend = self.backend
-        backend._halt_workers()
-        backend._recover_shared_state(
-            [task.block.proc for share in self._shares for task in share]
-        )
+        """Give up on this pool: halt every worker and raise (nothing was
+        merged, so the whole stage re-runs on the fallback backend)."""
+        self.backend._halt_workers()
         self._log("pool-degraded", exc.worker if exc.worker is not None else -1,
                   [], extra={"reason": str(exc)})
         raise exc
@@ -488,6 +461,12 @@ class WorkerSupervisor:
         if share:
             dur = time.monotonic() - self._sent[k]
             self._per_block_est = max(self._per_block_est, dur / len(share))
+
+    def _freeze_for_chaos(self, k: int, share: list) -> None:
+        if self.chaos is None or not share:
+            return
+        process, _ = self.backend._workers[k]
+        self.chaos.before_dispatch(share[0].stage, k, process)
 
     def _fire_chaos(self, k: int, share: list) -> None:
         if self.chaos is None or not share:

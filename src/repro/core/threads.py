@@ -1,8 +1,8 @@
 """The ``threads`` execution backend: zero-copy in-process parallelism.
 
-The fork and shm backends pay real dispatch costs -- pickled deltas, a
-memory diff-sync broadcast, struct-framed control pipes -- because their
-workers live in other processes.  The kernels layer (:mod:`repro.kernels`)
+The fork backend pays real dispatch costs -- pickled deltas and a
+memory diff-sync broadcast -- because its workers live in other
+processes.  The kernels layer (:mod:`repro.kernels`)
 removed the last reason for that: every hot per-element loop is now a
 batch primitive that releases the GIL inside numpy, so worker *threads*
 in the engine's own process can execute blocks concurrently on stock
@@ -12,9 +12,8 @@ Execution model
 ---------------
 
 Worker threads run :func:`~repro.core.executor.execute_block` **directly
-against the engine's own processor states and shared memory** -- the
-in-process analogue of the shm backend's adopted dense planes, with no
-adoption needed because there is only one address space:
+against the engine's own processor states and shared memory** -- there
+is only one address space, so views and shadows need no shipping:
 
 * Every strategy schedules at most one block per processor per stage, so
   ``eng.states[block.proc]`` is exclusively this block's for the whole
@@ -428,7 +427,7 @@ class _ThreadSupervisor:
                 f"its dispatch deadline and did not acknowledge cancellation "
                 f"within {self._grace():.1f}s (thread wedged inside an "
                 "iteration; threads cannot be force-killed -- use the fork "
-                "or shm backend for workloads with non-returning bodies)",
+                "backend for workloads with non-returning bodies)",
                 loop=self.backend.eng.loop.name,
             )
 
@@ -525,7 +524,7 @@ class ThreadsBackend(ExecutionBackend):
             raise ConfigurationError(
                 "os_chaos delivers SIGKILL/SIGSTOP to worker processes; "
                 "the threads backend's workers share the engine's process "
-                "-- use backend='fork' or 'shm' for OS-level chaos"
+                "-- use backend='fork' for OS-level chaos"
             )
         self.thread_mode = thread_mode()
         self._workers: list[_Worker] | None = None

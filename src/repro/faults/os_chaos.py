@@ -4,12 +4,17 @@ The logical injector (:mod:`repro.faults.plan`) simulates faults inside a
 healthy process -- the runtime's recovery protocol is exercised, but the
 process tree never actually breaks.  This module breaks it for real: an
 :class:`OsChaosPlan` names (stage, worker-slot) points at which the
-supervisor (:mod:`repro.core.supervise`), immediately after sending that
-worker its share, delivers a genuine ``SIGKILL`` (crash) or ``SIGSTOP``
-(hang) to the worker's pid.
+supervisor (:mod:`repro.core.supervise`) delivers a genuine ``SIGKILL``
+(crash) or ``SIGSTOP`` (hang) to the worker's pid.
 
-Firing parent-side right after dispatch keeps the chaos deterministic at
-the process level -- each planned event fires exactly once per run, and
+The target is frozen with ``SIGSTOP`` *before* its share is sent and the
+event acts right after the send, so the worker never reads its share:
+a killed worker cannot have replied, and a stopped one cannot finish,
+however fast the host schedules it.  (A share larger than the pipe's
+buffer would block the send to the frozen worker; chaos plans drive
+small test loops.)  Firing parent-side also keeps the chaos
+deterministic at the process level -- each planned event fires exactly
+once per run, and
 the :class:`OsChaosInjector`'s fired set lives on the *engine*, so a
 fallback backend spun up after degradation does not replay events the
 previous backend already absorbed.  The two injectors compose: a run may
@@ -78,15 +83,29 @@ class OsChaosInjector:
         self.fired_events: list[OsChaosEvent] = []
         self.fired_pids: list[int] = []
 
+    def _due(self, stage: int, worker: int):
+        """``(index, event)`` of the unfired events for this dispatch."""
+        return [
+            (idx, event) for idx, event in enumerate(self.plan.events)
+            if idx not in self._fired
+            and event.stage == stage and event.worker == worker
+        ]
+
+    def before_dispatch(self, stage: int, worker: int, process) -> None:
+        """Called by the supervisor right before worker ``worker`` is sent
+        a share of ``stage``: freeze it if an event is due, so it cannot
+        read the share before :meth:`after_dispatch` acts."""
+        if self._due(stage, worker):
+            try:
+                os.kill(process.pid, signal.SIGSTOP)
+            except ProcessLookupError:  # pragma: no cover - already gone
+                pass
+
     def after_dispatch(self, stage: int, worker: int, process) -> list[str]:
         """Called by the supervisor right after worker ``worker`` was sent
         a share of ``stage``; returns the actions delivered."""
         actions = []
-        for idx, event in enumerate(self.plan.events):
-            if idx in self._fired:
-                continue
-            if event.stage != stage or event.worker != worker:
-                continue
+        for idx, event in self._due(stage, worker):
             self._fired.add(idx)
             sig = signal.SIGKILL if event.action == KILL else signal.SIGSTOP
             try:

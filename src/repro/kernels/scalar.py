@@ -313,15 +313,6 @@ def pack_values(values, dtype) -> np.ndarray:
     return out
 
 
-def pack_range_map(mapping, start: int, count: int) -> np.ndarray:
-    """Pack ``mapping[start : start + count]`` values (a dict keyed by a
-    contiguous iteration range) into a float64 array (shm scratch fill)."""
-    out = np.empty(count, dtype=np.float64)
-    for k in range(count):
-        out[k] = mapping[start + k]
-    return out
-
-
 # -- analysis reductions ---------------------------------------------------------
 
 

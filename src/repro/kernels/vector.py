@@ -251,12 +251,6 @@ def pack_values(values, dtype) -> np.ndarray:
     return out
 
 
-def pack_range_map(mapping, start: int, count: int) -> np.ndarray:
-    return np.fromiter(
-        (mapping[start + k] for k in range(count)), dtype=np.float64, count=count
-    )
-
-
 # -- analysis reductions ---------------------------------------------------------
 
 

@@ -82,7 +82,7 @@ class MemoryImage:
     def arrays(self) -> Mapping[str, SharedArray]:
         """The name -> :class:`SharedArray` map itself (no copy): hot paths
         index it directly.  Arrays are stable objects; their ``data`` may
-        be rebound (the shm backend maps it onto shared segments)."""
+        be rebound."""
         return self._arrays
 
     def names(self) -> list[str]:
@@ -332,7 +332,7 @@ class SparsePrivateView(PrivateView):
 
     def export_written(self) -> tuple[np.ndarray, np.ndarray]:
         # Paired index/value arrays, not a per-element dict: pickling one
-        # values buffer is what keeps the sparse fork/shm delta path cheap.
+        # values buffer is what keeps the sparse fork delta path cheap.
         # The dtype cast is safe because an absorbed view is only consumed
         # by the commit phase, whose ``written_arrays`` applies exactly the
         # same element-wise cast a scalar ``data[index] = value`` would.

@@ -22,10 +22,10 @@ host-clock, non-deterministic, never part of golden traces
 (docs/observability.md):
 
 * :mod:`repro.obs.oplog` -- the unified JSONL operational logger every
-  component (engine, supervisors, backends, shm arena, faults) writes
+  component (engine, supervisors, backends, faults) writes
   through;
 * :mod:`repro.obs.resources` -- a background host resource sampler
-  (RSS, CPU, /dev/shm, worker health);
+  (RSS, CPU, worker health);
 * :mod:`repro.obs.flight` -- bounded rings of recent activity, dumped
   as a crash bundle on uncaught failure (``repro report --bundle``);
 * :mod:`repro.obs.top` -- the live status stream and the ``repro top``

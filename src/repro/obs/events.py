@@ -153,8 +153,8 @@ class BackendDegraded(StageEvent):
     """The execution backend's worker pool was abandoned mid-run.
 
     Emitted when the worker supervisor (:mod:`repro.core.supervise`) gives
-    up on a fork/shm pool -- respawn budget exhausted or a poison block --
-    and the engine falls back down the shm -> fork -> serial chain.  The
+    up on a process or thread pool -- respawn budget exhausted or a poison
+    block -- and the engine falls back to the serial backend.  The
     stage's tasks re-run on the fallback backend from unchanged engine
     state, so everything *after* this event is bit-identical to an
     undisturbed run; the event is the only trace-visible mark of the

@@ -288,7 +288,6 @@ def render_bundle(path: str, tail: int = 12) -> str:
             ["peak rss (MB)", _mb(peak_rss)],
             ["last rss (MB)", _mb(last.get("rss_bytes", 0))],
             ["last worker rss (MB)", _mb(last.get("worker_rss_bytes", 0))],
-            ["last shm (MB)", _mb(last.get("shm_bytes", 0))],
             ["last cpu (s)", last.get("cpu_s", 0)],
             ["gil", last.get("gil", "?")],
         ]

@@ -3,16 +3,13 @@
 The deterministic stage-event stream (:mod:`repro.obs.events`) is the
 runtime's ground truth -- bit-identical across execution backends, golden
 in CI.  Everything that must *never* appear there (host timings, worker
-pids, kill/respawn accidents, shm segment churn) previously had no home
-or grew ad-hoc writers; the supervisor's ``REPRO_SUPERVISE_LOG`` JSONL
-existed twice with drifting shapes.
+pids, kill/respawn accidents, pool starts and closes) goes here instead.
 
 :class:`OpLog` is the single process-wide operational logger.  Every
 record is one JSON line::
 
     {"ts": <unix seconds>, "t": <seconds since process log start>,
-     "component": "supervise" | "engine" | "backend.shm" | "shm.arena"
-                  | "faults" | ...,
+     "component": "supervise" | "engine" | "backend" | "faults" | ...,
      "severity": "info" | "warn" | "error",
      "event": "worker-died" | "run-begin" | ...,
      ...event-specific fields...}
@@ -32,10 +29,8 @@ Design constraints, in order:
   ``repro top`` status stream) subscribe with :meth:`add_tap` and see
   every record whether or not a file path is configured.
 
-``REPRO_SUPERVISE_LOG`` is kept as a deprecated alias for ``REPRO_OPLOG``
-(the supervisor's records keep their historical field names on top of the
-common envelope); the first record written through the alias is preceded
-by a one-time ``deprecated-env-alias`` warning record.
+The supervisor's records keep their historical field names on top of the
+common envelope.
 """
 
 from __future__ import annotations
@@ -47,8 +42,6 @@ import time
 from typing import Callable
 
 ENV_PATH = "REPRO_OPLOG"
-#: Deprecated alias (PR 6's supervisor log); honoured when ENV_PATH is unset.
-ENV_ALIAS = "REPRO_SUPERVISE_LOG"
 ENV_MAX_BYTES = "REPRO_OPLOG_MAX_BYTES"
 DEFAULT_MAX_BYTES = 16 << 20
 
@@ -68,7 +61,6 @@ class OpLog:
         self._taps: list[Callable[[dict], None]] = []
         self._path_override: object = _UNSET
         self._max_override: object = _UNSET
-        self._warned_alias = False
         self._t0 = time.monotonic()
 
     # -- configuration -----------------------------------------------------------
@@ -79,24 +71,18 @@ class OpLog:
         """Pin the log path/rotation size, overriding the environment.
 
         ``configure()`` with no arguments reverts to environment
-        resolution (``REPRO_OPLOG``, then the ``REPRO_SUPERVISE_LOG``
-        alias).  ``configure(path=None)`` explicitly also reverts --
+        resolution (``REPRO_OPLOG``).  ``configure(path=None)`` explicitly also reverts --
         embedders that want a hard "no file" should simply not set the
         environment variables.
         """
         self._path_override = _UNSET if path is None else path
         self._max_override = _UNSET if max_bytes is None else int(max_bytes)
 
-    def _resolve_path(self) -> tuple[str | None, bool]:
-        """Current target path and whether it came from the deprecated
-        alias."""
+    def _resolve_path(self) -> str | None:
+        """Current target path (``None``: no file)."""
         if self._path_override is not _UNSET:
-            return self._path_override, False  # type: ignore[return-value]
-        path = os.environ.get(ENV_PATH)
-        if path:
-            return path, False
-        alias = os.environ.get(ENV_ALIAS)
-        return (alias, True) if alias else (None, False)
+            return self._path_override  # type: ignore[return-value]
+        return os.environ.get(ENV_PATH) or None
 
     def _max_bytes(self) -> int:
         if self._max_override is not _UNSET:
@@ -146,28 +132,17 @@ class OpLog:
                 tap(record)
             except Exception:  # pragma: no cover - taps must not kill runs
                 pass
-        path, from_alias = self._resolve_path()
+        path = self._resolve_path()
         if path:
-            self._write(path, record, from_alias)
+            self._write(path, record)
         return record
 
-    def _write(self, path: str, record: dict, from_alias: bool) -> None:
+    def _write(self, path: str, record: dict) -> None:
         with self._lock:
-            lines = []
-            if from_alias and not self._warned_alias:
-                self._warned_alias = True
-                lines.append({
-                    "ts": record["ts"], "t": record["t"],
-                    "component": "oplog", "severity": "warn",
-                    "event": "deprecated-env-alias",
-                    "alias": ENV_ALIAS, "use": ENV_PATH,
-                })
-            lines.append(record)
             try:
                 self._rotate(path)
                 with open(path, "a", encoding="utf-8") as fh:
-                    for line in lines:
-                        fh.write(json.dumps(line, default=str) + "\n")
+                    fh.write(json.dumps(record, default=str) + "\n")
             except OSError:  # pragma: no cover - log must never kill the run
                 pass
 

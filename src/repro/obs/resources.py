@@ -1,9 +1,8 @@
 """Host resource profiler: a background sampler for the operational plane.
 
 Speculative parallelization fails operationally long before it fails
-logically: shadow planes blow out RSS, /dev/shm fills with arena
-segments, one fork worker sits at 100% CPU while the rest idle, the GIL
-serializes a threads run.  None of that may enter the deterministic
+logically: shadow planes blow out RSS, one fork worker sits at 100% CPU
+while the rest idle, the GIL serializes a threads run.  None of that may enter the deterministic
 event stream (the golden parity matrix demands bit-identical traces),
 so it is sampled out-of-band instead.
 
@@ -11,9 +10,8 @@ so it is sampled out-of-band instead.
 every ``RuntimeConfig.resource_interval`` seconds to record:
 
 * the engine process's RSS and CPU time;
-* every live worker process's RSS and CPU time (fork/shm pools, from
-  the backend's :meth:`~repro.core.backend.ExecutionBackend.resource_info`);
-* /dev/shm bytes held by the shm backend's :class:`~repro.core.shm.ShmArena`;
+* every live worker process's RSS and CPU time (fork pools, from the
+  backend's :meth:`~repro.core.backend.ExecutionBackend.resource_info`);
 * dispatch-pipe/queue depths and the count of in-flight shares;
 * the interpreter's GIL mode (``free-threaded``/``gil``).
 
@@ -203,7 +201,6 @@ class ResourceSampler:
         sample["workers"] = workers
         sample["worker_rss_bytes"] = sum(w["rss_bytes"] for w in workers)
         sample["worker_cpu_s"] = round(sum(w["cpu_s"] for w in workers), 3)
-        sample["shm_bytes"] = int(info.get("shm_bytes", 0))
         sample["inflight"] = int(info.get("inflight", 0))
         if "queue_depths" in info:
             sample["queue_depths"] = list(info["queue_depths"])

@@ -178,7 +178,6 @@ def _tid(proc: int | None) -> int:
 _RESOURCE_COUNTERS = (
     ("rss_bytes", "host rss (bytes)"),
     ("worker_rss_bytes", "worker rss (bytes)"),
-    ("shm_bytes", "/dev/shm (bytes)"),
     ("cpu_s", "cpu time (s)"),
     ("inflight", "inflight blocks"),
 )

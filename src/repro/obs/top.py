@@ -10,7 +10,7 @@ JSONL file, each record tagged with its plane::
 
 ``repro top PATH`` tails that file and renders a terminal dashboard:
 stage progress and committed fraction, restart/retry counts, worker
-health from the supervisor's oplog records, and RSS/CPU/shm sparklines
+health from the supervisor's oplog records, and RSS/CPU sparklines
 from the resource samples.  The renderer is a pure function over
 :class:`TopState` (``render_top``) so tests can drive it without a
 terminal; the CLI loop adds ANSI clear-screen framing and ``--once`` for
@@ -110,7 +110,6 @@ class TopState:
         self.failed: str | None = None
         self.rss = deque(maxlen=_HISTORY)
         self.worker_rss = deque(maxlen=_HISTORY)
-        self.shm = deque(maxlen=_HISTORY)
         self.cpu_s = 0.0
         self.inflight = 0
         self.workers_alive = 0
@@ -171,7 +170,6 @@ class TopState:
     def _feed_resources(self, record: dict) -> None:
         self.rss.append(record.get("rss_bytes", 0))
         self.worker_rss.append(record.get("worker_rss_bytes", 0))
-        self.shm.append(record.get("shm_bytes", 0))
         self.cpu_s = record.get("cpu_s", self.cpu_s)
         self.inflight = record.get("inflight", 0)
         # Process pools report sampled worker stats; the threads backend
@@ -242,7 +240,6 @@ def render_top(state: TopState) -> str:
             f"rss {sparkline(state.rss)} {state.rss[-1] / 1e6:8.1f} MB   "
             f"workers {sparkline(state.worker_rss)} "
             f"{state.worker_rss[-1] / 1e6:8.1f} MB   "
-            f"shm {sparkline(state.shm)} {state.shm[-1] / 1e6:6.1f} MB   "
             f"cpu {state.cpu_s:7.2f} s"
         )
     else:

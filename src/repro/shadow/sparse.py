@@ -98,7 +98,7 @@ class SparseShadow(ShadowArray):
     def export_marks(self) -> tuple[np.ndarray, ...]:
         # Four sorted int64 index arrays rather than sets of Python ints:
         # one contiguous buffer per plane pickles in O(1) objects, which is
-        # what keeps sparse shadow shipping off the fork/shm hot path.
+        # what keeps sparse shadow shipping off the fork hot path.
         return tuple(
             np.fromiter(sorted(plane), dtype=np.int64, count=len(plane))
             for plane in (self._write, self._exposed, self._any_read, self._update)

@@ -59,10 +59,7 @@ class BitSet:
 
     @property
     def words(self) -> np.ndarray:
-        """The packed ``uint64`` word array itself (shared, not a copy);
-        lets callers place a plane in externally managed storage (the
-        shared-memory execution backend) and re-wrap it with
-        ``BitSet(size, words=...)``."""
+        """The packed ``uint64`` word array itself (shared, not a copy)."""
         return self._words
 
     def __len__(self) -> int:

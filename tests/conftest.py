@@ -53,7 +53,7 @@ def fresh_dispatch_costs(monkeypatch):
     """Start every test with no measured dispatch figures.
 
     The process backends' figures live at module level and outlive runs,
-    so without this a test's fork/shm stages would go to the pool or not
+    so without this a test's fork stages would go to the pool or not
     depending on which tests ran before it in the same process.
     """
     monkeypatch.setattr(backend_mod, "_DISPATCH_COSTS", {})
@@ -61,12 +61,13 @@ def fresh_dispatch_costs(monkeypatch):
 
 @pytest.fixture
 def always_dispatch(monkeypatch):
-    """Pin the process backends' dispatch rule to "dispatch".
+    """Pin the fork pool's dispatch rule to "dispatch".
 
-    ``fork``/``shm`` run a stage in the parent unless its measured pool
-    cost is repaid (:meth:`ForkBackend.dispatch_pays`), and the figures
-    behind that choice persist across runs in the test process.  Tests of
-    the worker pool itself -- its data planes, supervision, chaos and
-    segment lifecycle -- pin every stage to the pool with this fixture.
+    ``fork`` (and its synonym ``shm``) runs a stage in the parent unless
+    its measured pool cost is repaid (:meth:`ForkBackend.dispatch_pays`),
+    and the figures behind that choice persist across runs in the test
+    process.  Tests of the worker pool itself -- its data plane,
+    supervision and chaos -- pin every stage to the pool with this
+    fixture.
     """
     monkeypatch.setattr(ForkBackend, "dispatch_pays", lambda self, tasks: True)

@@ -119,59 +119,46 @@ class TestForkRuns:
         assert np.array_equal(result.memory["A"].data, expected)
 
 
-# -- the shared-memory backend ----------------------------------------------------
+# -- shm: a synonym for the fork pool ---------------------------------------------
 
 
 @pytest.mark.usefixtures("always_dispatch")
-class TestShmRuns:
-    def test_shm_run_matches_serial_dense(self):
-        serial = parallelize(
-            fully_parallel_loop(128), 4, RuntimeConfig.adaptive(backend="serial")
-        )
-        shm = parallelize(
-            fully_parallel_loop(128), 4, RuntimeConfig.adaptive(backend="shm")
-        )
-        assert shm.memory.equals(serial.memory.snapshot())
-        assert repr(shm.total_time) == repr(serial.total_time)
-        assert shm.n_stages == serial.n_stages
+class TestShmSynonym:
+    def test_worker_crash_is_bit_identical_and_degrades_straight_to_serial(self):
+        # A body that SIGKILLs every worker it reaches is a poison block:
+        # the supervisor gives up on the pool, the run degrades straight
+        # to serial (shm is the fork pool; there is no second process
+        # plane to try) and completes with serial's answer.
+        import os
+        import signal
 
-    def test_shm_run_matches_serial_multi_stage(self):
-        # A dependence-bearing loop drives restores, redistribution and the
-        # residue (sparse/untested) paths across many stages.
-        from repro.workloads.synthetic import (
-            chain_loop,
-            geometric_chain_targets,
-        )
+        parent_pid = os.getpid()
 
-        loop = lambda: chain_loop(128, geometric_chain_targets(128, 0.5))  # noqa: E731
-        serial = parallelize(loop(), 4, RuntimeConfig.adaptive(backend="serial"))
-        shm = parallelize(loop(), 4, RuntimeConfig.adaptive(backend="shm"))
-        assert shm.memory.equals(serial.memory.snapshot())
-        assert repr(shm.total_time) == repr(serial.total_time)
-        assert shm.n_stages == serial.n_stages
+        def body(ctx, i):
+            if os.getpid() != parent_pid:  # only in a forked worker
+                os.kill(os.getpid(), signal.SIGKILL)
+            ctx.load("A", i)
+            ctx.store("A", i, float(i))
+            ctx.work(1.0)
 
-    def test_shm_backend_workers_bound_respected(self):
-        result = parallelize(
-            fully_parallel_loop(64), 4,
-            RuntimeConfig.adaptive(backend="shm", backend_workers=2),
-        )
-        expected = np.arange(64, dtype=np.float64) * 2.0 + 1.0
-        assert np.array_equal(result.memory["A"].data, expected)
+        def make_loop():
+            return SpeculativeLoop(
+                name="crash-mid-stage",
+                n_iterations=32,
+                body=body,
+                arrays=[ArraySpec("A", np.zeros(32, dtype=np.float64))],
+            )
 
-    def test_shm_residue_fallback_matches_serial(self, monkeypatch):
-        # Force every array down the pickled-residue path (as if no dtype
-        # were shm-able): parity must not depend on the zero-copy plane.
-        import repro.core.shm as shm_mod
-
-        monkeypatch.setattr(shm_mod, "_shmable", lambda data: False)
-        serial = parallelize(
-            fully_parallel_loop(128), 4, RuntimeConfig.adaptive(backend="serial")
-        )
-        shm = parallelize(
-            fully_parallel_loop(128), 4, RuntimeConfig.adaptive(backend="shm")
-        )
-        assert shm.memory.equals(serial.memory.snapshot())
-        assert repr(shm.total_time) == repr(serial.total_time)
+        result = parallelize(make_loop(), 4, RuntimeConfig.nrd(backend="shm"))
+        chain = [
+            (d["from"], d["to"])
+            for d in result.supervision["supervise.degradations"]
+        ]
+        assert chain == [("shm", "serial")]
+        serial = parallelize(make_loop(), 4, RuntimeConfig.nrd(backend="serial"))
+        assert result.memory.equals(serial.memory.snapshot())
+        assert repr(result.total_time) == repr(serial.total_time)
+        assert result.n_stages == serial.n_stages
 
 
 # -- the in-process threads backend ------------------------------------------------
@@ -273,89 +260,6 @@ class TestThreadsRuns:
             threads_mod.ThreadsBackend._start_worker = orig
         assert result.n_stages > 1
         assert len(started) == 2
-
-
-@pytest.mark.usefixtures("always_dispatch")
-class TestShmSegmentLifecycle:
-    # The test intentionally holds a numpy view across release(): unlink
-    # must win even when the mapping cannot close yet.  CPython's
-    # SharedMemory.__del__ then complains about the exported pointer at GC
-    # time; that is the scenario under test, not a leak.
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnraisableExceptionWarning"
-    )
-    def test_release_is_idempotent_and_names_vanish(self):
-        from multiprocessing import shared_memory
-
-        from repro.core.shm import ShmArena
-
-        arena = ShmArena()
-        view = arena.alloc((16,), np.float64)
-        view[:] = 3.0
-        seg = arena.new_segment(256)
-        names = arena.segment_names()
-        assert len(names) == 2
-        arena.drop_segment(seg)  # early unlink (scratch resize path)
-        arena.release()
-        arena.release()  # idempotent
-        assert arena.released
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_worker_crash_degrades_and_leaves_no_leaked_segments(self, monkeypatch):
-        # A body that SIGKILLs every worker it reaches is a poison block:
-        # the supervisor degrades shm -> fork -> serial, the run still
-        # completes with the serial answer, and nothing is left behind in
-        # /dev/shm -- every arena segment is unlinked even though workers
-        # never replied.
-        import os
-        import signal
-        from multiprocessing import shared_memory
-
-        import repro.core.shm as shm_mod
-        from repro.loopir.loop import ArraySpec, SpeculativeLoop
-
-        created: list[str] = []
-        orig_new = shm_mod.ShmArena._new_shm
-
-        def spying_new(self, nbytes):
-            seg = orig_new(self, nbytes)
-            created.append(seg.name)
-            return seg
-
-        monkeypatch.setattr(shm_mod.ShmArena, "_new_shm", spying_new)
-
-        parent_pid = os.getpid()
-
-        def body(ctx, i):
-            if os.getpid() != parent_pid:  # only in a forked worker
-                os.kill(os.getpid(), signal.SIGKILL)
-            ctx.load("A", i)
-            ctx.store("A", i, float(i))
-            ctx.work(1.0)
-
-        def make_loop():
-            return SpeculativeLoop(
-                name="crash-mid-stage",
-                n_iterations=32,
-                body=body,
-                arrays=[ArraySpec("A", np.zeros(32, dtype=np.float64))],
-            )
-
-        result = parallelize(make_loop(), 4, RuntimeConfig.nrd(backend="shm"))
-        chain = [
-            (d["from"], d["to"])
-            for d in result.supervision["supervise.degradations"]
-        ]
-        assert chain == [("shm", "fork"), ("fork", "serial")]
-        serial = parallelize(make_loop(), 4, RuntimeConfig.nrd(backend="serial"))
-        assert result.memory.equals(serial.memory.snapshot())
-        assert repr(result.total_time) == repr(serial.total_time)
-        assert created, "the shm backend allocated no segments?"
-        for name in created:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
 
 
 # -- dispatch only when it pays ----------------------------------------------------

@@ -89,14 +89,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "critical path" in out
 
-    def test_ddg_on_shm_matches_serial(self, capsys, always_dispatch):
+    def test_ddg_on_fork_matches_serial(self, capsys, always_dispatch):
         outs = {}
-        for backend in ("serial", "shm"):
+        for backend in ("serial", "fork"):
             argv = ["ddg", "spice15:adder.128", "-p", "8", "--backend", backend]
             assert main(argv) == 0
             outs[backend] = capsys.readouterr().out
         assert "5657 edges" in outs["serial"]
-        assert outs["shm"] == outs["serial"]
+        assert outs["fork"] == outs["serial"]
 
     def test_run_induction_workload(self, capsys):
         assert main(["run", "extend:clean", "-p", "4"]) == 0

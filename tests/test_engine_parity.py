@@ -11,28 +11,31 @@ Each case runs under every execution backend (:mod:`repro.core.backend`):
 the golden values were captured from in-process serial execution, so a
 passing ``fork`` run proves the worker-pool dispatch, delta shipping and
 in-order merge are bit-identical to serial -- results, events and virtual
-time alike.  The ``fork``/``shm`` legs pin every stage to the pool (the
-``always_dispatch`` fixture), so both data planes stay exercised whatever
-the dispatch rule would choose; the mixed leg alternates the process
-backends between the pool and the parent stage by stage.
+time alike.  The ``fork`` leg pins every stage to the pool (the
+``always_dispatch`` fixture), so the worker data plane stays exercised
+whatever the dispatch rule would choose; the mixed leg alternates it
+between the pool and the parent stage by stage.  ``shm``, a synonym for
+the fork pool, has its own case in ``test_backend.py``.
 """
 
 import json
 
 import pytest
 
-from repro.core.backend import ForkBackend, backend_names, use_backend
+from repro.core.backend import ForkBackend, use_backend
 from repro.obs.metrics import use_instrumentation
 from tests.engine_parity_cases import CASES, GOLDEN_PATH, run_case
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+BACKENDS = ["serial", "fork", "threads"]
 
 
 def test_golden_matrix_is_complete():
     assert sorted(GOLDEN) == sorted(CASES)
 
 
-@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_bit_identical_to_seed(name, backend, always_dispatch):
     with use_backend(backend):
@@ -45,13 +48,13 @@ def test_bit_identical_to_seed(name, backend, always_dispatch):
     assert got == want
 
 
-@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_bit_identical_fully_instrumented(name, backend, always_dispatch):
     """Metrics + span collection must not perturb any observable: the
     whole golden matrix re-runs with full instrumentation on (scoped via
     the process-wide default, so no driver needs to know) and must still
-    match the seed bit-for-bit under both backends."""
+    match the seed bit-for-bit under every backend."""
     with use_backend(backend), use_instrumentation(metrics=True, spans=True):
         got = run_case(name)
     want = GOLDEN[name]
@@ -63,7 +66,7 @@ def test_bit_identical_fully_instrumented(name, backend, always_dispatch):
 
 
 def _alternating(monkeypatch, first: bool) -> list[bool]:
-    """Pin each process backend to alternate stage by stage between the
+    """Pin the fork backend to alternate stage by stage between the
     pool and the parent, starting with ``first`` (True = dispatch): an
     inline stage then runs both before the pool starts and while it runs.
     Returns the decisions taken, in order."""
@@ -81,7 +84,7 @@ def _alternating(monkeypatch, first: bool) -> list[bool]:
 
 @pytest.mark.parametrize("instrumented", [False, True], ids=["plain", "instrumented"])
 @pytest.mark.parametrize("first", [False, True], ids=["inline-first", "dispatch-first"])
-@pytest.mark.parametrize("backend", ["fork", "shm"])
+@pytest.mark.parametrize("backend", ["fork"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_bit_identical_alternating_inline_and_dispatch(
     name, backend, first, instrumented, monkeypatch

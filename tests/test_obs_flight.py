@@ -79,7 +79,7 @@ def _stocked_recorder():
     })
     recorder.note_resources({
         "t": 0.2, "rss_bytes": 50_000_000, "worker_rss_bytes": 10_000_000,
-        "shm_bytes": 0, "cpu_s": 1.5, "gil": "gil",
+        "cpu_s": 1.5, "gil": "gil",
     })
     return recorder
 

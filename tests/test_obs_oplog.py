@@ -1,9 +1,8 @@
 """The unified operational logger (:mod:`repro.obs.oplog`).
 
-Covers the envelope, env-var path resolution (``REPRO_OPLOG`` plus the
-deprecated ``REPRO_SUPERVISE_LOG`` alias), size rotation, taps, and the
-adoption by the engine and both worker supervisors -- the two previously
-divergent ``REPRO_SUPERVISE_LOG`` JSONL writers now share one sink.
+Covers the envelope, env-var path resolution (``REPRO_OPLOG``), size
+rotation, taps, and the adoption by the engine and both worker
+supervisors, which share one sink.
 """
 
 import json
@@ -12,7 +11,7 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.core.runner import parallelize
-from repro.obs.oplog import ENV_ALIAS, ENV_MAX_BYTES, ENV_PATH, OpLog, get_oplog
+from repro.obs.oplog import ENV_MAX_BYTES, ENV_PATH, OpLog, get_oplog
 from repro.workloads.synthetic import chain_loop, geometric_chain_targets
 
 
@@ -46,7 +45,6 @@ class TestOpLog:
 
     def test_no_path_means_no_write_but_taps_fire(self, monkeypatch):
         monkeypatch.delenv(ENV_PATH, raising=False)
-        monkeypatch.delenv(ENV_ALIAS, raising=False)
         log = OpLog()
         seen = []
         log.add_tap(seen.append)
@@ -70,34 +68,6 @@ class TestOpLog:
         log.add_tap(seen.append)
         log.log("engine", "run-begin")
         assert len(seen) == 1
-
-    def test_deprecated_alias_still_works_and_warns_once(
-        self, tmp_path, monkeypatch
-    ):
-        path = tmp_path / "legacy.jsonl"
-        monkeypatch.delenv(ENV_PATH, raising=False)
-        monkeypatch.setenv(ENV_ALIAS, str(path))
-        log = OpLog()
-        log.log("supervise", "worker-died")
-        log.log("supervise", "worker-respawned")
-        records = _records(path)
-        deprecations = [
-            r for r in records if r["event"] == "deprecated-env-alias"
-        ]
-        assert len(deprecations) == 1
-        assert deprecations[0]["severity"] == "warn"
-        assert ENV_PATH in deprecations[0]["use"]
-        assert [r["event"] for r in records if r["component"] == "supervise"] \
-            == ["worker-died", "worker-respawned"]
-
-    def test_explicit_path_beats_alias(self, tmp_path, monkeypatch):
-        new = tmp_path / "new.jsonl"
-        old = tmp_path / "old.jsonl"
-        monkeypatch.setenv(ENV_PATH, str(new))
-        monkeypatch.setenv(ENV_ALIAS, str(old))
-        OpLog().log("engine", "run-begin")
-        assert new.exists()
-        assert not old.exists()
 
     def test_rotation_at_max_bytes(self, tmp_path, monkeypatch):
         path = tmp_path / "ops.jsonl"
@@ -125,13 +95,11 @@ class TestOpLog:
 class TestAdoption:
     """Engine + supervisors write through the same oplog file."""
 
-    def _run_with_chaos(self, backend, tmp_path, monkeypatch, env=ENV_PATH):
+    def _run_with_chaos(self, backend, tmp_path, monkeypatch):
         from repro.faults.os_chaos import OsChaosPlan
 
         path = tmp_path / "ops.jsonl"
-        monkeypatch.delenv(ENV_PATH, raising=False)
-        monkeypatch.delenv(ENV_ALIAS, raising=False)
-        monkeypatch.setenv(env, str(path))
+        monkeypatch.setenv(ENV_PATH, str(path))
         n = 96
         loop = chain_loop(n, geometric_chain_targets(n, 0.5))
         parallelize(loop, 4, RuntimeConfig.adaptive(
@@ -155,14 +123,6 @@ class TestAdoption:
         assert respawn["backend"] == "fork"
         assert isinstance(respawn["pid"], int)
         assert isinstance(respawn["blocks"], list)
-
-    def test_legacy_alias_env_still_collects_supervision(
-        self, tmp_path, monkeypatch
-    ):
-        records = self._run_with_chaos(
-            "fork", tmp_path, monkeypatch, env=ENV_ALIAS
-        )
-        assert "worker-respawned" in [r["event"] for r in records]
 
     def test_threads_supervision_records_flow_through_oplog(
         self, tmp_path, monkeypatch
@@ -201,21 +161,6 @@ class TestAdoption:
         assert overdue and overdue[0]["severity"] == "warn"
         # pid carries the worker's native thread id on this backend.
         assert isinstance(overdue[0]["pid"], int)
-
-    def test_shm_arena_lifecycle_is_logged(self, tmp_path, monkeypatch):
-        path = tmp_path / "ops.jsonl"
-        monkeypatch.setenv(ENV_PATH, str(path))
-        n = 64
-        loop = chain_loop(n, geometric_chain_targets(n, 0.5))
-        parallelize(loop, 4, RuntimeConfig.adaptive(backend="shm"))
-        events = [r["event"] for r in _records(path)]
-        assert "arena-created" in events
-        assert "arena-released" in events
-        created = next(
-            r for r in _records(path) if r["event"] == "arena-created"
-        )
-        assert created["component"] == "shm"
-        assert created["bytes"] > 0
 
     def test_run_failed_record_on_uncaught_error(self, tmp_path, monkeypatch):
         from repro.errors import SpeculationError

@@ -139,20 +139,14 @@ class TestBackendResourceInfo:
     sampled engine run (poking a closed backend directly is brittle)."""
 
     @pytest.mark.skipif(not HAVE_PROC, reason="worker stats need /proc")
-    @pytest.mark.parametrize("backend", ["fork", "shm"])
-    def test_process_pools_report_worker_pids(self, backend):
+    def test_process_pool_reports_worker_pids(self):
         status = []
-        _sampled_run(backend, status.append)
+        _sampled_run("fork", status.append)
         with_workers = [s for s in status if s.get("workers")]
         assert with_workers, "no sample saw the worker pool"
         worker = with_workers[-1]["workers"][0]
         assert worker["pid"] != os.getpid()
         assert worker["rss_bytes"] > 0
-
-    def test_shm_reports_arena_bytes(self):
-        status = []
-        _sampled_run("shm", status.append)
-        assert max(s.get("shm_bytes", 0) for s in status) > 0
 
     def test_threads_reports_thread_count_and_queues(self):
         status = []
@@ -167,8 +161,7 @@ class TestBackendResourceInfo:
 
         info = SerialBackend(eng=None).resource_info()
         assert info == {
-            "worker_pids": [], "shm_bytes": 0, "inflight": 0,
-            "queue_depths": [],
+            "worker_pids": [], "inflight": 0, "queue_depths": [],
         }
 
 

@@ -154,7 +154,7 @@ class TestRendering:
         state.feed({"plane": "events", "event": "commit", "stage": 0,
                     "committed_upto": 5})
         state.feed({"plane": "resources", "rss_bytes": 1_000_000,
-                    "worker_rss_bytes": 0, "shm_bytes": 0, "cpu_s": 0.5,
+                    "worker_rss_bytes": 0, "cpu_s": 0.5,
                     "backend": "fork", "gil": "gil"})
         frame = render_top(state)
         assert "chain" in frame

@@ -1,4 +1,4 @@
-"""Worker-pool supervision: real SIGKILL/SIGSTOP chaos against fork/shm.
+"""Worker-pool supervision: real SIGKILL/SIGSTOP chaos against fork.
 
 The logical fault injector simulates processor deaths inside healthy OS
 processes; these tests break the processes for real.  The acceptance bar
@@ -30,7 +30,7 @@ from repro.workloads.synthetic import chain_loop, geometric_chain_targets
 from tests.engine_parity_cases import summarize
 
 P = 4
-CHAOS_BACKENDS = ["fork", "shm"]
+CHAOS_BACKENDS = ["fork"]
 
 # Every stage goes to the pool (os_chaos runs dispatch anyway; the
 # self-killing and raising bodies below need workers to act on).
@@ -48,9 +48,8 @@ def _chain():
 
 
 def _slow_doall(n: int = 32) -> SpeculativeLoop:
-    """A doall whose host time per iteration is long enough that a chaos
-    kill delivered right after dispatch lands mid-execution.  The sleep
-    affects only wall-clock time; virtual time comes from ``ctx.work``."""
+    """A doall whose blocks take measurable host time.  The sleep affects
+    only wall-clock time; virtual time comes from ``ctx.work``."""
 
     def body(ctx, i):
         time.sleep(0.005)
@@ -121,25 +120,10 @@ class TestKillRecovery:
         assert result.supervision["supervise.respawns"] >= 1
         assert chaos_trace.read_bytes() == serial_trace.read_bytes()
 
-    def test_mid_execution_kill_redispatches_and_leaks_nothing(
-        self, monkeypatch
-    ):
-        # A shm worker killed while its block is executing: the lost
-        # blocks re-dispatch (recorded on the StageResult), the result is
-        # bit-identical to serial, and /dev/shm ends the run empty.
-        import repro.core.shm as shm_mod
-        from multiprocessing import shared_memory
-
-        created: list[str] = []
-        orig_new = shm_mod.ShmArena._new_shm
-
-        def spying_new(self, nbytes):
-            seg = orig_new(self, nbytes)
-            created.append(seg.name)
-            return seg
-
-        monkeypatch.setattr(shm_mod.ShmArena, "_new_shm", spying_new)
-
+    def test_kill_redispatch_is_recorded_on_the_stage(self):
+        # A killed worker's blocks re-dispatch, the StageResult records
+        # their processors, and the result is bit-identical to serial.
+        # (A worker dying mid-block is the self-killing body below.)
         # certify="off" keeps the baseline on the same speculative pipeline
         # as the chaos run (os_chaos disables certification dispatch).
         serial = summarize(
@@ -148,24 +132,20 @@ class TestKillRecovery:
         result = parallelize(
             _slow_doall(), P,
             RuntimeConfig.nrd(
-                backend="shm", backend_workers=P,
+                backend="fork", backend_workers=P,
                 os_chaos=OsChaosPlan.kill_workers(0, [1]),
             ),
         )
         assert summarize(result) == serial
         assert result.supervision["supervise.redispatched_blocks"] >= 1
         assert result.stages[0].redispatched_procs  # non-empty
-        assert created, "the shm backend allocated no segments?"
-        for name in created:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
 
-    def test_shm_untested_dirt_is_rolled_back(self, tmp_path):
-        # Shm workers write untested elements straight into shared
-        # memory.  A worker that dies between its untested write and its
-        # reply leaves dirt behind; the supervisor's dispatch-snapshot
-        # restore must erase it, or the replayed read-modify-write
-        # doubles up.
+    def test_untested_writes_of_a_killed_worker_never_reach_the_parent(
+        self, tmp_path
+    ):
+        # A worker that dies between its untested write and its reply
+        # must leave no trace: were its write to reach the parent's
+        # image, the replayed read-modify-write would double up.
         marker = str(tmp_path / "killed-once")
         parent_pid = os.getpid()
         n = 32
@@ -195,7 +175,7 @@ class TestKillRecovery:
         serial = summarize(parallelize(make_loop(), P, RuntimeConfig.nrd()))
         result = parallelize(
             make_loop(), P,
-            RuntimeConfig.nrd(backend="shm", backend_workers=P),
+            RuntimeConfig.nrd(backend="fork", backend_workers=P),
         )
         assert summarize(result) == serial
         assert result.supervision["supervise.respawns"] >= 1
@@ -214,9 +194,7 @@ class TestHangDetection:
         # process must end up SIGKILLed (not a zombie), its blocks
         # re-dispatched, the results bit-identical.
         log_path = tmp_path / "supervise.jsonl"
-        # REPRO_OPLOG (set by CI) would take precedence over the alias.
-        monkeypatch.delenv("REPRO_OPLOG", raising=False)
-        monkeypatch.setenv("REPRO_SUPERVISE_LOG", str(log_path))
+        monkeypatch.setenv("REPRO_OPLOG", str(log_path))
         serial = summarize(parallelize(_chain(), P, RuntimeConfig.adaptive()))
         result = parallelize(
             _chain(), P,
@@ -249,7 +227,7 @@ class TestHangDetection:
 class TestDegradation:
     def test_respawn_budget_exhaustion_degrades_not_errors(self, tmp_path):
         # With a zero respawn budget, the first kill is unrecoverable for
-        # the shm pool -- but the run must complete via fork instead of
+        # the fork pool -- but the run must complete on serial instead of
         # raising, the trace must validate, and the typed BackendDegraded
         # event must round-trip through JSONL.
         trace = tmp_path / "trace.jsonl"
@@ -257,7 +235,7 @@ class TestDegradation:
         result = parallelize(
             _chain(), P,
             _config(
-                "shm", max_worker_respawns=0, trace_path=str(trace),
+                "fork", max_worker_respawns=0, trace_path=str(trace),
                 os_chaos=OsChaosPlan.kill_workers(0, [1]),
             ),
         )
@@ -266,13 +244,13 @@ class TestDegradation:
             (d["from"], d["to"])
             for d in result.supervision["supervise.degradations"]
         ]
-        assert chain == [("shm", "fork")]
+        assert chain == [("fork", "serial")]
         events = load_trace(str(trace))
         validate_events(events)
         degraded = [e for e in events if e.kind == "backend_degraded"]
         assert len(degraded) == 1
-        assert degraded[0].from_backend == "shm"
-        assert degraded[0].to_backend == "fork"
+        assert degraded[0].from_backend == "fork"
+        assert degraded[0].to_backend == "serial"
         assert "respawn budget exhausted" in degraded[0].reason
 
 
@@ -307,9 +285,7 @@ class TestThreadsCancellation:
         self, tmp_path, monkeypatch
     ):
         log_path = tmp_path / "supervise.jsonl"
-        # REPRO_OPLOG (set by CI) would take precedence over the alias.
-        monkeypatch.delenv("REPRO_OPLOG", raising=False)
-        monkeypatch.setenv("REPRO_SUPERVISE_LOG", str(log_path))
+        monkeypatch.setenv("REPRO_OPLOG", str(log_path))
         serial = summarize(
             parallelize(
                 self._stall_loop({"left": 0}), P,
@@ -376,8 +352,7 @@ class TestThreadsCancellation:
         import pytest as _pytest
 
         with _pytest.MonkeyPatch.context() as mp_ctx:
-            mp_ctx.delenv("REPRO_OPLOG", raising=False)
-            mp_ctx.setenv("REPRO_SUPERVISE_LOG", str(log_path))
+            mp_ctx.setenv("REPRO_OPLOG", str(log_path))
             result = parallelize(
                 self._stall_loop({"left": 10**9}), P,
                 RuntimeConfig.nrd(
@@ -432,7 +407,7 @@ class TestShutdownEscalation:
     def test_shutdown_pool_sigkills_a_stopped_worker(self):
         # A SIGSTOPped worker ignores both the farewell message and
         # SIGTERM; _shutdown_pool must escalate to SIGKILL so close()
-        # never leaves a zombie holding /dev/shm mappings.
+        # never leaves a zombie behind.
         ctx = mp.get_context("fork")
         parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(target=_stop_self, args=(child_conn,), daemon=True)
@@ -446,7 +421,7 @@ class TestShutdownEscalation:
                 break
             time.sleep(0.01)
         assert state == "T", "child never reached the stopped state"
-        _shutdown_pool([(process, parent_conn)], lambda conn: conn.send(None))
+        _shutdown_pool([(process, parent_conn)])
         assert process.exitcode == -signal.SIGKILL
 
 

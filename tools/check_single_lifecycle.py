@@ -62,7 +62,6 @@ RESTRICTED_CALLS = {
     "execute_block": (
         "core/backend.py::SerialBackend.run_blocks",
         "core/backend.py::_run_worker_task",
-        "core/shm.py::_run_shm_task",
         "core/threads.py::_run_thread_task",
     ),
 }
