@@ -529,6 +529,21 @@ def _run_worker_task(wctx: _WorkerContext, task: BlockTask) -> _BlockDelta:
     return delta
 
 
+def apply_memory_updates(memory: MemoryImage, payload: bytes) -> None:
+    """Bring a worker's memory image up to the parent's last broadcast:
+    ``payload`` is a pickled :meth:`ForkBackend._memory_updates` dict
+    (empty bytes when nothing changed)."""
+    if not payload:
+        return
+    for name, update in pickle.loads(payload).items():
+        data = memory[name].data
+        if isinstance(update, tuple):
+            indices, values = update
+            data[indices] = values
+        else:
+            data[:] = update
+
+
 def _worker_main(conn, wctx: _WorkerContext) -> None:  # pragma: no cover - child
     try:
         while True:
@@ -536,14 +551,7 @@ def _worker_main(conn, wctx: _WorkerContext) -> None:  # pragma: no cover - chil
             if message is None:
                 return
             payload, tasks = message
-            if payload:
-                for name, update in pickle.loads(payload).items():
-                    data = wctx.memory[name].data
-                    if isinstance(update, tuple):
-                        indices, values = update
-                        data[indices] = values
-                    else:
-                        data[:] = update
+            apply_memory_updates(wctx.memory, payload)
             conn.send([_run_worker_task(wctx, task) for task in tasks])
     except (EOFError, KeyboardInterrupt):
         return

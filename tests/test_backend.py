@@ -123,6 +123,43 @@ class TestForkRuns:
 
 
 @pytest.mark.usefixtures("always_dispatch")
+class TestShmRuns:
+    def test_shm_run_matches_serial_dense(self):
+        serial = parallelize(
+            fully_parallel_loop(128), 4, RuntimeConfig.adaptive(backend="serial")
+        )
+        shm = parallelize(
+            fully_parallel_loop(128), 4, RuntimeConfig.adaptive(backend="shm")
+        )
+        assert shm.memory.equals(serial.memory.snapshot())
+        assert repr(shm.total_time) == repr(serial.total_time)
+        assert shm.n_stages == serial.n_stages
+
+    def test_shm_run_matches_serial_multi_stage(self):
+        # A dependence-bearing loop drives restores, redistribution and the
+        # sparse memory-update broadcast across many stages.
+        from repro.workloads.synthetic import (
+            chain_loop,
+            geometric_chain_targets,
+        )
+
+        loop = lambda: chain_loop(128, geometric_chain_targets(128, 0.5))  # noqa: E731
+        serial = parallelize(loop(), 4, RuntimeConfig.adaptive(backend="serial"))
+        shm = parallelize(loop(), 4, RuntimeConfig.adaptive(backend="shm"))
+        assert shm.memory.equals(serial.memory.snapshot())
+        assert repr(shm.total_time) == repr(serial.total_time)
+        assert shm.n_stages == serial.n_stages
+
+    def test_shm_backend_workers_bound_respected(self):
+        result = parallelize(
+            fully_parallel_loop(64), 4,
+            RuntimeConfig.adaptive(backend="shm", backend_workers=2),
+        )
+        expected = np.arange(64, dtype=np.float64) * 2.0 + 1.0
+        assert np.array_equal(result.memory["A"].data, expected)
+
+
+@pytest.mark.usefixtures("always_dispatch")
 class TestShmSynonym:
     def test_worker_crash_is_bit_identical_and_degrades_straight_to_serial(self):
         # A body that SIGKILLs every worker it reaches is a poison block:

@@ -89,14 +89,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "critical path" in out
 
-    def test_ddg_on_fork_matches_serial(self, capsys, always_dispatch):
+    @staticmethod
+    def _ddg_matches_serial(capsys, backend):
         outs = {}
-        for backend in ("serial", "fork"):
-            argv = ["ddg", "spice15:adder.128", "-p", "8", "--backend", backend]
+        for name in ("serial", backend):
+            argv = ["ddg", "spice15:adder.128", "-p", "8", "--backend", name]
             assert main(argv) == 0
-            outs[backend] = capsys.readouterr().out
+            outs[name] = capsys.readouterr().out
         assert "5657 edges" in outs["serial"]
-        assert outs["fork"] == outs["serial"]
+        assert outs[backend] == outs["serial"]
+
+    def test_ddg_on_fork_matches_serial(self, capsys, always_dispatch):
+        self._ddg_matches_serial(capsys, "fork")
+
+    def test_ddg_on_shm_matches_serial(self, capsys, always_dispatch):
+        # shm is a synonym for the fork pool and must print the same graph.
+        self._ddg_matches_serial(capsys, "shm")
 
     def test_run_induction_workload(self, capsys):
         assert main(["run", "extend:clean", "-p", "4"]) == 0

@@ -11,31 +11,29 @@ Each case runs under every execution backend (:mod:`repro.core.backend`):
 the golden values were captured from in-process serial execution, so a
 passing ``fork`` run proves the worker-pool dispatch, delta shipping and
 in-order merge are bit-identical to serial -- results, events and virtual
-time alike.  The ``fork`` leg pins every stage to the pool (the
-``always_dispatch`` fixture), so the worker data plane stays exercised
-whatever the dispatch rule would choose; the mixed leg alternates it
-between the pool and the parent stage by stage.  ``shm``, a synonym for
-the fork pool, has its own case in ``test_backend.py``.
+time alike.  The ``fork`` and ``shm`` legs pin every stage to the pool
+(the ``always_dispatch`` fixture), so the worker data plane stays
+exercised whatever the dispatch rule would choose; the mixed leg
+alternates them between the pool and the parent stage by stage.  ``shm``
+is a synonym for the fork pool, so its legs hold the synonym to the same
+golden values.
 """
 
 import json
 
 import pytest
 
-from repro.core.backend import ForkBackend, use_backend
+from repro.core.backend import ForkBackend, backend_names, use_backend
 from repro.obs.metrics import use_instrumentation
 from tests.engine_parity_cases import CASES, GOLDEN_PATH, run_case
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
-BACKENDS = ["serial", "fork", "threads"]
-
-
 def test_golden_matrix_is_complete():
     assert sorted(GOLDEN) == sorted(CASES)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", backend_names())
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_bit_identical_to_seed(name, backend, always_dispatch):
     with use_backend(backend):
@@ -48,7 +46,7 @@ def test_bit_identical_to_seed(name, backend, always_dispatch):
     assert got == want
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", backend_names())
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_bit_identical_fully_instrumented(name, backend, always_dispatch):
     """Metrics + span collection must not perturb any observable: the
@@ -66,7 +64,7 @@ def test_bit_identical_fully_instrumented(name, backend, always_dispatch):
 
 
 def _alternating(monkeypatch, first: bool) -> list[bool]:
-    """Pin the fork backend to alternate stage by stage between the
+    """Pin each process backend to alternate stage by stage between the
     pool and the parent, starting with ``first`` (True = dispatch): an
     inline stage then runs both before the pool starts and while it runs.
     Returns the decisions taken, in order."""
@@ -84,7 +82,7 @@ def _alternating(monkeypatch, first: bool) -> list[bool]:
 
 @pytest.mark.parametrize("instrumented", [False, True], ids=["plain", "instrumented"])
 @pytest.mark.parametrize("first", [False, True], ids=["inline-first", "dispatch-first"])
-@pytest.mark.parametrize("backend", ["fork"])
+@pytest.mark.parametrize("backend", ["fork", "shm"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_bit_identical_alternating_inline_and_dispatch(
     name, backend, first, instrumented, monkeypatch

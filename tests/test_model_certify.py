@@ -61,7 +61,7 @@ from tests.engine_parity_cases import summarize
 P = 4
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
-BACKENDS = ["serial", "threads"] + (["fork"] if HAS_FORK else [])
+BACKENDS = ["serial", "threads"] + (["fork", "shm"] if HAS_FORK else [])
 
 
 # -- symbolic probe layer ---------------------------------------------------------

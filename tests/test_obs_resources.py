@@ -139,9 +139,10 @@ class TestBackendResourceInfo:
     sampled engine run (poking a closed backend directly is brittle)."""
 
     @pytest.mark.skipif(not HAVE_PROC, reason="worker stats need /proc")
-    def test_process_pool_reports_worker_pids(self):
+    @pytest.mark.parametrize("backend", ["fork", "shm"])
+    def test_process_pools_report_worker_pids(self, backend):
         status = []
-        _sampled_run("fork", status.append)
+        _sampled_run(backend, status.append)
         with_workers = [s for s in status if s.get("workers")]
         assert with_workers, "no sample saw the worker pool"
         worker = with_workers[-1]["workers"][0]

@@ -1,4 +1,4 @@
-"""Worker-pool supervision: real SIGKILL/SIGSTOP chaos against fork.
+"""Worker-pool supervision: real SIGKILL/SIGSTOP chaos against fork/shm.
 
 The logical fault injector simulates processor deaths inside healthy OS
 processes; these tests break the processes for real.  The acceptance bar
@@ -30,7 +30,7 @@ from repro.workloads.synthetic import chain_loop, geometric_chain_targets
 from tests.engine_parity_cases import summarize
 
 P = 4
-CHAOS_BACKENDS = ["fork"]
+CHAOS_BACKENDS = ["fork", "shm"]
 
 # Every stage goes to the pool (os_chaos runs dispatch anyway; the
 # self-killing and raising bodies below need workers to act on).
@@ -120,7 +120,8 @@ class TestKillRecovery:
         assert result.supervision["supervise.respawns"] >= 1
         assert chaos_trace.read_bytes() == serial_trace.read_bytes()
 
-    def test_kill_redispatch_is_recorded_on_the_stage(self):
+    @pytest.mark.parametrize("backend", CHAOS_BACKENDS)
+    def test_kill_redispatch_is_recorded_on_the_stage(self, backend):
         # A killed worker's blocks re-dispatch, the StageResult records
         # their processors, and the result is bit-identical to serial.
         # (A worker dying mid-block is the self-killing body below.)
@@ -132,7 +133,7 @@ class TestKillRecovery:
         result = parallelize(
             _slow_doall(), P,
             RuntimeConfig.nrd(
-                backend="fork", backend_workers=P,
+                backend=backend, backend_workers=P,
                 os_chaos=OsChaosPlan.kill_workers(0, [1]),
             ),
         )
@@ -140,8 +141,9 @@ class TestKillRecovery:
         assert result.supervision["supervise.redispatched_blocks"] >= 1
         assert result.stages[0].redispatched_procs  # non-empty
 
+    @pytest.mark.parametrize("backend", CHAOS_BACKENDS)
     def test_untested_writes_of_a_killed_worker_never_reach_the_parent(
-        self, tmp_path
+        self, backend, tmp_path
     ):
         # A worker that dies between its untested write and its reply
         # must leave no trace: were its write to reach the parent's
@@ -175,7 +177,7 @@ class TestKillRecovery:
         serial = summarize(parallelize(make_loop(), P, RuntimeConfig.nrd()))
         result = parallelize(
             make_loop(), P,
-            RuntimeConfig.nrd(backend="fork", backend_workers=P),
+            RuntimeConfig.nrd(backend=backend, backend_workers=P),
         )
         assert summarize(result) == serial
         assert result.supervision["supervise.respawns"] >= 1
