@@ -13,9 +13,9 @@ gate miss or crash, which is how CI gates the parallel backends::
 
     python benchmarks/bench_host_perf.py --quick --out BENCH_host.json
 
-Each process backend's speedup is printed beside the share of its stages
-it ran in the parent (``inline_share``): the fork backend dispatches a
-stage only when its measured pool cost is repaid, so a speedup near
+Each pooled backend's speedup is printed beside the share of its stages
+it ran in the parent (``inline_share``): fork and threads dispatch a
+stage only when dispatching it is measured to pay, so a speedup near
 1.0x with a full inline share is serial execution.
 
 Speedup gates are conditioned on the host CPU count recorded in the

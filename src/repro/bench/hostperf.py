@@ -63,7 +63,7 @@ def _summary(result) -> dict:
 
 
 def _inline_share(result) -> float | None:
-    """Share of a process-backend run's stages that ran in the parent
+    """Share of a pooled-backend run's stages that ran in the parent
     (their dispatch would not have paid); ``None`` for backends that
     make no such choice."""
     sup = result.supervision
@@ -94,7 +94,7 @@ def _time_backends(make_loop, n_procs: int, repeats: int) -> dict:
         inline[backend] = _inline_share(result)
     return {
         "seconds": timings,
-        # A process backend's speedup over serial may come from running
+        # A pooled backend's speedup over serial may come from running
         # its stages in the parent, not in parallel: report the share.
         "inline_share": inline,
         "speedup": {
@@ -303,7 +303,7 @@ def _certified_fastpath_microbench(n: int, n_procs: int, repeats: int) -> dict:
 
 
 def inline_note(entry: dict, backend: str) -> str:
-    """``", N% inline"`` for a process backend's sweep entry: a speedup
+    """``", N% inline"`` for a pooled backend's sweep entry: a speedup
     near 1.0x with a full share is serial execution, not a parallel gain."""
     share = entry["inline_share"][backend]
     return "" if share is None else f", {share:.0%} inline"
@@ -426,11 +426,11 @@ def host_perf(quick: bool) -> ExperimentResult:
         expectation=(
             "All three backends agree bit-for-bit on memory and virtual "
             "time; fork and threads beat serial once the host has cores "
-            "to spend (>= 1.5x on the dense doall at 4 cpus); fork runs a "
-            "stage in the parent unless its measured pool cost is repaid, "
-            "so where dispatch does not pay it reads near serial with a "
-            "high inline share; threads beats fork's dispatch even on one "
-            "core (no fork, no sync, no pickling); the "
+            "to spend (>= 1.5x on the dense doall at 4 cpus); fork and "
+            "threads run a stage in the parent unless dispatching it is "
+            "measured to pay, so where dispatch does not pay they read "
+            "near serial with a high inline share; threads beats fork's "
+            "dispatch even on one core (no fork, no sync, no pickling); the "
             "vectorized commit copy-out beats the per-element loop by well "
             "over 3x at dense sizes; every vectorized kernel primitive "
             "beats its pure-Python scalar reference; the certified-DOALL "

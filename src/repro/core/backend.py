@@ -75,15 +75,15 @@ beyond repair the supervisor raises
 to serial.  The supervisor drives the pool through ``_spawn_worker`` /
 ``_send_share`` / ``_recv_share`` / ``_halt_workers``.
 
-The fork pool dispatches a stage only when it pays
-(:meth:`ForkBackend.dispatch_pays`), the host-time twin of the paper's
-Eq. 4 (redistribute only while the work saved beats the cost of moving
-it): a stage whose estimated parallel saving does not repay the measured
-per-dispatch cost -- or, while no pool runs, the pool's opening dispatch
-and teardown -- executes in the parent through
-:meth:`SerialBackend.run_blocks`.  The figures are measured in-process
-(:class:`DispatchCosts`), and the path not taken is probed now and
-then to measure its figures afresh; results, events and virtual time are
+The pooled backends (fork, shm, threads; :class:`PooledBackend`)
+dispatch a stage only when it pays (:meth:`PooledBackend.dispatch_pays`),
+the host-time twin of the paper's Eq. 4 (redistribute only while the
+work saved beats the cost of moving it): a stage whose measured dispatch
+time does not beat its measured inline time -- plus, while no pool runs,
+the pool's start and teardown -- executes in the parent through
+:meth:`SerialBackend.run_blocks`.  Each path times itself
+(:class:`DispatchCosts`), the path not taken is probed now and then to
+measure its figures afresh, and results, events and virtual time are
 identical whichever way a stage goes.
 """
 
@@ -591,27 +591,27 @@ class _Figure:
 
 @dataclass
 class DispatchCosts:
-    """What one process backend class has measured about dispatching.
+    """What one pooled backend class has measured about where its stages
+    run.
 
     Kept at module level (:data:`_DISPATCH_COSTS`), so the figures outlive
-    each ``parallelize`` call and its pool.  All are host seconds.
+    each ``parallelize`` call and its pool.  All are host seconds, each
+    timed on its own path: no figure is derived from another.
     """
 
-    per_iter: dict = field(default_factory=dict)
-    """Loop body (its code object) -> seconds per iteration, measured on
+    inline: dict = field(default_factory=dict)
+    """Loop body (its code object) -> wall seconds per iteration of the
     stages run in the parent."""
-    stage: _Figure = field(default_factory=_Figure)
-    """``C_stage``: a dispatch's wall time on a running pool (dispatch,
-    image sync, merge) minus its estimated compute share, at least 0."""
+    dispatch: dict = field(default_factory=dict)
+    """Loop body -> wall seconds per iteration of the stages sent to the
+    pool (dispatch, compute, merge; pool start excluded)."""
     pool_open: _Figure = field(default_factory=_Figure)
-    """The same for the dispatch that starts the pool (pool start, first
-    image sync, merge)."""
+    """``C_open``: pool start (``_ensure_workers``)."""
     pool_close: _Figure = field(default_factory=_Figure)
-    """Pool teardown (:meth:`ForkBackend.close`)."""
+    """``C_close``: pool teardown (:meth:`PooledBackend.close`)."""
     stake: float = 0.0
-    """What the same-way decisions since the last probe would lose if the
-    figures they do not measure were zero
-    (:meth:`ForkBackend.dispatch_pays`)."""
+    """The estimated cost of the same-way decisions since the last probe
+    (:meth:`PooledBackend.dispatch_pays`)."""
     staked_on: bool = False
     """The way those decisions went (True = dispatch)."""
     probes: int = 0
@@ -623,16 +623,25 @@ _DISPATCH_COSTS: dict[type, DispatchCosts] = {}
 
 
 def _body_key(loop):
-    """Per-body key for the per-iteration figure: loops built by one
+    """Per-body key for the per-iteration figures: loops built by one
     factory share their body's code object, not the closure."""
     body = loop.body
     return getattr(body, "__code__", None) or type(body)
 
 
-class ForkBackend(ExecutionBackend):
-    """Dispatch a stage's blocks to a persistent forked worker pool."""
+def _iterations(tasks: list[BlockTask]) -> int:
+    return sum(len(task.block) for task in tasks)
 
-    name = "fork"
+
+class PooledBackend(ExecutionBackend):
+    """A backend with a worker pool that runs a stage in the parent
+    unless dispatching it is measured to pay (:meth:`dispatch_pays`).
+
+    Subclasses supply the pool: :meth:`_ensure_workers` (start it),
+    :meth:`_run_shares` (run one stage's shares on it), :meth:`_merge`
+    (fold one block's reply into the engine) and :meth:`_stop_pool`
+    (tear it down).
+    """
 
     #: The parent-side path for stages that do not pay for dispatch.
     #: Bound once here, not looked up per call: a wrapper installed on
@@ -643,11 +652,156 @@ class ForkBackend(ExecutionBackend):
     def __init__(self, eng) -> None:
         super().__init__(eng)
         self._workers: list | None = None
+        self._supervisor = None
+
+    def _pool_size(self) -> int:
+        """Workers the pool has (or would have once started)."""
+        eng = self.eng
+        n_workers = eng.config.backend_workers or min(
+            eng.n_procs, os.cpu_count() or 1
+        )
+        return max(1, min(n_workers, eng.n_procs))
+
+    def _ensure_workers(self) -> None:
+        raise NotImplementedError
+
+    def _run_shares(self, shares: list[list[BlockTask]]) -> list:
+        raise NotImplementedError
+
+    def _merge(self, task: BlockTask, delta) -> BlockOutcome:
+        raise NotImplementedError
+
+    def _stop_pool(self, workers: list) -> None:
+        raise NotImplementedError
+
+    @property
+    def _costs(self) -> DispatchCosts:
+        return _DISPATCH_COSTS.setdefault(type(self), DispatchCosts())
+
+    def dispatch_pays(self, tasks: list[BlockTask]) -> bool:
+        """Whether this stage goes to the pool; otherwise it runs in the
+        parent.  The host-time twin of Eq. 4: dispatch only when
+
+            ``T_inline > T_dispatch``                      (a pool runs), or
+            ``T_inline > T_dispatch + C_open + C_close``   (none runs yet),
+
+        with ``T_inline`` and ``T_dispatch`` the stage's iterations times
+        this loop body's measured wall seconds per iteration on each path
+        (see :class:`DispatchCosts`).  Bootstrap: a body with no inline
+        figure runs inline, which measures it; one with no dispatch
+        figure (or, while no pool runs, no pool figures) dispatches,
+        which measures them.  A stage that would use fewer than two
+        workers runs inline; ``os_chaos`` runs always dispatch: their
+        signals target workers.
+
+        Each path measures only its own figures, so the rule probes the
+        other one: every decision adds the estimated cost of the path it
+        takes to a stake, and once the stake of a run of same-way
+        decisions passes the estimated cost of the other path, doubled
+        per probe so far, the stage takes the other path.  Every decision
+        stakes a positive amount, so one wrong figure cannot fix the
+        choice for good; a probe costs about what it insures, and where
+        the choice is right the probes thin out geometrically.
+        """
+        eng = self.eng
+        if eng.os_chaos is not None:
+            return True
+        if min(self._pool_size(), len(tasks)) < 2:
+            return False
+        costs = self._costs
+        key = _body_key(eng.loop)
+        inline, dispatch = costs.inline.get(key), costs.dispatch.get(key)
+        if inline is None:
+            return False
+        if dispatch is None:
+            return True
+        n = _iterations(tasks)
+        t_inline, t_dispatch = inline.value * n, dispatch.value * n
+        if self._workers is None:
+            opened, closed = costs.pool_open.value, costs.pool_close.value
+            if opened is None or closed is None:
+                return True
+            t_dispatch += opened + closed
+        pays = t_inline > t_dispatch
+        if pays != costs.staked_on:
+            # The choice flipped, so the other path just measured its figures.
+            costs.stake, costs.staked_on = 0.0, pays
+        taken, other = (t_dispatch, t_inline) if pays else (t_inline, t_dispatch)
+        costs.stake += taken
+        if costs.stake > other * 2**costs.probes:
+            costs.stake = 0.0
+            costs.probes += 1
+            return not pays
+        return pays
+
+    def run_blocks(self, tasks: list[BlockTask]) -> list[BlockOutcome]:
+        if not tasks:
+            return []
+        check_unique_procs(self.name, tasks)
+        stats, costs = self.eng.supervision, self._costs
+        dispatch = self.dispatch_pays(tasks)
+        t0 = time.perf_counter()
+        if dispatch:
+            stats.dispatched_stages += 1
+            if self._workers is None:
+                self._ensure_workers()
+                stats.pools_started += 1
+                opened = time.perf_counter()
+                costs.pool_open.add(opened - t0)
+                t0 = opened
+            outcomes = self._dispatch_stage(tasks)
+        else:
+            stats.inline_stages += 1
+            outcomes = self._run_inline(tasks)
+        figures = costs.dispatch if dispatch else costs.inline
+        figures.setdefault(_body_key(self.eng.loop), _Figure()).add(
+            time.perf_counter() - t0, _iterations(tasks)
+        )
+        return outcomes
+
+    def _dispatch_stage(self, tasks: list[BlockTask]) -> list[BlockOutcome]:
+        """Run one stage on the pool: faults hoisted, blocks dealt to the
+        workers round-robin, replies merged in block order."""
+        eng = self.eng
+        hoist_injection(eng, tasks)
+        for task in tasks:
+            task.collect_metrics = getattr(eng, "metrics_enabled", False)
+            task.collect_spans = getattr(eng, "spans_enabled", False)
+        shares: list[list[BlockTask]] = [[] for _ in self._workers]
+        for k, task in enumerate(tasks):
+            shares[k % len(shares)].append(task)
+        deltas = {
+            delta.pos: delta for reply in self._run_shares(shares) for delta in reply
+        }
+        return [self._merge(task, deltas[task.pos]) for task in tasks]
+
+    def close(self) -> None:
+        """Stop the pool, if one runs, and release its resources; the
+        teardown is timed as ``C_close``."""
+        if self._workers is None:
+            return
+        t0 = time.perf_counter()
+        workers, self._workers = self._workers, None
+        get_oplog().log(
+            "backend", "pool-closed", backend=self.name,
+            workers=len(workers),
+        )
+        self._stop_pool(workers)
+        self._supervisor = None
+        self._costs.pool_close.add(time.perf_counter() - t0)
+
+
+class ForkBackend(PooledBackend):
+    """Dispatch a stage's blocks to a persistent forked worker pool."""
+
+    name = "fork"
+
+    def __init__(self, eng) -> None:
+        super().__init__(eng)
         self._last_sync: dict[str, np.ndarray] = {}
         self._wctx = None
         self._mp_ctx = None
         self._updates_bytes: bytes = b""
-        self._supervisor: WorkerSupervisor | None = None
 
     def _make_wctx(self):
         """Build the context workers inherit through fork."""
@@ -668,8 +822,6 @@ class ForkBackend(ExecutionBackend):
         )
 
     def _ensure_workers(self) -> None:
-        if self._workers is not None:
-            return
         import multiprocessing as mp
 
         if "fork" not in mp.get_all_start_methods():
@@ -690,20 +842,11 @@ class ForkBackend(ExecutionBackend):
                 process.terminate()
             raise
         self._workers = workers
-        self.eng.supervision.pools_started += 1
         get_oplog().log(
             "backend", "pool-started", backend=self.name,
             workers=len(workers),
             pids=[process.pid for process, _ in workers],
         )
-
-    def _pool_size(self) -> int:
-        """Workers the pool has (or would have once started)."""
-        eng = self.eng
-        n_workers = eng.config.backend_workers or min(
-            eng.n_procs, os.cpu_count() or 1
-        )
-        return max(1, min(n_workers, eng.n_procs))
 
     def _spawn_worker(self):
         """Fork one worker from the saved context.
@@ -825,92 +968,7 @@ class ForkBackend(ExecutionBackend):
                 last[indices] = values
         return updates
 
-    @property
-    def _costs(self) -> DispatchCosts:
-        return _DISPATCH_COSTS.setdefault(type(self), DispatchCosts())
-
-    def dispatch_pays(self, tasks: list[BlockTask]) -> bool:
-        """Whether this stage goes to the pool; otherwise it runs in the
-        parent.  The host-time twin of Eq. 4: dispatch only when
-
-            ``T_est * (1 - 1/w) > C_stage``  (a pool runs), or
-            ``T_est * (1 - 1/w) > C_pool``   (none runs yet),
-
-        with ``T_est`` the stage's iterations times this loop body's
-        measured seconds per iteration, ``w = min(workers, blocks)`` and
-        ``C_pool`` the opening dispatch plus the close (see
-        :class:`DispatchCosts`).  Bootstrap: a body with no figure yet
-        runs inline, which measures it; with no dispatch cost yet the
-        stage dispatches, which measures it.  ``os_chaos`` runs always
-        dispatch: their signals target workers.
-
-        Each path measures only its own figures, so the rule probes the
-        other one: every decision adds to a stake what it would lose if
-        the figure it does not measure were zero -- an inline stage its
-        saving, a dispatch its overhead -- and once the stake of a run of
-        same-way decisions passes the probe's price (the overhead, or the
-        saving), doubled per probe so far, the stage takes the other
-        path.  One wrong figure thus cannot fix the choice for good, a
-        probe costs about what it insures, and where the choice is right
-        the probes thin out geometrically.
-        """
-        eng = self.eng
-        if eng.os_chaos is not None:
-            return True
-        w = min(self._pool_size(), len(tasks))
-        if w < 2:
-            return False
-        costs = self._costs
-        per_iter = costs.per_iter.get(_body_key(eng.loop))
-        if per_iter is None:
-            return False
-        if self._workers is not None:
-            overhead = costs.stage.value
-        else:
-            opened, closed = costs.pool_open.value, costs.pool_close.value
-            overhead = None if opened is None or closed is None else opened + closed
-        if overhead is None:
-            return True
-        saved = per_iter.value * _iterations(tasks) * (1.0 - 1.0 / w)
-        pays = saved > overhead
-        if pays != costs.staked_on:
-            # The choice flipped, so the other path just measured its figures.
-            costs.stake, costs.staked_on = 0.0, pays
-        stake, price = (overhead, saved) if pays else (saved, overhead)
-        costs.stake += stake
-        if costs.stake > price * 2**costs.probes:
-            costs.stake = 0.0
-            costs.probes += 1
-            return not pays
-        return pays
-
-    def run_blocks(self, tasks: list[BlockTask]) -> list[BlockOutcome]:
-        if not tasks:
-            return []
-        check_unique_procs(self.name, tasks)
-        stats = self.eng.supervision
-        if self.dispatch_pays(tasks):
-            stats.dispatched_stages += 1
-            return self._dispatch(tasks)
-        stats.inline_stages += 1
-        t0 = time.perf_counter()
-        outcomes = self._run_inline(tasks)
-        self._costs.per_iter.setdefault(_body_key(self.eng.loop), _Figure()).add(
-            time.perf_counter() - t0, _iterations(tasks)
-        )
-        return outcomes
-
-    def _dispatch(self, tasks: list[BlockTask]) -> list[BlockOutcome]:
-        """Run the stage on the pool (started on first use) and record
-        what the dispatch cost beyond its compute share."""
-        eng = self.eng
-        t0 = time.perf_counter()
-        opening = self._workers is None
-        self._ensure_workers()
-        hoist_injection(eng, tasks)
-        for task in tasks:
-            task.collect_metrics = getattr(eng, "metrics_enabled", False)
-            task.collect_spans = getattr(eng, "spans_enabled", False)
+    def _run_shares(self, shares: list[list[BlockTask]]) -> list:
         # The memory-update broadcast is pickled **once** here and the
         # same frame reused for every worker's send: re-serializing
         # identical array payloads per share was a measurable slice of
@@ -923,29 +981,9 @@ class ForkBackend(ExecutionBackend):
         # Every worker gets a share, even an empty one: the dispatch also
         # carries the memory-update broadcast, which must reach the whole
         # pool because the diff baseline (_last_sync) has advanced.
-        shares: list[list[BlockTask]] = [[] for _ in self._workers]
-        for k, task in enumerate(tasks):
-            shares[k % len(shares)].append(task)
         if self._supervisor is None:
             self._supervisor = WorkerSupervisor(self)
-        replies = self._supervisor.run_shares(shares)
-        deltas: dict = {}
-        for reply in replies:
-            for delta in reply:
-                deltas[delta.pos] = delta
-        outcomes = [self._merge(task, deltas[task.pos]) for task in tasks]
-        per_iter = self._costs.per_iter.get(_body_key(eng.loop))
-        if per_iter is not None:
-            # Without a per-iteration figure the compute share is unknown
-            # and the sample says nothing about overhead.  Workers slower
-            # than the parent count as overhead: the rule weighs the
-            # parent's time against the dispatch's.
-            compute = per_iter.value * _iterations(tasks) / min(
-                len(self._workers), len(tasks)
-            )
-            overhead = max(0.0, time.perf_counter() - t0 - compute)
-            (self._costs.pool_open if opening else self._costs.stage).add(overhead)
-        return outcomes
+        return self._supervisor.run_shares(shares)
 
     def _merge(self, task: BlockTask, delta: _BlockDelta) -> BlockOutcome:
         """Fold one block's delta into the engine, in block-position order."""
@@ -1019,26 +1057,10 @@ class ForkBackend(ExecutionBackend):
                 pass
         return info
 
-    def close(self) -> None:
-        """Stop the pool, if one runs, and release its resources; the
-        teardown of a running pool is timed as part of ``C_pool``."""
-        if self._workers is None:
-            return
-        t0 = time.perf_counter()
-        workers, self._workers = self._workers, None
-        get_oplog().log(
-            "backend", "pool-closed", backend=self.name,
-            workers=len(workers),
-        )
+    def _stop_pool(self, workers: list) -> None:
         _shutdown_pool(workers)
         self._wctx = None
-        self._supervisor = None
         self._updates_bytes = b""
-        self._costs.pool_close.add(time.perf_counter() - t0)
-
-
-def _iterations(tasks: list[BlockTask]) -> int:
-    return sum(len(task.block) for task in tasks)
 
 
 def _shutdown_pool(workers: list) -> None:

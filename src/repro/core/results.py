@@ -127,9 +127,8 @@ class RunResult:
     """Flat ``supervise.*`` counters (:class:`~repro.core.supervise.
     SupervisionStats`) when the worker supervisor acted this run --
     respawns, re-dispatched blocks, kills, backend degradations -- or a
-    process backend chose where its stages ran (``inline_stages``,
-    ``dispatched_stages``, ``pools_started``); empty on undisturbed
-    serial and threads runs.  Host-dependent, deliberately outside
+    pooled backend chose where its stages ran (``inline_stages``,
+    ``dispatched_stages``, ``pools_started``); empty on serial runs.  Host-dependent, deliberately outside
     ``metrics``."""
 
     certificate: object = None

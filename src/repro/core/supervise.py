@@ -36,7 +36,7 @@ and metrics streams: a disturbed run must produce a bit-identical trace to
 an undisturbed one (the golden acceptance bar).  Counters live on the
 engine's :class:`SupervisionStats` (surfaced as ``RunResult.supervision``
 and ``StageResult.redispatched_procs``) -- beside the counts of stages a
-process backend ran in the parent or dispatched, which stay out of those
+pooled backend ran in the parent or dispatched, which stay out of those
 streams for the same reason -- and kill/respawn/redispatch
 timings are logged as ``supervise`` records through the unified oplog
 (:mod:`repro.obs.oplog`; point ``REPRO_OPLOG`` at a path; CI uploads it
@@ -156,11 +156,11 @@ class SupervisionStats:
     """Scratch: processors re-dispatched since the last stage drain."""
 
     inline_stages: int = 0
-    """Process-backend stages run in the parent: their dispatch would not
-    have paid (:meth:`~repro.core.backend.ForkBackend.dispatch_pays`)."""
+    """Pooled-backend stages run in the parent: their dispatch would not
+    have paid (:meth:`~repro.core.backend.PooledBackend.dispatch_pays`)."""
 
     dispatched_stages: int = 0
-    """Process-backend stages sent to the worker pool."""
+    """Pooled-backend stages sent to the worker pool."""
 
     pools_started: int = 0
     """Worker pools started (lazily, on the first dispatched stage)."""
@@ -177,7 +177,7 @@ class SupervisionStats:
     @property
     def reported(self) -> bool:
         """Whether ``RunResult.supervision`` carries this run's counters:
-        supervision acted, or a process backend decided where stages run."""
+        supervision acted, or a pooled backend decided where stages run."""
         return self.active or bool(self.inline_stages or self.dispatched_stages)
 
     def take_stage_redispatched(self) -> list[int]:
@@ -201,7 +201,7 @@ class SupervisionStats:
         }
 
     def dispatch_counts(self) -> dict:
-        """Where the process backends ran their stages (host plane only)."""
+        """Where the pooled backends ran their stages (host plane only)."""
         return {name: getattr(self, name) for name in DISPATCH_COUNTERS}
 
 

@@ -36,6 +36,16 @@ is only one address space, so views and shadows need no shipping:
   them through the parent's checkpoint manager in block order -- so stage
   rollback sees exactly the serial write/restore history.
 
+Where a stage runs
+------------------
+
+Like the fork pool, the backend runs a stage in the parent, through the
+serial block loop, unless dispatching it is measured to pay
+(:class:`~repro.core.backend.PooledBackend`, whose rule and figures it
+shares).  Under the GIL the worker threads rarely beat the parent, so
+most stages run serial's code; the pool starts lazily on the first
+stage dispatched.
+
 Supervision
 -----------
 
@@ -76,7 +86,6 @@ undisturbed traces stay byte-identical across backends.
 
 from __future__ import annotations
 
-import os
 import queue
 import sys
 import threading
@@ -90,11 +99,9 @@ from repro.core.backend import (
     BACKENDS,
     BlockOutcome,
     BlockTask,
-    ExecutionBackend,
+    PooledBackend,
     _AccessRecorder,
     _WorkerMachine,
-    check_unique_procs,
-    hoist_injection,
     make_capture_checkpoint,
     replay_untested,
 )
@@ -513,7 +520,7 @@ class _ThreadSupervisor:
         )
 
 
-class ThreadsBackend(ExecutionBackend):
+class ThreadsBackend(PooledBackend):
     """Persistent in-process worker threads over the kernel seam."""
 
     name = "threads"
@@ -527,29 +534,18 @@ class ThreadsBackend(ExecutionBackend):
                 "-- use backend='fork' for OS-level chaos"
             )
         self.thread_mode = thread_mode()
-        self._workers: list[_Worker] | None = None
         self._done: queue.SimpleQueue = queue.SimpleQueue()
-        self._supervisor: _ThreadSupervisor | None = None
 
     # -- pool lifecycle ----------------------------------------------------------
 
     def _ensure_workers(self) -> None:
-        if self._workers is not None:
-            return
-        eng = self.eng
-        n_workers = eng.config.backend_workers or min(
-            eng.n_procs, os.cpu_count() or 1
-        )
-        n_workers = max(1, min(n_workers, eng.n_procs))
-        workers = []
-        for slot in range(n_workers):
-            worker = _Worker(slot)
+        workers = [_Worker(slot) for slot in range(self._pool_size())]
+        for worker in workers:
             self._start_worker(worker)
-            workers.append(worker)
         self._workers = workers
         get_oplog().log(
             "backend", "pool-started", backend=self.name,
-            workers=n_workers, mode=self.thread_mode,
+            workers=len(workers), mode=self.thread_mode,
         )
 
     def _start_worker(self, worker: _Worker) -> None:
@@ -624,27 +620,10 @@ class ThreadsBackend(ExecutionBackend):
 
     # -- dispatch ----------------------------------------------------------------
 
-    def run_blocks(self, tasks: list[BlockTask]) -> list[BlockOutcome]:
-        eng = self.eng
-        if not tasks:
-            return []
-        check_unique_procs(self.name, tasks)
-        self._ensure_workers()
-        hoist_injection(eng, tasks)
-        for task in tasks:
-            task.collect_metrics = getattr(eng, "metrics_enabled", False)
-            task.collect_spans = getattr(eng, "spans_enabled", False)
-        shares: list[list[BlockTask]] = [[] for _ in self._workers]
-        for k, task in enumerate(tasks):
-            shares[k % len(shares)].append(task)
+    def _run_shares(self, shares: list[list[BlockTask]]) -> list:
         if self._supervisor is None:
             self._supervisor = _ThreadSupervisor(self)
-        replies = self._supervisor.run_shares(shares)
-        deltas: dict = {}
-        for reply in replies:
-            for delta in reply:
-                deltas[delta.pos] = delta
-        return [self._merge(task, deltas[task.pos]) for task in tasks]
+        return self._supervisor.run_shares(shares)
 
     def _merge(self, task: BlockTask, delta: _ThreadDelta) -> BlockOutcome:
         """Fold one block's delta into the engine, in block-position order.
@@ -713,14 +692,7 @@ class ThreadsBackend(ExecutionBackend):
                 pass
         return info
 
-    def close(self) -> None:
-        if self._workers is None:
-            return
-        workers, self._workers = self._workers, None
-        get_oplog().log(
-            "backend", "pool-closed", backend=self.name,
-            workers=len(workers),
-        )
+    def _stop_pool(self, workers: list[_Worker]) -> None:
         for worker in workers:
             worker.inbox.put(None)
         for worker in workers:
@@ -728,7 +700,6 @@ class ThreadsBackend(ExecutionBackend):
                 worker.thread.join(timeout=2.0)
         # A worker still alive here is wedged mid-iteration; it is
         # daemonic and cannot outlive the interpreter.
-        self._supervisor = None
 
 
 BACKENDS[ThreadsBackend.name] = ThreadsBackend

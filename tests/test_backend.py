@@ -201,6 +201,7 @@ class TestShmSynonym:
 # -- the in-process threads backend ------------------------------------------------
 
 
+@pytest.mark.usefixtures("always_dispatch")
 class TestThreadsRuns:
     def test_threads_run_matches_serial(self):
         serial = parallelize(
@@ -301,14 +302,19 @@ class TestThreadsRuns:
 
 # -- dispatch only when it pays ----------------------------------------------------
 
+#: The backends that decide stage by stage between the pool and the parent.
+POOLED = ["fork", "shm", "threads"]
 
-def _rule_backend(*, workers=2, os_chaos=None):
-    """A fork backend over a stub engine (the figures start empty)."""
+
+def _rule_backend(name="fork", *, workers=2, os_chaos=None):
+    """A pooled backend over a stub engine (the figures start empty)."""
+    backend_names()  # registers shm and threads
     eng = SimpleNamespace(
         os_chaos=os_chaos, loop=fully_parallel_loop(64), n_procs=4,
         config=SimpleNamespace(backend_workers=workers),
+        supervision=SupervisionStats(),
     )
-    return backend_mod.ForkBackend(eng)
+    return backend_mod.BACKENDS[name](eng)
 
 
 def _tasks(n_blocks, size=16):
@@ -318,89 +324,159 @@ def _tasks(n_blocks, size=16):
     ]
 
 
-def _per_iter(backend):
-    return backend._costs.per_iter.setdefault(
+def _figure(backend, path):
+    """The per-iteration figure of ``path`` ("inline" or "dispatch")."""
+    return getattr(backend._costs, path).setdefault(
         backend_mod._body_key(backend.eng.loop), backend_mod._Figure()
     )
 
 
-def _measured(backend, *, per_iter, stage=None, pool_open=0.0, pool_close=0.0):
-    """Record one sample of each figure the rule reads (no steady
-    dispatch sample when ``stage`` is None)."""
+def _measured(backend, *, inline, dispatch=None, pool_open=0.0, pool_close=0.0):
+    """Record one sample of each figure the rule reads (no dispatch
+    sample when ``dispatch`` is None); per-iteration seconds."""
     costs = backend._costs
-    _per_iter(backend).add(per_iter)
-    if stage is not None:
-        costs.stage.add(stage)
+    _figure(backend, "inline").add(inline)
+    if dispatch is not None:
+        _figure(backend, "dispatch").add(dispatch)
     costs.pool_open.add(pool_open)
     costs.pool_close.add(pool_close)
 
 
+class _PathClock:
+    """The host clock ``run_blocks`` reads, advanced only by the stubbed
+    paths of :func:`_stub_paths`, so every recorded figure is exact."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.paths: list[str] = []
+
+    def perf_counter(self) -> float:
+        return self.now
+
+
+def _stub_paths(monkeypatch, backend, *, inline, dispatch, pool_open, pool_close):
+    """Replace the backend's paths by stubs that take the given host
+    seconds: ``inline(k)`` per iteration of the ``k``-th inline stage,
+    ``dispatch`` per iteration of a dispatched one.  ``run_blocks`` and
+    ``close`` then record their samples as on a real run."""
+    clock = _PathClock()
+    monkeypatch.setattr(backend_mod, "time", clock)
+
+    def take(path, seconds):
+        clock.now += seconds
+        clock.paths.append(path)
+        return []
+
+    def run_inline(tasks):
+        per_iter = inline(clock.paths.count("inline"))
+        return take("inline", per_iter * backend_mod._iterations(tasks))
+
+    def dispatch_stage(tasks):
+        return take("dispatch", dispatch * backend_mod._iterations(tasks))
+
+    def ensure_workers():
+        clock.now += pool_open
+        backend._workers = [None] * backend._pool_size()
+
+    def stop_pool(workers):
+        clock.now += pool_close
+
+    for name, stub in (
+        ("_run_inline", run_inline),
+        ("_dispatch_stage", dispatch_stage),
+        ("_ensure_workers", ensure_workers),
+        ("_stop_pool", stop_pool),
+    ):
+        monkeypatch.setattr(backend, name, stub)
+    return clock
+
+
+@pytest.fixture(params=POOLED)
+def pooled(request):
+    """Each pooled backend's name, for the rule they all share."""
+    return request.param
+
+
 class TestDispatchRule:
-    def test_no_per_iteration_figure_runs_inline(self):
-        backend = _rule_backend()
+    def test_no_inline_figure_runs_inline(self, pooled):
+        backend = _rule_backend(pooled)
         assert not backend.dispatch_pays(_tasks(4))
 
-    def test_no_dispatch_cost_dispatches_once_to_measure_it(self):
-        backend = _rule_backend()
-        _per_iter(backend).add(1e-6)
-        assert backend.dispatch_pays(_tasks(4))  # no pool cost yet
+    def test_no_dispatch_figure_dispatches_once_to_measure_it(self, pooled):
+        backend = _rule_backend(pooled)
+        _figure(backend, "inline").add(1e-6)
+        assert backend.dispatch_pays(_tasks(4))  # no dispatch figure yet
+        _figure(backend, "dispatch").add(1.0)
+        assert backend.dispatch_pays(_tasks(4))  # no pool figures yet
         backend._workers = [object(), object()]
-        assert backend.dispatch_pays(_tasks(4))  # no stage cost yet
+        assert not backend.dispatch_pays(_tasks(4))
 
     def test_os_chaos_always_dispatches(self):
         backend = _rule_backend(os_chaos=object())
         assert backend.dispatch_pays(_tasks(1))
 
-    def test_one_block_never_pays(self):
-        backend = _rule_backend()
-        _measured(backend, per_iter=1.0, stage=0.0)
+    def test_one_block_never_pays(self, pooled):
+        backend = _rule_backend(pooled)
+        _measured(backend, inline=1.0, dispatch=1e-9)
         assert not backend.dispatch_pays(_tasks(1))
 
-    def test_one_worker_never_pays(self):
-        backend = _rule_backend(workers=1)
-        _measured(backend, per_iter=1.0, stage=0.0)
+    def test_one_worker_never_pays(self, pooled):
+        backend = _rule_backend(pooled, workers=1)
+        _measured(backend, inline=1.0, dispatch=1e-9)
         assert not backend.dispatch_pays(_tasks(4))
 
-    def test_pool_cost_counts_only_while_no_pool_runs(self):
-        backend = _rule_backend()
-        # 4 blocks x 16 iterations x 1 ms at w=2 saves 32 ms: more than a
-        # 10 ms dispatch, less than a 10 ms opening dispatch + 50 ms close.
-        _measured(backend, per_iter=1e-3, stage=0.010, pool_open=0.010,
+    def test_pool_cost_counts_only_while_no_pool_runs(self, pooled):
+        # 64 iterations: 64 ms inline against a 48 ms dispatch, which a
+        # 10 ms pool start and 50 ms close would push past inline.
+        backend = _rule_backend(pooled)
+        _measured(backend, inline=1e-3, dispatch=0.75e-3, pool_open=0.010,
                   pool_close=0.050)
         assert not backend.dispatch_pays(_tasks(4))
         backend._workers = [object(), object()]
         assert backend.dispatch_pays(_tasks(4))
 
-    def test_saving_must_beat_the_stage_cost(self):
-        backend = _rule_backend()
+    @pytest.mark.parametrize("dispatch, pays", [(1.2e-3, False), (0.8e-3, True)])
+    def test_the_cheaper_path_wins(self, pooled, dispatch, pays):
+        backend = _rule_backend(pooled)
         backend._workers = [object(), object()]
-        _measured(backend, per_iter=1e-3, stage=0.040)
-        assert not backend.dispatch_pays(_tasks(4))  # saves 32 ms
-        assert backend.dispatch_pays(_tasks(4, size=64))  # saves 128 ms
+        _measured(backend, inline=1e-3, dispatch=dispatch)
+        assert backend.dispatch_pays(_tasks(4, size=64)) is pays
 
-    def test_inline_stages_buy_a_probe_with_doubling_prices(self):
-        # 32 ms saved per stage against a 100 ms pool: inline, until the
-        # savings at stake pass 100 ms (4th stage), then 200 ms (7th more).
-        backend = _rule_backend()
-        _measured(backend, per_iter=1e-3, pool_open=0.090, pool_close=0.010)
+    def test_inline_stages_buy_a_probe_with_doubling_prices(self, pooled):
+        # 32 ms inline per stage against a 16 ms dispatch plus an 84 ms
+        # pool: inline, until the stake passes 100 ms (4th stage), then
+        # 200 ms (7th more).
+        backend = _rule_backend(pooled)
+        _measured(backend, inline=0.5e-3, dispatch=0.25e-3, pool_open=0.074,
+                  pool_close=0.010)
         decisions = [backend.dispatch_pays(_tasks(4)) for _ in range(11)]
         assert decisions == [False] * 3 + [True] + [False] * 6 + [True]
         assert backend._costs.probes == 2
 
-    def test_dispatched_stages_buy_an_inline_probe(self):
-        # 128 ms saved per stage against a 40 ms dispatch: the overheads
-        # at stake pass 128 ms on the 4th stage, which runs inline.
-        backend = _rule_backend()
+    def test_dispatched_stages_buy_an_inline_probe(self, pooled):
+        # 40 ms dispatched per stage against 128 ms inline: the stake
+        # passes 128 ms on the 4th stage, which runs inline.
+        backend = _rule_backend(pooled)
         backend._workers = [object(), object()]
-        _measured(backend, per_iter=1e-3, stage=0.040)
-        decisions = [backend.dispatch_pays(_tasks(4, size=64)) for _ in range(4)]
+        _measured(backend, inline=2e-3, dispatch=0.625e-3)
+        decisions = [backend.dispatch_pays(_tasks(4)) for _ in range(4)]
         assert decisions == [True] * 3 + [False]
 
-    def test_an_inflated_pool_sample_cannot_keep_the_pool_off(self):
-        # A cold first pool measured 10 s; the true cost is 10 ms, which a
-        # 32 ms saving repays.  Every probe re-measures the true cost.
-        backend = _rule_backend()
-        _measured(backend, per_iter=1e-3, pool_open=10.0, pool_close=0.0)
+    def test_every_decision_stakes_a_positive_amount(self, pooled):
+        backend = _rule_backend(pooled)
+        backend._workers = [object(), object()]
+        _measured(backend, inline=1e-3, dispatch=1e-12)
+        stakes = []
+        for _ in range(5):
+            backend.dispatch_pays(_tasks(4))
+            stakes.append(backend._costs.stake)
+        assert all(b > a > 0.0 for a, b in zip(stakes, stakes[1:]))
+
+    def test_an_inflated_pool_sample_cannot_keep_the_pool_off(self, pooled):
+        # A cold first pool start measured 10 s; the true 10 ms start
+        # makes dispatch cheaper than inline.  Every probe re-measures it.
+        backend = _rule_backend(pooled)
+        _measured(backend, inline=1e-3, dispatch=0.25e-3, pool_open=10.0)
         decisions = []
         for _ in range(5000):
             decisions.append(backend.dispatch_pays(_tasks(4)))
@@ -409,20 +485,57 @@ class TestDispatchRule:
         assert decisions[0] is False
         assert all(decisions[-10:])
 
-    def test_an_inflated_per_iteration_sample_cannot_keep_dispatching(self):
-        # A cold first inline stage measured 100 us per iteration; the true
-        # 10 us saves 20 ms on 4,000 iterations, short of a 30 ms dispatch.
-        # Every inline probe re-measures the true figure.
-        backend = _rule_backend()
-        backend._workers = [object(), object()]
-        _measured(backend, per_iter=1e-4, stage=0.030)
-        decisions = []
-        for _ in range(300):
-            decisions.append(backend.dispatch_pays(_tasks(4, size=1000)))
-            if not decisions[-1]:
-                _per_iter(backend).add(4000 * 1e-5, 4000)
-        assert decisions[0] is True
-        assert decisions[-100:].count(True) <= 2  # probes at most
+    @pytest.mark.parametrize(
+        "name, pool_close", [("fork", 0.030), ("fork", 1e-4), ("threads", 1e-4)]
+    )
+    def test_an_inflated_inline_sample_cannot_keep_dispatching(
+        self, monkeypatch, name, pool_close
+    ):
+        # A cold first inline stage takes 164 us per iteration; every later
+        # one takes the true 30 us, below the dispatch's 35 us (a GIL-bound
+        # pool).  Five calls of 37 stages, 96 iterations each, the figures
+        # carried across calls.  The inline probes re-measure the body,
+        # so inline wins back the stages whatever the pool's close costs
+        # (a thread pool's is about 0.1 ms).
+        backend = _rule_backend(name)
+        clock = _stub_paths(
+            monkeypatch, backend,
+            inline=lambda k: 164e-6 if k == 0 else 30e-6,
+            dispatch=35e-6, pool_open=1e-4, pool_close=pool_close,
+        )
+        for _ in range(5):
+            for _ in range(37):
+                backend.run_blocks(_tasks(4, size=24))
+            backend.close()
+        sup = backend.eng.supervision
+        assert sup.inline_stages + sup.dispatched_stages == 185
+        assert clock.paths[:2] == ["inline", "dispatch"]
+        assert clock.paths[-100:].count("dispatch") <= 3  # probes at most
+
+    def test_the_dispatch_figure_does_not_depend_on_the_inline_one(
+        self, monkeypatch, pooled
+    ):
+        # The same dispatched stages under a wildly high and a tiny inline
+        # figure record the same dispatch and pool figures, to the bit.
+        figures = []
+        for inline in (1.0, 1e-9):
+            backend = _rule_backend(pooled)
+            monkeypatch.setattr(backend_mod, "_DISPATCH_COSTS", {})
+            monkeypatch.setattr(backend, "dispatch_pays", lambda tasks: True)
+            _figure(backend, "inline").add(inline)
+            _stub_paths(monkeypatch, backend, inline=lambda k: 0.0,
+                        dispatch=35e-6, pool_open=1e-4, pool_close=1e-4)
+            for _ in range(3):
+                backend.run_blocks(_tasks(4))
+            backend.close()
+            costs = backend._costs
+            figures.append((
+                _figure(backend, "dispatch").value,
+                costs.pool_open.value, costs.pool_close.value,
+            ))
+        assert figures[0] == figures[1]
+        assert figures[0][0] == pytest.approx(35e-6)
+        assert figures[0][1:] == pytest.approx((1e-4, 1e-4))
 
     def test_a_figure_follows_its_recent_samples(self):
         figure = backend_mod._Figure()
@@ -434,44 +547,26 @@ class TestDispatchRule:
             figure.add(0.0)
         assert figure.value < 1e-6
 
-    @pytest.mark.parametrize("backend", ["fork", "shm"])
-    def test_dispatch_overhead_is_never_negative(self, backend, always_dispatch):
-        # A per-iteration figure far above the truth makes every dispatch
-        # look faster than its compute share: the overhead reads 0.
-        backend_names()  # registers the shm backend
-        costs = backend_mod._DISPATCH_COSTS.setdefault(
-            backend_mod.BACKENDS[backend], backend_mod.DispatchCosts()
-        )
-        loop = chain_loop(96, geometric_chain_targets(96, 0.5))
-        costs.per_iter[backend_mod._body_key(loop)] = figure = backend_mod._Figure()
-        figure.add(1.0)
-        result = parallelize(
-            loop, 4, RuntimeConfig.adaptive(backend=backend, backend_workers=2)
-        )
-        assert result.n_stages >= 2
-        assert costs.pool_open.value == 0.0
-        assert costs.stage.value == 0.0
-        assert costs.pool_close.value > 0.0
-
-    def test_bootstrap_on_a_real_run(self):
+    @pytest.mark.parametrize("backend", ["fork", "threads"])
+    def test_bootstrap_on_a_real_run(self, backend):
         # Fresh figures: the first stage runs inline (and measures the
         # body), the next dispatches (and measures the pool); every stage
         # is accounted for, and the result is serial's.
         n = 96
         loop = lambda: chain_loop(n, geometric_chain_targets(n, 0.5))  # noqa: E731
         serial = parallelize(loop(), 4, RuntimeConfig.adaptive(certify="off"))
-        fork = parallelize(loop(), 4, RuntimeConfig.adaptive(
-            backend="fork", backend_workers=2, certify="off",
+        pooled = parallelize(loop(), 4, RuntimeConfig.adaptive(
+            backend=backend, backend_workers=2, certify="off",
         ))
-        assert fork.memory.equals(serial.memory.snapshot())
-        assert repr(fork.total_time) == repr(serial.total_time)
-        sup = fork.supervision
+        assert pooled.memory.equals(serial.memory.snapshot())
+        assert repr(pooled.total_time) == repr(serial.total_time)
+        sup = pooled.supervision
         assert sup["supervise.inline_stages"] >= 1
         assert sup["supervise.dispatched_stages"] >= 1
         assert sup["supervise.pools_started"] == 1
         assert (
             sup["supervise.inline_stages"] + sup["supervise.dispatched_stages"]
-            == fork.n_stages
+            == pooled.n_stages
         )
         assert not supervision_acted(sup)
 
@@ -481,7 +576,7 @@ class TestInlineShareStaysOnTheHostPlane:
     deterministic plane exactly as serial leaves it; the counts reach
     only ``RunResult.supervision`` and the oplog."""
 
-    @pytest.mark.parametrize("backend", ["fork", "shm"])
+    @pytest.mark.parametrize("backend", POOLED)
     def test_alternating_run_writes_serials_trace(
         self, backend, monkeypatch, tmp_path
     ):
@@ -489,7 +584,7 @@ class TestInlineShareStaysOnTheHostPlane:
             self.turn = not getattr(self, "turn", True)
             return self.turn
 
-        monkeypatch.setattr(backend_mod.ForkBackend, "dispatch_pays", alternate)
+        monkeypatch.setattr(backend_mod.PooledBackend, "dispatch_pays", alternate)
         monkeypatch.setenv("REPRO_OPLOG", str(tmp_path / "ops.jsonl"))
         n = 96
         runs = {}

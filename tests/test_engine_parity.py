@@ -11,9 +11,9 @@ Each case runs under every execution backend (:mod:`repro.core.backend`):
 the golden values were captured from in-process serial execution, so a
 passing ``fork`` run proves the worker-pool dispatch, delta shipping and
 in-order merge are bit-identical to serial -- results, events and virtual
-time alike.  The ``fork`` and ``shm`` legs pin every stage to the pool
-(the ``always_dispatch`` fixture), so the worker data plane stays
-exercised whatever the dispatch rule would choose; the mixed leg
+time alike.  The ``fork``, ``shm`` and ``threads`` legs pin every stage
+to the pool (the ``always_dispatch`` fixture), so the worker data planes
+stay exercised whatever the dispatch rule would choose; the mixed leg
 alternates them between the pool and the parent stage by stage.  ``shm``
 is a synonym for the fork pool, so its legs hold the synonym to the same
 golden values.
@@ -23,7 +23,7 @@ import json
 
 import pytest
 
-from repro.core.backend import ForkBackend, backend_names, use_backend
+from repro.core.backend import PooledBackend, backend_names, use_backend
 from repro.obs.metrics import use_instrumentation
 from tests.engine_parity_cases import CASES, GOLDEN_PATH, run_case
 
@@ -64,7 +64,7 @@ def test_bit_identical_fully_instrumented(name, backend, always_dispatch):
 
 
 def _alternating(monkeypatch, first: bool) -> list[bool]:
-    """Pin each process backend to alternate stage by stage between the
+    """Pin each pooled backend to alternate stage by stage between the
     pool and the parent, starting with ``first`` (True = dispatch): an
     inline stage then runs both before the pool starts and while it runs.
     Returns the decisions taken, in order."""
@@ -76,13 +76,13 @@ def _alternating(monkeypatch, first: bool) -> list[bool]:
         decisions.append(turn)
         return turn
 
-    monkeypatch.setattr(ForkBackend, "dispatch_pays", dispatch_pays)
+    monkeypatch.setattr(PooledBackend, "dispatch_pays", dispatch_pays)
     return decisions
 
 
 @pytest.mark.parametrize("instrumented", [False, True], ids=["plain", "instrumented"])
 @pytest.mark.parametrize("first", [False, True], ids=["inline-first", "dispatch-first"])
-@pytest.mark.parametrize("backend", ["fork", "shm"])
+@pytest.mark.parametrize("backend", ["fork", "shm", "threads"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_bit_identical_alternating_inline_and_dispatch(
     name, backend, first, instrumented, monkeypatch

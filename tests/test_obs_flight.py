@@ -6,9 +6,7 @@ a fork worker SIGKILL'd mid-run whose SpeculationError leaves behind a
 bundle that ``repro report --bundle`` renders.
 """
 
-import json
 import os
-import pathlib
 
 import pytest
 

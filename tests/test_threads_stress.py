@@ -14,6 +14,9 @@ metrics snapshot equal the serial backend's, across 20 seeds.
 
 Sleeps change host wall-clock only; virtual time comes from ``ctx.work``,
 so a correct merge is *bit*-identical, not just approximately equal.
+Every stage is pinned to the worker threads (the ``always_dispatch``
+fixture): a stage the dispatch rule ran in the parent would test nothing
+here.
 """
 
 import random
@@ -26,6 +29,8 @@ from repro.config import RuntimeConfig
 from repro.core.runner import parallelize
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
 from tests.engine_parity_cases import summarize
+
+pytestmark = pytest.mark.usefixtures("always_dispatch")
 
 P = 4
 N = 48

@@ -17,7 +17,7 @@ retry bounds) and they drifted.  Four checks keep that from recurring:
    deserializer, which rebuilds a recorded result, is exempt.
 4. **Blocks execute through a backend, in one loop each** --
    ``execute_block(...)`` is called only from four functions: the serial
-   block loop (``SerialBackend.run_blocks``, which the process backends
+   block loop (``SerialBackend.run_blocks``, which the pooled backends
    also use for stages they run in the parent) and the three worker-side
    task runners.  A runner that bypasses the engine (and with it
    backends, faults and the self-check) cannot return, and no backend
