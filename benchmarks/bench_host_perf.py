@@ -1,4 +1,4 @@
-"""Host wall-clock sweep: serial/fork/threads backends + kernels.
+"""Host wall-clock sweep: serial/fork backends + kernels.
 
 As a benchmark (``pytest benchmarks/bench_host_perf.py``) it runs the
 registered ``host_perf`` experiment at quick scale and asserts backend
@@ -13,20 +13,16 @@ gate miss or crash, which is how CI gates the parallel backends::
 
     python benchmarks/bench_host_perf.py --quick --out BENCH_host.json
 
-Each pooled backend's speedup is printed beside the share of its stages
-it ran in the parent (``inline_share``): fork and threads dispatch a
-stage only when dispatching it is measured to pay, so a speedup near
-1.0x with a full inline share is serial execution.
+Fork's speedup is printed beside the share of its stages it ran in the
+parent (``inline_share``): fork dispatches a stage only when
+dispatching it is measured to pay, so a speedup near 1.0x with a full
+inline share is serial execution.
 
 Speedup gates are conditioned on the host CPU count recorded in the
-results: with 4+ cpus (the CI runner size) fork and threads must reach
-1.5x serial on the dense doall and at least break even on the sparse
-SPICE loop; with 2-3 cpus both must break even (threads on both
-workloads); on a single core no speedup is physically possible, so
-parity is asserted plus one relative gate -- threads dispatch overhead
-must be strictly below fork's on the dense doall (threads pays no fork,
-no memory sync and no pickling, so losing to fork means the dispatch
-path regressed).
+results: with 4+ cpus (the CI runner size) fork must reach 1.5x serial
+on the dense doall and at least break even on the sparse SPICE loop;
+with 2-3 cpus it must break even on the dense doall; on a single core
+no speedup is physically possible, so only parity is asserted.
 
 One gate is CPU-independent: the certified-DOALL fast path must beat
 the full speculative pipeline by >= 2x on the dense doall (serial
@@ -44,13 +40,9 @@ from _common import run_figure
 _GATES_4CPU = (
     ("doall-dense", "fork", 1.5),
     ("spice15-sparse", "fork", 1.0),
-    ("doall-dense", "threads", 1.5),
-    ("spice15-sparse", "threads", 1.0),
 )
 _GATES_2CPU = (
     ("doall-dense", "fork", 1.0),
-    ("doall-dense", "threads", 1.0),
-    ("spice15-sparse", "threads", 1.0),
 )
 
 
@@ -74,16 +66,6 @@ def _check(result) -> list[str]:
                 f"(n={entry['n']}, p={entry['procs']})"
             )
     cpus = result.data["host"]["cpus"] or 1
-    if cpus < 2:
-        # No parallel speedup is possible, but the threads dispatch path
-        # must still be cheaper than fork's on the dense doall.
-        dense = workloads["doall-dense"]["speedup"]
-        if dense["threads"] <= dense["fork"]:
-            problems.append(
-                f"threads dispatch overhead ({dense['threads']:.2f}x serial) "
-                f"is not below fork's ({dense['fork']:.2f}x) on doall-dense "
-                "at 1 cpu"
-            )
     for name, backend, floor in _speedup_gates(cpus):
         speedup = workloads[name]["speedup"][backend]
         if speedup < floor:

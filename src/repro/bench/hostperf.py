@@ -4,8 +4,8 @@ Everything else in the benchmark suite reports *virtual* time from the
 cost model, which is bit-identical across execution backends by
 construction.  This experiment measures real host seconds instead:
 
-* the same workloads run under the ``serial``, ``fork`` and ``threads``
-  backends (dense synthetic doall and the sparse SPICE LU loop),
+* the same workloads run under the ``serial`` and ``fork`` backends
+  (dense synthetic doall and the sparse SPICE LU loop),
   asserting along the way that all backends produce identical memory and
   identical virtual time -- a parity mismatch is reported in the table
   and trips the benchmark's assertion;
@@ -25,12 +25,11 @@ construction.  This experiment measures real host seconds instead:
   the same 5% CI budget.
 
 Parallel-backend speedup is bounded by the host's CPU count (recorded in
-the data); on a single-core host the parallel backends are expected to
-*lose* to serial by their dispatch overhead (or, for fork, to run their
-stages in the parent), and the numbers say so honestly.  The CI gate
-(``benchmarks/bench_host_perf.py``) conditions its speedup thresholds on
-the recorded CPU count for the same reason; parity is asserted
-unconditionally.
+the data); on a single-core host fork is expected to run its stages in
+the parent or *lose* to serial by its dispatch overhead, and the numbers
+say so honestly.  The CI gate (``benchmarks/bench_host_perf.py``)
+conditions its speedup thresholds on the recorded CPU count for the same
+reason; parity is asserted unconditionally.
 """
 
 from __future__ import annotations
@@ -44,10 +43,11 @@ from repro.bench.harness import ExperimentResult, measure_host, register
 from repro.config import RuntimeConfig
 from repro.core.runner import parallelize
 from repro.machine.memory import SharedArray, make_private_view
+from repro.obs.resources import gil_mode
 from repro.workloads.spice import make_dcdcmp15_loop
 from repro.workloads.synthetic import fully_parallel_loop
 
-BACKENDS = ("serial", "fork", "threads")
+BACKENDS = ("serial", "fork")
 
 
 def _summary(result) -> dict:
@@ -407,13 +407,11 @@ def host_perf(quick: bool) -> ExperimentResult:
         f"on   {resources['sampled_s'] * 1e3:7.1f} ms   "
         f"overhead {resources['overhead'] * 100:4.1f}%"
     )
-    from repro.core.threads import thread_mode
-
     host = {
         "cpus": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "gil": thread_mode(),
+        "gil": gil_mode(),
         "backends": list(BACKENDS),
     }
     rows.append(
@@ -424,15 +422,13 @@ def host_perf(quick: bool) -> ExperimentResult:
         title="Host wall-clock: execution backends and vectorized commit",
         table="\n".join(rows),
         expectation=(
-            "All three backends agree bit-for-bit on memory and virtual "
-            "time; fork and threads beat serial once the host has cores "
-            "to spend (>= 1.5x on the dense doall at 4 cpus); fork and "
-            "threads run a stage in the parent unless dispatching it is "
-            "measured to pay, so where dispatch does not pay they read "
-            "near serial with a high inline share; threads beats fork's "
-            "dispatch even on one core (no fork, no sync, no pickling); the "
-            "vectorized commit copy-out beats the per-element loop by well "
-            "over 3x at dense sizes; every vectorized kernel primitive "
+            "Both backends agree bit-for-bit on memory and virtual "
+            "time; fork beats serial once the host has cores to spend "
+            "(>= 1.5x on the dense doall at 4 cpus); fork runs a stage "
+            "in the parent unless dispatching it is measured to pay, so "
+            "where dispatch does not pay it reads near serial with a "
+            "high inline share; the vectorized commit copy-out beats the "
+            "per-element loop by well over 3x at dense sizes; every vectorized kernel primitive "
             "beats its pure-Python scalar reference; the certified-DOALL "
             "fast path beats the full speculative pipeline by >= 2x on "
             "the dense doall at any CPU count (it removes work, not "

@@ -43,7 +43,6 @@ def render_stage_trace(result: RunResult) -> str:
             f"{result.n_stages} stages, {result.n_restarts} restarts, "
             f"speedup {result.speedup:.2f}x, kernels {result.kernels}"
             + ("" if result.backend == "serial" else f", backend {result.backend}")
-            + ("" if result.thread_mode is None else f" ({result.thread_mode})")
         ),
     )
     if result.certificate is not None:

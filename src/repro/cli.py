@@ -364,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--backend", choices=backend_names(), default=None,
         help="execution backend for stage blocks (serial = in-process, "
-        "fork = worker-process pool, shm = synonym for fork kept for the "
-        "host-time benchmark; results are bit-identical)",
+        "fork = worker-process pool; shm and threads = synonyms for fork "
+        "and serial kept for the host-time benchmark; results are "
+        "bit-identical)",
     )
     run_p.add_argument(
         "--backend-workers", type=int, default=None, dest="backend_workers",
-        metavar="N", help="workers for the fork pool (processes) and "
-        "the threads pool (threads)",
+        metavar="N", help="worker processes in the fork pool",
     )
     run_p.add_argument(
         "--kernels", choices=kernel_names(), default=None,
@@ -381,9 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--worker-timeout", type=float, default=None, dest="worker_timeout",
         metavar="SEC", help="floor of the supervisor's per-dispatch worker "
-        "deadline; an unresponsive worker is stopped (fork: SIGKILL, "
-        "threads: cooperative cancellation) and its blocks re-dispatched "
-        "after at most this many seconds",
+        "deadline; an unresponsive worker is SIGKILLed and its blocks "
+        "re-dispatched after at most this many seconds",
     )
     run_p.add_argument(
         "--max-worker-respawns", type=int, default=None,

@@ -128,20 +128,16 @@ class RuntimeConfig:
     """Execution backend running each stage's blocks (``None`` = the
     process-wide default, normally ``"serial"``): ``"serial"`` executes
     blocks in-process one after another, ``"fork"`` dispatches them to a
-    persistent pool of forked worker processes, ``"shm"`` is a synonym
-    for ``"fork"`` kept for the host-time benchmark
-    (:mod:`repro.core.shm`), and ``"threads"`` runs blocks on
-    worker threads inside the engine's own process over the GIL-releasing
-    kernel seam -- no fork, no diff-sync, no pickling
-    (:mod:`repro.core.threads`; the cheapest dispatch, truly parallel on
-    free-threaded builds).  Results and
-    virtual-time accounting are bit-identical across all of them; only
-    host wall-clock time changes.  Unknown names fail when the engine
+    persistent pool of forked worker processes, and ``"shm"`` and
+    ``"threads"`` are synonyms for ``"fork"`` and ``"serial"`` kept for
+    the host-time benchmark (:mod:`repro.core.shm`,
+    :mod:`repro.core.threads`).  Results and virtual-time accounting are
+    bit-identical across all of them; only host wall-clock time
+    changes.  Unknown names fail when the engine
     resolves the backend (:func:`repro.core.backend.make_backend`)."""
 
     backend_workers: int | None = None
-    """Worker count for parallel backends -- processes for fork,
-    threads for the threads backend (``None`` = one per simulated
+    """Worker processes in the fork pool (``None`` = one per simulated
     processor, capped at the host CPU count)."""
 
     kernels: str | None = None
@@ -154,11 +150,9 @@ class RuntimeConfig:
 
     worker_timeout: float = 30.0
     """Minimum seconds a worker may hold a dispatched share before the
-    supervisor declares it hung -- fork workers are SIGKILLed and
-    re-forked, threads workers get a cooperative cancellation flag
-    honoured at the next iteration boundary -- and its blocks are
-    re-dispatched (:mod:`repro.core.supervise`,
-    :mod:`repro.core.threads`).  This is the *floor* of an
+    supervisor declares it hung, SIGKILLs and re-forks it and
+    re-dispatches its blocks (:mod:`repro.core.supervise`).  This is the
+    *floor* of an
     adaptive deadline: once blocks have completed, the deadline grows to
     ``worker_timeout_factor`` times the observed per-block maximum, so
     slow-but-alive workers on long blocks are never misread as hangs."""
@@ -168,18 +162,17 @@ class RuntimeConfig:
     supervisor's deadline (see ``worker_timeout``)."""
 
     max_worker_respawns: int = 3
-    """Worker recoveries a parallel backend may spend over its lifetime:
-    replacement processes forked after fork crashes or hangs, and
-    cancel-and-redispatch cycles on the threads backend.  On exhaustion
-    (or a poison block that kills every worker it touches) the backend
-    degrades gracefully to serial instead of aborting the run."""
+    """Worker recoveries the fork pool may spend over its lifetime:
+    replacement processes forked after worker crashes or hangs.  On
+    exhaustion (or a poison block that kills every worker it touches) the
+    pool degrades gracefully to serial instead of aborting the run."""
 
     os_chaos: "OsChaosPlan | None" = None
     """OS-level chaos schedule (:mod:`repro.faults.os_chaos`): SIGKILL or
     SIGSTOP real fork workers at planned (stage, worker) points to
     exercise the supervision layer.  ``None`` = no OS faults.  Composable
-    with the logical ``fault_plan``.  The threads backend refuses chaos
-    configs -- its workers share the engine's process."""
+    with the logical ``fault_plan``.  Backends without worker
+    processes (``serial``, ``threads``) run no chaos."""
 
     metrics: bool | None = None
     """Collect runtime metrics (:mod:`repro.obs.metrics`): counters and

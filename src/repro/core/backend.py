@@ -7,17 +7,10 @@ exploits that: the :class:`StageEngine` hands the stage's blocks to a
 backend as :class:`BlockTask` descriptors and receives :class:`BlockOutcome`
 objects back, without caring *where* the blocks ran.
 
-Three backends are provided, plus one synonym:
+Two backends are provided, plus two synonyms:
 
 * ``serial`` (the default) executes blocks one after another in-process,
   exactly the pre-backend behavior.
-* ``threads`` (:mod:`repro.core.threads`, registered lazily) runs a
-  persistent pool of worker *threads* directly against the engine's own
-  processor states and shared memory -- no fork, no memory diff-sync, no
-  pipes, no pickling.  The hot loops are GIL-releasing
-  :mod:`repro.kernels` calls (and truly concurrent on free-threaded
-  CPython builds); only folded charges, metrics snapshots and untested
-  captures travel through the per-worker queues, merged in block order.
 * ``fork`` dispatches the blocks to a persistent pool of forked worker
   processes.  Each worker runs :func:`~repro.core.executor.execute_block`
   against its own fresh :class:`~repro.core.executor.ProcessorState` and
@@ -29,7 +22,9 @@ Three backends are provided, plus one synonym:
   execution (enforced by running the golden parity suite under every
   backend).
 * ``shm`` (:mod:`repro.core.shm`, registered lazily) is the fork pool
-  under another name, kept for the host-time benchmark.
+  under another name, and ``threads`` (:mod:`repro.core.threads`,
+  registered lazily) the serial block loop under another name; both are
+  kept for the host-time benchmark.
 
 Bit-exactness rests on two invariants the engine's strategies uphold:
 
@@ -75,8 +70,8 @@ beyond repair the supervisor raises
 to serial.  The supervisor drives the pool through ``_spawn_worker`` /
 ``_send_share`` / ``_recv_share`` / ``_halt_workers``.
 
-The pooled backends (fork, shm, threads; :class:`PooledBackend`)
-dispatch a stage only when it pays (:meth:`PooledBackend.dispatch_pays`),
+The fork pool (and its ``shm`` synonym) dispatches a stage only when it
+pays (:meth:`ForkBackend.dispatch_pays`),
 the host-time twin of the paper's Eq. 4 (redistribute only while the
 work saved beats the cost of moving it): a stage whose measured dispatch
 time does not beat its measured inline time -- plus, while no pool runs,
@@ -177,11 +172,9 @@ class BlockTask:
     """Certified fast path (:mod:`repro.core.fastpath`): run on a plain
     processor state with no views and no shadows, so every access takes
     the direct-shared-memory path -- no marking, no copy-in, no
-    checkpoint charges.  Out-of-process workers still capture the
-    written ``(indices, values)`` through a charge-free
-    :class:`_CaptureCheckpoint` so direct writes ship back to the
-    parent (and roll back under cancellation) exactly like untested
-    writes."""
+    checkpoint charges.  Fork workers still capture the written
+    ``(indices, values)`` through a charge-free checkpoint so direct
+    writes ship back to the parent exactly like untested writes."""
     log_untested: bool = False
     use_injector: bool = True
     slowdown: float = 1.0
@@ -244,16 +237,11 @@ class ExecutionBackend:
 
         Purely informational (never affects execution): ``worker_pids``
         are OS process ids the sampler should read ``/proc`` stats for,
-        ``inflight`` the blocks dispatched but not yet collected,
-        ``queue_depths`` any per-worker queue backlogs.
+        ``inflight`` the blocks dispatched but not yet collected.
         Backends override what they know; the base backend runs
         everything in-process and holds nothing.
         """
-        return {
-            "worker_pids": [],
-            "inflight": 0,
-            "queue_depths": [],
-        }
+        return {"worker_pids": [], "inflight": 0}
 
 
 class SerialBackend(ExecutionBackend):
@@ -412,32 +400,6 @@ def hoist_injection(eng, tasks: list[BlockTask]) -> None:
         )
 
 
-def make_capture_checkpoint(memory: MemoryImage) -> CheckpointManager:
-    """Charge-free capture checkpoint over *every* array of ``memory``.
-
-    Certified plain tasks run with ``eng.ckpt = None``, so the parent-side
-    charge profile has zero CHECKPOINT entries.  Out-of-process workers
-    still need the *bookkeeping* half of a checkpoint -- which elements
-    this block wrote (to ship them home) and their old values (to roll the
-    block back under cancellation or local restore) -- over any array,
-    since plain tasks write shared memory directly.
-    """
-    ckpt = CheckpointManager(memory, list(memory.names()), True, charge_saves=False)
-    ckpt.begin_stage()
-    return ckpt
-
-
-def replay_untested(eng, proc: int, untested) -> None:
-    """Merge a block's shipped untested writes (``name -> (indices,
-    values)``) into the parent: the parent checkpoint records them first
-    (saving the pre-stage values), then one scatter applies them."""
-    memory = eng.machine.memory
-    for name, (indices, values) in untested.items():
-        if eng.ckpt is not None:
-            eng.ckpt.note_write_many(proc, name, indices)
-        get_kernels().scatter(memory[name].data, indices, values)
-
-
 class _AccessRecorder:
     """Worker-side stand-in for the self-check untested-access log."""
 
@@ -465,7 +427,14 @@ def _run_worker_task(wctx: _WorkerContext, task: BlockTask) -> _BlockDelta:
         state = make_all_private_state(machine, wctx.loop, block.proc)
     elif task.plain:
         state = make_plain_state(block.proc)
-        ckpt = make_capture_checkpoint(wctx.memory)
+        # Charge-free capture over every array: certified plain tasks
+        # write shared memory directly and charge no CHECKPOINT time, but
+        # the delta must ship what this block wrote and the worker must
+        # undo it in its own image.
+        ckpt = CheckpointManager(
+            wctx.memory, list(wctx.memory.names()), True, charge_saves=False
+        )
+        ckpt.begin_stage()
         if task.log_untested:
             recorder = _AccessRecorder()
     else:
@@ -591,8 +560,8 @@ class _Figure:
 
 @dataclass
 class DispatchCosts:
-    """What one pooled backend class has measured about where its stages
-    run.
+    """What one pool backend class (``fork`` or ``shm``) has measured
+    about where its stages run.
 
     Kept at module level (:data:`_DISPATCH_COSTS`), so the figures outlive
     each ``parallelize`` call and its pool.  All are host seconds, each
@@ -608,10 +577,10 @@ class DispatchCosts:
     pool_open: _Figure = field(default_factory=_Figure)
     """``C_open``: pool start (``_ensure_workers``)."""
     pool_close: _Figure = field(default_factory=_Figure)
-    """``C_close``: pool teardown (:meth:`PooledBackend.close`)."""
+    """``C_close``: pool teardown (:meth:`ForkBackend.close`)."""
     stake: float = 0.0
     """The estimated cost of the same-way decisions since the last probe
-    (:meth:`PooledBackend.dispatch_pays`)."""
+    (:meth:`ForkBackend.dispatch_pays`)."""
     staked_on: bool = False
     """The way those decisions went (True = dispatch)."""
     probes: int = 0
@@ -633,15 +602,12 @@ def _iterations(tasks: list[BlockTask]) -> int:
     return sum(len(task.block) for task in tasks)
 
 
-class PooledBackend(ExecutionBackend):
-    """A backend with a worker pool that runs a stage in the parent
-    unless dispatching it is measured to pay (:meth:`dispatch_pays`).
+class ForkBackend(ExecutionBackend):
+    """Dispatch a stage's blocks to a persistent forked worker pool when
+    dispatching it is measured to pay (:meth:`dispatch_pays`); otherwise
+    run it in the parent."""
 
-    Subclasses supply the pool: :meth:`_ensure_workers` (start it),
-    :meth:`_run_shares` (run one stage's shares on it), :meth:`_merge`
-    (fold one block's reply into the engine) and :meth:`_stop_pool`
-    (tear it down).
-    """
+    name = "fork"
 
     #: The parent-side path for stages that do not pay for dispatch.
     #: Bound once here, not looked up per call: a wrapper installed on
@@ -652,7 +618,11 @@ class PooledBackend(ExecutionBackend):
     def __init__(self, eng) -> None:
         super().__init__(eng)
         self._workers: list | None = None
-        self._supervisor = None
+        self._supervisor: WorkerSupervisor | None = None
+        self._last_sync: dict[str, np.ndarray] = {}
+        self._wctx = None
+        self._mp_ctx = None
+        self._updates_bytes: bytes = b""
 
     def _pool_size(self) -> int:
         """Workers the pool has (or would have once started)."""
@@ -662,17 +632,7 @@ class PooledBackend(ExecutionBackend):
         )
         return max(1, min(n_workers, eng.n_procs))
 
-    def _ensure_workers(self) -> None:
-        raise NotImplementedError
-
-    def _run_shares(self, shares: list[list[BlockTask]]) -> list:
-        raise NotImplementedError
-
-    def _merge(self, task: BlockTask, delta) -> BlockOutcome:
-        raise NotImplementedError
-
-    def _stop_pool(self, workers: list) -> None:
-        raise NotImplementedError
+    # -- where a stage runs ------------------------------------------------------
 
     @property
     def _costs(self) -> DispatchCosts:
@@ -767,11 +727,27 @@ class PooledBackend(ExecutionBackend):
         for task in tasks:
             task.collect_metrics = getattr(eng, "metrics_enabled", False)
             task.collect_spans = getattr(eng, "spans_enabled", False)
+        # Every worker gets a share, even an empty one: the dispatch also
+        # carries the memory-update broadcast, which must reach the whole
+        # pool because the diff baseline (_last_sync) has advanced.
         shares: list[list[BlockTask]] = [[] for _ in self._workers]
         for k, task in enumerate(tasks):
             shares[k % len(shares)].append(task)
+        # The memory-update broadcast is pickled **once** here and the
+        # same frame reused for every worker's send: re-serializing
+        # identical array payloads per share was a measurable slice of
+        # fork dispatch (docs/cost-model.md, the spice15-sparse case).
+        updates = self._memory_updates()
+        self._updates_bytes = (
+            pickle.dumps(updates, protocol=pickle.HIGHEST_PROTOCOL)
+            if updates else b""
+        )
+        if self._supervisor is None:
+            self._supervisor = WorkerSupervisor(self)
         deltas = {
-            delta.pos: delta for reply in self._run_shares(shares) for delta in reply
+            delta.pos: delta
+            for reply in self._supervisor.run_shares(shares)
+            for delta in reply
         }
         return [self._merge(task, deltas[task.pos]) for task in tasks]
 
@@ -786,22 +762,13 @@ class PooledBackend(ExecutionBackend):
             "backend", "pool-closed", backend=self.name,
             workers=len(workers),
         )
-        self._stop_pool(workers)
+        _shutdown_pool(workers)
         self._supervisor = None
+        self._wctx = None
+        self._updates_bytes = b""
         self._costs.pool_close.add(time.perf_counter() - t0)
 
-
-class ForkBackend(PooledBackend):
-    """Dispatch a stage's blocks to a persistent forked worker pool."""
-
-    name = "fork"
-
-    def __init__(self, eng) -> None:
-        super().__init__(eng)
-        self._last_sync: dict[str, np.ndarray] = {}
-        self._wctx = None
-        self._mp_ctx = None
-        self._updates_bytes: bytes = b""
+    # -- the pool ----------------------------------------------------------------
 
     def _make_wctx(self):
         """Build the context workers inherit through fork."""
@@ -968,23 +935,6 @@ class ForkBackend(PooledBackend):
                 last[indices] = values
         return updates
 
-    def _run_shares(self, shares: list[list[BlockTask]]) -> list:
-        # The memory-update broadcast is pickled **once** here and the
-        # same frame reused for every worker's send: re-serializing
-        # identical array payloads per share was a measurable slice of
-        # fork dispatch (docs/cost-model.md, the spice15-sparse case).
-        updates = self._memory_updates()
-        self._updates_bytes = (
-            pickle.dumps(updates, protocol=pickle.HIGHEST_PROTOCOL)
-            if updates else b""
-        )
-        # Every worker gets a share, even an empty one: the dispatch also
-        # carries the memory-update broadcast, which must reach the whole
-        # pool because the diff baseline (_last_sync) has advanced.
-        if self._supervisor is None:
-            self._supervisor = WorkerSupervisor(self)
-        return self._supervisor.run_shares(shares)
-
     def _merge(self, task: BlockTask, delta: _BlockDelta) -> BlockOutcome:
         """Fold one block's delta into the engine, in block-position order."""
         eng = self.eng
@@ -1022,7 +972,13 @@ class ForkBackend(PooledBackend):
         state.iter_times.update(delta.iter_times)
         state.iter_work.update(delta.iter_work)
         state.executed.append(block)
-        replay_untested(eng, proc, delta.untested)
+        # The parent checkpoint records the shipped untested writes first
+        # (saving the pre-stage values), then one scatter applies each.
+        memory = machine.memory
+        for name, (indices, values) in delta.untested.items():
+            if eng.ckpt is not None:
+                eng.ckpt.note_write_many(proc, name, indices)
+            get_kernels().scatter(memory[name].data, indices, values)
         if eng.untested_log is not None:
             for name, index in delta.untested_reads:
                 eng.untested_log.note_read(proc, name, index)
@@ -1056,11 +1012,6 @@ class ForkBackend(PooledBackend):
             except (TypeError, ValueError):  # pragma: no cover - torn read
                 pass
         return info
-
-    def _stop_pool(self, workers: list) -> None:
-        _shutdown_pool(workers)
-        self._wctx = None
-        self._updates_bytes = b""
 
 
 def _shutdown_pool(workers: list) -> None:

@@ -915,7 +915,6 @@ class StageEngine:
             exit_iteration=self.exit_iteration,
             kernels=self.kernels_name,
             backend=self.backend.name,
-            thread_mode=getattr(self.backend, "thread_mode", None),
             certificate=self.certificate,
             **self.strategy.result_extras(self),
         )

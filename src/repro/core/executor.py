@@ -46,27 +46,6 @@ def _out_of_range(index, size: int) -> IndexError:
     return IndexError(f"element {index} out of range [0, {size})")
 
 
-class BlockCancelled(Exception):
-    """Internal control flow: a cooperative cancellation flag was observed
-    at an iteration boundary (:func:`execute_block`'s ``cancel``).
-
-    The threads backend's supervisor cannot SIGKILL an overdue worker the
-    way the process supervisors do, so it sets the worker's cancel flag
-    and the block aborts itself at the next iteration boundary -- the
-    granularity at which the GIL-releasing kernel calls return control.
-    The raiser has *not* cleaned up: partial private state and untested
-    writes are still in place, exactly like a block cut short by SIGKILL,
-    and the supervisor rolls them back before re-dispatching.
-    """
-
-    def __init__(self, proc: int, iteration: int) -> None:
-        self.proc = proc
-        self.iteration = iteration
-        super().__init__(
-            f"block on proc {proc} cancelled before iteration {iteration}"
-        )
-
-
 @dataclass
 class ProcessorState:
     """Per-processor speculative state for one stage."""
@@ -605,7 +584,6 @@ def execute_block(
     untested_log=None,
     slowdown: float | None = None,
     death: tuple[int, bool] | None = None,
-    cancel=None,
 ) -> SpeculativeContext:
     """Run ``block``'s iterations on ``block.proc``, charging virtual time.
 
@@ -629,13 +607,6 @@ def execute_block(
     The fork execution backend queries the injector in the parent and
     passes the pre-resolved ``slowdown``/``death`` explicitly (worker
     processes have no injector); explicit values take precedence.
-
-    ``cancel`` (an object with ``is_set()``, e.g. a ``threading.Event``)
-    is the threads backend's cooperative hang-recovery hook: when it
-    reads true at an iteration boundary the block raises
-    :class:`BlockCancelled` without cleaning up, leaving rollback to the
-    supervisor.  ``None`` (every other caller) costs one identity check
-    per iteration.
     """
     if slowdown is None:
         slowdown = 1.0
@@ -650,11 +621,9 @@ def execute_block(
     omega = machine.costs.omega
     completed = 0
     try:
-        # hot-path: the iteration loop itself; cancellation, fail-stop and
-        # exits keep their per-iteration boundaries
+        # hot-path: the iteration loop itself; fail-stop and exits keep
+        # their per-iteration boundaries
         for i in block.iterations():
-            if cancel is not None and cancel.is_set():
-                raise BlockCancelled(block.proc, i)
             if death is not None and completed >= death[0]:
                 # Fail-stop: the processor dies here; everything it did this
                 # stage (private state, untested writes) is garbage to roll

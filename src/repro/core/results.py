@@ -118,11 +118,6 @@ class RunResult:
     ``threads``) -- after any supervisor degradations; affects host time
     only, never results."""
 
-    thread_mode: str | None = None
-    """``"free-threaded"`` or ``"gil"`` when the run finished on the
-    threads backend (:func:`repro.core.threads.thread_mode`), else
-    ``None``.  Host-capability metadata; never part of results."""
-
     supervision: dict = field(default_factory=dict)
     """Flat ``supervise.*`` counters (:class:`~repro.core.supervise.
     SupervisionStats`) when the worker supervisor acted this run --
@@ -196,8 +191,6 @@ class RunResult:
         }
         if self.backend != "serial":
             record["backend"] = self.backend
-        if self.thread_mode is not None:
-            record["thread_mode"] = self.thread_mode
         if self.certificate is not None:
             record["certificate"] = self.certificate.verdict
         if self.faults_survived or self.retries:

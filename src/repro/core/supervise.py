@@ -36,7 +36,7 @@ and metrics streams: a disturbed run must produce a bit-identical trace to
 an undisturbed one (the golden acceptance bar).  Counters live on the
 engine's :class:`SupervisionStats` (surfaced as ``RunResult.supervision``
 and ``StageResult.redispatched_procs``) -- beside the counts of stages a
-pooled backend ran in the parent or dispatched, which stay out of those
+fork pool ran in the parent or dispatched, which stay out of those
 streams for the same reason -- and kill/respawn/redispatch
 timings are logged as ``supervise`` records through the unified oplog
 (:mod:`repro.obs.oplog`; point ``REPRO_OPLOG`` at a path; CI uploads it
@@ -67,44 +67,8 @@ _SEVERITIES = {
     "worker-found-dead": "warn",
     "worker-died": "warn",
     "worker-overdue": "warn",
-    "worker-wedged": "error",
     "pool-degraded": "error",
 }
-
-
-def log_supervision(
-    backend_name: str,
-    event: str,
-    worker: int,
-    pid: int | None,
-    share: list,
-    t0: float,
-    extra: dict | None = None,
-) -> None:
-    """One supervision record through the unified oplog.
-
-    Shared by the process (:class:`WorkerSupervisor`) and thread
-    (:class:`repro.core.threads._ThreadSupervisor`) supervisors.  The
-    legacy field names (``event``/``backend``/``worker``/``pid``/
-    ``stage``/``blocks``/``procs``/``t``, with ``t`` relative to the
-    supervisor's creation) are preserved on top of the oplog envelope,
-    so existing log consumers keep parsing.
-    """
-    fields = {
-        "backend": backend_name,
-        "worker": worker,
-        "pid": pid,
-        "stage": share[0].stage if share else None,
-        "blocks": [task.pos for task in share],
-        "procs": [task.block.proc for task in share],
-        "t": round(time.monotonic() - t0, 6),
-    }
-    if extra:
-        fields.update(extra)
-    get_oplog().log(
-        "supervise", event,
-        severity=_SEVERITIES.get(event, "info"), **fields,
-    )
 
 
 #: :class:`SupervisionStats` counters that record where stages ran, not
@@ -156,11 +120,11 @@ class SupervisionStats:
     """Scratch: processors re-dispatched since the last stage drain."""
 
     inline_stages: int = 0
-    """Pooled-backend stages run in the parent: their dispatch would not
-    have paid (:meth:`~repro.core.backend.PooledBackend.dispatch_pays`)."""
+    """Fork-pool stages run in the parent: their dispatch would not
+    have paid (:meth:`~repro.core.backend.ForkBackend.dispatch_pays`)."""
 
     dispatched_stages: int = 0
-    """Pooled-backend stages sent to the worker pool."""
+    """Fork-pool stages sent to the worker pool."""
 
     pools_started: int = 0
     """Worker pools started (lazily, on the first dispatched stage)."""
@@ -177,7 +141,7 @@ class SupervisionStats:
     @property
     def reported(self) -> bool:
         """Whether ``RunResult.supervision`` carries this run's counters:
-        supervision acted, or a pooled backend decided where stages run."""
+        supervision acted, or a fork pool decided where stages run."""
         return self.active or bool(self.inline_stages or self.dispatched_stages)
 
     def take_stage_redispatched(self) -> list[int]:
@@ -201,7 +165,7 @@ class SupervisionStats:
         }
 
     def dispatch_counts(self) -> dict:
-        """Where the pooled backends ran their stages (host plane only)."""
+        """Where the fork pool ran its stages (host plane only)."""
         return {name: getattr(self, name) for name in DISPATCH_COUNTERS}
 
 
@@ -478,8 +442,21 @@ class WorkerSupervisor:
     # -- operational log ---------------------------------------------------------
 
     def _log(self, event: str, k: int, share: list, extra: dict | None = None) -> None:
+        """One ``supervise`` record through the unified oplog, with ``t``
+        relative to the supervisor's creation."""
         workers = self.backend._workers or []
-        pid = workers[k][0].pid if 0 <= k < len(workers) else None
-        log_supervision(
-            self.backend.name, event, k, pid, share, self._t0, extra
+        fields = {
+            "backend": self.backend.name,
+            "worker": k,
+            "pid": workers[k][0].pid if 0 <= k < len(workers) else None,
+            "stage": share[0].stage if share else None,
+            "blocks": [task.pos for task in share],
+            "procs": [task.block.proc for task in share],
+            "t": round(time.monotonic() - self._t0, 6),
+        }
+        if extra:
+            fields.update(extra)
+        get_oplog().log(
+            "supervise", event,
+            severity=_SEVERITIES.get(event, "info"), **fields,
         )

@@ -29,7 +29,7 @@ should run against a recorded stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from repro.core.results import StageResult
@@ -153,7 +153,7 @@ class BackendDegraded(StageEvent):
     """The execution backend's worker pool was abandoned mid-run.
 
     Emitted when the worker supervisor (:mod:`repro.core.supervise`) gives
-    up on a process or thread pool -- respawn budget exhausted or a poison
+    up on its worker-process pool -- respawn budget exhausted or a poison
     block -- and the engine falls back to the serial backend.  The
     stage's tasks re-run on the fallback backend from unchanged engine
     state, so everything *after* this event is bit-identical to an

@@ -1,7 +1,7 @@
 """Crash flight recorder: bounded rings dumped as a crash bundle.
 
 When an engine run dies of an *uncaught* failure -- a speculation bug, a
-wedged thread pool, an un-degradable backend -- the post-mortem evidence
+backend error raised from a worker -- the post-mortem evidence
 is usually gone with the process: the trace sink flushed what it could,
 but the operational context (which workers existed, what the supervisor
 did last, how much memory the run held) was never on disk at all.

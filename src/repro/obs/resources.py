@@ -2,8 +2,8 @@
 
 Speculative parallelization fails operationally long before it fails
 logically: shadow planes blow out RSS, one fork worker sits at 100% CPU
-while the rest idle, the GIL serializes a threads run.  None of that may enter the deterministic
-event stream (the golden parity matrix demands bit-identical traces),
+while the rest idle.  None of that may enter the deterministic event
+stream (the golden parity matrix demands bit-identical traces),
 so it is sampled out-of-band instead.
 
 :class:`ResourceSampler` runs one daemon thread per engine run, waking
@@ -12,8 +12,8 @@ every ``RuntimeConfig.resource_interval`` seconds to record:
 * the engine process's RSS and CPU time;
 * every live worker process's RSS and CPU time (fork pools, from the
   backend's :meth:`~repro.core.backend.ExecutionBackend.resource_info`);
-* dispatch-pipe/queue depths and the count of in-flight shares;
-* the interpreter's GIL mode (``free-threaded``/``gil``).
+* the count of in-flight blocks;
+* the interpreter's GIL mode (:func:`gil_mode`).
 
 Samples are plain dicts on the **host clock only** (the engine's
 run-relative ``host_now``), consumed by the crash flight recorder, the
@@ -29,6 +29,7 @@ current RSS; the sample says so via ``source: "rusage"``).
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 from typing import Callable
@@ -44,6 +45,16 @@ try:
 except (ValueError, OSError, AttributeError):  # pragma: no cover - exotic host
     _PAGE_SIZE = 4096
     _CLK_TCK = 100
+
+
+def gil_mode() -> str:
+    """``"free-threaded"`` when this interpreter runs with the GIL
+    disabled (PEP 703 builds expose ``sys._is_gil_enabled``), else
+    ``"gil"``."""
+    probe = getattr(sys, "_is_gil_enabled", None)
+    if probe is not None and not probe():
+        return "free-threaded"
+    return "gil"
 
 
 def resolve_resources_enabled(config) -> bool:
@@ -88,7 +99,6 @@ def read_self_rusage() -> dict:
     """Portable fallback for the engine process: ``getrusage`` high-water
     RSS (bytes) and consumed CPU seconds."""
     import resource
-    import sys
 
     usage = resource.getrusage(resource.RUSAGE_SELF)
     maxrss = usage.ru_maxrss
@@ -202,11 +212,5 @@ class ResourceSampler:
         sample["worker_rss_bytes"] = sum(w["rss_bytes"] for w in workers)
         sample["worker_cpu_s"] = round(sum(w["cpu_s"] for w in workers), 3)
         sample["inflight"] = int(info.get("inflight", 0))
-        if "queue_depths" in info:
-            sample["queue_depths"] = list(info["queue_depths"])
-        if "worker_threads" in info:
-            sample["worker_threads"] = int(info["worker_threads"])
-        from repro.core.threads import thread_mode
-
-        sample["gil"] = thread_mode()
+        sample["gil"] = gil_mode()
         return sample

@@ -172,13 +172,7 @@ class TopState:
         self.worker_rss.append(record.get("worker_rss_bytes", 0))
         self.cpu_s = record.get("cpu_s", self.cpu_s)
         self.inflight = record.get("inflight", 0)
-        # Process pools report sampled worker stats; the threads backend
-        # has no worker pids and reports a live-thread count instead.
-        self.workers_alive = (
-            record.get("worker_threads")
-            if record.get("worker_threads") is not None
-            else len(record.get("workers", ()))
-        )
+        self.workers_alive = len(record.get("workers", ()))
         self.gil = record.get("gil", self.gil)
         if record.get("backend"):
             self.backend = record["backend"]

@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines.sequential import sequential_reference
 from repro.core import backend as backend_mod
-from repro.core.backend import PooledBackend
+from repro.core.backend import ForkBackend
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
 
 
@@ -52,7 +52,7 @@ def simple_loop() -> SpeculativeLoop:
 def fresh_dispatch_costs(monkeypatch):
     """Start every test with no measured dispatch figures.
 
-    The pooled backends' figures live at module level and outlive runs,
+    The fork pool's figures live at module level and outlive runs,
     so without this a test's stages would go to the pool or not
     depending on which tests ran before it in the same process.
     """
@@ -61,13 +61,13 @@ def fresh_dispatch_costs(monkeypatch):
 
 @pytest.fixture
 def always_dispatch(monkeypatch):
-    """Pin the pooled backends' dispatch rule to "dispatch".
+    """Pin the fork pool's dispatch rule to "dispatch".
 
-    ``fork`` (and its synonym ``shm``) and ``threads`` run a stage in the
-    parent unless dispatching it is measured to pay
-    (:meth:`PooledBackend.dispatch_pays`), and the figures behind that
+    ``fork`` (and its synonym ``shm``) runs a stage in the parent unless
+    dispatching it is measured to pay
+    (:meth:`ForkBackend.dispatch_pays`), and the figures behind that
     choice persist across runs in the test process.  Tests of the worker
-    pools themselves -- their data planes, supervision and chaos -- pin
-    every stage to the pool with this fixture.
+    pool itself -- its data plane, supervision and chaos -- pin every
+    stage to the pool with this fixture.
     """
-    monkeypatch.setattr(PooledBackend, "dispatch_pays", lambda self, tasks: True)
+    monkeypatch.setattr(ForkBackend, "dispatch_pays", lambda self, tasks: True)

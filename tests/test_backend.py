@@ -198,10 +198,59 @@ class TestShmSynonym:
         assert result.n_stages == serial.n_stages
 
 
-# -- the in-process threads backend ------------------------------------------------
+# -- threads: a synonym for serial -----------------------------------------------
 
 
-@pytest.mark.usefixtures("always_dispatch")
+class TestThreadsSynonym:
+    def test_multi_stage_run_is_serials_on_the_calling_thread(
+        self, tmp_path, monkeypatch
+    ):
+        # threads is the serial block loop under another name: the run,
+        # its trace and its virtual time are serial's, no pool starts and
+        # the loop body sees no thread serial's run does not have.
+        import threading
+
+        monkeypatch.setenv("REPRO_OPLOG", str(tmp_path / "ops.jsonl"))
+        n = 96
+        targets = frozenset(geometric_chain_targets(n, 0.5))
+
+        def run(backend):
+            seen = {"idents": set(), "threads": 0}
+
+            def body(ctx, i):
+                seen["idents"].add(threading.get_ident())
+                seen["threads"] = max(seen["threads"], threading.active_count())
+                value = float(i)
+                if i in targets:
+                    value += ctx.load("A", i - 1)
+                ctx.store("A", i, value)
+
+            loop = SpeculativeLoop(
+                "chain", n, body, arrays=[ArraySpec("A", np.zeros(n))]
+            )
+            result = parallelize(loop, 4, RuntimeConfig.adaptive(
+                backend=backend, backend_workers=2, certify="off",
+                trace_path=str(tmp_path / f"{backend}.jsonl"),
+            ))
+            return result, seen
+
+        serial, serial_seen = run("serial")
+        threads, threads_seen = run("threads")
+        assert serial.n_stages > 1
+        assert threads.memory.equals(serial.memory.snapshot())
+        assert repr(threads.total_time) == repr(serial.total_time)
+        assert threads.n_stages == serial.n_stages
+        assert (tmp_path / "threads.jsonl").read_bytes() == (
+            tmp_path / "serial.jsonl"
+        ).read_bytes()
+        assert threads.backend == "threads"
+        assert threads.supervision == {}
+        ops = (tmp_path / "ops.jsonl").read_text()
+        assert '"pool-started"' not in ops
+        assert threads_seen["idents"] == {threading.get_ident()}
+        assert threads_seen["threads"] == serial_seen["threads"]
+
+
 class TestThreadsRuns:
     def test_threads_run_matches_serial(self):
         serial = parallelize(
@@ -215,13 +264,6 @@ class TestThreadsRuns:
         assert threads.n_stages == serial.n_stages
 
     def test_threads_run_matches_serial_multi_stage(self):
-        # Dependence-bearing loop: restores, redistribution and the
-        # untested-array protocol across many stages.
-        from repro.workloads.synthetic import (
-            chain_loop,
-            geometric_chain_targets,
-        )
-
         loop = lambda: chain_loop(128, geometric_chain_targets(128, 0.5))  # noqa: E731
         serial = parallelize(loop(), 4, RuntimeConfig.adaptive(backend="serial"))
         threads = parallelize(loop(), 4, RuntimeConfig.adaptive(backend="threads"))
@@ -237,78 +279,16 @@ class TestThreadsRuns:
         expected = np.arange(64, dtype=np.float64) * 2.0 + 1.0
         assert np.array_equal(result.memory["A"].data, expected)
 
-    def test_threads_surfaces_backend_and_gil_mode(self):
-        import sys
-
-        result = parallelize(
-            fully_parallel_loop(64), 4, RuntimeConfig.adaptive(backend="threads")
-        )
-        assert result.backend == "threads"
-        probe = getattr(sys, "_is_gil_enabled", None)
-        expected_mode = (
-            "free-threaded" if probe is not None and not probe() else "gil"
-        )
-        assert result.thread_mode == expected_mode
-        summary = result.summary()
-        assert summary["backend"] == "threads"
-        assert summary["thread_mode"] == expected_mode
-        # Serial runs keep their summaries unchanged (no backend keys).
-        serial = parallelize(
-            fully_parallel_loop(64), 4, RuntimeConfig.adaptive(backend="serial")
-        )
-        assert "backend" not in serial.summary()
-        assert "thread_mode" not in serial.summary()
-
-    def test_threads_rejects_os_chaos(self):
-        from repro.faults.os_chaos import OsChaosPlan
-
-        with pytest.raises(ConfigurationError, match="threads"):
-            parallelize(
-                fully_parallel_loop(64), 4,
-                RuntimeConfig.adaptive(
-                    backend="threads",
-                    os_chaos=OsChaosPlan.kill_workers(0, [1]),
-                ),
-            )
-
-    def test_threads_pool_reused_across_stages(self):
-        # The pool is persistent: a multi-stage run must not spawn a
-        # fresh set of worker threads per stage.
-        import repro.core.threads as threads_mod
-
-        started = []
-        orig = threads_mod.ThreadsBackend._start_worker
-
-        def counting(self, worker):
-            started.append(worker.slot)
-            return orig(self, worker)
-
-        from repro.workloads.synthetic import (
-            chain_loop,
-            geometric_chain_targets,
-        )
-
-        threads_mod.ThreadsBackend._start_worker = counting
-        try:
-            result = parallelize(
-                chain_loop(128, geometric_chain_targets(128, 0.5)), 4,
-                RuntimeConfig.adaptive(backend="threads", backend_workers=2),
-            )
-        finally:
-            threads_mod.ThreadsBackend._start_worker = orig
-        assert result.n_stages > 1
-        assert len(started) == 2
-
 
 # -- dispatch only when it pays ----------------------------------------------------
 
 #: The backends that decide stage by stage between the pool and the parent.
-POOLED = ["fork", "shm", "threads"]
+POOLED = ["fork", "shm"]
 
 
 def _rule_backend(name="fork", *, workers=2, os_chaos=None):
     """A pooled backend over a stub engine (the figures start empty)."""
-    backend_names()  # registers shm and threads
+    backend_names()  # registers shm
     eng = SimpleNamespace(
         os_chaos=os_chaos, loop=fully_parallel_loop(64), n_procs=4,
         config=SimpleNamespace(backend_workers=workers),
@@ -378,16 +358,16 @@ def _stub_paths(monkeypatch, backend, *, inline, dispatch, pool_open, pool_close
         clock.now += pool_open
         backend._workers = [None] * backend._pool_size()
 
-    def stop_pool(workers):
+    def shutdown_pool(workers):
         clock.now += pool_close
 
     for name, stub in (
         ("_run_inline", run_inline),
         ("_dispatch_stage", dispatch_stage),
         ("_ensure_workers", ensure_workers),
-        ("_stop_pool", stop_pool),
     ):
         monkeypatch.setattr(backend, name, stub)
+    monkeypatch.setattr(backend_mod, "_shutdown_pool", shutdown_pool)
     return clock
 
 
@@ -485,18 +465,15 @@ class TestDispatchRule:
         assert decisions[0] is False
         assert all(decisions[-10:])
 
-    @pytest.mark.parametrize(
-        "name, pool_close", [("fork", 0.030), ("fork", 1e-4), ("threads", 1e-4)]
-    )
+    @pytest.mark.parametrize("name, pool_close", [("fork", 0.030), ("fork", 1e-4)])
     def test_an_inflated_inline_sample_cannot_keep_dispatching(
         self, monkeypatch, name, pool_close
     ):
         # A cold first inline stage takes 164 us per iteration; every later
-        # one takes the true 30 us, below the dispatch's 35 us (a GIL-bound
-        # pool).  Five calls of 37 stages, 96 iterations each, the figures
-        # carried across calls.  The inline probes re-measure the body,
-        # so inline wins back the stages whatever the pool's close costs
-        # (a thread pool's is about 0.1 ms).
+        # one takes the true 30 us, below the dispatch's 35 us.  Five calls
+        # of 37 stages, 96 iterations each, the figures carried across
+        # calls.  The inline probes re-measure the body, so inline wins
+        # back the stages whatever the pool's close costs.
         backend = _rule_backend(name)
         clock = _stub_paths(
             monkeypatch, backend,
@@ -547,7 +524,7 @@ class TestDispatchRule:
             figure.add(0.0)
         assert figure.value < 1e-6
 
-    @pytest.mark.parametrize("backend", ["fork", "threads"])
+    @pytest.mark.parametrize("backend", ["fork"])
     def test_bootstrap_on_a_real_run(self, backend):
         # Fresh figures: the first stage runs inline (and measures the
         # body), the next dispatches (and measures the pool); every stage
@@ -584,7 +561,7 @@ class TestInlineShareStaysOnTheHostPlane:
             self.turn = not getattr(self, "turn", True)
             return self.turn
 
-        monkeypatch.setattr(backend_mod.PooledBackend, "dispatch_pays", alternate)
+        monkeypatch.setattr(backend_mod.ForkBackend, "dispatch_pays", alternate)
         monkeypatch.setenv("REPRO_OPLOG", str(tmp_path / "ops.jsonl"))
         n = 96
         runs = {}

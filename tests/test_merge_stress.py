@@ -1,9 +1,9 @@
-"""Concurrent-merge determinism stress for the threads backend.
+"""Concurrent-merge determinism stress for the fork pool.
 
-The threads backend's whole correctness argument is that *completion
-order never matters*: worker threads finish blocks in whatever order the
-scheduler and the workload's skew dictate, and the merge replays the
-order-sensitive residue (virtual-time charges, metrics, untested writes)
+The fork pool's correctness argument is that *completion order never
+matters*: worker processes finish blocks in whatever order the scheduler
+and the workload's skew dictate, and the parent merges the deltas --
+views, shadows, virtual-time charges, metrics, untested writes --
 strictly in block-position order.  These tests make the completion order
 maximally adversarial -- per-iteration host-time sleeps drawn from a
 seeded RNG, so some blocks finish orders of magnitude later than their
@@ -14,11 +14,12 @@ metrics snapshot equal the serial backend's, across 20 seeds.
 
 Sleeps change host wall-clock only; virtual time comes from ``ctx.work``,
 so a correct merge is *bit*-identical, not just approximately equal.
-Every stage is pinned to the worker threads (the ``always_dispatch``
+Every stage is pinned to the worker pool (the ``always_dispatch``
 fixture): a stage the dispatch rule ran in the parent would test nothing
 here.
 """
 
+import multiprocessing as mp
 import random
 import time
 
@@ -30,7 +31,13 @@ from repro.core.runner import parallelize
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
 from tests.engine_parity_cases import summarize
 
-pytestmark = pytest.mark.usefixtures("always_dispatch")
+pytestmark = [
+    pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(),
+        reason="the worker pool needs the fork start method",
+    ),
+    pytest.mark.usefixtures("always_dispatch"),
+]
 
 P = 4
 N = 48
@@ -102,14 +109,14 @@ def _fingerprint(result) -> dict:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_threads_skewed_doall_bit_identical(seed):
+def test_fork_skewed_doall_bit_identical(seed):
     serial = _fingerprint(_run(_skewed_doall, seed, "serial"))
-    threads = _fingerprint(_run(_skewed_doall, seed, "threads"))
-    assert threads == serial
+    fork = _fingerprint(_run(_skewed_doall, seed, "fork"))
+    assert fork == serial
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_threads_skewed_chain_bit_identical(seed):
+def test_fork_skewed_chain_bit_identical(seed):
     serial = _fingerprint(_run(_skewed_chain, seed, "serial"))
-    threads = _fingerprint(_run(_skewed_chain, seed, "threads"))
-    assert threads == serial
+    fork = _fingerprint(_run(_skewed_chain, seed, "fork"))
+    assert fork == serial

@@ -124,44 +124,6 @@ class TestAdoption:
         assert isinstance(respawn["pid"], int)
         assert isinstance(respawn["blocks"], list)
 
-    def test_threads_supervision_records_flow_through_oplog(
-        self, tmp_path, monkeypatch
-    ):
-        import time as _time
-
-        import numpy as np
-
-        from repro.loopir.loop import ArraySpec, SpeculativeLoop
-
-        path = tmp_path / "ops.jsonl"
-        monkeypatch.setenv(ENV_PATH, str(path))
-        stalls = {"left": 1}
-
-        def body(ctx, i):
-            if i == 5 and stalls["left"] > 0:
-                stalls["left"] -= 1
-                _time.sleep(0.6)
-            ctx.work(1.0)
-            ctx.store("A", i, float(i) * 2.0)
-
-        loop = SpeculativeLoop(
-            "stall_doall", 16, body, arrays=[ArraySpec("A", np.zeros(16))]
-        )
-        # certify="off": the stall closure is stateful, so a certification
-        # probe would both consume the stall and hide the supervision path
-        # under test.
-        parallelize(loop, 4, RuntimeConfig.nrd(
-            backend="threads", backend_workers=4, worker_timeout=0.15,
-            certify="off",
-        ))
-        records = _records(path)
-        by_component = {r["component"] for r in records}
-        assert {"engine", "backend", "supervise"} <= by_component
-        overdue = [r for r in records if r["event"] == "worker-overdue"]
-        assert overdue and overdue[0]["severity"] == "warn"
-        # pid carries the worker's native thread id on this backend.
-        assert isinstance(overdue[0]["pid"], int)
-
     def test_run_failed_record_on_uncaught_error(self, tmp_path, monkeypatch):
         from repro.errors import SpeculationError
 

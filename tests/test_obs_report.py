@@ -65,7 +65,8 @@ class TestReportGolden:
 class TestReportGoldenThreads:
     """The same fold, from a trace recorded under the threads backend.
 
-    Threads run blocks on pool threads with cooperative supervision; the
+    The fixture was recorded while ``threads`` still ran blocks on an
+    in-process thread pool (the name is now a synonym for serial); the
     recorded deterministic stream must fold to the same report shape,
     and the committed goldens pin it exactly.
     """
@@ -86,8 +87,9 @@ class TestReportGoldenThreads:
     def test_virtual_plane_matches_serial_fixture(self):
         """Virtual-clock content is backend-invariant: everything except
         the non-deterministic host timings matches the serial fixture.
-        Span virtual durations are summed per-backend (worker-side for
-        threads), so they agree to float tolerance, not bitwise."""
+        Span virtual durations were summed worker-side by the thread pool
+        that recorded the fixture, so they agree to float tolerance, not
+        bitwise."""
         def virtual_view(path):
             events = []
             for e in load_trace(str(path)):

@@ -118,12 +118,7 @@ class TestTopStateFold:
         assert state.done
         assert "boom" in state.failed
 
-    def test_resources_fold_prefers_thread_count(self):
-        state = self._state([
-            {"plane": "resources", "rss_bytes": 10, "worker_threads": 3,
-             "workers": []},
-        ])
-        assert state.workers_alive == 3
+    def test_resources_fold_counts_sampled_workers(self):
         state = self._state([
             {"plane": "resources", "rss_bytes": 10,
              "workers": [{"pid": 1}, {"pid": 2}]},

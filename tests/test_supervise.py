@@ -256,148 +256,6 @@ class TestDegradation:
         assert "respawn budget exhausted" in degraded[0].reason
 
 
-# -- threads backend: cooperative cancellation ------------------------------------
-
-
-class TestThreadsCancellation:
-    """The threads backend cannot SIGKILL its workers; hang recovery is a
-    cooperative cancellation flag honoured at iteration boundaries, with
-    the same supervision counters, operational log and degradation path
-    as the process pools."""
-
-    def _stall_loop(self, stalls: dict, n: int = 16, delay: float = 0.6):
-        # Block on proc 1 covers iterations [4, 8) under NRD at P=4; make
-        # iteration 5 stall long enough to trip a small worker_timeout.
-        # ``stalls["left"]`` controls how many executions stall, so a
-        # transient hang (1) recovers on redispatch while a poison block
-        # (inf) keeps stalling until quarantined.  Sleeps change host
-        # time only; virtual time comes from ``ctx.work``.
-        def body(ctx, i):
-            if i == 5 and stalls["left"] > 0:
-                stalls["left"] -= 1
-                time.sleep(delay)
-            ctx.work(1.0)
-            ctx.store("A", i, float(i) * 2.0)
-
-        return SpeculativeLoop(
-            "stall_doall", n, body, arrays=[ArraySpec("A", np.zeros(n))]
-        )
-
-    def test_threads_hang_is_cancelled_and_redispatched(
-        self, tmp_path, monkeypatch
-    ):
-        log_path = tmp_path / "supervise.jsonl"
-        monkeypatch.setenv("REPRO_OPLOG", str(log_path))
-        serial = summarize(
-            parallelize(
-                self._stall_loop({"left": 0}), P,
-                RuntimeConfig.nrd(certify="off"),
-            )
-        )
-        result = parallelize(
-            self._stall_loop({"left": 1}), P,
-            RuntimeConfig.nrd(
-                backend="threads", backend_workers=P, worker_timeout=0.15,
-                certify="off",
-            ),
-        )
-        assert summarize(result) == serial
-        assert result.supervision["supervise.overdue"] >= 1
-        assert result.supervision["supervise.redispatched_blocks"] >= 1
-        assert result.supervision["supervise.degradations"] == []
-        assert result.stages[0].redispatched_procs  # non-empty
-        events = [
-            json.loads(line)["event"]
-            for line in log_path.read_text().splitlines()
-        ]
-        assert "worker-overdue" in events
-        assert "blocks-redispatched" in events
-
-    def test_threads_poison_block_degrades_to_serial(self, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        serial = summarize(
-            parallelize(
-                self._stall_loop({"left": 0}), P,
-                RuntimeConfig.nrd(certify="off"),
-            )
-        )
-        result = parallelize(
-            self._stall_loop({"left": 10**9}), P,
-            RuntimeConfig.nrd(
-                backend="threads", backend_workers=P, worker_timeout=0.15,
-                max_worker_respawns=8, trace_path=str(trace), certify="off",
-            ),
-        )
-        assert summarize(result) == serial
-        chain = [
-            (d["from"], d["to"])
-            for d in result.supervision["supervise.degradations"]
-        ]
-        assert chain == [("threads", "serial")]
-        assert result.supervision["supervise.quarantined_blocks"] >= 1
-        events = load_trace(str(trace))
-        validate_events(events)
-        degraded = [e for e in events if e.kind == "backend_degraded"]
-        assert len(degraded) == 1
-        assert degraded[0].from_backend == "threads"
-        assert degraded[0].to_backend == "serial"
-        assert "poison block" in degraded[0].reason
-
-    def test_threads_recovery_budget_exhaustion_degrades(self, tmp_path):
-        log_path = tmp_path / "supervise.jsonl"
-        serial = summarize(
-            parallelize(
-                self._stall_loop({"left": 0}), P,
-                RuntimeConfig.nrd(certify="off"),
-            )
-        )
-        import pytest as _pytest
-
-        with _pytest.MonkeyPatch.context() as mp_ctx:
-            mp_ctx.setenv("REPRO_OPLOG", str(log_path))
-            result = parallelize(
-                self._stall_loop({"left": 10**9}), P,
-                RuntimeConfig.nrd(
-                    backend="threads", backend_workers=P,
-                    worker_timeout=0.15, max_worker_respawns=0,
-                    certify="off",
-                ),
-            )
-        assert summarize(result) == serial
-        chain = [
-            (d["from"], d["to"])
-            for d in result.supervision["supervise.degradations"]
-        ]
-        assert chain == [("threads", "serial")]
-        records = [
-            json.loads(line) for line in log_path.read_text().splitlines()
-        ]
-        events = [r["event"] for r in records]
-        assert "worker-overdue" in events
-        assert "pool-degraded" in events
-        degraded = next(r for r in records if r["event"] == "pool-degraded")
-        assert "recovery budget exhausted" in degraded["reason"]
-
-    def test_threads_disturbed_trace_is_byte_identical(self, tmp_path):
-        # Cancellation recovery stays out of the deterministic streams,
-        # exactly like the process supervisor's kills.
-        serial_trace = tmp_path / "serial.jsonl"
-        chaos_trace = tmp_path / "chaos.jsonl"
-        parallelize(
-            self._stall_loop({"left": 0}), P,
-            RuntimeConfig.nrd(trace_path=str(serial_trace), certify="off"),
-        )
-        result = parallelize(
-            self._stall_loop({"left": 1}), P,
-            RuntimeConfig.nrd(
-                backend="threads", backend_workers=P, worker_timeout=0.15,
-                trace_path=str(chaos_trace), certify="off",
-            ),
-        )
-        assert result.supervision["supervise.overdue"] >= 1
-        assert chaos_trace.read_bytes() == serial_trace.read_bytes()
-
-
 # -- pool shutdown escalation -----------------------------------------------------
 
 

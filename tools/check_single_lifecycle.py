@@ -16,10 +16,10 @@ retry bounds) and they drifted.  Four checks keep that from recurring:
    ``repro/core/engine.py`` (its ``stage_result`` helper); the event
    deserializer, which rebuilds a recorded result, is exempt.
 4. **Blocks execute through a backend, in one loop each** --
-   ``execute_block(...)`` is called only from four functions: the serial
-   block loop (``SerialBackend.run_blocks``, which the pooled backends
-   also use for stages they run in the parent) and the three worker-side
-   task runners.  A runner that bypasses the engine (and with it
+   ``execute_block(...)`` is called only from two functions: the serial
+   block loop (``SerialBackend.run_blocks``, which the fork pool also
+   uses for stages it runs in the parent) and the fork worker's task
+   runner.  A runner that bypasses the engine (and with it
    backends, faults and the self-check) cannot return, and no backend
    grows a second parent-side block loop.
 
@@ -62,7 +62,6 @@ RESTRICTED_CALLS = {
     "execute_block": (
         "core/backend.py::SerialBackend.run_blocks",
         "core/backend.py::_run_worker_task",
-        "core/threads.py::_run_thread_task",
     ),
 }
 
