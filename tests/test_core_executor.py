@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.config import RuntimeConfig
 from repro.core.backend import BlockTask, _run_worker_task, _WorkerContext
 from repro.core.executor import (
     SpeculativeContext,
     execute_block,
+    make_plain_state,
     make_processor_state,
 )
-from repro.errors import CheckpointError
+from repro.core.runner import parallelize
+from repro.errors import BackendError, CheckpointError, SelfCheckError
 from repro.faults.selfcheck import UntestedAccessLog
 from repro.kernels import kernel_names, use_kernels
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
@@ -405,6 +408,7 @@ _rec_op = st.one_of(
         st.sampled_from("DSU"),
         st.lists(_rec_index, max_size=3),
     ),
+    st.tuples(st.just("work"), st.none(), st.sampled_from([0, 0.25, 1.5])),
 )
 #: Blocks of one stage, in order: ``(proc, slowdown, ops per iteration)``.
 #: Processors repeat, as a sliding window runs several blocks on one.
@@ -423,10 +427,15 @@ def _rec_value(i: int, k: int) -> float:
     return float(100 * i + k)
 
 
-def _rec_loop(program):
+def _rec_loop(program, zero_work=frozenset()):
+    """The loop that replays ``program``; iterations in ``zero_work`` have
+    no base work, so another fold slot can appear before WORK."""
+
     def body(ctx, i):
         for k, (op, name, arg) in enumerate(program[i]):
-            if op == "load":
+            if op == "work":
+                ctx.work(arg)
+            elif op == "load":
                 ctx.load(name, arg)
             elif op == "store":
                 ctx.store(name, arg, _rec_value(i, k))
@@ -449,7 +458,7 @@ def _rec_loop(program):
             ArraySpec("U", np.arange(float(REC_N)) + 50.0, tested=False),
         ],
         reductions={"R": ReductionOp.SUM},
-        iter_work=lambda i: 1.0 + 0.1 * i,
+        iter_work=lambda i: 0.0 if i in zero_work else 1.0 + 0.1 * i,
     )
 
 
@@ -518,9 +527,14 @@ class _PerAccessReference:
             self.iter_time = 0.0
             base = self.loop.work_of(i) * REC_COSTS.omega
             self._charge(Category.WORK, base)
+            work = base
             for k, (op, name, arg) in enumerate(iterations[i - start]):
                 value = _rec_value(i, k)
-                if name == "U":
+                if op == "work":
+                    # iter_work stays nominal under a straggler slowdown.
+                    self._charge(Category.WORK, arg * REC_COSTS.omega)
+                    work += arg * REC_COSTS.omega
+                elif name == "U":
                     if op == "store":
                         self._write_untested(arg, value)
                     elif op == "store_many":
@@ -543,7 +557,7 @@ class _PerAccessReference:
                     else:
                         self._charge(Category.MARK, REC_COSTS.mark * len(arg))
             self.iter_times[proc][i] = self.iter_time
-            self.iter_work[proc][i] = base
+            self.iter_work[proc][i] = work
         self.block_times.append(self.block_time)
 
     def restore_failed(self, failed):
@@ -573,22 +587,31 @@ class TestColumnarRecorder:
         blocks=_rec_blocks,
         on_demand=st.booleans(),
         failed=st.sets(st.integers(min_value=0, max_value=REC_PROCS - 1)),
+        zero_work=st.frozensets(st.integers(min_value=0, max_value=19)),
     )
     @example(  # same-index read-after-write, then write-after-read, in one block
         blocks=[(0, 1.0, [[("load", "D", 2), ("store", "D", 2), ("load", "D", 2)],
                           [("store", "S", 1), ("load", "S", 1), ("load", "S", 3)]])],
-        on_demand=True, failed={0},
+        on_demand=True, failed={0}, zero_work=frozenset(),
     )
     @example(  # two blocks on one processor; a committing/failed clash on U
         blocks=[(1, 1.7, [[("store", "U", 4), ("load", "D", 0)]]),
                 (2, 1.0, [[("store_many", "U", [4, 5, 4])]]),
                 (1, 1.0, [[("store", "D", 0), ("load_many", "D", [0, 1, 0])]])],
-        on_demand=True, failed={2},
+        on_demand=True, failed={2}, zero_work=frozenset(),
+    )
+    @example(  # no base work first: MARK opens the fold, then ctx.work charges
+        # (zero units included) interleave with marks under a slowdown
+        blocks=[(0, 1.7, [[("load", "D", 1), ("work", None, 0), ("work", None, 0.25),
+                           ("store", "S", 2), ("work", None, 1.5)],
+                          [("work", None, 0.25), ("update", "R", 3)]]),
+                (1, 1.0, [[("work", None, 0)], [("store", "U", 0), ("work", None, 1.5)]])],
+        on_demand=True, failed=set(), zero_work=frozenset({0, 2}),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_access_marking(self, kernels, blocks, on_demand, failed):
+    def test_matches_per_access_marking(self, kernels, blocks, on_demand, failed, zero_work):
         program = [ops for _, _, iterations in blocks for ops in iterations]
-        loop = _rec_loop(program)
+        loop = _rec_loop(program, zero_work)
         reference = _PerAccessReference(loop, on_demand)
         with use_kernels(kernels):
             machine = Machine(REC_PROCS, costs=REC_COSTS, memory=loop.materialize())
@@ -634,3 +657,186 @@ class TestColumnarRecorder:
             assert np.array_equal(u, reference.untested)
             for p in failed:
                 assert ckpt.modified_by([p])["U"] == []
+
+
+# -- the routed access's error paths, in the parent and in a fork worker -----------
+
+_IDX = np.array([1, 2], dtype=np.int64)
+_VALS = np.array([3.0, 4.0])
+_REDUCTION_MSG = "array 'R' is declared a reduction; use update() only"
+_NO_OPERATOR_MSG = "array {!r} has no declared reduction operator"
+
+
+def _err_loop(access=None, iter_work=None, n=8):
+    """Iteration 5 runs ``access(ctx)``; every iteration before it does a
+    little of everything, so the error strikes mid-block on warm routes."""
+
+    def body(ctx, i):
+        ctx.store("D", i % 4, ctx.load("S", i % 4) + ctx.load("U", i % 4))
+        ctx.update("R", i % 4, 1.0)
+        ctx.store("U", 4 + i % 4, 1.0)
+        if i == 5 and access is not None:
+            access(ctx)
+
+    return SpeculativeLoop(
+        "errors", n, body,
+        arrays=[
+            ArraySpec("D", np.arange(8.0), tested=True, sparse=False),
+            ArraySpec("S", np.arange(8.0), tested=True, sparse=True),
+            ArraySpec("R", np.zeros(8), tested=True),
+            ArraySpec("U", np.arange(8.0), tested=False),
+        ],
+        reductions={"R": ReductionOp.SUM},
+        iter_work=iter_work,
+    )
+
+
+_MISUSE = {
+    "load-reduction": (lambda ctx: ctx.load("R", 1), ValueError, _REDUCTION_MSG),
+    "store-reduction": (lambda ctx: ctx.store("R", 1, 2.0), ValueError, _REDUCTION_MSG),
+    "load_many-reduction": (lambda ctx: ctx.load_many("R", _IDX), ValueError, _REDUCTION_MSG),
+    "store_many-reduction": (
+        lambda ctx: ctx.store_many("R", _IDX, _VALS), ValueError, _REDUCTION_MSG,
+    ),
+    "update-tested": (
+        lambda ctx: ctx.update("D", 1, 2.0), ValueError, _NO_OPERATOR_MSG.format("D"),
+    ),
+    "update-untested": (
+        lambda ctx: ctx.update("U", 1, 2.0), ValueError, _NO_OPERATOR_MSG.format("U"),
+    ),
+    "load-unknown": (lambda ctx: ctx.load("Z", 1), KeyError, "no shared array 'Z'"),
+    "store-unknown": (lambda ctx: ctx.store("Z", 1, 2.0), KeyError, "no shared array 'Z'"),
+    "load_many-unknown": (lambda ctx: ctx.load_many("Z", _IDX), KeyError, "no shared array 'Z'"),
+    "store_many-unknown": (
+        lambda ctx: ctx.store_many("Z", _IDX, _VALS), KeyError, "no shared array 'Z'",
+    ),
+}
+
+
+def _negative_work(i):
+    return -1.0 if i == 6 else 1.0
+
+
+@pytest.fixture(params=["serial", "fork"])
+def error_backend(request, always_dispatch):
+    """Runs a loop on ``serial`` or on the fork pool with every stage
+    dispatched, and returns what it raised as ``(type, message)``: a
+    worker's exception reaches the parent inside a :class:`BackendError`
+    that carries the worker's traceback."""
+
+    def run(loop):
+        config = RuntimeConfig.nrd(backend=request.param)
+        if request.param == "serial":
+            with pytest.raises((ValueError, KeyError)) as info:
+                parallelize(loop, 2, config)
+            return type(info.value), str(info.value)
+        with pytest.raises(BackendError) as info:
+            parallelize(loop, 2, config)
+        errors = {"ValueError": ValueError, "KeyError": KeyError}
+        for line in reversed(str(info.value).splitlines()):
+            name, _, message = line.partition(": ")
+            if name in errors:
+                return errors[name], message
+        raise AssertionError(f"no worker exception in {info.value}")
+
+    return run
+
+
+class TestRoutedAccessErrors:
+    @pytest.mark.parametrize("case", sorted(_MISUSE))
+    def test_misuse_raises_the_same_error(self, error_backend, case):
+        access, error, message = _MISUSE[case]
+        raised, text = error_backend(_err_loop(access))
+        assert raised is error
+        assert message in text
+
+    def test_unknown_name_lists_the_declared_arrays(self, error_backend):
+        _, text = error_backend(_err_loop(lambda ctx: ctx.load("Z", 0)))
+        assert "declared: ['D', 'R', 'S', 'U']" in text
+
+    def test_negative_iter_work_names_the_iteration(self, error_backend):
+        raised, text = error_backend(_err_loop(iter_work=_negative_work))
+        assert raised is ValueError
+        assert "iter_work(6) returned negative cost -1.0" in text
+
+
+def _logged_loop(plain):
+    """Touches the untested ``U`` through every access method; on a plain
+    state (the certified fast path) ``D`` is untested traffic too."""
+
+    def body(ctx, i):
+        ctx.load("U", 1)
+        ctx.store("U", 2, 5.0)
+        ctx.load_many("U", np.array([3, 4, 3], dtype=np.int64))
+        ctx.store_many("U", np.array([5, 2], dtype=np.int64), np.array([6.0, 7.0]))
+        ctx.store("D", 1, ctx.load("D", 0))
+        if not plain:
+            ctx.update("R", 0, 1.0)
+
+    return SpeculativeLoop(
+        "logged", 2, body,
+        arrays=[
+            ArraySpec("D", np.arange(8.0), tested=True),
+            ArraySpec("R", np.zeros(8), tested=True),
+            ArraySpec("U", np.arange(8.0), tested=False),
+        ],
+        reductions={} if plain else {"R": ReductionOp.SUM},
+    )
+
+
+def _expected_untested(plain):
+    reads = [("U", 1), ("U", 3), ("U", 4)] + ([("D", 0)] if plain else [])
+    writes = [("U", 2), ("U", 5)] + ([("D", 1)] if plain else [])
+    return sorted(reads), sorted(writes)
+
+
+class TestUntestedLog:
+    """With the self-check on, every untested read and write is recorded,
+    on plain states too, where every array takes the untested route."""
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_serial_executor_records_every_untested_access(self, plain):
+        loop = _logged_loop(plain)
+        machine = Machine(2, memory=loop.materialize())
+        machine.begin_stage()
+        state = make_plain_state(1) if plain else make_processor_state(machine, loop, 1)
+        ckpt = CheckpointManager(machine.memory, ["U"], on_demand=True)
+        ckpt.begin_stage()
+        log = UntestedAccessLog()
+        execute_block(machine, loop, state, Block(1, 0, 2), ckpt, untested_log=log)
+        noted = [
+            sorted((name, i) for name, by in traffic.items() for i in by)
+            for traffic in (log.reads, log.writes)
+        ]
+        assert noted == list(_expected_untested(plain))
+        for traffic in (log.reads, log.writes):
+            assert all(procs == {1} for by in traffic.values() for procs in by.values())
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_fork_worker_records_every_untested_access(self, plain):
+        loop = _logged_loop(plain)
+        wctx = _WorkerContext(
+            loop, CostModel(), loop.materialize(), ["U"], True,
+            frozenset(loop.reductions),
+        )
+        task = BlockTask(
+            stage=0, pos=0, block=Block(1, 0, 2), plain=plain, log_untested=True,
+        )
+        delta = _run_worker_task(wctx, task)
+        assert (delta.untested_reads, delta.untested_writes) == _expected_untested(plain)
+
+    @pytest.mark.parametrize("backend", ["serial", "fork"])
+    def test_self_check_sees_a_cross_processor_untested_read(self, backend, always_dispatch):
+        def body(ctx, i):
+            if i == 0:
+                ctx.store("U", 0, 1.0)
+            elif i == 7:
+                ctx.load("U", 0)
+
+        loop = SpeculativeLoop(
+            "shared-untested", 8, body,
+            arrays=[ArraySpec("A", np.zeros(8)), ArraySpec("U", np.zeros(8), tested=False)],
+        )
+        config = RuntimeConfig.nrd(backend=backend, self_check=True)
+        with pytest.raises(SelfCheckError, match="untested-array isolation violated"):
+            parallelize(loop, 2, config)
