@@ -108,33 +108,48 @@ def _time_backends(make_loop, n_procs: int, repeats: int) -> dict:
     }
 
 
-def _paired_overhead(make_loop, n_procs: int, base_cfg, on_cfg, repeats: int):
-    """Fractional slowdown of ``on_cfg`` over ``base_cfg``, measured as
-    the median of interleaved pairwise on/off ratios.
+def _paired_ratio(base_fn, on_fn, pairs: int):
+    """Median of ``pairs`` interleaved ``on_fn``/``base_fn`` host-time
+    ratios.
 
-    Both overhead gates ride this: pairing cancels slow host drift (CPU
-    frequency, noisy container neighbors) and the median kills the odd
-    descheduled run, either of which would otherwise masquerade as a
-    budget overrun on a loaded CI runner.  One discarded warmup pair
-    strips one-time costs (imports, thread bootstrap) that are not
-    steady-state overhead.  Returns ``(median base seconds, overhead,
-    result of the last on-config run)``."""
+    The CPU-independent gates ride this: pairing cancels slow host
+    drift (CPU frequency, noisy container neighbors) and the median kills
+    the odd descheduled run, either of which would otherwise decide a
+    gate on a loaded CI runner.  One discarded warmup pair strips one-time costs
+    (imports, thread bootstrap) that are not steady-state cost.  Returns
+    ``(median base seconds, median on seconds, median ratio, result of
+    the last base call, result of the last on call)``."""
     import statistics
 
-    parallelize(make_loop(), n_procs, base_cfg)
-    result = parallelize(make_loop(), n_procs, on_cfg)
-    base_times, ratios = [], []
-    for _ in range(repeats):
-        pair_base, _ = measure_host(
-            lambda: parallelize(make_loop(), n_procs, base_cfg), 1
-        )
-        pair_on, result = measure_host(
-            lambda: parallelize(make_loop(), n_procs, on_cfg), 1
-        )
+    base_fn()
+    on_fn()
+    base_times, on_times, ratios = [], [], []
+    for _ in range(pairs):
+        pair_base, base_result = measure_host(base_fn, 1)
+        pair_on, on_result = measure_host(on_fn, 1)
         base_times.append(pair_base)
+        on_times.append(pair_on)
         ratios.append(pair_on / pair_base)
-    overhead = statistics.median(ratios) - 1.0
-    return statistics.median(base_times), overhead, result
+    return (
+        statistics.median(base_times),
+        statistics.median(on_times),
+        statistics.median(ratios),
+        base_result,
+        on_result,
+    )
+
+
+def _paired_overhead(make_loop, n_procs: int, base_cfg, on_cfg, repeats: int):
+    """Fractional slowdown of ``on_cfg`` over ``base_cfg``: the median
+    interleaved on/off ratio (:func:`_paired_ratio`) less one.  Returns
+    ``(median base seconds, overhead, result of the last on-config
+    run)``."""
+    base_s, _, ratio, _, result = _paired_ratio(
+        lambda: parallelize(make_loop(), n_procs, base_cfg),
+        lambda: parallelize(make_loop(), n_procs, on_cfg),
+        repeats,
+    )
+    return base_s, ratio - 1.0, result
 
 
 def _metrics_overhead(make_loop, n_procs: int, repeats: int) -> dict:
@@ -260,7 +275,7 @@ def _kernel_microbench(n: int, repeats: int) -> dict:
     return {"n": n, "primitives": primitives}
 
 
-def _certified_fastpath_microbench(n: int, n_procs: int, repeats: int) -> dict:
+def _certified_fastpath_microbench(n: int, n_procs: int, pairs: int) -> dict:
     """Certified-DOALL fast path vs the full speculative pipeline on the
     dense doall, serial backend host seconds.
 
@@ -268,36 +283,38 @@ def _certified_fastpath_microbench(n: int, n_procs: int, repeats: int) -> dict:
     strategy -- the execution the certifier's DOALL verdict buys (plain
     loads/stores, no shadow marking, no checkpoint, no analysis, no
     commit copy-out) -- against the default adaptive pipeline with
-    certification off.  The certifier's own probe is timed separately
-    (``certify_s``): it stands in for static compile-time analysis, is
-    independent of processor count, and amortizes over repeated runs of
-    the same loop, so it is reported but not folded into the speedup the
-    gate enforces.  Both runs must agree on final memory bit-for-bit.
+    certification off.  The two run as ``pairs`` interleaved
+    fast/speculative pairs and ``speedup`` is the median pair ratio
+    (:func:`_paired_ratio`): best-of minima of runs this short moved the
+    ratio around its gate on a shared host whatever the code did.  The
+    certifier's own probe is timed separately (``certify_s``): it stands
+    in for static compile-time analysis, is independent of processor
+    count, and amortizes over repeated runs of the same loop, so it is
+    reported but not folded into the speedup the gate enforces.  Both
+    runs must agree on final memory bit-for-bit.
     """
     from repro.core.fastpath import CertifiedDoall
     from repro.model import certify_loop
 
     spec_cfg = RuntimeConfig.adaptive(backend="serial", certify="off")
-    fast_s, fast_r = measure_host(
+    fast_s, spec_s, speedup, fast_r, spec_r = _paired_ratio(
         lambda: parallelize(
             fully_parallel_loop(n), n_procs, spec_cfg, strategy=CertifiedDoall()
         ),
-        repeats + 1,  # first repeat doubles as the warm-up
-    )
-    spec_s, spec_r = measure_host(
         lambda: parallelize(fully_parallel_loop(n), n_procs, spec_cfg),
-        repeats + 1,
+        pairs,
     )
     certify_s, _ = measure_host(
-        lambda: certify_loop(fully_parallel_loop(n)), repeats + 1
+        lambda: certify_loop(fully_parallel_loop(n)), 8
     )
     return {
         "n": n,
         "procs": n_procs,
+        "pairs": pairs,
         "fastpath_s": fast_s,
         "speculative_s": spec_s,
         "certify_s": certify_s,
-        "speedup": spec_s / fast_s,
+        "speedup": speedup,
         "parity_ok": _summary(fast_r)["memory"] == _summary(spec_r)["memory"],
     }
 
@@ -366,10 +383,10 @@ def host_perf(quick: bool) -> ExperimentResult:
         )
     )
     # The >= 2x fast-path gate applies at any CPU count (the serial
-    # backend is single-process), so give it best-of-7 even in quick mode
-    # -- each sample is a few milliseconds.
+    # backend is single-process); its runs take a few milliseconds, so
+    # it gates on the median of at least 15 interleaved pairs.
     fastpath = _certified_fastpath_microbench(
-        1024 if quick else 4096, n_procs, max(repeats, 7)
+        1024 if quick else 4096, n_procs, max(repeats, 15)
     )
     rows.append(
         f"{'certified-fast':<16} n={fastpath['n']:<6} "

@@ -38,8 +38,10 @@ from repro.util.blocks import Block
 _FOLD_CATEGORIES = (Category.WORK, Category.MARK, Category.COPY_IN, Category.CHECKPOINT)
 _WORK, _MARK, _COPY_IN, _CHECKPOINT = range(len(_FOLD_CATEGORIES))
 
-#: Write handles of a context without a checkpoint.
+#: Write handles of a context without a checkpoint, and the handle of an
+#: array without one.
 _NO_WRITES: dict[str, tuple] = {}
+_NO_HANDLE = (None, None, None)
 
 
 def _out_of_range(index, size: int) -> IndexError:
@@ -153,12 +155,18 @@ class SpeculativeContext(IterationContext):
     Tested arrays go through private views with shadow marking and on-demand
     copy-in; untested arrays are written to shared memory under checkpoint.
 
-    Each access does only its eager work: the private-view value, copy-in
-    detection, the virtual-time additions and one append to the array's
-    access log (tested) or the processor's checkpoint column after the
-    first-touch save (untested).  Shadow marks are applied from the logs
-    when the block ends (:meth:`flush_marks`), with exactly the result
-    per-access marking would have had.
+    Every array is *routed* once, when the context is built: a tested
+    array's route holds its private view, size and access log, an untested
+    array's its shared data buffer and this processor's checkpoint handles.
+    An access makes one route lookup and does only its eager work: the
+    private-view value, copy-in detection, the virtual-time additions and
+    one append to the array's access log (tested) or the processor's
+    checkpoint column after the first-touch save (untested).  Accesses with
+    no route take one cold path (:meth:`_cold_route`): reduction arrays
+    outside :meth:`update`, names the memory image lacks, and untested
+    arrays while the self-check records their traffic.  Shadow marks are
+    applied from the logs when the block ends (:meth:`flush_marks`), with
+    exactly the result per-access marking would have had.
 
     Virtual time is *folded*, not charged, as accesses happen: each access
     adds its (straggler-stretched) amount to a per-category running total
@@ -168,30 +176,31 @@ class SpeculativeContext(IterationContext):
     floats and dict layout one timeline charge per access would produce.
     Every backend folds here: the serial backend settles on the machine,
     worker backends on their stand-in, whose totals ship to the parent.
+    :func:`execute_block` runs the per-iteration part of the bookkeeping
+    (iteration number, base work, measured times) in its own loop.
     """
 
     __slots__ = (
         "_machine",
         "_state",
         "_access",
-        "_arrays",
+        "_routes",
+        "_logged",
         "_reductions",
         "_ckpt",
-        "_ckpt_writes",
         "_inductions",
         "_iter_marks",
         "_iter_time",
         "_iter_work",
         "_folded",
         "_costs",
+        "_omega",
         "_slowdown",
         "_mark_charge",
         "_copy_in_charge",
         "_save_charge",
         "_untested_log",
         "_m_marks",
-        "_m_copyin",
-        "_m_ckpt",
         "block_time",
         "exit_iteration",
         "fault",
@@ -212,13 +221,14 @@ class SpeculativeContext(IterationContext):
         self._machine = machine
         self._state = state
         self._access = state.access
-        self._arrays = machine.memory.arrays
         self._reductions = loop.reductions
         self._ckpt = checkpoints
         self._inductions = dict(inductions or {})
         # Optional per-iteration mark sink (DDG extraction); maps array name
         # to the current iteration's IterationMarks.
         self._iter_marks: dict[str, IterationMarks] | None = None
+        # The current iteration's measured and work-only times, reset and
+        # read by execute_block around each body call.
         self._iter_time = 0.0
         self._iter_work = 0.0
         # Fold slot -> running total; seeded from the processor's charges
@@ -233,6 +243,7 @@ class SpeculativeContext(IterationContext):
         """Sum of this block's charges in the order they happened (the
         worker backends' block-span virtual duration)."""
         costs = self._costs = machine.costs
+        self._omega = costs.omega
         # Straggler fault: every charge of this block is stretched by the
         # multiplier, but iter_work stays nominal -- the useful work done
         # is unchanged, only the time to do it grows.
@@ -242,37 +253,40 @@ class SpeculativeContext(IterationContext):
         self._mark_charge = costs.mark * slowdown
         self._copy_in_charge = costs.copy_in * slowdown
         self._save_charge: float | None = None
-        self._ckpt_writes = _NO_WRITES
+        handles = _NO_WRITES
         if checkpoints is not None:
-            self._ckpt_writes = checkpoints.write_handles(state.proc)
+            handles = checkpoints.write_handles(state.proc)
             if checkpoints.charge_saves:
                 self._save_charge = costs.checkpoint_per_elem * slowdown
         # Self-check: per-stage recorder of untested-array traffic.
         self._untested_log = untested_log
-        # Metrics accumulators, folded into the registry once per block
-        # (flush_metrics) and only when metrics are on.
+        # Routes: name -> (view, data, size, log, saved, tally).  Tested
+        # arrays: (view, None, size, access log, None, copy-in tally).
+        # Untested arrays: (None, shared data, 0, checkpoint column or
+        # None, first-touch saves or None, checkpoint-save tally); while
+        # the self-check logs they wait in ``_logged`` for the cold path.
+        # Reduction arrays get none: update() reads state.access.
+        self._routes: dict[str, tuple] = {}
+        self._logged: dict[str, tuple] = {}
+        untested = self._routes if untested_log is None else self._logged
+        for name, shared in machine.memory.arrays.items():  # hot-path: per array, once a block
+            if name in self._reductions:
+                continue
+            record = state.access.get(name)
+            if record is not None:
+                view, size, log = record
+                self._routes[name] = (view, None, size, log, None, [0])
+            else:
+                saved, column, _ = handles.get(name, _NO_HANDLE)
+                untested[name] = (None, shared.data, 0, column, saved, [0])
+        # Marks applied this block, folded into the registry once per
+        # block (flush_metrics) with the route tallies.
         self._m_marks = 0
-        self._m_copyin: dict[str, int] = {}
-        self._m_ckpt: dict[str, int] = {}
         self.exit_iteration: int | None = None
         self.fault: str | None = None
         """Fault class that aborted this block (``None`` = ran clean)."""
         self.fault_permanent = False
         """A fail-stop fault removed the processor for good."""
-
-    # -- wiring used by the drivers --------------------------------------------
-
-    def set_iteration_marks(self, marks: dict[str, IterationMarks] | None) -> None:
-        self._iter_marks = marks
-
-    def begin_iteration(self, iteration: int) -> None:
-        self.iteration = iteration
-        self._iter_time = 0.0
-        self._iter_work = 0.0
-
-    def end_iteration(self) -> tuple[float, float]:
-        """Return ``(measured time, work-only time)`` for this iteration."""
-        return self._iter_time, self._iter_work
 
     def induction_values(self) -> dict[str, int]:
         return dict(self._inductions)
@@ -284,11 +298,6 @@ class SpeculativeContext(IterationContext):
             folded = self._folded
             folded[slot] = folded.get(slot, 0.0) + charged
             self.block_time += charged
-
-    def _charge_work(self, amount: float) -> None:
-        self._charge(_WORK, amount)
-        # iter_work stays nominal under a straggler slowdown.
-        self._iter_work += amount
 
     def settle_charges(self) -> None:
         """Write the folded per-category totals to the machine (once per
@@ -321,22 +330,32 @@ class SpeculativeContext(IterationContext):
 
     # -- memory access ----------------------------------------------------------
 
-    def load(self, name: str, index: int):
+    def _cold_route(self, name: str, indices, write: bool) -> tuple:
+        """The route of an access to an array with no fast route: raise on
+        a reduction array or an unknown name; for an untested array under
+        the self-check, record the access, then route it as usual."""
         if name in self._reductions:
             raise ValueError(
                 f"array {name!r} is declared a reduction; use update() only"
             )
-        record = self._access.get(name)
-        if record is None:
+        route = self._logged.get(name)
+        if route is None:
+            self._machine.memory[name]  # raises the image's descriptive KeyError
+            raise KeyError(name)
+        log, proc = self._untested_log, self._state.proc
+        note = log.note_write if write else log.note_read
+        for index in indices:  # hot-path: self-check recording only (off by default)
+            note(proc, name, index)
+        return route
+
+    def load(self, name: str, index: int):
+        try:
+            view, data, size, log, _, tally = self._routes[name]
+        except KeyError:
+            view, data, size, log, _, tally = self._cold_route(name, (index,), False)
+        if view is None:
             # Untested array: direct shared read, no instrumentation.
-            if self._untested_log is not None:
-                self._untested_log.note_read(self._state.proc, name, index)
-            try:
-                return self._arrays[name].data[index]
-            except KeyError:
-                self._machine.memory[name]  # raises the image's descriptive KeyError
-                raise
-        view, size, log = record
+            return data[index]
         if not 0 <= index < size:
             raise _out_of_range(index, size)
         value, copied_in = view.load(index)
@@ -348,8 +367,7 @@ class SpeculativeContext(IterationContext):
             folded[_MARK] = folded.get(_MARK, 0.0) + charged
             self.block_time += charged
         if copied_in:
-            copies = self._m_copyin
-            copies[name] = copies.get(name, 0) + 1
+            tally[0] += 1
             charged = self._copy_in_charge
             self._iter_time += charged
             if charged:
@@ -361,37 +379,27 @@ class SpeculativeContext(IterationContext):
         return value
 
     def store(self, name: str, index: int, value) -> None:
-        if name in self._reductions:
-            raise ValueError(
-                f"array {name!r} is declared a reduction; use update() only"
-            )
-        record = self._access.get(name)
-        if record is None:
-            if self._untested_log is not None:
-                self._untested_log.note_write(self._state.proc, name, index)
-            handle = self._ckpt_writes.get(name)
-            if handle is not None:
-                saved, column, shared = handle
+        try:
+            view, data, size, log, saved, tally = self._routes[name]
+        except KeyError:
+            view, data, size, log, saved, tally = self._cold_route(name, (index,), True)
+        if view is None:
+            if log is not None:
+                # Checkpointed: ``log`` is this processor's write column.
                 if saved is not None and index not in saved:
                     # On-demand first touch: save before the write lands.
-                    saved[index] = shared.data[index]
+                    saved[index] = data[index]
                     charged = self._save_charge
                     if charged is not None:
-                        saves = self._m_ckpt
-                        saves[name] = saves.get(name, 0) + 1
+                        tally[0] += 1
                         self._iter_time += charged
                         if charged:
                             folded = self._folded
                             folded[_CHECKPOINT] = folded.get(_CHECKPOINT, 0.0) + charged
                             self.block_time += charged
-                column.append(index)
-            try:
-                self._arrays[name].data[index] = value
-            except KeyError:
-                self._machine.memory[name]  # raises the image's descriptive KeyError
-                raise
+                log.append(index)
+            data[index] = value
             return
-        view, size, log = record
         if not 0 <= index < size:
             raise _out_of_range(index, size)
         view.store(index, value)
@@ -426,20 +434,19 @@ class SpeculativeContext(IterationContext):
 
     # -- bulk memory access -------------------------------------------------------
 
-    def _bulk_record(self, name: str, idx: np.ndarray):
-        """The access record of a bulk access to ``name`` (``None`` for an
-        untested array), bounds-checked before any private state moves."""
-        if name in self._reductions:
-            raise ValueError(
-                f"array {name!r} is declared a reduction; use update() only"
-            )
-        record = self._access.get(name)
-        if record is not None and idx.size:
-            size = record[1]
+    def _bulk_route(self, name: str, idx: np.ndarray, write: bool) -> tuple:
+        """The route of a bulk access to ``name``, bounds-checked (tested
+        arrays) before any private state moves."""
+        try:
+            route = self._routes[name]
+        except KeyError:
+            route = self._cold_route(name, idx.tolist(), write)
+        size = route[2]
+        if route[0] is not None and idx.size:
             bad = (idx < 0) | (idx >= size)
             if bad.any():
                 raise _out_of_range(int(idx[int(np.argmax(bad))]), size)
-        return record
+        return route
 
     def load_many(self, name: str, indices) -> np.ndarray:
         """Vectorized :meth:`load` over an index array.
@@ -453,20 +460,14 @@ class SpeculativeContext(IterationContext):
         the shared array's dtype.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        record = self._bulk_record(name, idx)
-        if record is None:
-            if self._untested_log is not None:
-                proc = self._state.proc
-                # hot-path: self-check recording only (off by default)
-                for i in idx.tolist():
-                    self._untested_log.note_read(proc, name, i)
-            return get_kernels().gather(self._machine.memory[name].data, idx)
-        view, _, log = record
+        view, data, _, log, _, tally = self._bulk_route(name, idx, False)
+        if view is None:
+            return get_kernels().gather(data, idx)
         values, copied = view.load_many(idx)
         log.extend(idx.tolist())
         self._charge(_MARK, self._costs.mark * len(idx))
         if copied:
-            self._m_copyin[name] = self._m_copyin.get(name, 0) + copied
+            tally[0] += copied
             self._charge(_COPY_IN, self._costs.copy_in * copied)
         if self._iter_marks is not None:
             marks = self._iter_marks[name]
@@ -486,25 +487,19 @@ class SpeculativeContext(IterationContext):
         """
         idx = np.asarray(indices, dtype=np.int64)
         vals = np.asarray(values)
-        record = self._bulk_record(name, idx)
-        if record is None:
-            proc = self._state.proc
-            if self._untested_log is not None:
-                # hot-path: self-check recording only (off by default)
-                for i in idx.tolist():
-                    self._untested_log.note_write(proc, name, i)
-            if name in self._ckpt_writes:
-                saves = self._ckpt.note_write_many(proc, name, idx)
+        view, data, _, log, _, tally = self._bulk_route(name, idx, True)
+        if view is None:
+            if log is not None:
+                saves = self._ckpt.note_write_many(self._state.proc, name, idx)
                 if saves:
-                    self._m_ckpt[name] = self._m_ckpt.get(name, 0) + saves
+                    tally[0] += saves
                     amount = self._costs.checkpoint_per_elem
                     # hot-path: one fold addition per first-touch save
                     # keeps the charges bit-identical to element-wise stores
                     for _ in range(saves):
                         self._charge(_CHECKPOINT, amount)
-            get_kernels().scatter(self._machine.memory[name].data, idx, vals)
+            get_kernels().scatter(data, idx, vals)
             return
-        view, _, log = record
         view.store_many(idx, vals)
         log.extend((~idx).tolist())
         self._charge(_MARK, self._costs.mark * len(idx))
@@ -533,7 +528,15 @@ class SpeculativeContext(IterationContext):
     def work(self, units: float) -> None:
         if units < 0:
             raise ValueError("work units must be non-negative")
-        self._charge_work(units * self._costs.omega)
+        amount = units * self._omega
+        charged = amount * self._slowdown
+        self._iter_time += charged
+        if charged:
+            folded = self._folded
+            folded[_WORK] = folded.get(_WORK, 0.0) + charged
+            self.block_time += charged
+        # iter_work stays nominal under a straggler slowdown.
+        self._iter_work += amount
 
     # -- premature exit -----------------------------------------------------------
 
@@ -549,22 +552,18 @@ class SpeculativeContext(IterationContext):
         Called once per block (never per access), after :meth:`flush_marks`
         has counted the block's marks; byte counts derive from the shared
         arrays' element sizes so "how much data moved" is reportable
-        without touching the hot paths.
+        without touching the hot paths.  A tested route's tally counts its
+        copy-ins, an untested route's its charged checkpoint saves.
         """
         registry.counter("shadow.marks").inc(self._m_marks)
         memory = self._machine.memory
-        # hot-path: per array with copy-ins this block
-        for name, n in self._m_copyin.items():
-            registry.counter("shadow.copy_in.elements").inc(n)
-            registry.counter("shadow.copy_in.bytes").inc(
-                n * memory[name].data.itemsize
-            )
-        # hot-path: per array with checkpoint saves this block
-        for name, n in self._m_ckpt.items():
-            registry.counter("checkpoint.saved.elements").inc(n)
-            registry.counter("checkpoint.saved.bytes").inc(
-                n * memory[name].data.itemsize
-            )
+        routes = (*self._routes.items(), *self._logged.items())
+        for name, (view, _, _, _, _, (n,)) in routes:  # hot-path: per array, once a block
+            if not n:
+                continue
+            kind = "shadow.copy_in" if view is not None else "checkpoint.saved"
+            registry.counter(f"{kind}.elements").inc(n)
+            registry.counter(f"{kind}.bytes").inc(n * memory[name].data.itemsize)
         registry.counter("exec.blocks").inc()
         registry.histogram("exec.block_iterations").observe(iterations)
         if self.fault is not None:
@@ -618,7 +617,14 @@ def execute_block(
         machine, loop, state, checkpoints, inductions,
         slowdown=slowdown, untested_log=untested_log,
     )
+    body = loop.body
+    iter_work = loop.iter_work
     omega = machine.costs.omega
+    # Base work of an iteration: ``loop.work_of(i) * omega``, its
+    # uniform default 1.0 multiplied out once.
+    uniform_base = 1.0 * omega
+    iter_times, iter_works = state.iter_times, state.iter_work
+    folded = ctx._folded
     completed = 0
     try:
         # hot-path: the iteration loop itself; fail-stop and exits keep
@@ -631,18 +637,30 @@ def execute_block(
                 ctx.fault = "fail-stop"
                 ctx.fault_permanent = death[1]
                 break
-            ctx.begin_iteration(i)
+            ctx.iteration = i
             if marklists is not None:
-                ctx.set_iteration_marks(
-                    {name: ml.open_level(i) for name, ml in marklists.items()}
-                )
-            base = loop.work_of(i) * omega
+                ctx._iter_marks = {name: ml.open_level(i) for name, ml in marklists.items()}
+            if iter_work is None:
+                base = uniform_base
+            else:
+                units = float(iter_work(i))
+                if units < 0:
+                    raise ValueError(f"iter_work({i}) returned negative cost {units}")
+                base = units * omega
+            iter_time = iter_work_only = 0.0
             if base:
-                ctx._charge_work(base)
-            loop.body(ctx, i)
-            measured, work_only = ctx.end_iteration()
-            state.iter_times[i] = measured
-            state.iter_work[i] = work_only
+                # The base-work charge, folded as ctx.work() folds its own.
+                charged = base * slowdown
+                iter_time += charged
+                if charged:
+                    folded[_WORK] = folded.get(_WORK, 0.0) + charged
+                    ctx.block_time += charged
+                iter_work_only += base
+            ctx._iter_time = iter_time
+            ctx._iter_work = iter_work_only
+            body(ctx, i)
+            iter_times[i] = ctx._iter_time
+            iter_works[i] = ctx._iter_work
             completed += 1
             if ctx.exit_iteration is not None:
                 # The iteration that signalled the exit completes; the rest of

@@ -221,9 +221,16 @@ class PrivateView:
 
 
 class DensePrivateView(PrivateView):
-    """Numpy-backed private view; O(n) memory, O(1) access."""
+    """Numpy-backed private view; O(n) memory, O(1) access.
 
-    __slots__ = ("_values", "_have", "_written")
+    A scalar access reads and sets the have/written flags through
+    memoryviews of the flag arrays: one buffer index each, where a numpy
+    scalar op costs about twice as much.  Only the value itself goes
+    through numpy, so loads return the shared dtype's scalars, as the
+    batch paths do.
+    """
+
+    __slots__ = ("_values", "_have", "_written", "_have_flags", "_written_flags")
 
     def __init__(self, shared: SharedArray) -> None:
         super().__init__(shared)
@@ -231,19 +238,21 @@ class DensePrivateView(PrivateView):
         self._values = np.zeros(n, dtype=shared.data.dtype)
         self._have = np.zeros(n, dtype=bool)
         self._written = np.zeros(n, dtype=bool)
+        self._have_flags = memoryview(self._have)
+        self._written_flags = memoryview(self._written)
 
     def load(self, index: int) -> tuple[object, bool]:
-        if self._have[index]:
+        if self._have_flags[index]:
             return self._values[index], False
         value = self.shared.data[index]
         self._values[index] = value
-        self._have[index] = True
+        self._have_flags[index] = True
         return value, True
 
     def store(self, index: int, value: object) -> None:
         self._values[index] = value
-        self._have[index] = True
-        self._written[index] = True
+        self._have_flags[index] = True
+        self._written_flags[index] = True
 
     def has_local(self, index: int) -> bool:
         return bool(self._have[index])
@@ -292,6 +301,10 @@ class DensePrivateView(PrivateView):
         return len(self._values)
 
 
+#: Missing-key sentinel of the sparse view's value map (values may be None).
+_ABSENT = object()
+
+
 class SparsePrivateView(PrivateView):
     """Dict-backed private view; memory proportional to touched elements."""
 
@@ -303,12 +316,14 @@ class SparsePrivateView(PrivateView):
         self._written: set[int] = set()
 
     def load(self, index: int) -> tuple[object, bool]:
-        try:
-            return self._values[index], False
-        except KeyError:
-            value = self.shared.data[index]
-            self._values[index] = value
-            return value, True
+        # A sentinel lookup, not try/except: a first touch (the copy-in)
+        # is common here, and a raised KeyError costs several lookups.
+        value = self._values.get(index, _ABSENT)
+        if value is not _ABSENT:
+            return value, False
+        value = self.shared.data[index]
+        self._values[index] = value
+        return value, True
 
     def store(self, index: int, value: object) -> None:
         self._values[index] = value

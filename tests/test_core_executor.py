@@ -301,7 +301,6 @@ class TestBulkUntestedAccess:
         loop = _int_loop(lambda ctx, i: None)
         machine, states = setup(loop, n_procs=1)
         ctx = SpeculativeContext(machine, loop, states[0], None)
-        ctx.begin_iteration(0)
         values = ctx.load_many(name, np.asarray(indices, dtype=np.int64))
         assert values.dtype == np.int32
         assert values.tolist() == indices
@@ -311,7 +310,6 @@ class TestBulkUntestedAccess:
         machine, states = setup(loop, n_procs=1)
         log = UntestedAccessLog()
         ctx = SpeculativeContext(machine, loop, states[0], None, untested_log=log)
-        ctx.begin_iteration(0)
         ctx.load_many("U", np.array([2, 5, 2], dtype=np.int64))
         assert log.reads == {"U": {2: {0}, 5: {0}}}
 
@@ -600,13 +598,15 @@ class TestColumnarRecorder:
                 (1, 1.0, [[("store", "D", 0), ("load_many", "D", [0, 1, 0])]])],
         on_demand=True, failed={2}, zero_work=frozenset(),
     )
-    @example(  # no base work first: MARK opens the fold, then ctx.work charges
-        # (zero units included) interleave with marks under a slowdown
-        blocks=[(0, 1.7, [[("load", "D", 1), ("work", None, 0), ("work", None, 0.25),
+    @example(  # no base work: a zero-unit ctx.work adds no fold slot, so MARK
+        # or CHECKPOINT opens the fold and ctx.work charges interleave with
+        # marks under a slowdown; processor 2 is charged nothing at all
+        blocks=[(0, 1.7, [[("work", None, 0), ("load", "D", 1), ("work", None, 0.25),
                            ("store", "S", 2), ("work", None, 1.5)],
                           [("work", None, 0.25), ("update", "R", 3)]]),
-                (1, 1.0, [[("work", None, 0)], [("store", "U", 0), ("work", None, 1.5)]])],
-        on_demand=True, failed=set(), zero_work=frozenset({0, 2}),
+                (1, 1.0, [[("work", None, 0)], [("store", "U", 0), ("work", None, 1.5)]]),
+                (2, 1.7, [[("work", None, 0)]])],
+        on_demand=True, failed=set(), zero_work=frozenset({0, 2, 3, 4}),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_per_access_marking(self, kernels, blocks, on_demand, failed, zero_work):
@@ -668,8 +668,8 @@ _NO_OPERATOR_MSG = "array {!r} has no declared reduction operator"
 
 
 def _err_loop(access=None, iter_work=None, n=8):
-    """Iteration 5 runs ``access(ctx)``; every iteration before it does a
-    little of everything, so the error strikes mid-block on warm routes."""
+    """Every iteration first does a little of everything; iteration 5 then
+    runs ``access(ctx)``, so the error strikes mid-block on warm routes."""
 
     def body(ctx, i):
         ctx.store("D", i % 4, ctx.load("S", i % 4) + ctx.load("U", i % 4))
