@@ -65,23 +65,14 @@ def run_doacross(
         preds.setdefault(dst, []).append(src)
 
     # Execute in order for state and per-iteration work.
-    ctx = SequentialContext(
-        machine.memory,
-        reductions=loop.reductions,
-        inductions=loop.initial_inductions(),
-    )
-    omega = cost_model.omega
+    ctx = SequentialContext.for_loop(loop, machine.memory)
     iter_times: dict[int, float] = {}
     total_work = 0.0
-    for i in range(loop.n_iterations):
-        ctx.iteration = i
-        before = ctx.extra_work
-        loop.body(ctx, i)
+    for i, t in ctx.run(loop, range(loop.n_iterations), cost_model.omega):
         if ctx.exited:
             raise InspectorUnavailableError(
                 f"{loop.name}: DOACROSS cannot handle premature exits"
             )
-        t = (loop.work_of(i) + (ctx.extra_work - before)) * omega
         iter_times[i] = t
         total_work += t
 

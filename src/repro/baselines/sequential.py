@@ -26,26 +26,14 @@ def run_sequential(
     useful work alone, which is exactly the paper's sequential reference.
     """
     machine = Machine(1, costs=costs, memory=memory or loop.materialize())
-    ctx = SequentialContext(
-        machine.memory,
-        reductions=loop.reductions,
-        inductions=loop.initial_inductions(),
-    )
+    ctx = SequentialContext.for_loop(loop, machine.memory)
     record = machine.begin_stage()
-    omega = machine.costs.omega
     iter_times: dict[int, float] = {}
     total = 0.0
-    exit_iteration = None
-    for i in range(loop.n_iterations):
-        ctx.iteration = i
-        before = ctx.extra_work
-        loop.body(ctx, i)
-        t = (loop.work_of(i) + (ctx.extra_work - before)) * omega
+    for i, t in ctx.run(loop, range(loop.n_iterations), machine.costs.omega):
         iter_times[i] = t
         total += t
-        if ctx.exited:
-            exit_iteration = i
-            break
+    exit_iteration = i if ctx.exited else None
     machine.charge(0, Category.WORK, total)
     n_done = len(iter_times)
     stages = [

@@ -142,24 +142,15 @@ def execute_list_schedule(
     machine = Machine(
         schedule.n_procs, costs=costs, memory=memory or loop.materialize()
     )
-    ctx = SequentialContext(
-        machine.memory,
-        reductions=loop.reductions,
-        inductions=loop.initial_inductions(),
-    )
-    omega = machine.costs.omega
+    ctx = SequentialContext.for_loop(loop, machine.memory)
     iter_times: dict[int, float] = {}
     sequential_work = 0.0
     record = machine.begin_stage()
-    for i in schedule.order:
-        ctx.iteration = i
-        before = ctx.extra_work
-        loop.body(ctx, i)
+    for i, t in ctx.run(loop, schedule.order, machine.costs.omega):
         if ctx.exited:
             raise ScheduleError(
                 f"{loop.name}: premature exits need the blocked runner"
             )
-        t = (loop.work_of(i) + (ctx.extra_work - before)) * omega
         iter_times[i] = t
         sequential_work += t
     # The timeline carries the modeled makespan: work span plus the

@@ -41,24 +41,12 @@ def run_sequential_fallback(
 
     Returns ``(work time, per-iteration work times)``.
     """
-    ctx = SequentialContext(
-        machine.memory,
-        reductions=loop.reductions,
-        inductions=loop.initial_inductions(),
-    )
-    omega = machine.costs.omega
+    ctx = SequentialContext.for_loop(loop, machine.memory)
     iter_times: dict[int, float] = {}
     total = 0.0
-    for i in range(loop.n_iterations):
-        ctx.iteration = i
-        before = ctx.extra_work
-        loop.body(ctx, i)
-        extra = ctx.extra_work - before
-        t = (loop.work_of(i) + extra) * omega
+    for i, t in ctx.run(loop, range(loop.n_iterations), machine.costs.omega):
         iter_times[i] = t
         total += t
-        if ctx.exited:
-            break
     machine.charge(0, Category.WORK, total)
     return total, iter_times
 

@@ -19,8 +19,8 @@ from repro.config import RuntimeConfig
 from repro.core.results import RunResult
 from repro.core.runner import parallelize
 from repro.errors import ReproError
-from repro.loopir.context import SequentialContext
 from repro.loopir.loop import SpeculativeLoop
+from repro.loopir.symbolic import probe_loop
 from repro.machine.costs import CostModel
 from repro.util.blocks import partition_even
 from repro.util.tables import format_table
@@ -91,43 +91,26 @@ def default_strategies(n_procs: int) -> list[RuntimeConfig]:
 def check_untested_contract(loop: SpeculativeLoop, n_procs: int) -> list[str]:
     """Validate the statically-analyzable contract of untested arrays.
 
-    Traces a sequential execution, maps iterations to their block-schedule
-    processors, and flags any untested element written by more than one
-    processor or read by a processor other than its writer.  Such sharing
-    is invisible to the simulator's in-order write-through (and racy on a
-    real machine), so it must be caught by declaration analysis rather
-    than by state comparison.
+    Reads a full probe's sequential trace, maps iterations to their
+    block-schedule processors, and flags any untested element written by
+    more than one processor or read by a processor other than its writer.
+    Such sharing is invisible to the simulator's in-order write-through
+    (and racy on a real machine), so it must be caught by declaration
+    analysis rather than by state comparison.
     """
     untested = set(loop.untested_names)
     if not untested or loop.n_iterations == 0:
         return []
-    memory = loop.materialize()
-    ctx = SequentialContext(
-        memory,
-        reductions=loop.reductions,
-        inductions=loop.initial_inductions(),
-        trace=True,
-    )
-    for i in range(loop.n_iterations):
-        ctx.iteration = i
-        loop.body(ctx, i)
-        if ctx.exited:
-            break
+    records = probe_loop(loop, limit=loop.n_iterations).records
     blocks = partition_even(0, loop.n_iterations, list(range(n_procs)))
-
-    def proc_of(iteration: int) -> int:
-        for block in blocks:
-            if iteration in block:
-                return block.proc
-        return blocks[-1].proc
-
+    proc_of = {i: block.proc for block in blocks for i in block.iterations()}
     writers: dict[str, dict[int, set[int]]] = {name: {} for name in untested}
     problems: list[str] = []
     flagged: set[tuple[str, int]] = set()
-    for rec in ctx.records:
+    for rec in records:
         if rec.array not in untested:
             continue
-        proc = proc_of(rec.iteration)
+        proc = proc_of[rec.iteration]
         element_writers = writers[rec.array].setdefault(rec.index, set())
         key = (rec.array, rec.index)
         if rec.kind == "w":

@@ -119,12 +119,7 @@ def execute_wavefront(
             f"{loop.n_iterations}"
         )
     machine = Machine(n_procs, costs=costs, memory=memory or loop.materialize())
-    ctx = SequentialContext(
-        machine.memory,
-        reductions=loop.reductions,
-        inductions=loop.initial_inductions(),
-    )
-    omega = machine.costs.omega
+    ctx = SequentialContext.for_loop(loop, machine.memory)
     stage_results: list[StageResult] = []
     sequential_work = 0.0
     iter_times: dict[int, float] = {}
@@ -134,17 +129,13 @@ def execute_wavefront(
         # Round-robin the level's iterations over processors; execute in
         # increasing iteration order (deterministic, dependence-safe).
         proc_time = [0.0] * n_procs
-        for slot, i in enumerate(sorted(level)):
-            proc = slot % n_procs
-            ctx.iteration = i
-            before = ctx.extra_work
-            loop.body(ctx, i)
+        run = ctx.run(loop, sorted(level), machine.costs.omega)
+        for slot, (i, t) in enumerate(run):
             if ctx.exited:
                 raise ScheduleError(
                     f"{loop.name}: premature exits need the blocked runner"
                 )
-            t = (loop.work_of(i) + (ctx.extra_work - before)) * omega
-            proc_time[proc] += t
+            proc_time[slot % n_procs] += t
             iter_times[i] = t
             sequential_work += t
         for proc, t in enumerate(proc_time):

@@ -70,16 +70,9 @@ def sequential_final_state(
     image = MemoryImage(
         SharedArray(name, data) for name, data in initial.items()
     )
-    ctx = SequentialContext(
-        image,
-        reductions=loop.reductions,
-        inductions=loop.initial_inductions(),
-    )
-    for i in range(loop.n_iterations):
-        ctx.iteration = i
-        loop.body(ctx, i)
-        if ctx.exited:
-            break
+    ctx = SequentialContext.for_loop(loop, image)
+    for _ in ctx.run(loop, range(loop.n_iterations)):
+        pass
     return image.snapshot()
 
 

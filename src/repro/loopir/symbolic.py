@@ -3,10 +3,10 @@
 The certification front-end (:mod:`repro.model.certify`) needs to know a
 loop's cross-iteration access pattern *before* committing to the
 speculative machinery.  Loop bodies here are opaque Python callables, so
-the analysis is observational: run iterations through a recording
-:class:`ProbeContext` (sequential semantics over a scratch copy of the
-shared image) and lift the observed ``load``/``store``/``update`` calls
-into per-site access descriptions.
+the analysis is observational: run iterations through a traced
+:class:`~repro.loopir.context.SequentialContext` (the oracle's own
+semantics over a scratch copy of the shared image) and lift the observed
+``load``/``store``/``update`` calls into per-site access descriptions.
 
 Two levels of evidence come out of a probe:
 
@@ -36,125 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels import ACCESS_KINDS, READ, UPDATE, WRITE, get_kernels
-from repro.loopir.context import AccessRecord, IterationContext
+from repro.kernels import ACCESS_KINDS, get_kernels
+from repro.loopir.context import AccessRecord, SequentialContext, trace_records
 from repro.loopir.loop import SpeculativeLoop
 from repro.machine.memory import MemoryImage, SharedArray
-
-
-
-class ProbeContext(IterationContext):
-    """Recording context with sequential semantics over scratch memory.
-
-    Like :class:`~repro.loopir.context.SequentialContext` but always
-    tracing, never enforcing reduction-only access discipline (the
-    certifier wants to *observe* what the body does, not police it), and
-    collecting premature exits instead of acting on them.
-
-    The trace is a flat columnar log: every access appends its
-    ``(iteration, kind code, array code, index)`` quad to ``log``, with
-    array codes indexing ``array_names`` -- no per-access record object.
-    """
-
-    __slots__ = (
-        "_memory",
-        "_arrays",
-        "_reductions",
-        "_inductions",
-        "array_names",
-        "log",
-        "exit_at",
-        "extra_work",
-    )
-
-    def __init__(
-        self,
-        memory: MemoryImage,
-        reductions=None,
-        inductions: dict[str, int] | None = None,
-    ) -> None:
-        super().__init__()
-        self._memory = memory
-        self.array_names = memory.names()
-        self._arrays = {
-            name: (memory[name].data, code)
-            for code, name in enumerate(self.array_names)
-        }
-        self._reductions = dict(reductions or {})
-        self._inductions = dict(inductions or {})
-        self.log: list[int] = []
-        self.exit_at: int | None = None
-        self.extra_work = 0.0
-
-    def load(self, name: str, index: int):
-        try:
-            data, code = self._arrays[name]
-        except KeyError:
-            self._memory[name]  # raises the image's descriptive KeyError
-            raise
-        self.log += (self.iteration, READ, code, index)
-        return data[index]
-
-    def store(self, name: str, index: int, value) -> None:
-        try:
-            data, code = self._arrays[name]
-        except KeyError:
-            self._memory[name]  # raises the image's descriptive KeyError
-            raise
-        self.log += (self.iteration, WRITE, code, index)
-        data[index] = value
-
-    def update(self, name: str, index: int, value) -> None:
-        try:
-            data, code = self._arrays[name]
-        except KeyError:
-            self._memory[name]  # raises the image's descriptive KeyError
-            raise
-        self.log += (self.iteration, UPDATE, code, index)
-        op = self._reductions.get(name)
-        data[index] = op.combine(data[index], value) if op is not None else value
-
-    # -- bulk memory access -------------------------------------------------------
-
-    def load_many(self, name: str, indices) -> np.ndarray:
-        # One gather, so the result keeps the array's dtype (also when
-        # empty); the log still gets one read quad per element.
-        idx = np.asarray(indices, dtype=np.int64)
-        try:
-            data, code = self._arrays[name]
-        except KeyError:
-            self._memory[name]  # raises the image's descriptive KeyError
-            raise
-        quads = np.empty((idx.size, 4), dtype=np.int64)
-        quads[:, 0] = self.iteration
-        quads[:, 1] = READ
-        quads[:, 2] = code
-        quads[:, 3] = idx
-        self.log += quads.ravel().tolist()
-        return get_kernels().gather(data, idx)
-
-    def store_many(self, name: str, indices, values) -> None:
-        # Scalar loop: later duplicates win, matching the bulk contract.
-        idx = np.asarray(indices, dtype=np.int64)
-        # hot-path: each element re-enters store() so the log keeps
-        # per-element program order
-        for i, v in zip(idx.tolist(), np.asarray(values)):
-            self.store(name, i, v)
-
-    def bump(self, name: str) -> int:
-        value = self._inductions[name]
-        self._inductions[name] = value + 1
-        return value
-
-    def peek(self, name: str) -> int:
-        return self._inductions[name]
-
-    def work(self, units: float) -> None:
-        self.extra_work += units
-
-    def exit_loop(self) -> None:
-        if self.exit_at is None or self.iteration < self.exit_at:
-            self.exit_at = self.iteration
 
 
 def _log_columns(log: list[int]) -> np.ndarray:
@@ -174,9 +59,6 @@ class AffineSite:
     stride: int
     offset: int
 
-    def index_at(self, iteration: int) -> int:
-        return self.stride * iteration + self.offset
-
 
 @dataclass
 class ProbeResult:
@@ -189,7 +71,8 @@ class ProbeResult:
     semantics (the trace is exact evidence)."""
     log: list[int]
     """The columnar access log: flat ``(iteration, kind code, array code,
-    index)`` quads in execution order (see :class:`ProbeContext`)."""
+    index)`` quads in execution order (see
+    :class:`~repro.loopir.context.SequentialContext`)."""
     array_names: list[str]
     """Array code -> array name."""
     exit_at: int | None
@@ -205,11 +88,7 @@ class ProbeResult:
     def records(self) -> list[AccessRecord]:
         """The trace as :class:`AccessRecord` objects, built on demand
         (tests and inspectors; the certifier reads the columns)."""
-        log, names = self.log, self.array_names
-        return [
-            AccessRecord(i, ACCESS_KINDS[k], names[a], int(x))
-            for i, k, a, x in zip(log[0::4], log[1::4], log[2::4], log[3::4])
-        ]
+        return trace_records(self.log, self.array_names)
 
     def dependences(self) -> DependenceSummary:
         """Exact dependence summary of the recorded trace (meaningful as a
@@ -247,20 +126,16 @@ def probe_loop(
     else:
         step = max(1, n // max(2, sample))
         iterations = sorted(set(range(0, n, step)) | {n - 1})
-    ctx = ProbeContext(
-        scratch, reductions=loop.reductions,
-        inductions=loop.initial_inductions(),
-    )
-    # hot-path: per-iteration body dispatch (the probe executes user code)
-    for i in iterations:
-        ctx.iteration = i
-        loop.body(ctx, i)
-        if full and ctx.exit_at is not None:
-            break
+    ctx = SequentialContext.for_loop(loop, scratch, trace=True)
+    exit_at = None
+    # hot-path: ctx.run executes the iterations; this only notes the exit
+    for i, _ in ctx.run(loop, iterations, stop_at_exit=full):
+        if ctx.exited and exit_at is None:
+            exit_at = i
     uniform, sites = None, None
     if not full:
         uniform, sites = _fit_sites(
-            _log_columns(ctx.log), ctx.array_names, iterations, ctx.exit_at
+            _log_columns(ctx.log), ctx.array_names, iterations, exit_at
         )
     return ProbeResult(
         n=n,
@@ -268,7 +143,7 @@ def probe_loop(
         full=full,
         log=ctx.log,
         array_names=ctx.array_names,
-        exit_at=ctx.exit_at,
+        exit_at=exit_at,
         uniform=uniform,
         sites=sites,
     )

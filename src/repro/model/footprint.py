@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.loopir.context import SequentialContext
 from repro.loopir.loop import SpeculativeLoop
+from repro.loopir.symbolic import probe_loop
 from repro.machine.memory import DENSE_VIEW_THRESHOLD
 from repro.util.blocks import partition_even
 
@@ -62,30 +62,15 @@ class FootprintReport:
 def estimate_footprints(loop: SpeculativeLoop, n_procs: int) -> FootprintReport:
     """Estimate the auxiliary memory each technique needs for one stage.
 
-    Uses a traced sequential execution for the reference stream; the
+    Uses a full probe's sequential trace for the reference stream; the
     blocked partition determines which processor touches which elements.
     """
-    memory = loop.materialize()
-    ctx = SequentialContext(
-        memory,
-        reductions=loop.reductions,
-        inductions=loop.initial_inductions(),
-        trace=True,
-    )
-    for i in range(loop.n_iterations):
-        ctx.iteration = i
-        loop.body(ctx, i)
-        if ctx.exited:
-            break
-    records = ctx.records
+    records = probe_loop(loop, limit=loop.n_iterations).records
     tested = set(loop.tested_names)
     tested_records = [r for r in records if r.array in tested]
 
     blocks = partition_even(0, loop.n_iterations, list(range(n_procs)))
-    proc_of = {}
-    for block in blocks:
-        for i in block.iterations():
-            proc_of[i] = block.proc
+    proc_of = {i: block.proc for block in blocks for i in block.iterations()}
 
     # Distinct (proc, array, element) triples: the sparse shadow's cost.
     touched: set[tuple[int, str, int]] = set()

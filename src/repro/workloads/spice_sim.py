@@ -106,13 +106,13 @@ class SpiceSimulation:
         self.params = rng.random(deck.devices)
         self.memory = MemoryImage([SharedArray("VALUE", np.zeros(deck.workspace))])
         self.schedule: WavefrontSchedule | None = None
-        self.iteration = 0
+        self.newton_step = 0
 
     # -- the two loops of one Newton iteration -----------------------------------
 
     def _bjt_loop(self) -> SpeculativeLoop:
         deck, stamps, node_addr = self.deck, self.stamps, self.node_addr
-        params, step = self.params, self.iteration
+        params, step = self.params, self.newton_step
         upd = deck.updates_per_device
 
         def body(ctx, i):
@@ -133,7 +133,7 @@ class SpiceSimulation:
 
     def _lu_loop(self) -> SpeculativeLoop:
         deck, preds, row_addr = self.deck, self.preds, self.row_addr
-        step = self.iteration
+        step = self.newton_step
 
         def body(ctx, i):
             acc = float((i + step) % 7) + 1.0
@@ -181,9 +181,9 @@ class SpiceSimulation:
                 lu_loop, self.schedule, n_procs, costs=costs, memory=self.memory
             )
         result = SpiceIterationResult(
-            index=self.iteration, bjt=bjt, lu=lu, extraction_time=extraction_time
+            index=self.newton_step, bjt=bjt, lu=lu, extraction_time=extraction_time
         )
-        self.iteration += 1
+        self.newton_step += 1
         return result
 
 

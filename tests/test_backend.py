@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.baselines.sequential import run_sequential
 from repro.cli import main as cli_main
 from repro.config import RuntimeConfig
 from repro.core import backend as backend_mod
@@ -32,6 +33,7 @@ from repro.core.executor import execute_block, make_processor_state
 from repro.core.lrpd import run_doall_lrpd
 from repro.core.runner import parallelize
 from repro.core.supervise import SupervisionStats, supervision_acted
+from repro.core.wavefront import execute_wavefront, wavefront_schedule
 from repro.errors import ConfigurationError
 from repro.faults import random_plan
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
@@ -812,22 +814,32 @@ class TestMixedSetsEarlyOut:
 # -- bulk SpeculativeContext access ------------------------------------------------
 
 
-def _bulk_pair(n: int) -> tuple[SpeculativeLoop, SpeculativeLoop]:
-    """The same gather/scale loop written element-wise and vectorized."""
+def _bulk_pair(n: int, chain: int = 0) -> tuple[SpeculativeLoop, SpeculativeLoop]:
+    """The same gather/scale loop written element-wise and vectorized.
+
+    With ``chain > 0`` iteration ``i`` also reads ``B[i - chain]``: a flow
+    dependence that fails a doall and gives a wavefront ``chain`` levels.
+    """
 
     def scalar_body(ctx, i):
         total = ctx.load("A", i) + ctx.load("A", (i + 1) % n)
-        ctx.store("B", i, total)
+        if chain:
+            total += ctx.load("B", (i - chain) % n)
+        ctx.store("B", i, total * 2.0)
         ctx.store("B", (i + n // 2) % n, total * 0.5)
+        ctx.store("B", i, total)
         ctx.work(1.0)
 
     def bulk_body(ctx, i):
         values = ctx.load_many("A", np.array([i, (i + 1) % n], dtype=np.int64))
         total = float(values[0] + values[1])
+        if chain:
+            total += float(ctx.load_many("B", [(i - chain) % n])[0])
+        # The duplicate index: the later value wins, as in scalar_body.
         ctx.store_many(
             "B",
-            np.array([i, (i + n // 2) % n], dtype=np.int64),
-            np.array([total, total * 0.5]),
+            np.array([i, (i + n // 2) % n, i], dtype=np.int64),
+            np.array([total * 2.0, total * 0.5, total]),
         )
         ctx.work(1.0)
 
@@ -865,6 +877,36 @@ class TestContextBulkOps:
             return machine.timeline.total_time()
 
         assert run(bulk_loop) == pytest.approx(run(scalar_loop))
+
+    # Every in-order path outside the engine runs bulk bodies too, to the
+    # element-wise twin's memory bit for bit.
+
+    def _twins_agree(self, run, chain: int = 0):
+        scalar_loop, bulk_loop = _bulk_pair(64, chain)
+        scalar, bulk = run(scalar_loop), run(bulk_loop)
+        assert bulk.memory.equals(scalar.memory.snapshot())
+        return scalar, bulk
+
+    def test_sequential_oracle_runs_bulk_bodies(self):
+        self._twins_agree(run_sequential)
+
+    def test_self_check_replays_bulk_bodies(self):
+        self._twins_agree(
+            lambda loop: parallelize(loop, 4, RuntimeConfig(self_check=True))
+        )
+
+    def test_doall_fallback_runs_bulk_bodies(self):
+        scalar, bulk = self._twins_agree(
+            lambda loop: run_doall_lrpd(loop, 4), chain=4
+        )
+        # The doall failed and the sequential fallback stage ran.
+        assert bulk.n_stages == scalar.n_stages == 2
+
+    def test_wavefront_runs_bulk_bodies(self):
+        ddg = extract_ddg(_bulk_pair(64, 4)[0], 4, RuntimeConfig.sw(window_size=16))
+        schedule = wavefront_schedule(ddg.graph(), 64)
+        assert schedule.critical_path > 1
+        self._twins_agree(lambda loop: execute_wavefront(loop, schedule, 4), chain=4)
 
     def test_bulk_access_rejects_reduction_arrays(self):
         from repro.core.executor import SpeculativeContext

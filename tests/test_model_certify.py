@@ -20,14 +20,13 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.core.runner import parallelize
-from repro.errors import ConfigurationError
+from repro.errors import BackendError, ConfigurationError
 from repro.loopir.context import SequentialContext
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
 from repro.machine.memory import MemoryImage, SharedArray
 from repro.kernels import READ
 from repro.loopir.symbolic import (
     AffineSite,
-    ProbeContext,
     affine_dependences,
     probe_loop,
     trace_dependences,
@@ -114,7 +113,7 @@ class TestProbe:
     @pytest.mark.parametrize("indices", [[], [3, 1, 3]])
     def test_bulk_load_keeps_the_array_dtype(self, indices):
         memory = MemoryImage([SharedArray("A", np.arange(4, dtype=np.int32))])
-        ctx = ProbeContext(memory)
+        ctx = SequentialContext(memory, trace=True)
         ctx.iteration = 7
         values = ctx.load_many("A", np.asarray(indices, dtype=np.int64))
         assert values.dtype == np.int32
@@ -234,6 +233,14 @@ class TestVerdicts:
         )
         assert "probe aborted" in cert.reason
 
+    @pytest.mark.parametrize("misuse", ["update", "work"])
+    def test_discipline_breach_yields_opaque_speculate(self, misuse):
+        # The probe runs on the oracle's context, so it polices reduction
+        # use and negative work like every other in-order pass.
+        cert = certify_loop(_misbehaving_loop(misuse))
+        assert (cert.verdict, cert.basis) == (SPECULATE, "opaque")
+        assert "ValueError" in cert.reason
+
     def test_fastpath_requires_exactness_unless_trusted(self):
         cert = certify_loop(strided_doall_loop(10_000))
         assert fastpath_strategy(cert, RuntimeConfig.adaptive()) is None
@@ -241,6 +248,55 @@ class TestVerdicts:
             cert, RuntimeConfig.adaptive(certify="trust")
         )
         assert trusted is not None and trusted.name == "certified-doall"
+
+
+def _misbehaving_loop(misuse: str) -> SpeculativeLoop:
+    """A doall loop whose body breaks the access discipline one way."""
+
+    def body(ctx, i):
+        value = ctx.load("A", i)
+        if misuse == "update":
+            ctx.update("A", i, 1.0)  # no reduction declared
+        elif misuse == "work":
+            ctx.work(-1.0)
+        elif misuse == "unknown":
+            ctx.load("Z", i)
+        ctx.store("A", i, value + 1.0)
+
+    return SpeculativeLoop(
+        f"misuse-{misuse}", 16, body, arrays=[ArraySpec("A", np.zeros(16))]
+    )
+
+
+_MISUSE_ERRORS = pytest.mark.parametrize(
+    "misuse,exc,message",
+    [
+        ("update", ValueError, "array 'A' has no declared reduction operator"),
+        ("work", ValueError, "work units must be non-negative"),
+        ("unknown", KeyError, "\"no shared array 'Z'; declared: ['A']\""),
+    ],
+)
+
+
+class TestErrorParity:
+    """A body that breaks the discipline fails ``parallelize`` with the
+    oracle's exception, whatever the certifier's probe made of it."""
+
+    @pytest.mark.parametrize("backend", ["serial"] + (["fork"] if HAS_FORK else []))
+    @_MISUSE_ERRORS
+    def test_parallelize_raises_the_oracles_error(self, backend, misuse, exc, message):
+        with pytest.raises(exc) as raised:
+            parallelize(_misbehaving_loop(misuse), P, RuntimeConfig(backend=backend))
+        assert type(raised.value) is exc
+        assert str(raised.value) == message
+
+    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+    @pytest.mark.usefixtures("always_dispatch")
+    @_MISUSE_ERRORS
+    def test_fork_workers_report_the_oracles_error(self, misuse, exc, message):
+        with pytest.raises(BackendError) as raised:
+            parallelize(_misbehaving_loop(misuse), P, RuntimeConfig(backend="fork"))
+        assert f"{exc.__name__}: {message}" in str(raised.value)
 
 
 # -- soundness: differential oracle over the corpus --------------------------------

@@ -36,6 +36,7 @@ HOT_PATHS = (
     "machine/checkpoint.py",
     "machine/memory.py",
     "core/analysis.py",
+    "loopir/context.py",
     "loopir/symbolic.py",
 )
 
