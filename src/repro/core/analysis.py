@@ -65,11 +65,6 @@ class StageAnalysis:
     def fully_parallel(self) -> bool:
         return self.earliest_sink_pos is None
 
-    def valid_positions(self, n_groups: int) -> range:
-        """Group positions whose work is certainly correct."""
-        stop = self.earliest_sink_pos if self.earliest_sink_pos is not None else n_groups
-        return range(stop)
-
 
 def _mixed_sets(groups: Groups) -> dict[str, set[int]]:
     """Per array: elements carrying both reduction and ordinary marks.

@@ -7,20 +7,22 @@ exploits that: the :class:`StageEngine` hands the stage's blocks to a
 backend as :class:`BlockTask` descriptors and receives :class:`BlockOutcome`
 objects back, without caring *where* the blocks ran.
 
-Two backends are provided, plus two synonyms:
+Every backend runs a block through one function, :func:`run_task`; they
+differ only in where the block's effects land.  Two backends are
+provided, plus two synonyms:
 
-* ``serial`` (the default) executes blocks one after another in-process,
-  exactly the pre-backend behavior.
+* ``serial`` (the default) runs each block with the engine's machine,
+  processor states and checkpoint, so its effects land in place.
 * ``fork`` dispatches the blocks to a persistent pool of forked worker
-  processes.  Each worker runs :func:`~repro.core.executor.execute_block`
-  against its own fresh :class:`~repro.core.executor.ProcessorState` and
-  ships back a compact :class:`_BlockDelta` -- written private-view
-  entries, packed shadow bit planes, reduction partials, per-iteration
-  times, the block's per-category charge totals, untested-write sets and
-  the fault/exit outcome.  The parent merges deltas **in block order**, so
-  results, events and virtual-time accounting are bit-identical to serial
-  execution (enforced by running the golden parity suite under every
-  backend).
+  processes.  A worker runs each block with a :class:`_WorkerMachine`, a
+  fresh :class:`~repro.core.executor.ProcessorState` and a local
+  checkpoint, and ships back a compact :class:`_BlockDelta` -- the
+  block's outcome, written private-view entries, packed shadow bit
+  planes, reduction partials, per-iteration times, the block's
+  per-category charge totals, untested-write sets.  The parent merges
+  deltas **in block order**, so results, events, virtual-time accounting
+  and block spans are bit-identical to serial execution (enforced by
+  running the golden parity suite under every backend).
 * ``shm`` (:mod:`repro.core.shm`, registered lazily) is the fork pool
   under another name, and ``threads`` (:mod:`repro.core.threads`,
   registered lazily) the serial block loop under another name; both are
@@ -44,10 +46,10 @@ Bit-exactness rests on two invariants the engine's strategies uphold:
   verifies), so replaying each block's untested writes in block order
   reproduces the serial interleaving.
 
-Fault injection is handled by *hoisting*: the parent resolves each block's
-straggler slowdown and fail-stop point before dispatch (workers carry no
-injector), which matches serial query-time state because processors
-marked dead are never scheduled again.
+Fault injection is *hoisted* for every backend: the engine resolves each
+block's straggler slowdown and fail-stop point into its task before the
+stage runs (:meth:`~repro.core.engine.StageEngine.execute_tasks`), so
+workers carry no injector.
 
 The fork pool uses the ``fork`` start method so workers inherit the loop
 closure and cost model; only tasks, memory updates and deltas cross the
@@ -157,33 +159,21 @@ def resolve_backend_name(config) -> str:
 
 @dataclass
 class BlockTask:
-    """One block of one stage, as handed to an execution backend."""
+    """One block of one stage, as handed to an execution backend (the
+    run's constant flags live on the engine and :class:`_WorkerContext`)."""
 
     stage: int
     pos: int
     block: Block
     inductions: dict[str, int] | None = None
     marklists: dict | None = None
-    preload: bool = False
     all_private: bool = False
-    """Run on a fully privatized state with no checkpoint or injector (the
-    induction recipe's side-effect-free range collection)."""
-    plain: bool = False
-    """Certified fast path (:mod:`repro.core.fastpath`): run on a plain
-    processor state with no views and no shadows, so every access takes
-    the direct-shared-memory path -- no marking, no copy-in, no
-    checkpoint charges.  Fork workers still capture the written
-    ``(indices, values)`` through a charge-free checkpoint so direct
-    writes ship back to the parent exactly like untested writes."""
-    log_untested: bool = False
-    use_injector: bool = True
+    """Run on a fully privatized state with no checkpoint and no faults
+    (the induction recipe's side-effect-free range collection)."""
     slowdown: float = 1.0
     death: tuple[int, bool] | None = None
-    collect_metrics: bool = False
-    """Accumulate a metrics snapshot for this block (fork workers use a
-    private registry, shipped back in the delta)."""
-    collect_spans: bool = False
-    """Measure per-block host/virtual timings for the span layer."""
+    """The hoisted straggler multiplier and fail-stop point (see
+    :meth:`~repro.core.engine.StageEngine.execute_tasks`)."""
 
 
 @dataclass
@@ -200,13 +190,60 @@ class BlockOutcome:
     """The block's filled-in mark lists (the task's own object in-process,
     a shipped copy from out-of-process workers)."""
     host_start: float = 0.0
-    """Run-relative host seconds at block start (``collect_spans`` only)."""
+    """Absolute ``perf_counter`` at block start (spans only); the engine
+    rebases it onto the run clock -- comparable across fork on POSIX,
+    where ``perf_counter`` is the system-wide monotonic clock."""
     host_dur: float = 0.0
     virt_dur: float = 0.0
-    """This block's summed virtual-time charges (``collect_spans`` only)."""
+    """This block's summed virtual-time charges (spans only)."""
 
     def induction_values(self) -> dict[str, int]:
         return dict(self.inductions)
+
+
+def run_task(
+    task: BlockTask,
+    machine,
+    loop,
+    states,
+    ckpt: CheckpointManager | None,
+    untested_log,
+    *,
+    preload: bool,
+    skip: frozenset[str],
+    spans: bool,
+) -> BlockOutcome:
+    """Run one block and describe it: the one caller of
+    :func:`~repro.core.executor.execute_block`, for every backend, each
+    supplying its own machine, processor ``states`` and checkpoint.  An
+    ``all_private`` task runs on a fresh fully private state instead,
+    with no checkpoint and no access log."""
+    block = task.block
+    if task.all_private:
+        state = make_all_private_state(machine, loop, block.proc)
+        ckpt = untested_log = None
+    else:
+        state = states[block.proc]
+        if preload:
+            state.preload(machine, skip=skip)
+    host_start = time.perf_counter() if spans else 0.0
+    ctx = execute_block(
+        machine, loop, state, block, ckpt,
+        inductions=task.inductions, marklists=task.marklists,
+        untested_log=untested_log, slowdown=task.slowdown, death=task.death,
+    )
+    outcome = BlockOutcome(
+        pos=task.pos, block=block, fault=ctx.fault,
+        fault_permanent=ctx.fault_permanent,
+        exit_iteration=ctx.exit_iteration,
+        inductions=ctx.induction_values(),
+        marklists=task.marklists,
+    )
+    if spans:
+        outcome.host_start = host_start
+        outcome.host_dur = time.perf_counter() - host_start
+        outcome.virt_dur = ctx.block_time
+    return outcome
 
 
 # -- backends ---------------------------------------------------------------------
@@ -251,45 +288,14 @@ class SerialBackend(ExecutionBackend):
 
     def run_blocks(self, tasks: list[BlockTask]) -> list[BlockOutcome]:
         eng = self.eng
-        # Backend-level, not per-task: strategies build their own tasks
-        # (pre-stage doalls) and must not need to know about span tracing.
-        collect_spans = getattr(eng, "spans_enabled", False)
-        outcomes = []
-        for task in tasks:
-            block = task.block
-            if task.all_private:
-                state = make_all_private_state(eng.machine, eng.loop, block.proc)
-                ckpt = injector = untested_log = None
-            else:
-                state = eng.states[block.proc]
-                ckpt = eng.ckpt
-                injector = eng.injector if task.use_injector else None
-                untested_log = eng.untested_log if task.log_untested else None
-                if task.preload:
-                    state.preload(eng.machine, skip=eng.reduction_names)
-            if collect_spans:
-                record = eng.machine.timeline.current
-                virt_before = record.proc_time(block.proc)
-                host_before = eng.host_now()
-            ctx = execute_block(
-                eng.machine, eng.loop, state, block, ckpt,
-                inductions=task.inductions, marklists=task.marklists,
-                injector=injector, stage=task.stage,
-                untested_log=untested_log,
+        return [
+            run_task(
+                task, eng.machine, eng.loop, eng.states, eng.ckpt,
+                eng.untested_log, preload=eng.preload,
+                skip=eng.reduction_names, spans=eng.spans_enabled,
             )
-            outcome = BlockOutcome(
-                pos=task.pos, block=block, fault=ctx.fault,
-                fault_permanent=ctx.fault_permanent,
-                exit_iteration=ctx.exit_iteration,
-                inductions=ctx.induction_values(),
-                marklists=task.marklists,
-            )
-            if collect_spans:
-                outcome.host_start = host_before
-                outcome.host_dur = eng.host_now() - host_before
-                outcome.virt_dur = record.proc_time(block.proc) - virt_before
-            outcomes.append(outcome)
-        return outcomes
+            for task in tasks
+        ]
 
 
 # -- the fork backend -------------------------------------------------------------
@@ -297,14 +303,11 @@ class SerialBackend(ExecutionBackend):
 
 @dataclass
 class _BlockDelta:
-    """Everything a worker ships back about one executed block."""
+    """Everything a worker ships back about one executed block: its
+    outcome plus the effects the parent merges into its own state."""
 
-    pos: int
+    outcome: BlockOutcome
     charges: list[tuple[Category, float]]
-    fault: str | None = None
-    fault_permanent: bool = False
-    exit_iteration: int | None = None
-    inductions: dict[str, int] = field(default_factory=dict)
     views: dict[str, object] = field(default_factory=dict)
     shadows: dict[str, object] = field(default_factory=dict)
     partials: dict[str, dict[int, object]] = field(default_factory=dict)
@@ -313,32 +316,37 @@ class _BlockDelta:
     untested: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     untested_reads: list[tuple[str, int]] = field(default_factory=list)
     untested_writes: list[tuple[str, int]] = field(default_factory=list)
-    marklists: dict | None = None
     metrics: dict | None = None
-    """Snapshot of the worker's private registry (``collect_metrics``)."""
-    host_start: float = 0.0
-    """Absolute ``perf_counter`` at block start (``collect_spans``); the
-    parent rebases it onto the run clock -- comparable across fork on
-    POSIX, where ``perf_counter`` is the system-wide monotonic clock."""
-    host_dur: float = 0.0
-    virt_dur: float = 0.0
+    """Snapshot of the worker's private registry (metrics runs only)."""
 
 
 @dataclass
 class _WorkerFailure:
+    """A worker's reply when something raised: its traceback text, plus,
+    when a block's body raised, the block's position and the pickled
+    exception (``None`` when it does not pickle)."""
+
     traceback: str
+    pos: int | None = None
+    error: bytes | None = None
 
 
+@dataclass
 class _WorkerContext:
-    """Per-worker immutable-ish context, inherited through fork."""
+    """What a worker inherits through fork, built from the engine at pool
+    start (a pool lives for one run), the run's constant flags included."""
 
-    def __init__(self, loop, costs, memory, ckpt_names, on_demand, reduction_names):
-        self.loop = loop
-        self.costs = costs
-        self.memory = memory
-        self.ckpt_names = ckpt_names
-        self.on_demand = on_demand
-        self.reduction_names = reduction_names
+    loop: object
+    costs: object
+    memory: MemoryImage
+    ckpt_names: list[str]
+    on_demand: bool
+    reduction_names: frozenset[str]
+    preload: bool = False
+    plain: bool = False
+    log_untested: bool = False
+    collect_metrics: bool = False
+    collect_spans: bool = False
 
 
 class _WorkerMachine:
@@ -380,26 +388,6 @@ def check_unique_procs(name: str, tasks: list[BlockTask]) -> None:
         )
 
 
-def hoist_injection(eng, tasks: list[BlockTask]) -> None:
-    """Resolve straggler/fail-stop faults parent-side, in block order.
-
-    Matches serial query-time state exactly: the injector's dead set
-    only grows with processors the engine removed from the alive pool,
-    and those are never scheduled again, so a pre-dispatch query sees
-    the same state an execution-time query would.
-    """
-    injector = eng.injector
-    if injector is None:
-        return
-    for task in tasks:
-        if not task.use_injector:
-            continue
-        task.slowdown = injector.slowdown(task.stage, task.block.proc)
-        task.death = injector.fail_stop_point(
-            task.stage, task.block.proc, len(task.block)
-        )
-
-
 class _AccessRecorder:
     """Worker-side stand-in for the self-check untested-access log."""
 
@@ -418,59 +406,40 @@ class _AccessRecorder:
 
 def _run_worker_task(wctx: _WorkerContext, task: BlockTask) -> _BlockDelta:
     machine = _WorkerMachine(wctx.memory, wctx.costs)
-    if task.collect_metrics:
+    if wctx.collect_metrics:
         machine.metrics = MetricsRegistry()
-    block = task.block
-    recorder = None
-    ckpt = None
-    if task.all_private:
-        state = make_all_private_state(machine, wctx.loop, block.proc)
-    elif task.plain:
-        state = make_plain_state(block.proc)
-        # Charge-free capture over every array: certified plain tasks
-        # write shared memory directly and charge no CHECKPOINT time, but
-        # the delta must ship what this block wrote and the worker must
-        # undo it in its own image.
-        ckpt = CheckpointManager(
-            wctx.memory, list(wctx.memory.names()), True, charge_saves=False
-        )
-        ckpt.begin_stage()
-        if task.log_untested:
-            recorder = _AccessRecorder()
-    else:
-        state = make_processor_state(machine, wctx.loop, block.proc)
-        if wctx.ckpt_names:
-            ckpt = CheckpointManager(wctx.memory, wctx.ckpt_names, wctx.on_demand)
+    proc = task.block.proc
+    states: dict = {}
+    ckpt = recorder = None
+    if not task.all_private:
+        if wctx.plain:
+            states[proc] = make_plain_state(proc)
+            # Charge-free capture over every array: certified plain tasks
+            # write shared memory directly and charge no CHECKPOINT time,
+            # but the delta must ship what this block wrote and the worker
+            # must undo it in its own image.
+            ckpt = CheckpointManager(
+                wctx.memory, list(wctx.memory.names()), True, charge_saves=False
+            )
+        else:
+            states[proc] = make_processor_state(machine, wctx.loop, proc)
+            if wctx.ckpt_names:
+                ckpt = CheckpointManager(wctx.memory, wctx.ckpt_names, wctx.on_demand)
+        if ckpt is not None:
             ckpt.begin_stage()
-        if task.log_untested:
+        if wctx.log_untested:
             recorder = _AccessRecorder()
-        if task.preload:
-            state.preload(machine, skip=wctx.reduction_names)
-    # Span window matches the serial backend's: execute_block only, after
-    # any preload, so host/virtual block durations are comparable.
-    host_before = time.perf_counter() if task.collect_spans else 0.0
-    ctx = execute_block(
-        machine, wctx.loop, state, block, ckpt,
-        inductions=task.inductions, marklists=task.marklists,
-        stage=task.stage, untested_log=recorder,
-        slowdown=task.slowdown, death=task.death,
+    outcome = run_task(
+        task, machine, wctx.loop, states, ckpt, recorder,
+        preload=wctx.preload, skip=wctx.reduction_names,
+        spans=wctx.collect_spans,
     )
-    delta = _BlockDelta(
-        pos=task.pos,
-        charges=list(machine.charges.items()),
-        fault=ctx.fault,
-        fault_permanent=ctx.fault_permanent,
-        exit_iteration=ctx.exit_iteration,
-        inductions=ctx.induction_values(),
-    )
-    if task.collect_metrics:
+    delta = _BlockDelta(outcome=outcome, charges=list(machine.charges.items()))
+    if wctx.collect_metrics:
         delta.metrics = machine.metrics.snapshot()
-    if task.collect_spans:
-        delta.host_start = host_before
-        delta.host_dur = time.perf_counter() - host_before
-        delta.virt_dur = ctx.block_time
     if task.all_private:
         return delta
+    state = states[proc]
     delta.views = {
         name: view.export_written()
         for name, view in state.views.items()
@@ -485,17 +454,31 @@ def _run_worker_task(wctx: _WorkerContext, task: BlockTask) -> _BlockDelta:
     delta.iter_times = dict(state.iter_times)
     delta.iter_work = dict(state.iter_work)
     if ckpt is not None:
-        delta.untested = ckpt.export_writes(block.proc)
+        delta.untested = ckpt.export_writes(proc)
         # Undo this block's untested writes locally: the worker's memory
         # must stay equal to the last parent broadcast, else rolled-back
         # stages would leave stale values behind the parent's sync diff.
-        ckpt.restore_failed([block.proc])
+        ckpt.restore_failed([proc])
     if recorder is not None:
         delta.untested_reads = sorted(recorder.reads)
         delta.untested_writes = sorted(recorder.writes)
-    if task.marklists is not None:
-        delta.marklists = task.marklists
     return delta
+
+
+def _run_share(wctx: _WorkerContext, share: list[BlockTask]):
+    """Run one share in block order; stop at the first block that raises
+    and reply with its failure instead."""
+    deltas = []
+    for task in share:
+        try:
+            deltas.append(_run_worker_task(wctx, task))
+        except Exception as exc:
+            try:
+                error = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                error = None
+            return _WorkerFailure(traceback.format_exc(), task.pos, error)
+    return deltas
 
 
 def apply_memory_updates(memory: MemoryImage, payload: bytes) -> None:
@@ -521,7 +504,7 @@ def _worker_main(conn, wctx: _WorkerContext) -> None:  # pragma: no cover - chil
                 return
             payload, tasks = message
             apply_memory_updates(wctx.memory, payload)
-            conn.send([_run_worker_task(wctx, task) for task in tasks])
+            conn.send(_run_share(wctx, tasks))
     except (EOFError, KeyboardInterrupt):
         return
     except BaseException:
@@ -720,13 +703,15 @@ class ForkBackend(ExecutionBackend):
         return outcomes
 
     def _dispatch_stage(self, tasks: list[BlockTask]) -> list[BlockOutcome]:
-        """Run one stage on the pool: faults hoisted, blocks dealt to the
-        workers round-robin, replies merged in block order."""
-        eng = self.eng
-        hoist_injection(eng, tasks)
-        for task in tasks:
-            task.collect_metrics = getattr(eng, "metrics_enabled", False)
-            task.collect_spans = getattr(eng, "spans_enabled", False)
+        """Run one stage on the pool: blocks dealt to the workers
+        round-robin, replies merged in block order.
+
+        When blocks raised, the exception of the lowest failing block
+        position is raised -- the one a serial run meets first, since
+        each worker runs its share in order and stops at its first
+        failure -- chained from a :class:`BackendError` that carries the
+        worker's context and traceback (the :class:`BackendError` itself
+        when the exception did not cross the pipe)."""
         # Every worker gets a share, even an empty one: the dispatch also
         # carries the memory-update broadcast, which must reach the whole
         # pool because the diff baseline (_last_sync) has advanced.
@@ -744,10 +729,27 @@ class ForkBackend(ExecutionBackend):
         )
         if self._supervisor is None:
             self._supervisor = WorkerSupervisor(self)
+        replies = self._supervisor.run_shares(shares)
+        failures = [
+            (-1 if reply.pos is None else reply.pos, k, reply)
+            for k, reply in enumerate(replies)
+            if isinstance(reply, _WorkerFailure)
+        ]
+        if failures:
+            _, k, failure = min(failures, key=lambda found: found[:2])
+            error = BackendError(
+                f"{self._share_context(k, shares[k])} raised:\n{failure.traceback}",
+                loop=self.eng.loop.name,
+            )
+            try:
+                raised = pickle.loads(failure.error) if failure.error else None
+            except Exception:
+                raised = None
+            if not isinstance(raised, BaseException):
+                raise error
+            raise raised from error
         deltas = {
-            delta.pos: delta
-            for reply in self._supervisor.run_shares(shares)
-            for delta in reply
+            delta.outcome.pos: delta for reply in replies for delta in reply
         }
         return [self._merge(task, deltas[task.pos]) for task in tasks]
 
@@ -786,6 +788,11 @@ class ForkBackend(ExecutionBackend):
             ckpt_names=eng.ckpt.names if eng.ckpt is not None else [],
             on_demand=eng.config.on_demand_checkpoint,
             reduction_names=eng.reduction_names,
+            preload=eng.preload,
+            plain=eng.plain,
+            log_untested=eng.untested_log is not None,
+            collect_metrics=eng.metrics_enabled,
+            collect_spans=eng.spans_enabled,
         )
 
     def _ensure_workers(self) -> None:
@@ -850,16 +857,11 @@ class ForkBackend(ExecutionBackend):
         conn.send((payload, share))
 
     def _recv_share(self, k: int, share: list[BlockTask]):
-        """Receive worker ``k``'s reply; a worker-raised exception becomes
-        a :class:`BackendError` carrying the worker's full context."""
+        """Receive worker ``k``'s reply: its deltas, or a
+        :class:`_WorkerFailure` that :meth:`_dispatch_stage` raises once
+        every reply is in (raising here would read as a lost worker)."""
         _, conn = self._workers[k]
-        reply = conn.recv()
-        if isinstance(reply, _WorkerFailure):
-            raise BackendError(
-                f"{self._share_context(k, share)} raised:\n{reply.traceback}",
-                loop=self.eng.loop.name,
-            )
-        return reply
+        return conn.recv()
 
     def _share_context(self, k: int, share: list[BlockTask]) -> str:
         """Identify one worker and its in-flight work, for error messages."""
@@ -947,21 +949,8 @@ class ForkBackend(ExecutionBackend):
             # Block-order folding (this method runs in task order): merged
             # totals equal the serial backend's exactly.
             machine.metrics.merge(delta.metrics)
-        outcome = BlockOutcome(
-            pos=task.pos, block=block, fault=delta.fault,
-            fault_permanent=delta.fault_permanent,
-            exit_iteration=delta.exit_iteration,
-            inductions=delta.inductions,
-            marklists=delta.marklists,
-        )
-        if task.collect_spans:
-            # Worker clocks are absolute perf_counter readings; rebase onto
-            # the engine's run-relative host clock.
-            outcome.host_start = eng.rebase_host(delta.host_start)
-            outcome.host_dur = delta.host_dur
-            outcome.virt_dur = delta.virt_dur
         if task.all_private:
-            return outcome
+            return delta.outcome
         state = eng.states[proc]
         for name, payload in delta.views.items():
             state.views[name].absorb_written(payload)
@@ -984,7 +973,7 @@ class ForkBackend(ExecutionBackend):
                 eng.untested_log.note_read(proc, name, index)
             for name, index in delta.untested_writes:
                 eng.untested_log.note_write(proc, name, index)
-        return outcome
+        return delta.outcome
 
     def resource_info(self) -> dict:
         """Worker pids plus in-flight share sizes for the sampler.

@@ -129,8 +129,8 @@ class Strategy:
     #: views in before the block executes (every backend honors it).
     preloads = True
     #: Certified fast paths set this: blocks run on plain processor
-    #: states (no views/shadows/checkpoint) and out-of-process backends
-    #: dispatch them as ``plain`` tasks (:mod:`repro.core.fastpath`).
+    #: states (no views/shadows/checkpoint), in the parent and in fork
+    #: workers alike (:mod:`repro.core.fastpath`).
     plain_tasks = False
 
     # -- lifecycle hooks -------------------------------------------------------
@@ -419,6 +419,10 @@ class StageEngine:
         self.kernels_name = resolve_kernels_name(config)
         self.metrics_enabled = resolve_metrics_enabled(config)
         self.spans_enabled = resolve_spans_enabled(config)
+        # Run-constant block flags, decided once (fork workers inherit
+        # them through their worker context).
+        self.preload = strategy.preloads and config.pre_initialize
+        self.plain = strategy.plain_tasks
         if self.metrics_enabled:
             self.machine.metrics = MetricsRegistry()
 
@@ -483,8 +487,8 @@ class StageEngine:
         return time.perf_counter() - self._host_t0
 
     def rebase_host(self, absolute: float) -> float:
-        """Convert an absolute ``perf_counter`` reading (e.g. taken inside a
-        fork worker) to the run-relative host clock."""
+        """Convert an absolute ``perf_counter`` reading (a block's start,
+        in the parent or a fork worker) to the run-relative host clock."""
         return absolute - self._host_t0
 
     # -- event plumbing ---------------------------------------------------------
@@ -534,13 +538,21 @@ class StageEngine:
     def execute_tasks(self, tasks):
         """Run one doall's blocks, degrading the backend if its pool dies.
 
-        Nothing is merged until a backend's ``run_blocks`` returns, so on
-        :class:`PoolDegradation` the same task list re-runs on the fallback
-        backend from identical engine state -- results stay bit-identical,
-        only the execution substrate changes.  Every parallel backend
-        degrades to serial, which cannot degrade, so this loop always
-        terminates.
+        Faults are hoisted first, for every backend: each task's
+        straggler slowdown and fail-stop point, in block order
+        (``all_private`` tasks take none).  The injector's dead set
+        changes only after the blocks ran, so this matches querying at
+        execution time.  Nothing is merged until a backend's
+        ``run_blocks`` returns, so on :class:`PoolDegradation` the same
+        tasks re-run on serial from identical engine state; serial cannot
+        degrade, so this loop terminates.
         """
+        injector = self.injector
+        for task in tasks:
+            if injector is not None and not task.all_private:
+                proc = task.block.proc
+                task.slowdown = injector.slowdown(task.stage, proc)
+                task.death = injector.fail_stop_point(task.stage, proc, len(task.block))
         while True:
             try:
                 return self.backend.run_blocks(tasks)
@@ -726,16 +738,12 @@ class StageEngine:
             exits: dict[int, int] = {}  # block position -> exit iteration
             faulted: dict[int, str] = {}  # block position -> fault class
             self.faulted = faulted
-            preload = strategy.preloads and config.pre_initialize
-            log_untested = self.untested_log is not None
             tasks = []
             for pos, block in enumerate(blocks):
                 inductions, marklists = strategy.task_inputs(self, pos, block)
                 tasks.append(BlockTask(
                     stage=stage, pos=pos, block=block,
                     inductions=inductions, marklists=marklists,
-                    preload=preload, log_untested=log_untested,
-                    plain=strategy.plain_tasks,
                 ))
             with tracer.phase("execute", stage) as exec_span:
                 for outcome in self.execute_tasks(tasks):
@@ -790,7 +798,7 @@ class StageEngine:
                     # virtual start (blocks run concurrently in virtual time).
                     tracer.block_span(
                         stage, block.proc,
-                        outcome.host_start, outcome.host_dur,
+                        self.rebase_host(outcome.host_start), outcome.host_dur,
                         exec_span.virt_start, outcome.virt_dur,
                     )
                 machine.barrier()

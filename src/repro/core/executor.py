@@ -6,11 +6,16 @@ partials, and measured per-iteration times (fed back to the load balancer).
 :func:`execute_block` runs a contiguous block of iterations through a
 :class:`SpeculativeContext`, which folds the block's virtual-time charges
 per category and settles them on the machine's timeline once per block.
+Every backend calls it through :func:`repro.core.backend.run_task` with
+the block's faults hoisted, so a block computes the same floats -- its
+span's ``ctx.block_time`` included -- wherever it runs.
 
 Shadow marking is columnar: each tested-array access appends its element
 index (a write as ``~index``) to its array's per-block log, and the block's
 ``finally`` applies every log with one kernel pass per array
-(:meth:`~repro.shadow.base.ShadowArray.apply_log`).  Untested writes save
+(:meth:`~repro.shadow.base.ShadowArray.apply_log`); DDG extraction's
+per-iteration marks are read off each iteration's slice of the logs.
+Untested writes save
 their first-touch old value eagerly and append to their processor's
 checkpoint column (:meth:`~repro.machine.checkpoint.CheckpointManager.write_handles`).
 """
@@ -29,7 +34,6 @@ from repro.machine.machine import Machine
 from repro.machine.memory import PrivateView, make_private_view
 from repro.machine.timeline import Category
 from repro.shadow import ShadowArray, make_shadow
-from repro.shadow.marklist import IterationMarks
 from repro.util.blocks import Block
 
 #: The execution-phase charge categories, indexed by the context's fold
@@ -189,7 +193,6 @@ class SpeculativeContext(IterationContext):
         "_reductions",
         "_ckpt",
         "_inductions",
-        "_iter_marks",
         "_iter_time",
         "_iter_work",
         "_folded",
@@ -224,9 +227,6 @@ class SpeculativeContext(IterationContext):
         self._reductions = loop.reductions
         self._ckpt = checkpoints
         self._inductions = dict(inductions or {})
-        # Optional per-iteration mark sink (DDG extraction); maps array name
-        # to the current iteration's IterationMarks.
-        self._iter_marks: dict[str, IterationMarks] | None = None
         # The current iteration's measured and work-only times, reset and
         # read by execute_block around each body call.
         self._iter_time = 0.0
@@ -374,8 +374,6 @@ class SpeculativeContext(IterationContext):
                 folded = self._folded
                 folded[_COPY_IN] = folded.get(_COPY_IN, 0.0) + charged
                 self.block_time += charged
-        if self._iter_marks is not None:
-            self._iter_marks[name].mark_read(index)
         return value
 
     def store(self, name: str, index: int, value) -> None:
@@ -410,8 +408,6 @@ class SpeculativeContext(IterationContext):
             folded = self._folded
             folded[_MARK] = folded.get(_MARK, 0.0) + charged
             self.block_time += charged
-        if self._iter_marks is not None:
-            self._iter_marks[name].mark_write(index, value)
 
     def update(self, name: str, index: int, value) -> None:
         op = self._reductions.get(name)
@@ -429,8 +425,6 @@ class SpeculativeContext(IterationContext):
             folded = self._folded
             folded[_MARK] = folded.get(_MARK, 0.0) + charged
             self.block_time += charged
-        if self._iter_marks is not None:
-            self._iter_marks[name].mark_update(index)
 
     # -- bulk memory access -------------------------------------------------------
 
@@ -469,11 +463,6 @@ class SpeculativeContext(IterationContext):
         if copied:
             tally[0] += copied
             self._charge(_COPY_IN, self._costs.copy_in * copied)
-        if self._iter_marks is not None:
-            marks = self._iter_marks[name]
-            # hot-path: DDG extraction's per-iteration marks stay eager
-            for i in idx.tolist():
-                marks.mark_read(i)
         return values
 
     def store_many(self, name: str, indices, values) -> None:
@@ -503,11 +492,6 @@ class SpeculativeContext(IterationContext):
         view.store_many(idx, vals)
         log.extend((~idx).tolist())
         self._charge(_MARK, self._costs.mark * len(idx))
-        if self._iter_marks is not None:
-            marks = self._iter_marks[name]
-            # hot-path: DDG extraction's per-iteration marks stay eager
-            for i, v in zip(idx.tolist(), vals):
-                marks.mark_write(i, v)
 
     # -- induction ---------------------------------------------------------------
 
@@ -578,10 +562,8 @@ def execute_block(
     checkpoints: CheckpointManager | None,
     inductions: dict[str, int] | None = None,
     marklists: dict[str, "object"] | None = None,
-    injector=None,
-    stage: int = 0,
     untested_log=None,
-    slowdown: float | None = None,
+    slowdown: float = 1.0,
     death: tuple[int, bool] | None = None,
 ) -> SpeculativeContext:
     """Run ``block``'s iterations on ``block.proc``, charging virtual time.
@@ -591,28 +573,21 @@ def execute_block(
     have left them.
 
     ``marklists`` (array name -> :class:`~repro.shadow.marklist.MarkList`)
-    switches on iteration-level marking for DDG extraction.  Returns the
-    context so callers can read final induction values.
+    switches on iteration-level marking for DDG extraction: each
+    iteration's marks are read off the slice of the array's access log
+    the iteration appended (:meth:`~repro.shadow.marklist.MarkList.record`).
+    Returns the context so callers can read final induction values.
 
-    ``injector`` (a :class:`~repro.faults.injector.FaultInjector`) arms
-    this block for fault injection under the driver's stage counter
-    ``stage``: a planned straggler stretches every charge, and a planned
-    fail-stop kills the processor at an iteration boundary mid-block --
-    the context comes back with ``ctx.fault`` set and the partial work
-    (including untested writes, already logged by the checkpoint) awaiting
-    the driver's rollback.  ``untested_log`` records untested-array
-    traffic for the self-check isolation verifier.
-
-    The fork execution backend queries the injector in the parent and
-    passes the pre-resolved ``slowdown``/``death`` explicitly (worker
-    processes have no injector); explicit values take precedence.
+    ``slowdown`` and ``death`` are the block's hoisted faults (see
+    :meth:`~repro.core.engine.StageEngine.execute_tasks`): a planned
+    straggler stretches every charge, and a planned fail-stop
+    ``(iterations completed, permanent)`` kills the processor at an
+    iteration boundary mid-block -- the context comes back with
+    ``ctx.fault`` set and the partial work (including untested writes,
+    already logged by the checkpoint) awaiting the driver's rollback.
+    ``untested_log`` records untested-array traffic for the self-check
+    isolation verifier.
     """
-    if slowdown is None:
-        slowdown = 1.0
-        if injector is not None:
-            slowdown = injector.slowdown(stage, block.proc)
-    if death is None and injector is not None:
-        death = injector.fail_stop_point(stage, block.proc, len(block))
     ctx = SpeculativeContext(
         machine, loop, state, checkpoints, inductions,
         slowdown=slowdown, untested_log=untested_log,
@@ -625,6 +600,13 @@ def execute_block(
     uniform_base = 1.0 * omega
     iter_times, iter_works = state.iter_times, state.iter_work
     folded = ctx._folded
+    marked = None
+    if marklists is not None:
+        # (mark list, access log, reduction?, private view) per array.
+        marked = [
+            (ml, state.access[name][2], name in loop.reductions, state.access[name][0])
+            for name, ml in marklists.items()
+        ]
     completed = 0
     try:
         # hot-path: the iteration loop itself; fail-stop and exits keep
@@ -638,8 +620,6 @@ def execute_block(
                 ctx.fault_permanent = death[1]
                 break
             ctx.iteration = i
-            if marklists is not None:
-                ctx._iter_marks = {name: ml.open_level(i) for name, ml in marklists.items()}
             if iter_work is None:
                 base = uniform_base
             else:
@@ -658,9 +638,15 @@ def execute_block(
                 iter_work_only += base
             ctx._iter_time = iter_time
             ctx._iter_work = iter_work_only
+            if marked is not None:
+                starts = [len(log) for _, log, _, _ in marked]
             body(ctx, i)
             iter_times[i] = ctx._iter_time
             iter_works[i] = ctx._iter_work
+            if marked is not None:
+                # hot-path: per marked array; the slice resolves in a kernel
+                for (ml, log, reduction, view), start in zip(marked, starts):
+                    ml.record(i, log[start:], reduction, view)
             completed += 1
             if ctx.exit_iteration is not None:
                 # The iteration that signalled the exit completes; the rest of

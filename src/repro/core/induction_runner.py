@@ -94,13 +94,12 @@ class InductionTwoPhase(EngineStrategy):
         stage = eng.open_stage(blocks)
         # Range collection is itself a doall, so it goes through the
         # execution backend like any speculative stage.  ``all_private``
-        # states keep even untested writes out of shared memory;
-        # ``use_injector=False`` keeps faults out of phase A.
+        # states keep even untested writes out of shared memory, and
+        # faults out of phase A.
         outcomes = eng.execute_tasks([
             BlockTask(
                 stage=stage, pos=pos, block=block,
-                inductions=dict(self.ivar_base),
-                all_private=True, use_injector=False,
+                inductions=dict(self.ivar_base), all_private=True,
             )
             for pos, block in enumerate(blocks)
         ])

@@ -15,7 +15,6 @@ The paper's headline metrics all derive from these:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.machine.timeline import Category, Timeline
 from repro.util.blocks import Block
@@ -255,10 +254,3 @@ class ProgramResult:
             "T_par": self.total_time,
             "speedup": self.speedup,
         }
-
-
-def committed_work_of(blocks: Sequence[Block], iter_times: dict[int, float]) -> float:
-    """Sum the measured work time of all iterations in ``blocks``."""
-    return float(
-        sum(iter_times[i] for b in blocks for i in b.iterations())
-    )

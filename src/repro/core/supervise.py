@@ -238,10 +238,10 @@ class WorkerSupervisor:
         """Send one share per worker, survive losses, return all replies.
 
         Either returns a reply per share (the undisturbed protocol's
-        result, possibly via replacement workers) or raises: a worker
-        *exception* propagates as :class:`~repro.errors.BackendError`
-        (deterministic bugs are not survivable faults), an unrecoverable
-        pool raises :class:`PoolDegradation` after cleanup.
+        result, possibly via replacement workers; a worker *exception*
+        is a reply the backend raises, since deterministic bugs are not
+        survivable faults) or raises :class:`PoolDegradation` after
+        cleanup when the pool is unrecoverable.
         """
         self._shares = shares
         replies: list = [None] * len(shares)

@@ -103,7 +103,8 @@ class BackendError(ReproError):
     stage's schedule violated the backend's one-block-per-processor
     contract.  Worker-raised failures identify the worker slot, its pid
     and the in-flight blocks (stage, block positions, processors) in the
-    message.  Distinct from :class:`ConfigurationError`: the configuration
+    message; a loop body's own exception is raised as itself, chained
+    from this error.  Distinct from :class:`ConfigurationError`: the configuration
     was valid, the host-side execution machinery broke.  A worker that
     merely *dies* or hangs no longer raises this -- the supervisor
     (:mod:`repro.core.supervise`) respawns it and re-dispatches the lost

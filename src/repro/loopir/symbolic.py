@@ -232,7 +232,7 @@ def _trace_summary(columns: np.ndarray) -> DependenceSummary:
     )
 
 
-def trace_dependences(records: list[AccessRecord], n: int) -> DependenceSummary:
+def trace_dependences(records: list[AccessRecord]) -> DependenceSummary:
     """Exact dependence extraction from a full sequential trace.
 
     Scans each element's access history in iteration order (the

@@ -25,9 +25,8 @@ class ShadowArray:
     The speculative executor does not mark per access: it logs each
     block's reads and writes and hands the log to :meth:`apply_log` when
     the block ends.  The scalar ``mark_*`` methods are the specification
-    that batch marking is tested against, and the generic ``mark_*_many``
-    fallbacks replay through them, so a custom shadow that implements only
-    the scalar methods still receives every mark.
+    that batch marking is tested against; each shadow implements the bulk
+    ``mark_*_many`` methods with a kernel batch call.
     """
 
     __slots__ = ("n_elements",)
@@ -54,20 +53,13 @@ class ShadowArray:
     # single vectorized read operation does).
 
     def mark_read_many(self, indices: np.ndarray) -> None:
-        # hot-path: generic fallback for custom shadows; the shipped dense
-        # and sparse shadows override this with a kernel batch call.
-        for index in indices.tolist():
-            self.mark_read(index)
+        raise NotImplementedError
 
     def mark_write_many(self, indices: np.ndarray) -> None:
-        # hot-path: generic fallback (see mark_read_many)
-        for index in indices.tolist():
-            self.mark_write(index)
+        raise NotImplementedError
 
     def mark_update_many(self, indices: np.ndarray) -> None:
-        # hot-path: generic fallback (see mark_read_many)
-        for index in indices.tolist():
-            self.mark_update(index)
+        raise NotImplementedError
 
     def apply_log(self, entries) -> None:
         """Mark one block's signed access log (reads ``i``, writes ``~i``,

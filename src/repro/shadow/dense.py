@@ -124,9 +124,5 @@ class DenseShadow(ShadowArray):
         return self._exposed
 
     @property
-    def any_read_bits(self) -> BitSet:
-        return self._any_read
-
-    @property
     def update_bits(self) -> BitSet:
         return self._update

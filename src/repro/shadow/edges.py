@@ -58,9 +58,6 @@ class InvertedEdgeTable:
     def log(self, edge: DependenceEdge) -> None:
         self._edges.add(edge)
 
-    def log_many(self, edges: Iterable[DependenceEdge]) -> None:
-        self._edges.update(edges)
-
     def __len__(self) -> int:
         return len(self._edges)
 

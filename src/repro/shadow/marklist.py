@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.kernels import get_kernels
+
 
 @dataclass(slots=True)
 class IterationMarks:
@@ -21,8 +23,8 @@ class IterationMarks:
     ``exposed_reads`` are reads not covered by an earlier write *in the same
     iteration* -- the upward-exposed uses that can be dependence sinks.
 
-    When ``log_values`` is set, the last value written to each element is
-    also captured.  The iteration-wise test needs this to commit a *prefix*
+    ``values`` holds the last value written to each element when the mark
+    list logs values.  The iteration-wise test needs this to commit a *prefix*
     of a processor's block (the per-processor private view only holds the
     block's final values); the memory cost is proportional to the write
     trace, which is exactly why the paper prefers the processor-wise test
@@ -33,20 +35,25 @@ class IterationMarks:
     writes: set[int] = field(default_factory=set)
     exposed_reads: set[int] = field(default_factory=set)
     updates: set[int] = field(default_factory=set)
-    log_values: bool = False
     values: dict[int, object] = field(default_factory=dict)
 
-    def mark_read(self, index: int) -> None:
-        if index not in self.writes:
-            self.exposed_reads.add(index)
-
-    def mark_write(self, index: int, value: object | None = None) -> None:
-        self.writes.add(index)
-        if self.log_values:
-            self.values[index] = value
-
-    def mark_update(self, index: int) -> None:
-        self.updates.add(index)
+    @classmethod
+    def from_log(
+        cls, iteration: int, entries, reduction: bool = False, view=None
+    ) -> "IterationMarks":
+        """The marks of one iteration's slice of an array's signed access
+        log (reads ``i``, writes ``~i``).  A reduction array's slice is all
+        updates; otherwise the open reads are the exposed reads.  ``view``,
+        the private view right after the iteration, holds its last write
+        of each written element: given, those values are logged."""
+        if reduction:
+            return cls(iteration, updates=set(entries))
+        if not len(entries):
+            return cls(iteration)
+        open_reads, writes, _ = get_kernels().resolve_access_log(entries)
+        written = writes.tolist()
+        values = {} if view is None else {i: view.load(i)[0] for i in written}
+        return cls(iteration, set(written), set(open_reads.tolist()), values=values)
 
     def distinct_refs(self) -> int:
         return len(self.writes | self.exposed_reads | self.updates)
@@ -66,13 +73,20 @@ class MarkList:
         self.log_values = log_values
         self._levels: list[IterationMarks] = []
 
-    def open_level(self, iteration: int) -> IterationMarks:
+    def record(
+        self, iteration: int, entries, reduction: bool = False, view=None
+    ) -> IterationMarks:
+        """Append ``iteration``'s level, built from its access-log slice
+        (:meth:`IterationMarks.from_log`; ``view`` is read only when this
+        list logs values)."""
         if self._levels and iteration <= self._levels[-1].iteration:
             raise ValueError(
                 f"mark-list iterations must increase: {iteration} after "
                 f"{self._levels[-1].iteration}"
             )
-        marks = IterationMarks(iteration, log_values=self.log_values)
+        marks = IterationMarks.from_log(
+            iteration, entries, reduction, view if self.log_values else None
+        )
         self._levels.append(marks)
         return marks
 

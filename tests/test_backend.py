@@ -8,6 +8,7 @@ vectorized view/shadow/context operations the backends and the commit
 phase rely on.
 """
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -34,7 +35,7 @@ from repro.core.lrpd import run_doall_lrpd
 from repro.core.runner import parallelize
 from repro.core.supervise import SupervisionStats, supervision_acted
 from repro.core.wavefront import execute_wavefront, wavefront_schedule
-from repro.errors import ConfigurationError
+from repro.errors import BackendError, ConfigurationError
 from repro.faults import random_plan
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
 from repro.machine.machine import Machine
@@ -43,6 +44,9 @@ from repro.machine.memory import (
     SharedArray,
     SparsePrivateView,
 )
+from repro.obs.events import SpanClosed
+from repro.obs.oplog import ENV_PATH
+from repro.obs.sinks import RecordingSink
 from repro.shadow import make_shadow
 from repro.util.blocks import Block
 from repro.workloads.synthetic import (
@@ -51,6 +55,7 @@ from repro.workloads.synthetic import (
     geometric_chain_targets,
     random_dependence_loop,
 )
+from repro.workloads.track_nlfilt import make_nlfilt_loop
 from tests.conftest import assert_matches_sequential
 
 
@@ -921,6 +926,112 @@ class TestContextBulkOps:
             ctx.load_many("H", indices)
         with pytest.raises(ValueError, match="reduction"):
             ctx.store_many("H", indices, np.array([1.0, 2.0]))
+
+
+# -- one block runner for every backend -------------------------------------------
+
+
+def _block_spans(loop, backend):
+    sink = RecordingSink()
+    config = RuntimeConfig(backend=backend, certify="off", spans=True)
+    parallelize(loop, 4, config, sinks=[sink])
+    return [e for e in sink.events if isinstance(e, SpanClosed) and e.cat == "block"]
+
+
+@pytest.mark.usefixtures("always_dispatch")
+class TestBlockSpanParity:
+    """Every backend reports a block's span from the same run of the same
+    block: its virtual duration is ``ctx.block_time`` on serial and in a
+    fork worker alike, bit for bit."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_nlfilt_loop("15-250"),
+        lambda: random_dependence_loop(400, 0.05, 30, seed=3),
+    ], ids=["nlfilt-15-250", "random-deps"])
+    def test_fork_block_spans_match_serial(self, make):
+        serial = _block_spans(make(), "serial")
+        fork = _block_spans(make(), "fork")
+        assert serial
+        assert [(s.stage, s.proc, repr(s.virt_start), repr(s.virt_dur)) for s in fork] == [
+            (s.stage, s.proc, repr(s.virt_start), repr(s.virt_dur)) for s in serial
+        ]
+
+
+class TwoArgError(Exception):
+    """Pickles (its args are the message) but cannot be rebuilt from it."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def _failing_loop(failures):
+    """``fully_parallel_loop(64)`` whose body raises ``failures[i]`` at
+    iteration ``i``."""
+    base = fully_parallel_loop(64)
+
+    def body(ctx, i):
+        if i in failures:
+            raise failures[i]
+        base.body(ctx, i)
+
+    return dataclasses.replace(base, body=body)
+
+
+def _raised(loop, backend):
+    config = RuntimeConfig(backend=backend, certify="off", backend_workers=2)
+    with pytest.raises(BaseException) as info:
+        parallelize(loop, 4, config)
+    return info.value
+
+
+@pytest.mark.usefixtures("always_dispatch")
+class TestExceptionParity:
+    """A loop body's exception reaches the caller as itself on every
+    backend, wherever its stage ran; from a fork worker it is chained
+    from a :class:`BackendError` that carries the worker's traceback."""
+
+    def test_a_dispatched_body_raises_its_own_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "ops.jsonl"
+        monkeypatch.setenv(ENV_PATH, str(path))
+        loop = _failing_loop({40: FileNotFoundError("input 40 is missing")})
+        serial = _raised(loop, "serial")
+        fork = _raised(loop, "fork")
+        assert type(serial) is type(fork) is FileNotFoundError
+        assert str(fork) == str(serial) == "input 40 is missing"
+        assert isinstance(fork.__cause__, BackendError)
+        assert "FileNotFoundError: input 40 is missing" in str(fork.__cause__)
+        records = [json.loads(line) for line in open(path, encoding="utf-8")]
+        events = {r["event"] for r in records}
+        assert "pool-started" in events
+        assert not events & {"worker-died", "worker-respawned", "pool-degraded"}
+
+    def test_the_lowest_failing_block_wins_across_workers(self):
+        # Blocks of 16 on two workers: block 1 (worker 1) fails before
+        # block 2 (worker 0) in block order, as a serial run meets them.
+        loop = _failing_loop({
+            20: KeyError("block one"), 40: ValueError("block two"),
+        })
+        serial = _raised(loop, "serial")
+        fork = _raised(loop, "fork")
+        assert type(serial) is type(fork) is KeyError
+        assert str(fork) == str(serial)
+
+    def test_an_error_that_does_not_unpickle_stays_a_backend_error(self):
+        loop = _failing_loop({40: TwoArgError("bad input", 40)})
+        assert type(_raised(loop, "serial")) is TwoArgError
+        fork = _raised(loop, "fork")
+        assert type(fork) is BackendError
+        assert "TwoArgError: bad input at 40" in str(fork)
+
+    def test_an_error_that_does_not_pickle_stays_a_backend_error(self):
+        class LocalError(Exception):
+            pass
+
+        loop = _failing_loop({40: LocalError("local")})
+        assert type(_raised(loop, "serial")) is LocalError
+        fork = _raised(loop, "fork")
+        assert type(fork) is BackendError
+        assert "LocalError: local" in str(fork)
 
 
 # -- CLI ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.machine.costs import CostModel
 from repro.machine.machine import Machine
 from repro.machine.timeline import Category, StageRecord
 from repro.shadow.dense import DenseShadow
+from repro.shadow.marklist import MarkList
 from repro.shadow.sparse import SparseShadow
 from repro.util.blocks import Block
 
@@ -231,9 +232,9 @@ def _serial_charges(loop, block, costs, slowdown, count=None):
 
 def _worker_charges(loop, block, costs, slowdown):
     wctx = _WorkerContext(
-        loop, costs, loop.materialize(), ["U"], True, frozenset()
+        loop, costs, loop.materialize(), ["U"], True, frozenset(), preload=True
     )
-    task = BlockTask(stage=0, pos=0, block=block, preload=True, slowdown=slowdown)
+    task = BlockTask(stage=0, pos=0, block=block, slowdown=slowdown)
     delta = _run_worker_task(wctx, task)
     # Replay exactly as the fork backend's merge does.
     machine = Machine(4, costs=costs, memory=loop.materialize())
@@ -464,7 +465,10 @@ class _PerAccessReference:
     """The access path as it was before columnar recording: every access
     marks its shadow through the scalar ``mark_*`` methods, every untested
     write logs ``index -> writer set`` and saves ``(proc, old value)`` on
-    first touch, and every charge is one fold addition, in access order."""
+    first touch, and every charge is one fold addition, in access order.
+    Each iteration also keeps its own marks per tested array, as DDG
+    extraction's mark lists were filled per access: ``(writes, exposed
+    reads, updates, last value written per element)``."""
 
     def __init__(self, loop, on_demand):
         self.loop = loop
@@ -482,6 +486,7 @@ class _PerAccessReference:
         self.iter_times = {p: {} for p in range(REC_PROCS)}
         self.iter_work = {p: {} for p in range(REC_PROCS)}
         self.block_times: list[float] = []
+        self.levels: list[dict] = []
 
     def _charge(self, category, amount):
         charged = amount * self.slowdown
@@ -502,9 +507,12 @@ class _PerAccessReference:
 
     def _read(self, name, indices, bulk):
         shadows, have = self.shadows[self.proc], self.have[self.proc]
+        writes, exposed = self.marks[name][:2]
         copied = 0
         for index in indices:
             shadows[name].mark_read(index)
+            if index not in writes:
+                exposed.add(index)
             if index not in have[name]:
                 have[name].add(index)
                 copied += 1
@@ -523,6 +531,8 @@ class _PerAccessReference:
         self.proc, self.slowdown, self.block_time = proc, slowdown, 0.0
         for i in range(start, start + len(iterations)):
             self.iter_time = 0.0
+            self.marks = {name: (set(), set(), set(), {}) for name in "DSR"}
+            self.levels.append(self.marks)
             base = self.loop.work_of(i) * REC_COSTS.omega
             self._charge(Category.WORK, base)
             work = base
@@ -544,10 +554,13 @@ class _PerAccessReference:
                     self._read(name, arg, bulk=True)
                 elif op == "update":
                     self.shadows[proc][name].mark_update(arg)
+                    self.marks[name][2].add(arg)
                     self._charge(Category.MARK, REC_COSTS.mark)
                 else:
                     indices = [arg] if op == "store" else arg
-                    for index in indices:
+                    for j, index in enumerate(indices):
+                        self.marks[name][0].add(index)
+                        self.marks[name][3][index] = value + j
                         self.have[proc][name].add(index)
                         self.shadows[proc][name].mark_write(index)
                     if op == "store":
@@ -586,17 +599,18 @@ class TestColumnarRecorder:
         on_demand=st.booleans(),
         failed=st.sets(st.integers(min_value=0, max_value=REC_PROCS - 1)),
         zero_work=st.frozensets(st.integers(min_value=0, max_value=19)),
+        marks=st.sampled_from([None, False, True]),
     )
     @example(  # same-index read-after-write, then write-after-read, in one block
         blocks=[(0, 1.0, [[("load", "D", 2), ("store", "D", 2), ("load", "D", 2)],
                           [("store", "S", 1), ("load", "S", 1), ("load", "S", 3)]])],
-        on_demand=True, failed={0}, zero_work=frozenset(),
+        on_demand=True, failed={0}, zero_work=frozenset(), marks=True,
     )
     @example(  # two blocks on one processor; a committing/failed clash on U
         blocks=[(1, 1.7, [[("store", "U", 4), ("load", "D", 0)]]),
                 (2, 1.0, [[("store_many", "U", [4, 5, 4])]]),
                 (1, 1.0, [[("store", "D", 0), ("load_many", "D", [0, 1, 0])]])],
-        on_demand=True, failed={2}, zero_work=frozenset(),
+        on_demand=True, failed={2}, zero_work=frozenset(), marks=False,
     )
     @example(  # no base work: a zero-unit ctx.work adds no fold slot, so MARK
         # or CHECKPOINT opens the fold and ctx.work charges interleave with
@@ -606,10 +620,20 @@ class TestColumnarRecorder:
                           [("work", None, 0.25), ("update", "R", 3)]]),
                 (1, 1.0, [[("work", None, 0)], [("store", "U", 0), ("work", None, 1.5)]]),
                 (2, 1.7, [[("work", None, 0)]])],
-        on_demand=True, failed=set(), zero_work=frozenset({0, 2, 3, 4}),
+        on_demand=True, failed=set(), zero_work=frozenset({0, 2, 3, 4}), marks=None,
+    )
+    @example(  # iteration marks of bulk accesses with duplicate indices
+        blocks=[(0, 1.0, [[("store_many", "D", [1, 2, 1]), ("load_many", "D", [2, 3, 3]),
+                           ("load_many", "S", [4, 4]), ("store_many", "S", [4, 0, 4])],
+                          [("load_many", "D", [1, 1]), ("store", "D", 1), ("update", "R", 2),
+                           ("update", "R", 2), ("store_many", "S", [5])]]),
+                (1, 1.7, [[("load", "S", 5), ("store_many", "D", [0]), ("load", "D", 0)]])],
+        on_demand=False, failed=set(), zero_work=frozenset(), marks=True,
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_access_marking(self, kernels, blocks, on_demand, failed, zero_work):
+    def test_matches_per_access_marking(
+        self, kernels, blocks, on_demand, failed, zero_work, marks
+    ):
         program = [ops for _, _, iterations in blocks for ops in iterations]
         loop = _rec_loop(program, zero_work)
         reference = _PerAccessReference(loop, on_demand)
@@ -619,15 +643,37 @@ class TestColumnarRecorder:
             states = {p: make_processor_state(machine, loop, p) for p in range(REC_PROCS)}
             ckpt = CheckpointManager(machine.memory, ["U"], on_demand=on_demand)
             ckpt.begin_stage()
-            start, block_times = 0, []
+            start, block_times, levels = 0, [], []
             for proc, slowdown, iterations in blocks:
                 block = Block(proc, start, start + len(iterations))
-                ctx = execute_block(machine, loop, states[proc], block, ckpt, slowdown=slowdown)
+                marklists = None if marks is None else {
+                    name: MarkList(name, proc, log_values=marks) for name in "DSR"
+                }
+                ctx = execute_block(
+                    machine, loop, states[proc], block, ckpt,
+                    marklists=marklists, slowdown=slowdown,
+                )
                 block_times.append(ctx.block_time)
                 reference.run_block(proc, slowdown, iterations, start)
                 start = block.stop
+                if marklists is not None:
+                    assert all(len(ml) == len(block) for ml in marklists.values())
+                    levels += [
+                        {name: ml.level(k) for name, ml in marklists.items()}
+                        for k in range(len(block))
+                    ]
 
             assert [repr(t) for t in block_times] == [repr(t) for t in reference.block_times]
+            if marks is not None:
+                assert len(levels) == len(reference.levels)
+                for i, (got, want) in enumerate(zip(levels, reference.levels)):
+                    for name, (writes, exposed, updates, values) in want.items():
+                        level = got[name]
+                        assert level.iteration == i
+                        assert (level.writes, level.exposed_reads, level.updates) == (
+                            writes, exposed, updates,
+                        ), (i, name)
+                        assert level.values == (values if marks else {}), (i, name)
             for p in range(REC_PROCS):
                 state = states[p]
                 for name, shadow in reference.shadows[p].items():
@@ -721,23 +767,18 @@ def _negative_work(i):
 def error_backend(request, always_dispatch):
     """Runs a loop on ``serial`` or on the fork pool with every stage
     dispatched, and returns what it raised as ``(type, message)``: a
-    worker's exception reaches the parent inside a :class:`BackendError`
-    that carries the worker's traceback."""
+    worker's exception reaches the parent as itself, chained from a
+    :class:`BackendError` that carries the worker's traceback."""
 
     def run(loop):
         config = RuntimeConfig.nrd(backend=request.param)
-        if request.param == "serial":
-            with pytest.raises((ValueError, KeyError)) as info:
-                parallelize(loop, 2, config)
-            return type(info.value), str(info.value)
-        with pytest.raises(BackendError) as info:
+        with pytest.raises((ValueError, KeyError)) as info:
             parallelize(loop, 2, config)
-        errors = {"ValueError": ValueError, "KeyError": KeyError}
-        for line in reversed(str(info.value).splitlines()):
-            name, _, message = line.partition(": ")
-            if name in errors:
-                return errors[name], message
-        raise AssertionError(f"no worker exception in {info.value}")
+        if request.param == "fork":
+            cause = info.value.__cause__
+            assert isinstance(cause, BackendError)
+            assert f"{type(info.value).__name__}: " in str(cause)
+        return type(info.value), str(info.value)
 
     return run
 
@@ -817,11 +858,9 @@ class TestUntestedLog:
         loop = _logged_loop(plain)
         wctx = _WorkerContext(
             loop, CostModel(), loop.materialize(), ["U"], True,
-            frozenset(loop.reductions),
+            frozenset(loop.reductions), plain=plain, log_untested=True,
         )
-        task = BlockTask(
-            stage=0, pos=0, block=Block(1, 0, 2), plain=plain, log_untested=True,
-        )
+        task = BlockTask(stage=0, pos=0, block=Block(1, 0, 2))
         delta = _run_worker_task(wctx, task)
         assert (delta.untested_reads, delta.untested_writes) == _expected_untested(plain)
 

@@ -18,6 +18,7 @@ failure here points at the data plane alone.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 from types import SimpleNamespace
@@ -87,14 +88,7 @@ class LoopbackBackend(ForkBackend):
             return
         base = self._make_wctx()
         self._workers = [
-            _WorkerContext(
-                loop=base.loop,
-                costs=base.costs,
-                memory=_private_image(base.memory),
-                ckpt_names=base.ckpt_names,
-                on_demand=base.on_demand,
-                reduction_names=base.reduction_names,
-            )
+            dataclasses.replace(base, memory=_private_image(base.memory))
             for _ in range(self._pool_size())
         ]
         self._supervisor = _LoopbackSupervisor(self)

@@ -196,7 +196,7 @@ def test_trace_dependence_kernels_match(deck):
     summaries = {}
     for name in KERNELS:
         with use_kernels(name):
-            summaries[name] = trace_dependences(records, len(deck))
+            summaries[name] = trace_dependences(records)
     assert summaries["vector"] == summaries["scalar"]
     assert summaries["vector"].flow_edges == summaries["scalar"].flow_edges
 
@@ -210,7 +210,7 @@ def test_trace_dependence_kernels_on_a_chain():
         records.append(AccessRecord(i, "w", "A", 0))
     for name in KERNELS:
         with use_kernels(name):
-            deps = trace_dependences(records, 6)
+            deps = trace_dependences(records)
         assert deps.flow_edges == [(i, i + 1) for i in range(5)]
         assert (deps.critical_path, deps.max_distance) == (6, 1)
         assert (deps.conflicts, deps.sink_iterations) == (1, 5)

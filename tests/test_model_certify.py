@@ -139,11 +139,11 @@ class TestDependenceTests:
     def test_read_only_sharing_is_not_a_conflict(self):
         loop = gather_loop(64, fan_in=4, seed=2)
         probe = probe_loop(loop)
-        assert trace_dependences(probe.records, 64).conflicts == 0
+        assert trace_dependences(probe.records).conflicts == 0
 
     def test_chain_has_full_critical_path(self):
         probe = probe_loop(prefix_sum_loop(32))
-        deps = trace_dependences(probe.records, 32)
+        deps = trace_dependences(probe.records)
         assert deps.critical_path == 32
         assert deps.max_distance == 1
         assert (0, 1) in deps.flow_edges
@@ -294,9 +294,14 @@ class TestErrorParity:
     @pytest.mark.usefixtures("always_dispatch")
     @_MISUSE_ERRORS
     def test_fork_workers_report_the_oracles_error(self, misuse, exc, message):
-        with pytest.raises(BackendError) as raised:
+        # A dispatched stage's worker exception reaches the caller as
+        # itself, chained from the BackendError with the worker traceback.
+        with pytest.raises(exc) as raised:
             parallelize(_misbehaving_loop(misuse), P, RuntimeConfig(backend="fork"))
-        assert f"{exc.__name__}: {message}" in str(raised.value)
+        assert type(raised.value) is exc
+        assert str(raised.value) == message
+        assert isinstance(raised.value.__cause__, BackendError)
+        assert f"{exc.__name__}: {message}" in str(raised.value.__cause__)
 
 
 # -- soundness: differential oracle over the corpus --------------------------------

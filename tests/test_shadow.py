@@ -1,7 +1,9 @@
 """Unit tests for the shadow structures (dense, sparse, mark lists, tables)."""
 
+import numpy as np
 import pytest
 
+from repro.machine.memory import SharedArray, make_private_view
 from repro.shadow import DenseShadow, SparseShadow, make_shadow
 from repro.shadow.edges import DependenceEdge, EdgeKind, InvertedEdgeTable
 from repro.shadow.lastref import LastReferenceTable
@@ -92,46 +94,59 @@ class TestMakeShadow:
 
 
 class TestMarkList:
+    """Levels are read off one iteration's slice of an array's signed
+    access log: reads ``i``, writes ``~i``, in execution order."""
+
     def test_levels_in_iteration_order(self):
         ml = MarkList("A", proc=2)
-        ml.open_level(4).mark_write(0)
-        ml.open_level(5).mark_read(0)
+        ml.record(4, [~0])
+        ml.record(5, [0])
         assert len(ml) == 2
         assert ml.level(0).iteration == 4
         assert ml.level(1).iteration == 5
 
     def test_non_increasing_iteration_rejected(self):
         ml = MarkList("A", proc=0)
-        ml.open_level(4)
+        ml.record(4, [])
         with pytest.raises(ValueError):
-            ml.open_level(4)
+            ml.record(4, [])
 
     def test_iteration_marks_intra_iteration_cover(self):
-        marks = IterationMarks(0)
-        marks.mark_write(3)
-        marks.mark_read(3)  # covered by the iteration's own write
+        marks = IterationMarks.from_log(0, [~3, 3])  # read covered by the write
         assert 3 not in marks.exposed_reads
 
     def test_iteration_marks_exposed(self):
-        marks = IterationMarks(0)
-        marks.mark_read(3)
-        marks.mark_write(3)
+        marks = IterationMarks.from_log(0, [3, ~3])
         assert 3 in marks.exposed_reads
 
     def test_distinct_refs(self):
         ml = MarkList("A", proc=0)
-        lvl = ml.open_level(0)
-        lvl.mark_read(1)
-        lvl.mark_write(2)
-        lvl2 = ml.open_level(1)
-        lvl2.mark_update(3)
+        ml.record(0, [1, ~2])
+        ml.record(1, [3], reduction=True)
         assert ml.distinct_refs() == 3
 
     def test_reset(self):
         ml = MarkList("A", proc=0)
-        ml.open_level(0)
+        ml.record(0, [])
         ml.reset()
         assert len(ml) == 0
+
+    def test_a_reduction_slice_is_all_updates(self):
+        marks = IterationMarks.from_log(0, [5, 2, 5], reduction=True)
+        assert (marks.updates, marks.writes, marks.exposed_reads) == ({2, 5}, set(), set())
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_logged_values_come_from_the_view(self, sparse):
+        view = make_private_view(SharedArray("A", np.zeros(8)), sparse=sparse)
+        view.store(2, 1.0)
+        view.store(2, 4.0)  # the iteration's last write wins
+        view.store(6, 7.0)
+        entries = [~2, 2, ~2, ~6]
+        logged = MarkList("A", proc=0, log_values=True).record(0, entries, view=view)
+        assert logged.values == {2: 4.0, 6: 7.0}
+        assert (logged.writes, logged.exposed_reads) == ({2, 6}, set())
+        plain = MarkList("A", proc=0).record(0, entries, view=view)
+        assert plain.values == {}
 
 
 class TestLastReferenceTable:

@@ -12,6 +12,7 @@ operational supervisor log.
 import json
 import multiprocessing as mp
 import os
+import re
 import signal
 import time
 
@@ -291,8 +292,9 @@ class TestShutdownEscalation:
 class TestWorkerExceptionContext:
     def test_backend_error_names_worker_pid_and_blocks(self):
         # A deterministic bug in the loop body is not a survivable fault:
-        # it surfaces as BackendError identifying exactly which worker
-        # (slot and pid) was executing which blocks of which stage.
+        # it surfaces as itself, chained from a BackendError identifying
+        # exactly which worker (slot and pid) was executing which blocks
+        # of which stage.
         parent_pid = os.getpid()
 
         def body(ctx, i):
@@ -304,11 +306,14 @@ class TestWorkerExceptionContext:
             "worker_bug", 32, body,
             arrays=[ArraySpec("A", np.zeros(32))],
         )
-        with pytest.raises(
-            BackendError,
-            match=r"fork backend worker \d+ \(pid \d+\) executing "
-                  r"stage 0 blocks \[\d+\] \(procs \[\d+\]\) raised",
-        ):
+        with pytest.raises(ValueError, match="intentional worker bug") as raised:
             parallelize(
                 loop, P, RuntimeConfig.nrd(backend="fork", backend_workers=P)
             )
+        cause = raised.value.__cause__
+        assert isinstance(cause, BackendError)
+        assert re.search(
+            r"fork backend worker \d+ \(pid \d+\) executing "
+            r"stage 0 blocks \[\d+\] \(procs \[\d+\]\) raised",
+            str(cause),
+        )

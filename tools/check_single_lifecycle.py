@@ -15,13 +15,13 @@ retry bounds) and they drifted.  Four checks keep that from recurring:
 3. **One stage-result builder** -- ``StageResult(...)`` is called only in
    ``repro/core/engine.py`` (its ``stage_result`` helper); the event
    deserializer, which rebuilds a recorded result, is exempt.
-4. **Blocks execute through a backend, in one loop each** --
-   ``execute_block(...)`` is called only from two functions: the serial
-   block loop (``SerialBackend.run_blocks``, which the fork pool also
-   uses for stages it runs in the parent) and the fork worker's task
-   runner.  A runner that bypasses the engine (and with it
-   backends, faults and the self-check) cannot return, and no backend
-   grows a second parent-side block loop.
+4. **Blocks execute through one runner** -- ``execute_block(...)`` is
+   called only from ``run_task`` in ``repro/core/backend.py``, which
+   every backend runs its blocks through: the serial loop (which the
+   fork pool also uses for stages it runs in the parent) with the
+   engine's states, a fork worker with its own.  A runner that bypasses
+   the engine (and with it backends, faults and the self-check) cannot
+   return, and no backend grows a second way to run a block.
 
 Exits non-zero with a report on violation.  Run from the repo root::
 
@@ -59,10 +59,7 @@ DUPLICATION_SCOPE = (
 #: or one function in it, ``module::Qualified.name``.
 RESTRICTED_CALLS = {
     "StageResult": ("core/engine.py", "obs/events.py"),
-    "execute_block": (
-        "core/backend.py::SerialBackend.run_blocks",
-        "core/backend.py::_run_worker_task",
-    ),
+    "execute_block": ("core/backend.py::run_task",),
 }
 
 WINDOW = 10  # consecutive identical normalized lines that count as a fork
