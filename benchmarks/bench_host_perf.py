@@ -103,11 +103,13 @@ def _check(result) -> list[str]:
             f"instrumentation overhead {overhead * 100:.1f}% exceeds the "
             f"5% budget (metrics + spans on, serial backend)"
         )
-    sampler = result.data["resources_overhead"]["overhead"]
+    resources = result.data["resources_overhead"]
+    sampler = resources["overhead"]
     if sampler >= 0.05:
         problems.append(
             f"resource-sampler overhead {sampler * 100:.1f}% exceeds the "
-            f"5% budget (operational plane on, serial backend)"
+            f"5% budget (operational plane on, serial backend, "
+            f"n={resources['n']})"
         )
     return problems
 

@@ -14,15 +14,15 @@ construction.  This experiment measures real host seconds instead:
   assignment now used by :func:`repro.core.commit.commit_states`;
 * a per-primitive microbenchmark of the hot-path kernels layer
   (:mod:`repro.kernels`): the vectorized numpy implementation against
-  the pure-Python scalar reference for marking, copy-in/out and the
-  analysis reductions, on the same random index decks;
+  the pure-Python scalar reference for copy-in/out, the grouped-log
+  analysis pass and the reductions, on the same random index decks;
 * an observability-overhead microbenchmark: the same serial run timed
   with the metrics registry and span tracker off vs on, gating the
   "near-zero cost when disabled, small cost when enabled" promise of
   :mod:`repro.obs.metrics` (CI asserts under 5% slowdown);
 * an operational-plane overhead microbenchmark: the same run with the
   host resource sampler (:mod:`repro.obs.resources`) off vs on, under
-  the same 5% CI budget.
+  the same 5% CI budget, on a run sized to last a fixed minimum time.
 
 Parallel-backend speedup is bounded by the host's CPU count (recorded in
 the data); on a single-core host fork is expected to run its stages in
@@ -175,17 +175,41 @@ def _metrics_overhead(make_loop, n_procs: int, repeats: int) -> dict:
     }
 
 
-def _resources_overhead(make_loop, n_procs: int, repeats: int) -> dict:
+#: Shortest serial run the resource-sampler gate times.  The sampler's
+#: thread start/stop and final sample cost the same on every run, so a
+#: fixed-size run would read a larger share of it with every serial
+#: speedup; a fixed minimum duration keeps the 5% budget about the
+#: sampler's steady-state cost.
+SAMPLER_GATE_MIN_S = 0.25
+
+
+def _sized_for(make_loop, n: int, n_procs: int, min_s: float) -> int:
+    """The smallest ``n * 2**k`` whose plain serial run of
+    ``make_loop(n)`` lasts at least ``min_s`` host seconds."""
+    config = RuntimeConfig.adaptive(backend="serial", resources=False, certify="off")
+
+    def seconds(n: int) -> float:
+        return measure_host(lambda: parallelize(make_loop(n), n_procs, config), 1)[0]
+
+    while seconds(n) < min_s:
+        n *= 2
+    return n
+
+
+def _resources_overhead(make_loop, n: int, n_procs: int, repeats: int) -> dict:
     """Wall-clock cost of the operational plane (resource sampler + oplog
     flight recorder taps) on the serial backend: the same run timed with
-    the sampler off vs on at the default interval."""
+    the sampler off vs on at the default interval, on ``make_loop(n')``
+    for the first ``n' = n * 2**k`` lasting :data:`SAMPLER_GATE_MIN_S`."""
+    n = _sized_for(make_loop, n, n_procs, SAMPLER_GATE_MIN_S)
     base_s, overhead, _ = _paired_overhead(
-        make_loop, n_procs,
+        lambda: make_loop(n), n_procs,
         RuntimeConfig.adaptive(backend="serial", resources=False, certify="off"),
         RuntimeConfig.adaptive(backend="serial", resources=True, certify="off"),
         repeats,
     )
     return {
+        "n": n,
         "base_s": base_s,
         "sampled_s": base_s * (1.0 + overhead),
         "overhead": overhead,
@@ -238,31 +262,24 @@ def _kernel_microbench(n: int, repeats: int) -> dict:
     shared = rng.standard_normal(n)
     half_a = np.unique(rng.integers(0, 2 * n, size=n, dtype=np.int64))
     half_b = np.unique(rng.integers(0, 2 * n, size=n, dtype=np.int64))
-    # A block's signed access log: reads ``i``, writes ``~i``.
+    # A stage's signed access logs (reads ``i``, writes ``~i``) of eight
+    # processors, concatenated in position order.
     access_log = np.where(rng.random(n) < 0.3, ~indices, indices)
-    n_words = (n + 63) // 64
+    positions = np.repeat(np.arange(8), -(-n // 8))[:n]
 
     def _cases(k):
-        write = np.zeros(n_words, dtype=np.uint64)
-        exposed = np.zeros(n_words, dtype=np.uint64)
-        any_read = np.zeros(n_words, dtype=np.uint64)
-        marks = np.zeros(n_words, dtype=np.uint64)
         values = shared.copy()
         have = np.zeros(n, dtype=bool)
         written = np.zeros(n, dtype=bool)
         written[indices] = True
         dest = np.zeros(n, dtype=np.float64)
         return {
-            "set_bits": lambda: k.set_bits(marks, n, indices),
-            "mark_reads_bits": lambda: k.mark_reads_bits(
-                write, exposed, any_read, n, indices
-            ),
             "copy_in_dense": lambda: k.copy_in_dense(values, have, shared, indices),
             "copy_out_dense": lambda: k.copy_out_dense(values, written),
             "scatter": lambda: k.scatter(dest, indices, new_values),
             "intersect_indices": lambda: k.intersect_indices(half_a, half_b),
-            "resolve_access_log": lambda: k.resolve_access_log(access_log),
-            "reduce_min_max": lambda: k.reduce_min_max(indices),
+            "group_access_logs": lambda: k.group_access_logs(positions, access_log),
+            "unique_indices": lambda: k.unique_indices(indices),
         }
 
     primitives: dict[str, dict] = {}
@@ -401,8 +418,9 @@ def host_perf(quick: bool) -> ExperimentResult:
     # the workload sweeps and with at least 15 interleaved pairs, which
     # empirically keeps the median ratio within ~3% even on a loaded
     # 1-cpu runner.  (The sampler's cost is fixed per run -- thread
-    # start/stop + one final sample, ~0.15 ms -- so the longer run also
-    # amortizes it to its honest steady-state share.)
+    # start/stop + one final sample -- so its run grows until it lasts
+    # SAMPLER_GATE_MIN_S, amortizing that cost to its honest
+    # steady-state share however fast the serial backend gets.)
     obs_n = 2048 if quick else 8192
     gate_n = 4 * obs_n
     gate_repeats = max(repeats, 15)
@@ -416,10 +434,10 @@ def host_perf(quick: bool) -> ExperimentResult:
         f"overhead {overhead['overhead'] * 100:4.1f}%"
     )
     resources = _resources_overhead(
-        lambda: fully_parallel_loop(gate_n), n_procs, gate_repeats
+        fully_parallel_loop, gate_n, n_procs, gate_repeats
     )
     rows.append(
-        f"{'resources-ovh':<16} n={gate_n:<6} "
+        f"{'resources-ovh':<16} n={resources['n']:<6} "
         f"off {resources['base_s'] * 1e3:9.1f} ms   "
         f"on   {resources['sampled_s'] * 1e3:7.1f} ms   "
         f"overhead {resources['overhead'] * 100:4.1f}%"

@@ -23,13 +23,14 @@ machinery (a mixed element behaves like an ordinary read-modify-write).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.config import TestCondition
 from repro.kernels import get_kernels
 from repro.shadow import ShadowArray
+from repro.shadow.log import stack_logs
 
 Groups = Sequence[tuple[int, Mapping[str, ShadowArray]]]
 
@@ -52,12 +53,55 @@ class DependenceArc:
             raise ValueError("dependence arcs point to later groups")
 
 
+class FlowArcs:
+    """A stage's flow arcs as columns: ``len()`` is O(1), and
+    :class:`DependenceArc` objects are built only when iterated, in
+    (sink position, array, element) order."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self) -> None:
+        # (array, source positions, sink positions, elements) per array.
+        self._columns: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def add(self, array: str, src: np.ndarray, dst: np.ndarray, index: np.ndarray) -> None:
+        if len(dst):
+            self._columns.append((array, src, dst, index))
+
+    def __len__(self) -> int:
+        return sum(len(dst) for _, _, dst, _ in self._columns)
+
+    def earliest_sink(self) -> int | None:
+        """The earliest sink position, the R-LRPD commit boundary."""
+        if not self._columns:
+            return None
+        return min(int(dst.min()) for _, _, dst, _ in self._columns)
+
+    def __iter__(self) -> Iterator[DependenceArc]:
+        if not self._columns:
+            return iter(())
+        names = [name for name, _, _, _ in self._columns]
+        rank = np.repeat(np.arange(len(names)), [len(c[2]) for c in self._columns])
+        src, dst, index = (
+            np.concatenate([c[k] for c in self._columns]) for k in (1, 2, 3)
+        )
+        order = np.lexsort((index, rank, dst))
+        return map(
+            DependenceArc,
+            src[order].tolist(), dst[order].tolist(),
+            [names[r] for r in rank[order].tolist()], index[order].tolist(),
+        )
+
+    def __repr__(self) -> str:
+        return f"FlowArcs({list(self)!r})"
+
+
 @dataclass(slots=True)
 class StageAnalysis:
     """Outcome of analyzing one speculative stage."""
 
     earliest_sink_pos: int | None
-    arcs: list[DependenceArc]
+    arcs: FlowArcs
     distinct_refs: list[int] = field(default_factory=list)
     mixed_reduction_elements: int = 0
 
@@ -66,171 +110,67 @@ class StageAnalysis:
         return self.earliest_sink_pos is None
 
 
-def _mixed_sets(groups: Groups) -> dict[str, set[int]]:
-    """Per array: elements carrying both reduction and ordinary marks.
+def _flow_arcs(runs) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(sources, sinks, elements, mixed elements)`` of one array's
+    resolved logs (:func:`~repro.kernels.scalar.group_access_logs` rows,
+    sorted by element, then position).
 
-    Reduction marks are rare -- most stages carry none -- so the scan first
-    finds the arrays with any ``update`` mark (a cheap bit test per shadow)
-    and returns immediately when there are none, instead of materializing
-    Python sets for every shadow of every group.  For the arrays that do
-    mix, shadow exports stay numpy index arrays until the final
-    intersection, which is the only point a set is actually needed.
+    An element both reduction-updated and read or written anywhere in the
+    stage is *mixed*: its updates count as a write plus an exposed read.
+    Each element's earliest writer is its first writing row; every
+    exposed read at a later position is a flow arc from it.
     """
-    updated = {
-        name
-        for _, shadows in groups
-        for name, shadow in shadows.items()
-        if shadow.has_updates()
-    }
-    if not updated:
-        return {}
-    red: dict[str, list[np.ndarray]] = {}
-    normal: dict[str, list[np.ndarray]] = {}
-    for _, shadows in groups:  # hot-path: per-group scan, not per-element
-        for name, shadow in shadows.items():  # hot-path: per-array scan
-            if name not in updated:
-                continue
-            upd = shadow.update_indices()
-            if len(upd):
-                red.setdefault(name, []).append(upd)
-            ordinary = shadow.ordinary_indices()
-            if len(ordinary):
-                normal.setdefault(name, []).append(ordinary)
-    mixed: dict[str, set[int]] = {}
-    for name, red_parts in red.items():  # hot-path: per-array scan
-        normal_parts = normal.get(name)
-        if not normal_parts:
-            continue
-        both = get_kernels().intersect_indices(
-            np.concatenate(red_parts), np.concatenate(normal_parts)
+    elements, pos, exposed, written, read, updated = runs
+    starts = np.flatnonzero(np.concatenate(([True], elements[1:] != elements[:-1])))
+    counts = np.diff(np.append(starts, len(elements)))
+    n_mixed = 0
+    if updated.any():
+        mixed = np.logical_or.reduceat(updated, starts) & np.logical_or.reduceat(
+            written | read, starts
         )
-        if len(both):
-            mixed[name] = set(map(int, both))
-    return mixed
-
-
-def _analyze_dense(groups: Groups) -> StageAnalysis:
-    """Word-level fast path for all-dense, reduction-free stages.
-
-    The generic path materializes Python sets of every marked element per
-    group; on dense shadows the same scan is a handful of 64-bit-word
-    operations per array: ``exposed & cumulative_writes`` finds conflicts,
-    and element indices are only extracted for the (rare) conflicting
-    words.  Semantics are identical to the generic path -- enforced by a
-    hypothesis equivalence test against sparse-shadow mirrors.
-    """
-    from repro.shadow.dense import DenseShadow
-    from repro.util.bitset import BitSet
-
-    arcs: list[DependenceArc] = []
-    cumulative: dict[str, BitSet] = {}
-    write_history: dict[str, list[tuple[int, object]]] = {}
-    distinct: list[int] = []
-    for pos, (_proc, shadows) in enumerate(groups):  # hot-path: per-group scan
-        for name, shadow in shadows.items():  # hot-path: per-array scan
-            assert isinstance(shadow, DenseShadow)
-            cum = cumulative.get(name)
-            if cum is not None and shadow.exposed_bits.intersects(cum):
-                conflicts = get_kernels().and_words_indices(
-                    shadow.exposed_bits.words, cum.words, shadow.n_elements
-                )
-                for index in conflicts.tolist():  # hot-path: conflicting elements only
-                    src = next(
-                        p for p, bits in write_history[name] if bits.test(index)
-                    )
-                    arcs.append(DependenceArc(src, pos, name, index))
-        for name, shadow in shadows.items():  # hot-path: per-array scan
-            writes = shadow.write_bits
-            if writes:
-                if name in cumulative:
-                    cumulative[name] |= writes
-                else:
-                    cumulative[name] = writes.copy()
-                write_history.setdefault(name, []).append((pos, writes))
-        distinct.append(
-            sum(shadow.distinct_refs() for shadow in shadows.values())
-        )
-    earliest = _earliest_sink(arcs)
-    return StageAnalysis(
-        earliest_sink_pos=earliest,
-        arcs=arcs,
-        distinct_refs=distinct,
-        mixed_reduction_elements=0,
-    )
-
-
-def _dense_eligible(groups: Groups) -> bool:
-    """Fast path applies when every shadow is dense and no reduction marks
-    exist (mixed-reduction reclassification needs the generic machinery)."""
-    from repro.shadow.dense import DenseShadow
-
-    for _proc, shadows in groups:  # hot-path: per-group scan, not per-element
-        for shadow in shadows.values():  # hot-path: per-array scan
-            if not isinstance(shadow, DenseShadow):
-                return False
-            if bool(shadow.update_bits):
-                return False
-    return True
-
-
-def _earliest_sink(arcs: list[DependenceArc]) -> int | None:
-    """Earliest dependence-sink position, the R-LRPD commit boundary."""
-    if not arcs:
-        return None
-    sinks = np.fromiter((arc.dst_pos for arc in arcs), dtype=np.int64, count=len(arcs))
-    return get_kernels().reduce_min_max(sinks)[0]
+        n_mixed = int(np.count_nonzero(mixed))
+        if n_mixed:
+            extra = updated & np.repeat(mixed, counts)
+            exposed, written = exposed | extra, written | extra
+    writer = np.minimum.reduceat(np.where(written, pos, pos.max() + 1), starts)
+    src = np.repeat(writer, counts)
+    arc = exposed & (src < pos)
+    return src[arc], pos[arc], elements[arc], n_mixed
 
 
 def analyze_stage(groups: Groups) -> StageAnalysis:
     """Find all cross-group flow arcs and the earliest sink (copy-in test).
 
-    Groups must be given in increasing iteration order.  Cost: one pass over
-    the distinct marked elements of every group (word-level on all-dense
-    stages).
+    Groups must be given in increasing iteration order.  Cost: one
+    grouped-log kernel pass per tested array over every group's logs of
+    it.  Each shadow keeps its distinct count for the re-initialization
+    charge.
     """
-    if _dense_eligible(groups):
-        return _analyze_dense(groups)
-    mixed = _mixed_sets(groups)
-    arcs: list[DependenceArc] = []
-    # array -> element -> earliest writing position.
-    written_before: dict[str, dict[int, int]] = {}
-    distinct: list[int] = []
+    owners: dict[str, list[tuple[int, ShadowArray]]] = {}
     for pos, (_proc, shadows) in enumerate(groups):  # hot-path: per-group scan
         for name, shadow in shadows.items():  # hot-path: per-array scan
-            name_mixed = mixed.get(name, set())
-            exposed = shadow.exposed_read_set()
-            if name_mixed:
-                exposed = exposed | (shadow.update_set() & name_mixed)
-            writers = written_before.get(name)
-            if writers:
-                # hot-path: generic (mixed-shadow) reference path; all-dense
-                # stages take the kernel fast path in _analyze_dense
-                for index in exposed:
-                    src = writers.get(index)
-                    if src is not None:
-                        arcs.append(DependenceArc(src, pos, name, index))
-        # Register this group's writes only after its reads were checked:
-        # intra-group read/write ordering is already folded into the
-        # exposed-read bit by the shadow.
-        for name, shadow in shadows.items():  # hot-path: per-array scan
-            name_mixed = mixed.get(name, set())
-            writes = shadow.write_set()
-            if name_mixed:
-                writes = writes | (shadow.update_set() & name_mixed)
-            if writes:
-                writers = written_before.setdefault(name, {})
-                # hot-path: generic (mixed-shadow) reference path
-                for index in writes:
-                    writers.setdefault(index, pos)
-        distinct.append(
-            sum(shadow.distinct_refs() for shadow in shadows.values())
-        )
-    earliest = _earliest_sink(arcs)
+            owners.setdefault(name, []).append((pos, shadow))
+    arcs = FlowArcs()
+    distinct = np.zeros(len(groups), dtype=np.int64)
+    n_mixed = 0
+    kernels = get_kernels()
+    for name, owned in owners.items():  # hot-path: one kernel pass per array
+        runs = kernels.group_access_logs(*stack_logs(owned))
+        counts = np.bincount(runs[1], minlength=len(groups))
+        distinct += counts
+        per_group = counts.tolist()
+        for pos, shadow in owned:  # hot-path: per (group, array)
+            shadow.note_distinct(per_group[pos])
+        if not len(runs[0]):
+            continue
+        src, dst, index, mixed = _flow_arcs(runs)
+        arcs.add(name, src, dst, index)
+        n_mixed += mixed
     return StageAnalysis(
-        earliest_sink_pos=earliest,
+        earliest_sink_pos=arcs.earliest_sink(),
         arcs=arcs,
-        distinct_refs=distinct,
-        mixed_reduction_elements=sum(len(v) for v in mixed.values()),
+        distinct_refs=distinct.tolist(),
+        mixed_reduction_elements=n_mixed,
     )
 
 
@@ -247,23 +187,24 @@ def doall_valid(groups: Groups, condition: TestCondition) -> bool:
     if condition is TestCondition.COPY_IN:
         return analyze_stage(groups).fully_parallel
 
-    mixed = _mixed_sets(groups)
+    # Mixed elements: a shadow's updates of an element some group reads
+    # or writes count as a write plus an exposed read.
+    ordinary: dict[str, set[int]] = {}
+    for _proc, shadows in groups:  # hot-path: offline oracle, not a stage path
+        for name, shadow in shadows.items():  # hot-path: offline oracle
+            ordinary.setdefault(name, set()).update(
+                shadow.write_set() | shadow.any_read_set()
+            )
     exposed_by: dict[str, dict[int, set[int]]] = {}
     written_by: dict[str, dict[int, set[int]]] = {}
-    for pos, (_proc, shadows) in enumerate(groups):  # hot-path: per-group scan
-        for name, shadow in shadows.items():  # hot-path: per-array scan
-            name_mixed = mixed.get(name, set())
-            exposed = shadow.exposed_read_set()
-            writes = shadow.write_set()
-            if name_mixed:
-                extra = shadow.update_set() & name_mixed
-                exposed = exposed | extra
-                writes = writes | extra
-            # hot-path: PRIVATIZATION verdict is an offline oracle, not a
-            # per-stage runtime path
-            for index in exposed:
+    for pos, (_proc, shadows) in enumerate(groups):  # hot-path: offline oracle
+        for name, shadow in shadows.items():  # hot-path: offline oracle
+            extra = shadow.update_set() & ordinary[name]
+            exposed = shadow.exposed_read_set() | extra
+            writes = shadow.write_set() | extra
+            for index in exposed:  # hot-path: offline oracle
                 exposed_by.setdefault(name, {}).setdefault(index, set()).add(pos)
-            for index in writes:  # hot-path: offline oracle (see above)
+            for index in writes:  # hot-path: offline oracle
                 written_by.setdefault(name, {}).setdefault(index, set()).add(pos)
     for name, element_readers in exposed_by.items():  # hot-path: offline oracle
         element_writers = written_by.get(name, {})

@@ -17,8 +17,8 @@ provided, plus two synonyms:
   processes.  A worker runs each block with a :class:`_WorkerMachine`, a
   fresh :class:`~repro.core.executor.ProcessorState` and a local
   checkpoint, and ships back a compact :class:`_BlockDelta` -- the
-  block's outcome, written private-view entries, packed shadow bit
-  planes, reduction partials, per-iteration times, the block's
+  block's outcome, written private-view entries, the shadows' access
+  logs, reduction partials, per-iteration times, the block's
   per-category charge totals, untested-write sets.  The parent merges
   deltas **in block order**, so results, events, virtual-time accounting
   and block spans are bit-identical to serial execution (enforced by

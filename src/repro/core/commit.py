@@ -69,7 +69,8 @@ def reinit_states(
     """Re-initialize shadows and private data of re-executing processors.
 
     Charged per processor, proportional to the marks being cleared (the
-    paper's shadow re-initialization step).
+    paper's shadow re-initialization step): the distinct counts the
+    stage's analysis pass left on the shadows.
     """
     cost = machine.costs.reinit_per_elem
     for state in states:

@@ -12,9 +12,10 @@ span's ``ctx.block_time`` included -- wherever it runs.
 
 Shadow marking is columnar: each tested-array access appends its element
 index (a write as ``~index``) to its array's per-block log, and the block's
-``finally`` applies every log with one kernel pass per array
-(:meth:`~repro.shadow.base.ShadowArray.apply_log`); DDG extraction's
-per-iteration marks are read off each iteration's slice of the logs.
+``finally`` hands every log to its shadow as an int64 array
+(:meth:`~repro.shadow.log.ShadowArray.record`) -- the log *is* the shadow,
+resolved by the stage's analysis; DDG extraction's per-iteration marks are
+resolved from each block's logs in one kernel pass per array.
 Untested writes save
 their first-touch old value eagerly and append to their processor's
 checkpoint column (:meth:`~repro.machine.checkpoint.CheckpointManager.write_handles`).
@@ -34,6 +35,7 @@ from repro.machine.machine import Machine
 from repro.machine.memory import PrivateView, make_private_view
 from repro.machine.timeline import Category
 from repro.shadow import ShadowArray, make_shadow
+from repro.shadow.marklist import written_values
 from repro.util.blocks import Block
 
 #: The execution-phase charge categories, indexed by the context's fold
@@ -46,6 +48,9 @@ _WORK, _MARK, _COPY_IN, _CHECKPOINT = range(len(_FOLD_CATEGORIES))
 #: array without one.
 _NO_WRITES: dict[str, tuple] = {}
 _NO_HANDLE = (None, None, None)
+
+#: The block log of a marked array the block never touched.
+_NO_LOG = np.empty(0, dtype=np.int64)
 
 
 def _out_of_range(index, size: int) -> IndexError:
@@ -128,7 +133,7 @@ def make_processor_state(machine: Machine, loop: SpeculativeLoop, proc: int) -> 
             continue
         shared = machine.memory[spec.name]
         views[spec.name] = make_private_view(shared, sparse=spec.sparse)
-        shadows[spec.name] = make_shadow(len(shared), sparse=spec.sparse)
+        shadows[spec.name] = make_shadow(len(shared))
     return ProcessorState(proc=proc, views=views, shadows=shadows)
 
 
@@ -149,7 +154,7 @@ def make_all_private_state(machine: Machine, loop: SpeculativeLoop, proc: int) -
     for spec in loop.arrays:  # hot-path: per array, state setup
         shared = machine.memory[spec.name]
         views[spec.name] = make_private_view(shared, sparse=spec.sparse)
-        shadows[spec.name] = make_shadow(len(shared), sparse=spec.sparse)
+        shadows[spec.name] = make_shadow(len(shared))
     return ProcessorState(proc=proc, views=views, shadows=shadows)
 
 
@@ -168,9 +173,8 @@ class SpeculativeContext(IterationContext):
     checkpoint column after the first-touch save (untested).  Accesses with
     no route take one cold path (:meth:`_cold_route`): reduction arrays
     outside :meth:`update`, names the memory image lacks, and untested
-    arrays while the self-check records their traffic.  Shadow marks are
-    applied from the logs when the block ends (:meth:`flush_marks`), with
-    exactly the result per-access marking would have had.
+    arrays while the self-check records their traffic.  The logs go to
+    the shadows when the block ends (:meth:`flush_marks`).
 
     Virtual time is *folded*, not charged, as accesses happen: each access
     adds its (straggler-stretched) amount to a per-category running total
@@ -308,25 +312,26 @@ class SpeculativeContext(IterationContext):
                 [(_FOLD_CATEGORIES[slot], total) for slot, total in self._folded.items()],
             )
 
-    def flush_marks(self) -> None:
-        """Apply the block's access logs to the shadows (once per block, by
-        :func:`execute_block`; also when the block ends in an exception,
-        so the marks match what per-access marking would have left)."""
+    def flush_marks(self) -> dict[str, np.ndarray]:
+        """Hand the block's access logs to the shadows as int64 arrays
+        (once per block, by :func:`execute_block`; also when the block ends
+        in an exception, so the marks match what per-access marking would
+        have left) and return them by array name."""
         reductions = self._reductions
         shadows = self._state.shadows
-        # hot-path: once per tested array per block; the marking is a
-        # kernel pass over the whole log
+        logs = {}
+        # hot-path: once per tested array per block; one array per log
         for name, (_, _, log) in self._access.items():
             if not log:
                 continue
             self._m_marks += len(log)
-            try:
-                if name in reductions:
-                    shadows[name].mark_update_many(np.array(log, dtype=np.int64))
-                else:
-                    shadows[name].apply_log(log)
-            finally:
-                log.clear()
+            entries = logs[name] = np.array(log, dtype=np.int64)
+            log.clear()
+            if name in reductions:
+                shadows[name].record_updates(entries)
+            else:
+                shadows[name].record(entries)
+        return logs
 
     # -- memory access ----------------------------------------------------------
 
@@ -573,9 +578,12 @@ def execute_block(
     have left them.
 
     ``marklists`` (array name -> :class:`~repro.shadow.marklist.MarkList`)
-    switches on iteration-level marking for DDG extraction: each
-    iteration's marks are read off the slice of the array's access log
-    the iteration appended (:meth:`~repro.shadow.marklist.MarkList.record`).
+    switches on iteration-level marking for DDG extraction: the loop notes
+    where each iteration's entries end in each marked array's log, and the
+    completed iterations' marks are resolved from the block's log in one
+    pass per array (:meth:`~repro.shadow.marklist.MarkList.record_block`);
+    a value-logging list reads each iteration's written values from the
+    private view right after the iteration.
     Returns the context so callers can read final induction values.
 
     ``slowdown`` and ``death`` are the block's hoisted faults (see
@@ -602,11 +610,15 @@ def execute_block(
     folded = ctx._folded
     marked = None
     if marklists is not None:
-        # (mark list, access log, reduction?, private view) per array.
+        # (name, mark list, access log, log bounds, value-logging view,
+        # logged values) per array; bounds[k + 1] ends completed
+        # iteration k's entries.
         marked = [
-            (ml, state.access[name][2], name in loop.reductions, state.access[name][0])
+            (name, ml, state.access[name][2], [len(state.access[name][2])],
+             state.access[name][0] if ml.log_values else None, [])
             for name, ml in marklists.items()
         ]
+        done: list[int] = []
     completed = 0
     try:
         # hot-path: the iteration loop itself; fail-stop and exits keep
@@ -638,15 +650,16 @@ def execute_block(
                 iter_work_only += base
             ctx._iter_time = iter_time
             ctx._iter_work = iter_work_only
-            if marked is not None:
-                starts = [len(log) for _, log, _, _ in marked]
             body(ctx, i)
             iter_times[i] = ctx._iter_time
             iter_works[i] = ctx._iter_work
             if marked is not None:
-                # hot-path: per marked array; the slice resolves in a kernel
-                for (ml, log, reduction, view), start in zip(marked, starts):
-                    ml.record(i, log[start:], reduction, view)
+                done.append(i)
+                # hot-path: per marked array, one bound per iteration
+                for _, _, log, bounds, view, values in marked:
+                    if view is not None:
+                        values.append(written_values(view, log[bounds[-1]:]))
+                    bounds.append(len(log))
             completed += 1
             if ctx.exit_iteration is not None:
                 # The iteration that signalled the exit completes; the rest of
@@ -654,7 +667,14 @@ def execute_block(
                 break
     finally:
         ctx.settle_charges()
-        ctx.flush_marks()
+        logs = ctx.flush_marks()
+    if marked is not None:
+        # hot-path: per marked array; one kernel pass over the block's log
+        for name, ml, _, bounds, view, values in marked:
+            ml.record_block(
+                done, bounds, logs.get(name, _NO_LOG), name in loop.reductions,
+                values if view is not None else None,
+            )
     state.executed.append(block)
     metrics = getattr(machine, "metrics", None)
     if metrics is not None and metrics.enabled:

@@ -11,17 +11,13 @@ reference cannot rot.
 
 Shared conventions:
 
-* ``words`` arguments are packed ``uint64`` bit planes (64 bits per word,
-  little-endian bit order within a word), the storage of
-  :class:`repro.util.bitset.BitSet`;
 * ``indices`` are integer arrays (possibly with duplicates, possibly
-  unsorted); bounds are checked against ``size`` where one is given, and
-  the error reports the first offending index in iteration order;
+  unsorted);
 * dict/set-backed sparse structures keep Python ``int`` keys;
 * access traces are four parallel int64 columns -- iteration, kind code
   (:data:`ACCESS_KINDS`), array code, element index -- in execution order
   (iterations non-decreasing);
-* a block's access log is one signed int64 column per tested array, in
+* an access log is one signed int64 column per tested array, in
   execution order: a read of element ``i`` is logged as ``i``, a write as
   ``~i`` (``-i - 1``).
 """
@@ -30,162 +26,59 @@ from __future__ import annotations
 
 import numpy as np
 
-_ONE = np.uint64(1)
-
 #: Access-kind codes of trace columns: ``ACCESS_KINDS[code]`` is the kind
 #: (read, write, reduction update).
 ACCESS_KINDS = "rwu"
 READ, WRITE, UPDATE = 0, 1, 2
 
 
-def _check_range(index: int, size: int) -> None:
-    if not 0 <= index < size:
-        raise IndexError(f"element {index} out of range [0, {size})")
+# -- access logs (shadow marking and the analysis phase) ---------------------------
 
 
-# -- packed bit planes (dense shadow marking) -----------------------------------
+def group_access_logs(
+    positions: np.ndarray, entries: np.ndarray, updates: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """Resolve concatenated access logs into one row per (position,
+    element) pair.
 
+    ``entries`` is a signed access log (reads ``i``, writes ``~i``) made of
+    one log per position, concatenated in position order: ``positions``
+    (non-decreasing) holds each entry's position, and each position's
+    entries are in execution order.  ``updates``, when given, flags the
+    entries that are reduction updates (element ``i`` logged as ``i``).
 
-def set_bits(words: np.ndarray, size: int, indices: np.ndarray) -> None:
-    """Set bit ``i`` of ``words`` for every ``i`` in ``indices``."""
-    for index in np.asarray(indices).tolist():
-        _check_range(index, size)
-        words[index >> 6] |= _ONE << np.uint64(index & 63)
-
-
-def mark_reads_bits(
-    write_words: np.ndarray,
-    exposed_words: np.ndarray,
-    any_read_words: np.ndarray,
-    size: int,
-    indices: np.ndarray,
-) -> None:
-    """Dense read marking: set the any-read bit for every index, and the
-    exposed-read bit only where no local write precedes it (the write
-    plane is not modified, so a batch read sees all writes already marked
-    and none of its own batch's)."""
-    for index in np.asarray(indices).tolist():
-        _check_range(index, size)
-        word, mask = index >> 6, _ONE << np.uint64(index & 63)
-        any_read_words[word] |= mask
-        if not write_words[word] & mask:
-            exposed_words[word] |= mask
-
-
-def or_words(dst: np.ndarray, src: np.ndarray) -> None:
-    """``dst |= src``, word by word (cumulative-write folding)."""
-    for k in range(len(dst)):
-        dst[k] |= src[k]
-
-
-def words_intersect(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether any bit is set in both planes."""
-    for k in range(len(a)):
-        if a[k] & b[k]:
-            return True
-    return False
-
-
-def and_words_indices(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
-    """Sorted positions of bits set in both planes (conflict extraction)."""
-    out = []
-    for k in range(len(a)):
-        both = int(a[k] & b[k])
-        while both:
-            low = both & -both
-            out.append(k * 64 + low.bit_length() - 1)
-            both ^= low
-    return np.fromiter((i for i in out if i < size), dtype=np.int64)
-
-
-def bits_to_indices(words: np.ndarray, size: int) -> np.ndarray:
-    """Sorted positions of all set bits."""
-    out = []
-    for k in range(len(words)):
-        word = int(words[k])
-        while word:
-            low = word & -word
-            out.append(k * 64 + low.bit_length() - 1)
-            word ^= low
-    return np.fromiter((i for i in out if i < size), dtype=np.int64)
-
-
-def popcount(words: np.ndarray) -> int:
-    """Number of set bits across the plane."""
-    total = 0
-    for k in range(len(words)):
-        total += int(words[k]).bit_count()
-    return total
-
-
-# -- set-backed sparse shadow marking -------------------------------------------
-
-
-def mark_writes_set(target: set, size: int, indices) -> None:
-    """Add every index to a sparse mark plane (write or update)."""
-    for index in (int(i) for i in indices):
-        _check_range(index, size)
-        target.add(index)
-
-
-def mark_reads_set(
-    write_set: set, exposed_set: set, any_read_set: set, size: int, indices
-) -> None:
-    """Sparse read marking; same exposure rule as :func:`mark_reads_bits`."""
-    for index in (int(i) for i in indices):
-        _check_range(index, size)
-        any_read_set.add(index)
-        if index not in write_set:
-            exposed_set.add(index)
-
-
-def resolve_access_log(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a block's signed access log into the element sets its marks
-    need, in the order a shadow applies them: ``(open_reads, writes,
-    covered_reads)``, each sorted and unique.
-
-    An element is an *open read* when its first access in the log is a
-    read (that read is exposed unless the element already carried a
-    write mark when the block started), a *covered read* when it is read
-    but its first access is a write.  Marking the open reads, then the
-    writes, then the covered reads reproduces per-access marking exactly:
-    a covered read's element is write-marked by then, so it sets only the
-    any-read bit, and every later read of an open element found the
-    any-read bit its first read set.
+    Returns the columns ``(elements, positions, first_read, written, read,
+    updated)``, sorted by element, then position: whether the pair's first
+    read or write was a read (the *exposed* read of the paper's shadow),
+    and whether the element was written, read and reduction-updated there.
     """
-    first_is_read: dict[int, bool] = {}
-    reads: set[int] = set()
-    writes: set[int] = set()
-    for entry in np.asarray(entries, dtype=np.int64).tolist():
-        if entry < 0:
-            writes.add(~entry)
-            first_is_read.setdefault(~entry, False)
+    flags = [False] * len(entries) if updates is None else np.asarray(updates).tolist()
+    runs: dict[tuple[int, int], list] = {}
+    for pos, entry, update in zip(
+        np.asarray(positions).tolist(), np.asarray(entries).tolist(), flags
+    ):
+        element = ~entry if entry < 0 else entry
+        run = runs.setdefault((element, pos), [None, False, False, False])
+        if update:
+            run[3] = True
+        elif entry < 0:
+            if run[0] is None:
+                run[0] = False
+            run[1] = True
         else:
-            reads.add(entry)
-            first_is_read.setdefault(entry, True)
-    open_reads = {index for index, first in first_is_read.items() if first}
-    covered = {index for index in reads if not first_is_read[index]}
-    return tuple(
-        np.fromiter(sorted(group), dtype=np.int64, count=len(group))
-        for group in (open_reads, writes, covered)
+            if run[0] is None:
+                run[0] = True
+            run[2] = True
+    keys = sorted(runs)
+    rows = [runs[key] for key in keys]
+    return (
+        np.fromiter((e for e, _ in keys), dtype=np.int64, count=len(keys)),
+        np.fromiter((p for _, p in keys), dtype=np.int64, count=len(keys)),
+        *(
+            np.fromiter((bool(row[k]) for row in rows), dtype=bool, count=len(rows))
+            for k in range(4)
+        ),
     )
-
-
-def mark_log_set(
-    write_set: set, exposed_set: set, any_read_set: set, size: int, entries
-) -> None:
-    """Sparse marking of a whole signed access log, in log order: each
-    write adds to the write plane, each read to the any-read plane and,
-    unless its element is write-marked by then, to the exposed plane."""
-    for entry in np.asarray(entries, dtype=np.int64).tolist():
-        if entry < 0:
-            _check_range(~entry, size)
-            write_set.add(~entry)
-        else:
-            _check_range(entry, size)
-            any_read_set.add(entry)
-            if entry not in write_set:
-                exposed_set.add(entry)
 
 
 # -- dense private-view copies ---------------------------------------------------
@@ -313,26 +206,21 @@ def pack_values(values, dtype) -> np.ndarray:
     return out
 
 
-# -- analysis reductions ---------------------------------------------------------
+# -- index sets -------------------------------------------------------------------
+
+
+def unique_indices(indices: np.ndarray) -> np.ndarray:
+    """Sorted unique indices (copy-in misses, first-touch saves, rollback
+    sets)."""
+    distinct = set(np.asarray(indices).tolist())
+    return np.fromiter(sorted(distinct), dtype=np.int64, count=len(distinct))
 
 
 def intersect_indices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted unique indices present in both arrays (mixed-set detection)."""
+    """Sorted unique indices present in both arrays (the checkpoint's
+    committing/failed contract check)."""
     common = set(np.asarray(a).tolist()) & set(np.asarray(b).tolist())
     return np.fromiter(sorted(common), dtype=np.int64, count=len(common))
-
-
-def reduce_min_max(values: np.ndarray) -> tuple[int, int]:
-    """``(min, max)`` of a non-empty integer array (earliest-sink /
-    last-write reductions)."""
-    seq = np.asarray(values).tolist()
-    lo = hi = seq[0]
-    for value in seq[1:]:
-        if value < lo:
-            lo = value
-        if value > hi:
-            hi = value
-    return lo, hi
 
 
 # -- certification: exact trace dependence test ------------------------------------

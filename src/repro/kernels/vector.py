@@ -4,9 +4,9 @@ Same API and bit-identical semantics as the scalar reference
 (:mod:`repro.kernels.scalar` -- see its docstring for the conventions);
 each primitive here replaces the reference's per-element Python loop with
 a constant number of numpy array operations.  There are two exceptions.
-The dict/set-backed sparse primitives: Python containers admit no true
-vectorization, so those kernels batch the bounds checks and bulk
-``update`` calls but still touch elements through the container protocol.
+The dict-backed sparse-view primitives: Python containers admit no true
+vectorization, so those kernels batch bulk ``update`` calls but still
+touch elements through the container protocol.
 And the trace dependence test keeps one Python loop, the critical-path
 walk: one step per distinct flow edge rather than per access.
 
@@ -22,147 +22,50 @@ import numpy as np
 
 from repro.kernels.scalar import READ, UPDATE, WRITE
 
-_ONE = np.uint64(1)
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
 
 
-def _check_bounds(idx: np.ndarray, size: int) -> None:
-    bad = (idx < 0) | (idx >= size)
-    if bad.any():
-        index = int(idx[int(np.argmax(bad))])
-        raise IndexError(f"element {index} out of range [0, {size})")
+# -- access logs (shadow marking and the analysis phase) ---------------------------
 
 
-def _word_masks(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return idx >> 6, _ONE << (idx & 63).astype(np.uint64)
-
-
-# -- packed bit planes (dense shadow marking) -----------------------------------
-
-
-def set_bits(words: np.ndarray, size: int, indices: np.ndarray) -> None:
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return
-    _check_bounds(idx, size)
-    word, mask = _word_masks(idx)
-    np.bitwise_or.at(words, word, mask)
-
-
-def mark_reads_bits(
-    write_words: np.ndarray,
-    exposed_words: np.ndarray,
-    any_read_words: np.ndarray,
-    size: int,
-    indices: np.ndarray,
-) -> None:
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return
-    _check_bounds(idx, size)
-    word, mask = _word_masks(idx)
-    np.bitwise_or.at(any_read_words, word, mask)
-    # The write plane is not modified here, so filtering against it before
-    # or after setting any-read bits is equivalent to the reference loop.
-    unwritten = (write_words[word] & mask) == 0
-    np.bitwise_or.at(exposed_words, word[unwritten], mask[unwritten])
-
-
-def or_words(dst: np.ndarray, src: np.ndarray) -> None:
-    np.bitwise_or(dst, src, out=dst)
-
-
-def words_intersect(a: np.ndarray, b: np.ndarray) -> bool:
-    return bool((a & b).any())
-
-
-def and_words_indices(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
-    bits = np.unpackbits((a & b).view(np.uint8), bitorder="little")
-    return np.flatnonzero(bits[:size]).astype(np.int64, copy=False)
-
-
-def bits_to_indices(words: np.ndarray, size: int) -> np.ndarray:
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return np.flatnonzero(bits[:size]).astype(np.int64, copy=False)
-
-
-def popcount(words: np.ndarray) -> int:
-    # np.uint64 bit_count needs numpy>=2; unpackbits keeps 1.x support.
-    return int(np.unpackbits(words.view(np.uint8)).sum())
-
-
-# -- set-backed sparse shadow marking -------------------------------------------
-
-
-def mark_writes_set(target: set, size: int, indices) -> None:
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return
-    _check_bounds(idx, size)
-    target.update(idx.tolist())
-
-
-def mark_reads_set(
-    write_set: set, exposed_set: set, any_read_set: set, size: int, indices
-) -> None:
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return
-    _check_bounds(idx, size)
-    ids = idx.tolist()
-    exposed_set.update(i for i in ids if i not in write_set)
-    any_read_set.update(ids)
-
-
-def resolve_access_log(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def group_access_logs(
+    positions: np.ndarray, entries: np.ndarray, updates: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
     log = np.asarray(entries, dtype=np.int64)
-    if not log.size or log.min() >= 0:
-        return np.unique(log), _EMPTY, _EMPTY
-    # One stable sort groups the log by element, each group in log order;
-    # a group's first entry says whether the element was read first.
-    index = log ^ (log >> 63)  # ~i for writes, i for reads
-    order = np.argsort(index, kind="stable")
-    index = index[order]
+    n = log.size
+    if not n:
+        none = np.zeros(0, dtype=bool)
+        return _EMPTY, _EMPTY, none, none, none, none
+    # One stable sort by element keeps each element's entries in log
+    # order, and so in position order: every (position, element) pair is
+    # one contiguous run.  Updates log ``i``, so ``element`` needs no
+    # special case for them.
+    element = log ^ (log >> 63)
+    order = np.argsort(element, kind="stable")
+    element = element[order]
+    pos = np.asarray(positions, dtype=np.int64)[order]
     write = log[order] < 0
-    first = np.empty(index.size, dtype=bool)
+    first = np.empty(n, dtype=bool)
     first[0] = True
-    np.not_equal(index[1:], index[:-1], out=first[1:])
+    np.not_equal(element[1:], element[:-1], out=first[1:])
+    first[1:] |= pos[1:] != pos[:-1]
     starts = np.flatnonzero(first)
-    elements = index[starts]
-    write_first = write[starts]
     written = np.logical_or.reduceat(write, starts)
-    read = ~np.logical_and.reduceat(write, starts)
-    return elements[~write_first], elements[written], elements[write_first & read]
-
-
-def mark_log_set(
-    write_set: set, exposed_set: set, any_read_set: set, size: int, entries
-) -> None:
-    log = np.asarray(entries, dtype=np.int64)
-    if not log.size:
-        return
-    lo, hi = int(log.min()), int(log.max())
-    if lo < -size or hi >= size:
-        # Report the first offending entry, as the reference loop does.
-        bad = (log < -size) | (log >= size)
-        entry = int(log[int(np.argmax(bad))])
-        raise IndexError(f"element {entry if entry >= 0 else ~entry} out of range [0, {size})")
-    ids = log.tolist()
-    if lo >= 0:
-        # No writes: every read sees the block-start write plane.
-        any_read_set.update(ids)
-        exposed_set.update(i for i in ids if i not in write_set)
-        return
-    # Order matters once the log writes: one pass over the set planes
-    # (Python containers admit no vectorization).
-    for entry in ids:  # hot-path: set-backed planes, one pass per block
-        if entry < 0:
-            write_set.add(~entry)
-        else:
-            any_read_set.add(entry)
-            if entry not in write_set:
-                exposed_set.add(entry)
+    if updates is None:
+        first_read = ~write[starts]
+        read = ~np.logical_and.reduceat(write, starts)
+        updated = np.zeros(starts.size, dtype=bool)
+    else:
+        update = np.asarray(updates, dtype=bool)[order]
+        is_read = ~(write | update)
+        read = np.logical_or.reduceat(is_read, starts)
+        updated = np.logical_or.reduceat(update, starts)
+        # A run's first read or write: updates rank after every entry.
+        rank = np.where(update, n, np.arange(n))
+        head = np.minimum.reduceat(rank, starts)
+        first_read = (head < n) & is_read[np.minimum(head, n - 1)]
+    return element[starts], pos[starts], first_read, written, read, updated
 
 
 # -- dense private-view copies ---------------------------------------------------
@@ -172,7 +75,7 @@ def copy_in_dense(
     values: np.ndarray, have: np.ndarray, shared_data: np.ndarray, indices: np.ndarray
 ) -> tuple[np.ndarray, int]:
     idx = np.asarray(indices)
-    missing = np.unique(idx[~have[idx]])
+    missing = unique_indices(idx[~have[idx]])
     if len(missing):
         values[missing] = shared_data[missing]
         have[missing] = True
@@ -251,7 +154,18 @@ def pack_values(values, dtype) -> np.ndarray:
     return out
 
 
-# -- analysis reductions ---------------------------------------------------------
+# -- index sets -------------------------------------------------------------------
+
+
+def unique_indices(indices: np.ndarray) -> np.ndarray:
+    # One sort, not np.unique: np.unique imports numpy.ma on its first
+    # call (~50 ms and 1.3 MB), which every freshly forked worker of a
+    # pool would pay again.
+    idx = np.sort(np.asarray(indices, dtype=np.int64))
+    keep = np.empty(idx.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(idx[1:], idx[:-1], out=keep[1:])
+    return idx[keep]
 
 
 #: Widest element-address span the table-based intersection may allocate a
@@ -270,13 +184,8 @@ def intersect_indices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lo = min(int(a.min()), int(b.min()))
     hi = max(int(a.max()), int(b.max()))
     if 0 <= lo and hi - lo <= _ISIN_TABLE_SPAN:
-        return np.unique(a[np.isin(a, b, kind="table")]).astype(np.int64, copy=False)
+        return unique_indices(a[np.isin(a, b, kind="table")])
     return np.intersect1d(a, b).astype(np.int64, copy=False)
-
-
-def reduce_min_max(values: np.ndarray) -> tuple[int, int]:
-    arr = np.asarray(values)
-    return int(arr.min()), int(arr.max())
 
 
 # -- certification: exact trace dependence test ------------------------------------

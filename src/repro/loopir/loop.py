@@ -23,9 +23,10 @@ class ArraySpec:
     paper).  ``tested=False`` marks statically analyzable state (like ``B``
     in Fig. 1): written in place and checkpointed for restoration.
 
-    ``sparse`` forces the sparse or dense private-view/shadow representation
+    ``sparse`` forces the sparse or dense private-view representation
     (``None`` selects by size) -- the paper's SPICE loops need the sparse
-    flavor because the tested workspace is huge and sparsely touched.
+    flavor because the tested workspace is huge and sparsely touched.  The
+    shadow is an access log in both cases.
     """
 
     name: str

@@ -170,7 +170,7 @@ class CheckpointManager:
         column.extend(idx.tolist())
         if saved is None or not idx.size:
             return 0
-        new = [i for i in np.unique(idx).tolist() if i not in saved]
+        new = [i for i in get_kernels().unique_indices(idx).tolist() if i not in saved]
         if new:
             old = get_kernels().gather(
                 shared.data, np.fromiter(new, dtype=np.int64, count=len(new))
@@ -184,7 +184,9 @@ class CheckpointManager:
         parts = [columns[p] for p in procs if columns.get(p)]
         if not parts:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate([np.asarray(c, dtype=np.int64) for c in parts]))
+        return get_kernels().unique_indices(
+            np.concatenate([np.asarray(c, dtype=np.int64) for c in parts])
+        )
 
     def restore_failed(self, failed_procs: Iterable[int]) -> int:
         """Roll back elements written by failed processors.

@@ -9,7 +9,8 @@ did last, how much memory the run held) was never on disk at all.
 :class:`FlightRecorder` keeps that context in memory, cheaply, for every
 run: three bounded ring buffers of
 
-* the most recent deterministic stage events (as their JSONL dicts),
+* the most recent deterministic stage events (the frozen event objects,
+  serialized to their JSONL dicts only when read),
 * the most recent oplog records (it registers as an oplog tap),
 * the last host resource samples (as a sampler consumer).
 
@@ -66,10 +67,7 @@ class FlightRecorder:
     # -- stream subscriptions ----------------------------------------------------
 
     def emit(self, event) -> None:
-        try:
-            self.events.append(event.to_dict())
-        except Exception:  # pragma: no cover - recorder must never raise
-            pass
+        self.events.append(event)
 
     def note_oplog(self, record: dict) -> None:
         self.oplog_records.append(record)
@@ -80,9 +78,20 @@ class FlightRecorder:
     def close(self) -> None:
         """Event-sink protocol; rings stay readable after the bus closes."""
 
+    def event_dicts(self) -> list[dict]:
+        """The event ring as JSONL dicts (an event that fails to serialize
+        is left out: the recorder must never raise)."""
+        out = []
+        for event in self.events:
+            try:
+                out.append(event.to_dict())
+            except Exception:  # pragma: no cover - recorder must never raise
+                pass
+        return out
+
     def snapshot(self) -> dict:
         return {
-            "events": list(self.events),
+            "events": self.event_dicts(),
             "oplog": list(self.oplog_records),
             "resources": list(self.resource_samples),
         }
@@ -164,7 +173,7 @@ def dump_bundle(
         }
         with open(os.path.join(path, "env.json"), "w") as fh:
             json.dump(env, fh, indent=2)
-        _write_jsonl(os.path.join(path, "trace_tail.jsonl"), recorder.events)
+        _write_jsonl(os.path.join(path, "trace_tail.jsonl"), recorder.event_dicts())
         _write_jsonl(
             os.path.join(path, "oplog_tail.jsonl"), recorder.oplog_records
         )

@@ -1,13 +1,13 @@
 """Shadow structures for run-time dependence marking.
 
-Per-processor shadows (:mod:`dense <repro.shadow.dense>`,
-:mod:`sparse <repro.shadow.sparse>`) implement the paper's ``A_w`` / ``A_r``
-marking bits: a Write bit, an exposed-Read bit (a read not covered by an
-earlier write on the same processor -- exactly the reads that trigger
-on-demand copy-in), plus a reduction-update bit for speculative reduction
-validation.  Repeated same-type references to an element do not change the
-shadow (Section 2), which bounds both memory and analysis time by the number
-of *distinct* references.
+The processor-wise shadow (:mod:`repro.shadow.log`) is a processor's
+access log of one tested array for one stage, from which the paper's
+``A_w`` / ``A_r`` marks follow: the elements written, the exposed reads
+(reads not covered by an earlier write on the same processor -- exactly
+the reads that trigger on-demand copy-in) and the reduction updates used
+for speculative reduction validation.  Repeated same-type references to
+an element do not change those marks (Section 2), which bounds the
+analysis time by the number of *distinct* references.
 
 Per-iteration mark lists (:mod:`repro.shadow.marklist`), the last-reference
 table (:mod:`repro.shadow.lastref`) and the inverted edge table
@@ -15,17 +15,13 @@ table (:mod:`repro.shadow.lastref`) and the inverted edge table
 with the sliding-window test (Section 3).
 """
 
-from repro.shadow.base import ShadowArray
-from repro.shadow.dense import DenseShadow
-from repro.shadow.sparse import SparseShadow
+from repro.shadow.log import ShadowArray, make_shadow
 from repro.shadow.marklist import IterationMarks, MarkList
 from repro.shadow.lastref import LastReferenceTable
 from repro.shadow.edges import DependenceEdge, EdgeKind, InvertedEdgeTable
 
 __all__ = [
     "ShadowArray",
-    "DenseShadow",
-    "SparseShadow",
     "IterationMarks",
     "MarkList",
     "LastReferenceTable",
@@ -34,12 +30,3 @@ __all__ = [
     "InvertedEdgeTable",
     "make_shadow",
 ]
-
-
-def make_shadow(n_elements: int, sparse: bool | None = None) -> ShadowArray:
-    """Pick a shadow representation, mirroring the private-view heuristic."""
-    from repro.machine.memory import DENSE_VIEW_THRESHOLD
-
-    if sparse is None:
-        sparse = n_elements > DENSE_VIEW_THRESHOLD
-    return SparseShadow(n_elements) if sparse else DenseShadow(n_elements)

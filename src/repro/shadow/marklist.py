@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.kernels import get_kernels
 
 
@@ -37,26 +39,51 @@ class IterationMarks:
     updates: set[int] = field(default_factory=set)
     values: dict[int, object] = field(default_factory=dict)
 
-    @classmethod
-    def from_log(
-        cls, iteration: int, entries, reduction: bool = False, view=None
-    ) -> "IterationMarks":
-        """The marks of one iteration's slice of an array's signed access
-        log (reads ``i``, writes ``~i``).  A reduction array's slice is all
-        updates; otherwise the open reads are the exposed reads.  ``view``,
-        the private view right after the iteration, holds its last write
-        of each written element: given, those values are logged."""
-        if reduction:
-            return cls(iteration, updates=set(entries))
-        if not len(entries):
-            return cls(iteration)
-        open_reads, writes, _ = get_kernels().resolve_access_log(entries)
-        written = writes.tolist()
-        values = {} if view is None else {i: view.load(i)[0] for i in written}
-        return cls(iteration, set(written), set(open_reads.tolist()), values=values)
-
     def distinct_refs(self) -> int:
         return len(self.writes | self.exposed_reads | self.updates)
+
+
+def written_values(view, entries) -> dict[int, object]:
+    """The private view's value of each element a log slice wrote, in
+    element order (read right after the slice's iteration)."""
+    return {i: view.load(i)[0] for i in sorted({~e for e in entries if e < 0})}
+
+
+def iteration_marks(
+    iterations: list[int], bounds: list[int], entries: np.ndarray,
+    reduction: bool = False,
+) -> list[IterationMarks]:
+    """The marks of consecutive iterations of one block, iteration
+    ``iterations[k]`` owning ``entries[bounds[k]:bounds[k + 1]]`` of the
+    array's signed block log.  A reduction array's log is all updates;
+    otherwise one grouped-log kernel pass, grouped by iteration, gives
+    each iteration's written elements and exposed reads (first access a
+    read)."""
+    if reduction:
+        ids = entries.tolist()
+        return [
+            IterationMarks(i, updates=set(ids[a:b]))
+            for i, a, b in zip(iterations, bounds, bounds[1:])
+        ]
+    lo, hi = bounds[0], bounds[-1]
+    if lo == hi:
+        return [IterationMarks(i) for i in iterations]
+    counts = [b - a for a, b in zip(bounds, bounds[1:])]
+    positions = np.repeat(np.arange(len(iterations)), counts)
+    elements, pos, first_read, written, _, _ = get_kernels().group_access_logs(
+        positions, entries[lo:hi]
+    )
+    writes = [set() for _ in iterations]
+    exposed = [set() for _ in iterations]
+    rows = zip(elements.tolist(), pos.tolist(), first_read.tolist(), written.tolist())
+    for element, k, first, wrote in rows:  # hot-path: per (iteration, element) row
+        if wrote:
+            writes[k].add(element)
+        if first:
+            exposed[k].add(element)
+    return [
+        IterationMarks(i, w, x) for i, w, x in zip(iterations, writes, exposed)
+    ]
 
 
 class MarkList:
@@ -73,22 +100,23 @@ class MarkList:
         self.log_values = log_values
         self._levels: list[IterationMarks] = []
 
-    def record(
-        self, iteration: int, entries, reduction: bool = False, view=None
-    ) -> IterationMarks:
-        """Append ``iteration``'s level, built from its access-log slice
-        (:meth:`IterationMarks.from_log`; ``view`` is read only when this
-        list logs values)."""
-        if self._levels and iteration <= self._levels[-1].iteration:
+    def record_block(
+        self, iterations: list[int], bounds: list[int], entries: np.ndarray,
+        reduction: bool = False, values: list[dict] | None = None,
+    ) -> None:
+        """Append one level per iteration of a block, built from the
+        block's log in one pass (:func:`iteration_marks`); ``values`` are
+        the iterations' logged values (:func:`written_values`)."""
+        if iterations and self._levels and iterations[0] <= self._levels[-1].iteration:
             raise ValueError(
-                f"mark-list iterations must increase: {iteration} after "
+                f"mark-list iterations must increase: {iterations[0]} after "
                 f"{self._levels[-1].iteration}"
             )
-        marks = IterationMarks.from_log(
-            iteration, entries, reduction, view if self.log_values else None
-        )
-        self._levels.append(marks)
-        return marks
+        levels = iteration_marks(iterations, bounds, entries, reduction)
+        if values is not None:
+            for marks, logged in zip(levels, values):  # hot-path: per iteration
+                marks.values = logged
+        self._levels.extend(levels)
 
     @property
     def levels(self) -> list[IterationMarks]:

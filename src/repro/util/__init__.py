@@ -1,12 +1,10 @@
-"""Small shared utilities: bitsets, block arithmetic, RNG, formatting."""
+"""Small shared utilities: block arithmetic, RNG, formatting."""
 
-from repro.util.bitset import BitSet
 from repro.util.blocks import Block, blocks_cover, partition_even, partition_weighted
 from repro.util.rng import make_rng
 from repro.util.tables import format_series, format_table
 
 __all__ = [
-    "BitSet",
     "Block",
     "blocks_cover",
     "partition_even",

@@ -22,10 +22,9 @@ from repro.machine.checkpoint import CheckpointManager
 from repro.machine.costs import CostModel
 from repro.machine.machine import Machine
 from repro.machine.timeline import Category, StageRecord
-from repro.shadow.dense import DenseShadow
 from repro.shadow.marklist import MarkList
-from repro.shadow.sparse import SparseShadow
 from repro.util.blocks import Block
+from tests.shadow_model import SetShadow, planes
 
 
 def make_loop(body, n=8, tested=("A",), untested=(), reductions=None):
@@ -463,7 +462,7 @@ def _rec_loop(program, zero_work=frozenset()):
 
 class _PerAccessReference:
     """The access path as it was before columnar recording: every access
-    marks its shadow through the scalar ``mark_*`` methods, every untested
+    marks a per-access set shadow (:class:`tests.shadow_model.SetShadow`), every untested
     write logs ``index -> writer set`` and saves ``(proc, old value)`` on
     first touch, and every charge is one fold addition, in access order.
     Each iteration also keeps its own marks per tested array, as DDG
@@ -474,7 +473,7 @@ class _PerAccessReference:
         self.loop = loop
         self.on_demand = on_demand
         self.shadows = {
-            p: {"D": DenseShadow(REC_N), "S": SparseShadow(REC_N), "R": DenseShadow(REC_N)}
+            p: {name: SetShadow(REC_N) for name in "DSR"}
             for p in range(REC_PROCS)
         }
         self.have = {p: {"D": set(), "S": set()} for p in range(REC_PROCS)}
@@ -585,13 +584,6 @@ class _PerAccessReference:
         return len(dirty)
 
 
-def _planes(shadow):
-    return (
-        shadow.write_set(), shadow.exposed_read_set(),
-        shadow.any_read_set(), shadow.update_set(),
-    )
-
-
 class TestColumnarRecorder:
     @pytest.mark.parametrize("kernels", kernel_names())
     @given(
@@ -677,7 +669,7 @@ class TestColumnarRecorder:
             for p in range(REC_PROCS):
                 state = states[p]
                 for name, shadow in reference.shadows[p].items():
-                    assert _planes(state.shadows[name]) == _planes(shadow), (p, name)
+                    assert planes(state.shadows[name]) == planes(shadow), (p, name)
                 assert state.iter_times == reference.iter_times[p]
                 assert state.iter_work == reference.iter_work[p]
                 settled = machine.timeline.current.per_proc.get(p, {})

@@ -16,7 +16,7 @@ from repro.machine.machine import Machine
 from repro.machine.memory import MemoryImage, SharedArray
 from repro.machine.timeline import Category
 from repro.machine.topology import Topology
-from repro.shadow import DenseShadow
+from repro.shadow import ShadowArray
 from repro.util.blocks import Block
 
 
@@ -55,7 +55,7 @@ class TestCheckpointCharge:
 class TestAnalysisCharge:
     def test_per_group_charges(self):
         m = machine_with_stage(p=2, analysis_per_ref=1.0)
-        sh0, sh1 = DenseShadow(8), DenseShadow(8)
+        sh0, sh1 = ShadowArray(8), ShadowArray(8)
         sh0.mark_write(0)
         sh0.mark_write(1)
         sh1.mark_read(2)

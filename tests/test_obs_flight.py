@@ -32,14 +32,14 @@ class TestFlightRecorder:
         assert [r["event"] for r in recorder.oplog_records] \
             == ["e6", "e7", "e8", "e9"]
 
-    def test_emit_stores_event_dicts(self):
+    def test_emit_keeps_events_and_snapshot_serializes_them(self):
         from repro.obs.events import RunBegin
 
         recorder = FlightRecorder()
-        recorder.emit(RunBegin(
-            loop="x", strategy="nrd", n_procs=2, n_iterations=8,
-        ))
-        [event] = recorder.events
+        begin = RunBegin(loop="x", strategy="nrd", n_procs=2, n_iterations=8)
+        recorder.emit(begin)
+        assert list(recorder.events) == [begin]
+        [event] = recorder.snapshot()["events"]
         assert event["event"] == "run_begin"
         assert event["loop"] == "x"
 
@@ -139,6 +139,26 @@ class TestBundleRoundTrip:
     def test_load_bundle_rejects_non_directory(self, tmp_path):
         with pytest.raises(OSError):
             load_bundle(str(tmp_path / "nope"))
+
+
+class TestLazyEventTail:
+    def test_bundle_event_tail_is_byte_identical(self, tmp_path):
+        """The recorder keeps event objects and serializes them only when
+        a bundle is written; the bundle's event tail is byte for byte the
+        one eager serialization wrote (tests/data/flight_trace_tail.jsonl,
+        recorded before the change)."""
+        import pathlib
+
+        n = 96
+        loop = chain_loop(n, geometric_chain_targets(n, 0.5))
+        with pytest.raises(SpeculationError, match="max_stages"):
+            parallelize(loop, 4, RuntimeConfig.adaptive(
+                backend="serial", max_stages=2, metrics=True,
+                crash_dir=str(tmp_path),
+            ))
+        [bundle] = list(tmp_path.iterdir())
+        golden = pathlib.Path(__file__).parent / "data" / "flight_trace_tail.jsonl"
+        assert (bundle / "trace_tail.jsonl").read_bytes() == golden.read_bytes()
 
 
 @pytest.mark.usefixtures("always_dispatch")

@@ -11,7 +11,8 @@ execution of the identical loop.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines.sequential import sequential_reference
 from repro.config import RuntimeConfig
@@ -21,7 +22,6 @@ from repro.core.runner import parallelize
 from repro.core.wavefront import execute_wavefront, wavefront_schedule
 from repro.loopir.induction import InductionSpec
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
-from repro.util.bitset import BitSet
 from repro.util.blocks import partition_weighted, validate_blocks
 
 
@@ -327,66 +327,128 @@ class TestReductionProperties:
         assert result.memory.equals(sequential_reference(make()))
 
 
-class TestAnalysisPathEquivalence:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        data=ops_tables,
-        n_groups=st.integers(min_value=1, max_value=6),
-    )
-    def test_dense_fast_path_equals_generic(self, data, n_groups):
-        """The word-level dense analysis must agree with the set-based
-        generic path on earliest sink and the full arc set."""
+#: One block's accesses to one array: scalar reads/writes/updates and bulk
+#: ``load_many``/``store_many`` batches with duplicate indices.
+_block_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["r", "w", "u"]), st.integers(0, 11)),
+        st.tuples(
+            st.sampled_from(["load_many", "store_many"]),
+            st.lists(st.integers(0, 11), min_size=1, max_size=4),
+        ),
+    ),
+    max_size=8,
+)
+
+#: A stage: per group, whether its log was shipped from a worker and
+#: absorbed, and one or two blocks, each with ops on arrays A and B.
+_stages = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.lists(st.fixed_dictionaries({"A": _block_ops, "B": _block_ops}),
+                 min_size=1, max_size=2),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _log_group(blocks, shipped):
+    """Shadows recording ``blocks`` as the executor does: one signed log
+    and one update column per block; a shipped group's marks travel
+    through a pickled export into a fresh shadow."""
+    import pickle
+
+    from repro.shadow import ShadowArray
+
+    shadows = {name: ShadowArray(12) for name in "AB"}
+    for block in blocks:
+        for name, ops in block.items():
+            log, updates = [], []
+            for op, arg in ops:
+                if op == "r":
+                    log.append(arg)
+                elif op == "w":
+                    log.append(~arg)
+                elif op == "u":
+                    updates.append(arg)
+                elif op == "load_many":
+                    log.extend(arg)
+                else:
+                    log.extend(~i for i in arg)
+            if log:
+                shadows[name].record(np.array(log, dtype=np.int64))
+            if updates:
+                shadows[name].record_updates(np.array(updates, dtype=np.int64))
+    if shipped:
+        received = {name: ShadowArray(12) for name in "AB"}
+        for name, shadow in shadows.items():
+            received[name].absorb_marks(pickle.loads(pickle.dumps(shadow.export_marks())))
+        shadows = received
+    return shadows
+
+
+def _set_group(blocks):
+    from tests.shadow_model import SetShadow
+
+    shadows = {name: SetShadow(12) for name in "AB"}
+    for block in blocks:
+        for name, ops in block.items():
+            shadow = shadows[name]
+            for op, arg in ops:
+                if op == "r":
+                    shadow.mark_read(arg)
+                elif op == "w":
+                    shadow.mark_write(arg)
+                elif op == "u":
+                    shadow.mark_update(arg)
+                else:
+                    mark = shadow.mark_read if op == "load_many" else shadow.mark_write
+                    for index in arg:
+                        mark(index)
+    return shadows
+
+
+class TestAnalysisEquivalence:
+    @pytest.mark.parametrize("kernels", ["scalar", "vector"])
+    @settings(max_examples=120, deadline=None)
+    @given(stage=_stages)
+    @example(stage=[  # a mixed element: updated by one group, read by the next
+        (False, [{"A": [("u", 3)], "B": []}]),
+        (True, [{"A": [("r", 3)], "B": [("w", 3)]}, {"A": [], "B": [("r", 3)]}]),
+    ])
+    @example(stage=[  # bulk duplicates; a later read covered in a second block
+        (False, [{"A": [("store_many", [1, 1, 2])], "B": []}]),
+        (False, [{"A": [("load_many", [1, 1])], "B": []},
+                 {"A": [("w", 2), ("r", 2)], "B": []}]),
+    ])
+    def test_grouped_log_analysis_equals_per_access_reference(self, kernels, stage):
+        """One grouped-log kernel pass per array finds the arcs, the
+        earliest sink, the per-group distinct refs and the mixed count the
+        per-access set model and the generic arc rule find, and leaves each
+        shadow its distinct count and set queries."""
         from repro.core.analysis import analyze_stage
-        from repro.shadow.dense import DenseShadow
-        from repro.shadow.sparse import SparseShadow
+        from repro.kernels import use_kernels
+        from tests.shadow_model import planes, reference_stage
 
-        n, m, table = data
-        dense_groups, sparse_groups = [], []
-        for g in range(n_groups):
-            dsh, ssh = DenseShadow(m), SparseShadow(m)
-            # Deterministically derive this group's marks from the table.
-            for i in range(g, n, n_groups):
-                for kind, idx in table[i]:
-                    if kind == "r":
-                        dsh.mark_read(idx)
-                        ssh.mark_read(idx)
-                    else:
-                        dsh.mark_write(idx)
-                        ssh.mark_write(idx)
-            dense_groups.append((g, {"A": dsh}))
-            sparse_groups.append((g, {"A": ssh}))
-
-        fast = analyze_stage(dense_groups)
-        generic = analyze_stage(sparse_groups)
-        assert fast.earliest_sink_pos == generic.earliest_sink_pos
-        key = lambda a: (a.src_pos, a.dst_pos, a.array, a.index)  # noqa: E731
-        assert sorted(map(key, fast.arcs)) == sorted(map(key, generic.arcs))
-        assert fast.distinct_refs == generic.distinct_refs
+        log_groups = [(g, _log_group(blocks, shipped)) for g, (shipped, blocks) in enumerate(stage)]
+        set_groups = [(g, _set_group(blocks)) for g, (_, blocks) in enumerate(stage)]
+        arcs, sink, distinct, mixed = reference_stage(set_groups)
+        with use_kernels(kernels):
+            analysis = analyze_stage(log_groups)
+            assert len(analysis.arcs) == len(arcs)
+            got = [(a.src_pos, a.dst_pos, a.array, a.index) for a in analysis.arcs]
+            assert set(got) == arcs and len(got) == len(set(got))
+            assert analysis.earliest_sink_pos == sink
+            assert analysis.distinct_refs == distinct
+            assert analysis.mixed_reduction_elements == mixed
+            for (_, logged), (_, marked) in zip(log_groups, set_groups):
+                for name, shadow in logged.items():
+                    assert shadow.distinct_refs() == marked[name].distinct_refs()
+                    assert planes(shadow) == planes(marked[name])
 
 
 class TestDataStructureProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        size=st.integers(min_value=1, max_value=300),
-        ops=st.lists(
-            st.tuples(st.sampled_from(["set", "clear"]), st.integers(0, 299)),
-            max_size=60,
-        ),
-    )
-    def test_bitset_matches_python_set(self, size, ops):
-        bs = BitSet(size)
-        model: set[int] = set()
-        for op, raw in ops:
-            idx = raw % size
-            if op == "set":
-                bs.set(idx)
-                model.add(idx)
-            else:
-                bs.clear(idx)
-                model.discard(idx)
-        assert set(map(int, bs.to_indices())) == model
-        assert len(bs) == len(model)
-
     @settings(max_examples=100, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=200),
