@@ -8,6 +8,7 @@ import pytest
 from repro.baselines.sequential import sequential_reference
 from repro.core import backend as backend_mod
 from repro.core.backend import ForkBackend
+from repro.kernels import KERNELS, use_kernels
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
 
 
@@ -41,6 +42,14 @@ def assert_matches_sequential(result, loop, tolerant: bool = False) -> None:
         assert result.memory.equals(reference), (
             f"{result.strategy} run of {loop.name} diverged from sequential"
         )
+
+
+@pytest.fixture(params=sorted(KERNELS))
+def kernel_mode(request):
+    """Run the test under each kernels implementation in turn; the shadow
+    queries and the stage analysis resolve logs through the default one."""
+    with use_kernels(request.param):
+        yield request.param
 
 
 @pytest.fixture
