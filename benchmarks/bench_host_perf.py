@@ -14,9 +14,10 @@ gate miss or crash, which is how CI gates the parallel backends::
     python benchmarks/bench_host_perf.py --quick --out BENCH_host.json
 
 Fork's speedup is printed beside the share of its stages it ran in the
-parent (``inline_share``): fork dispatches a stage only when
-dispatching it is measured to pay, so a speedup near 1.0x with a full
-inline share is serial execution.
+parent (``inline_share``) and the pools its timed run started
+(``pools_started``): fork dispatches a stage only when dispatching it is
+measured to pay, so a speedup near 1.0x with a full inline share and no
+pool started is serial execution.
 
 Speedup gates are conditioned on the host CPU count recorded in the
 results: with 4+ cpus (the CI runner size) fork must reach 1.5x serial

@@ -76,6 +76,7 @@ def _time_backends(make_loop, n_procs: int, repeats: int) -> dict:
     timings: dict[str, float] = {}
     summaries: dict[str, dict] = {}
     inline: dict[str, float | None] = {}
+    pools: dict[str, int | None] = {}
     for backend in BACKENDS:
         # certify="off": the sweep times the full speculative pipeline.
         # Under the default --certify=hint the dense doall would take the
@@ -92,11 +93,14 @@ def _time_backends(make_loop, n_procs: int, repeats: int) -> dict:
         timings[backend] = seconds
         summaries[backend] = _summary(result)
         inline[backend] = _inline_share(result)
+        pools[backend] = result.supervision.get("supervise.pools_started")
     return {
         "seconds": timings,
         # A pooled backend's speedup over serial may come from running
-        # its stages in the parent, not in parallel: report the share.
+        # its stages in the parent, not in parallel: report the share,
+        # and the pools the timed run started.
         "inline_share": inline,
+        "pools_started": pools,
         "speedup": {
             backend: timings["serial"] / timings[backend]
             for backend in BACKENDS
@@ -337,10 +341,13 @@ def _certified_fastpath_microbench(n: int, n_procs: int, pairs: int) -> dict:
 
 
 def inline_note(entry: dict, backend: str) -> str:
-    """``", N% inline"`` for a pooled backend's sweep entry: a speedup
-    near 1.0x with a full share is serial execution, not a parallel gain."""
+    """``", N% inline, pools started: K"`` for a pooled backend's sweep
+    entry: a speedup near 1.0x with a full share is serial execution, not
+    a parallel gain, and each pool started is a fork and a teardown paid."""
     share = entry["inline_share"][backend]
-    return "" if share is None else f", {share:.0%} inline"
+    if share is None:
+        return ""
+    return f", {share:.0%} inline, pools started: {entry['pools_started'][backend]}"
 
 
 @register("host_perf")

@@ -81,7 +81,9 @@ the pool's start and teardown -- executes in the parent through
 :meth:`SerialBackend.run_blocks`.  Each path times itself
 (:class:`DispatchCosts`), the path not taken is probed now and then to
 measure its figures afresh, and results, events and virtual time are
-identical whichever way a stage goes.
+identical whichever way a stage goes.  While no pool runs, a stage that
+could not save the cheapest measured pool start and teardown even at a
+perfect ``w``-way split never starts a pool, not even as a probe.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ from repro.errors import BackendError, ConfigurationError
 from repro.obs.oplog import get_oplog
 from repro.kernels import get_kernels
 from repro.machine.checkpoint import CheckpointManager
-from repro.machine.memory import MemoryImage, SharedArray
+from repro.machine.memory import MemoryImage
 from repro.machine.timeline import Category
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.util.blocks import Block
@@ -524,17 +526,22 @@ class _Figure:
     the host's current load and an outlying sample (a cold first fork, a
     loaded moment) fades within a few more instead of steering the rule
     for the life of the process.  A sample may carry a weight
-    (iterations, for per-iteration seconds)."""
+    (iterations, for per-iteration seconds).  The figure also counts its
+    samples and keeps the cheapest one."""
 
-    __slots__ = ("total", "weight")
+    __slots__ = ("total", "weight", "samples", "least")
 
     def __init__(self) -> None:
         self.total = 0.0
         self.weight = 0.0
+        self.samples = 0
+        self.least = float("inf")
 
     def add(self, value: float, weight: float = 1.0) -> None:
         self.total = self.total / 2 + value
         self.weight = self.weight / 2 + weight
+        self.samples += 1
+        self.least = min(self.least, value)
 
     @property
     def value(self) -> float | None:
@@ -568,6 +575,15 @@ class DispatchCosts:
     """The way those decisions went (True = dispatch)."""
     probes: int = 0
     """Probes so far; each doubles the next probe's price."""
+
+    def pool_floor(self) -> float | None:
+        """The cheapest pool start plus the cheapest teardown measured, once
+        each has two samples (a lone one may be the process's cold first
+        fork); ``None`` before."""
+        opened, closed = self.pool_open, self.pool_close
+        if min(opened.samples, closed.samples) < 2:
+            return None
+        return opened.least + closed.least
 
 
 #: Backend class -> its measured dispatch costs.
@@ -637,6 +653,14 @@ class ForkBackend(ExecutionBackend):
         workers runs inline; ``os_chaos`` runs always dispatch: their
         signals target workers.
 
+        While no pool runs, a stage whose best-case saving
+        ``T_inline * (1 - 1/w)``, ``w = min(workers, blocks)``, is at most
+        the cheapest pool start plus the cheapest teardown measured
+        (:meth:`DispatchCosts.pool_floor`, once each has two samples) runs
+        inline whatever its dispatch figure: no bootstrap, decision or
+        probe starts a pool for it, and its stake stays as it is.  A
+        running pool lifts the bound.
+
         Each path measures only its own figures, so the rule probes the
         other one: every decision adds the estimated cost of the path it
         takes to a stake, and once the stake of a run of same-way
@@ -649,22 +673,30 @@ class ForkBackend(ExecutionBackend):
         eng = self.eng
         if eng.os_chaos is not None:
             return True
-        if min(self._pool_size(), len(tasks)) < 2:
+        w = min(self._pool_size(), len(tasks))
+        if w < 2:
             return False
         costs = self._costs
         key = _body_key(eng.loop)
         inline, dispatch = costs.inline.get(key), costs.dispatch.get(key)
         if inline is None:
             return False
-        if dispatch is None:
-            return True
         n = _iterations(tasks)
-        t_inline, t_dispatch = inline.value * n, dispatch.value * n
+        t_inline, c_pool = inline.value * n, 0.0
         if self._workers is None:
+            # Dispatch cannot beat T_inline / w: a stage whose best-case
+            # saving does not cover the cheapest pool measured never
+            # starts one, not even to measure or probe it.
+            floor = costs.pool_floor()
+            if floor is not None and t_inline * (1 - 1 / w) <= floor:
+                return False
             opened, closed = costs.pool_open.value, costs.pool_close.value
             if opened is None or closed is None:
                 return True
-            t_dispatch += opened + closed
+            c_pool = opened + closed
+        if dispatch is None:
+            return True
+        t_dispatch = dispatch.value * n + c_pool
         pays = t_inline > t_dispatch
         if pays != costs.staked_on:
             # The choice flipped, so the other path just measured its figures.
@@ -773,7 +805,9 @@ class ForkBackend(ExecutionBackend):
     # -- the pool ----------------------------------------------------------------
 
     def _make_wctx(self):
-        """Build the context workers inherit through fork."""
+        """Build the context workers inherit through fork.  It holds the
+        engine's own memory image: each fork snapshots it, so the sync
+        baseline ``_last_sync`` is the only copy the parent makes."""
         eng = self.eng
         memory = eng.machine.memory
         self._last_sync = {
@@ -782,9 +816,7 @@ class ForkBackend(ExecutionBackend):
         return _WorkerContext(
             loop=eng.loop,
             costs=eng.machine.costs,
-            memory=MemoryImage(
-                SharedArray(name, memory[name].data) for name in memory.names()
-            ),
+            memory=memory,
             ckpt_names=eng.ckpt.names if eng.ckpt is not None else [],
             on_demand=eng.config.on_demand_checkpoint,
             reduction_names=eng.reduction_names,
@@ -827,9 +859,9 @@ class ForkBackend(ExecutionBackend):
 
         Initial pool fill and supervised respawn share this path.  A
         respawn forks from the parent's *current* address space; the
-        inherited ``wctx`` arrays are pool-build-time copies, so the
-        supervisor's re-dispatch uses the full-sync ``fresh`` send to
-        bring the replacement up to the dispatch-time broadcast state.
+        supervisor's re-dispatch still sends it the full image
+        (``fresh``), so it starts from the dispatch-time state whatever
+        it inherited.
         """
         parent_conn, child_conn = self._mp_ctx.Pipe()
         process = self._mp_ctx.Process(

@@ -18,7 +18,7 @@ attempt restores all processors and closes with one sequential stage.
 
 from __future__ import annotations
 
-from repro.config import RuntimeConfig
+from repro.config import RuntimeConfig, TestCondition
 from repro.core.analysis import doall_valid
 from repro.core.engine import StageEngine, Strategy
 from repro.core.results import RunResult
@@ -83,9 +83,14 @@ class DoallLRPD(Strategy):
 
     def analyze(self, eng: StageEngine, blocks: list[Block]):
         sink, n_arcs = super().analyze(eng, blocks)
-        groups = [(b.proc, eng.states[b.proc].shadows) for b in blocks]
-        valid = not (self.saw_exit or eng.faulted) and doall_valid(
-            groups, eng.config.condition
+        condition = eng.config.condition
+        # Under copy-in the verdict is the analysis' own (no cross-block
+        # flow arc); only the privatization condition needs its own pass.
+        valid = not (self.saw_exit or eng.faulted) and (
+            sink is None if condition is TestCondition.COPY_IN
+            else doall_valid(
+                [(b.proc, eng.states[b.proc].shadows) for b in blocks], condition
+            )
         )
         # All or nothing: a failed test fails every block.
         self.sink = None if valid else sink

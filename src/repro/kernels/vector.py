@@ -179,13 +179,17 @@ def intersect_indices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not len(a) or not len(b):
         return np.empty(0, dtype=np.int64)
     # Element addresses are non-negative and bounded by the array size, so
-    # a table-based membership test usually applies and beats the sort-
-    # based np.intersect1d by several times.
+    # a table-based membership test usually applies and beats sorting both
+    # sides by several times.
     lo = min(int(a.min()), int(b.min()))
     hi = max(int(a.max()), int(b.max()))
     if 0 <= lo and hi - lo <= _ISIN_TABLE_SPAN:
         return unique_indices(a[np.isin(a, b, kind="table")])
-    return np.intersect1d(a, b).astype(np.int64, copy=False)
+    # Wider spans: look each of a's distinct indices up in b's (not
+    # np.intersect1d, which imports numpy.ma like np.unique).
+    ua, ub = unique_indices(a), unique_indices(b)
+    at = np.minimum(np.searchsorted(ub, ua), ub.size - 1)
+    return ua[ub[at] == ua]
 
 
 # -- certification: exact trace dependence test ------------------------------------

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kernels import ACCESS_KINDS, get_kernels
+from repro.kernels.vector import unique_indices
 from repro.loopir.context import AccessRecord, SequentialContext, trace_records
 from repro.loopir.loop import SpeculativeLoop
 from repro.machine.memory import MemoryImage, SharedArray
@@ -259,6 +260,18 @@ def _site_indices(site: AffineSite, n: int) -> np.ndarray:
     return site.stride * np.arange(n, dtype=np.int64) + site.offset
 
 
+def _meeting_iterations(a: AffineSite, b: AffineSite, n: int):
+    """``(i_a, i_b)``: every pair of iterations in ``[0, n)`` at which two
+    non-zero-stride sites touch the same element.  ``a`` is injective, so
+    each of ``b``'s elements meets at most one of its iterations, found by
+    solving ``a.stride * i_a + a.offset = element`` exactly."""
+    num = _site_indices(b, n) - a.offset
+    ib = np.flatnonzero(num % a.stride == 0)
+    ia = num[ib] // a.stride
+    inside = (0 <= ia) & (ia < n)
+    return ia[inside], ib[inside]
+
+
 def affine_dependences(sites: list[AffineSite], n: int) -> DependenceSummary:
     """Exact dependence test over affine sites, evaluated on ``[0, n)``.
 
@@ -319,11 +332,7 @@ def affine_dependences(sites: list[AffineSite], n: int) -> DependenceSummary:
                     i_b = n - 1 if j < n - 1 else 0
                 note_pair(i_a, i_b, is_flow)
                 continue
-            idx_a = _site_indices(a, n)
-            idx_b = _site_indices(b, n)
-            common, ia, ib = np.intersect1d(
-                idx_a, idx_b, assume_unique=True, return_indices=True
-            )
+            ia, ib = _meeting_iterations(a, b, n)
             diff = ia != ib
             if not np.any(diff):
                 continue
@@ -338,12 +347,10 @@ def affine_dependences(sites: list[AffineSite], n: int) -> DependenceSummary:
                 flow_dsts.append(ib[diff][reads_after])
     edges: list[tuple[int, int]] = []
     if flow_srcs:
-        # Rows sorted by (source, sink), duplicates dropped.
-        pairs = np.unique(
-            np.stack((np.concatenate(flow_srcs), np.concatenate(flow_dsts)), 1),
-            axis=0,
-        )
-        edges = list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+        # Pairs sorted by (source, sink), duplicates dropped: both lie in
+        # [0, n), so ``source * n + sink`` orders and identifies a pair.
+        keys = unique_indices(np.concatenate(flow_srcs) * n + np.concatenate(flow_dsts))
+        edges = list(zip((keys // n).tolist(), (keys % n).tolist()))
     depth: dict[int, int] = {}
     # hot-path: critical-path walk over the deduplicated flow edges, in
     # source order (every in-edge of an iteration comes from an earlier one)
@@ -354,5 +361,5 @@ def affine_dependences(sites: list[AffineSite], n: int) -> DependenceSummary:
         flow_edges=edges,
         critical_path=max(depth.values(), default=1),
         max_distance=max_distance,
-        sink_iterations=np.unique(np.concatenate(sinks)).size if sinks else 0,
+        sink_iterations=unique_indices(np.concatenate(sinks)).size if sinks else 0,
     )

@@ -40,12 +40,13 @@ class Category(enum.Enum):
     SYNC = "sync"                    # barrier synchronization
     SCHEDULE = "schedule"            # feedback-guided re-blocking (prefix sums)
 
+    # Members are singletons, so identity hashing is exact and runs at C
+    # speed (Enum's own __hash__ is Python code, called on every charge).
+    # Charge dicts keep insertion order, so no sum changes order.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-#: Categories counted as *overhead* (everything the sequential loop does not pay).
-OVERHEAD_CATEGORIES = frozenset(c for c in Category if c is not Category.WORK)
 
 
 @dataclass(slots=True)

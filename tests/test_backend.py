@@ -521,6 +521,90 @@ class TestDispatchRule:
         assert figures[0][0] == pytest.approx(35e-6)
         assert figures[0][1:] == pytest.approx((1e-4, 1e-4))
 
+    # -- the pool-cost bound ---------------------------------------------------
+    # 64 iterations at 2**-10 s inline on two workers save at best
+    # 2**-5 s: exactly a pool measured at 2**-6 s to start and 2**-6 s to
+    # stop, twice each.
+
+    @staticmethod
+    def _two_pool_samples(backend, *, opened=2**-6, closed=2**-6):
+        for _ in range(2):
+            backend._costs.pool_open.add(opened)
+            backend._costs.pool_close.add(closed)
+
+    @pytest.mark.parametrize("size", [16, 8], ids=["at", "below"])
+    @pytest.mark.parametrize(
+        "dispatch", [None, 1e-9, 2**-10], ids=["bootstrap", "decision", "probe"]
+    )
+    def test_a_stage_within_the_pool_bound_never_starts_one(
+        self, pooled, size, dispatch
+    ):
+        # Without the bound: no dispatch figure bootstraps, a free dispatch
+        # beats inline once the pool is paid, and an equal one is probed
+        # on the second stage.
+        backend = _rule_backend(pooled)
+        self._two_pool_samples(backend)
+        _figure(backend, "inline").add(2**-10)
+        if dispatch is not None:
+            _figure(backend, "dispatch").add(dispatch)
+        assert backend._costs.pool_floor() == 2**-5
+        decisions = [backend.dispatch_pays(_tasks(4, size)) for _ in range(50)]
+        assert not any(decisions)
+        assert (backend._costs.stake, backend._costs.probes) == (0.0, 0)
+
+    def test_a_lone_pool_sample_sets_no_bound(self, pooled):
+        # The only sample may be the process's cold first fork.
+        backend = _rule_backend(pooled)
+        _measured(backend, inline=2**-10, pool_open=2**-6, pool_close=2**-6)
+        assert backend._costs.pool_floor() is None
+        assert backend.dispatch_pays(_tasks(4))
+
+    def test_just_above_the_bound_bootstraps_and_probes(self, pooled):
+        # A 30 ms cheapest pool against a 31.25 ms best-case saving.  Then
+        # 62.5 ms inline per stage against 62.5 ms dispatched plus a
+        # 30 ms pool: inline, probing once the stake passes 92.5 ms, then
+        # 185 ms, then 370 ms.
+        backend = _rule_backend(pooled)
+        self._two_pool_samples(backend, opened=0.015, closed=0.015)
+        _figure(backend, "inline").add(2**-10)
+        assert backend._costs.pool_floor() < 2**-5
+        assert backend.dispatch_pays(_tasks(4))  # no dispatch figure yet
+        _figure(backend, "dispatch").add(2**-10)
+        decisions = [backend.dispatch_pays(_tasks(4)) for _ in range(11)]
+        assert decisions == [False, True] + [False] * 2 + [True] + [False] * 5 + [True]
+        assert backend._costs.probes == 3
+
+    def test_a_running_pool_lifts_the_bound(self, pooled):
+        backend = _rule_backend(pooled)
+        self._two_pool_samples(backend)
+        _figure(backend, "inline").add(2**-10)
+        _figure(backend, "dispatch").add(1e-9)
+        assert not backend.dispatch_pays(_tasks(4))
+        backend._workers = [object(), object()]
+        assert backend.dispatch_pays(_tasks(4))
+        backend._workers = None
+        assert not backend.dispatch_pays(_tasks(4))
+
+    def test_a_track_shaped_run_stops_starting_pools(self, monkeypatch):
+        # Five calls of 37 stages, 96 iterations each: 19.2 ms inline,
+        # 14.4 ms on a running pool, whose start and close take 30 ms.  The
+        # best case saves 9.6 ms, so once the pool is measured twice no
+        # call starts one; without the bound a probe starts a third.
+        backend = _rule_backend("fork")
+        _stub_paths(monkeypatch, backend, inline=lambda k: 200e-6,
+                    dispatch=150e-6, pool_open=0.025, pool_close=0.005)
+        sup, starts = backend.eng.supervision, []
+        for _ in range(5):
+            before = sup.pools_started
+            for _ in range(37):
+                backend.run_blocks(_tasks(4, size=24))
+            backend.close()
+            starts.append(sup.pools_started - before)
+        costs = backend._costs
+        assert starts == [1, 1, 0, 0, 0]
+        assert (costs.pool_open.samples, costs.pool_close.samples) == (2, 2)
+        assert costs.pool_floor() == pytest.approx(0.030)
+
     def test_a_figure_follows_its_recent_samples(self):
         figure = backend_mod._Figure()
         assert figure.value is None

@@ -136,6 +136,9 @@ class TestHostPerfInlineShare:
             "supervise.inline_stages": 3, "supervise.dispatched_stages": 1,
         }))
         assert share == 0.75
-        entry = {"inline_share": {"fork": share, "threads": None}}
-        assert inline_note(entry, "fork") == ", 75% inline"
+        entry = {
+            "inline_share": {"fork": share, "threads": None},
+            "pools_started": {"fork": 1, "threads": None},
+        }
+        assert inline_note(entry, "fork") == ", 75% inline, pools started: 1"
         assert inline_note(entry, "threads") == ""

@@ -12,6 +12,7 @@ from repro.workloads.synthetic import (
     copyin_loop,
     fully_parallel_loop,
     privatizable_loop,
+    random_dependence_loop,
     reduction_loop,
 )
 from tests.conftest import assert_matches_sequential
@@ -92,6 +93,26 @@ class TestConditions:
         # Both still produce correct state.
         assert_matches_sequential(relaxed, loop)
         assert_matches_sequential(strict, copyin_loop(64))
+
+    def test_copy_in_verdict_reuses_the_stage_analysis(self, monkeypatch):
+        # One speculative stage, one analysis pass: the copy-in verdict is
+        # the engine's own analysis, not a second analyze_stage call.
+        from repro.core import analysis, engine
+
+        calls = []
+
+        def counted(groups):
+            calls.append(len(groups))
+            return real(groups)
+
+        real = analysis.analyze_stage
+        monkeypatch.setattr(engine, "analyze_stage", counted)
+        monkeypatch.setattr(analysis, "analyze_stage", counted)
+        loop = random_dependence_loop(200, 0.05, 10, seed=1)
+        res = run_doall_lrpd(loop, 4, RuntimeConfig.nrd(condition=TestCondition.COPY_IN))
+        assert len(calls) == 1
+        assert (res.n_stages, res.n_restarts) == (2, 1)  # failed, re-ran serially
+        assert_matches_sequential(res, loop)
 
 
 class TestValidation:

@@ -36,6 +36,7 @@ from repro.core.backend import (
     apply_memory_updates,
     use_backend,
 )
+from repro.core.engine import StageEngine, strategy_for_config
 from repro.core.runner import parallelize
 from repro.machine.memory import MemoryImage, SharedArray
 from repro.obs.metrics import use_instrumentation
@@ -197,6 +198,23 @@ class TestMemoryUpdates:
         image = MemoryImage([SharedArray("A", np.arange(4.0))])
         apply_memory_updates(image, b"")
         assert image["A"].data.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+class TestWorkerContext:
+    def test_the_context_holds_the_engines_arrays(self):
+        # Fork snapshots the engine's image for each worker, so the context
+        # copies nothing; the sync baseline is the one copy, equal in value.
+        loop = reduction_loop(96)
+        config = RuntimeConfig.nrd(backend="fork")
+        eng = StageEngine(loop, P, strategy_for_config(loop, config), config)
+        backend = eng.backend
+        wctx = backend._make_wctx()
+        memory = eng.machine.memory
+        assert memory.names()
+        for name in memory.names():
+            assert wctx.memory[name] is memory[name]
+            assert backend._last_sync[name] is not memory[name].data
+            assert np.array_equal(backend._last_sync[name], memory[name].data)
 
 
 # -- the whole plane, in process --------------------------------------------------

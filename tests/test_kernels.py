@@ -12,10 +12,16 @@ them, and a full speculative run.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro
 from repro.config import ConfigurationError, RuntimeConfig
 from repro.core.runner import parallelize
 from repro.kernels import (
@@ -390,3 +396,29 @@ def test_cli_flag_selects_kernels(capsys):
 
     assert main(["run", "random-deps", "-p", "2", "--kernels", "scalar"]) == 0
     assert "kernels scalar" in capsys.readouterr().out
+
+
+_NO_NUMPY_MA = """
+import sys
+
+import numpy as np
+
+from repro.kernels import vector
+from repro.loopir.symbolic import AffineSite, affine_dependences
+
+wide = np.array([5, 1 << 40, 0, 5], dtype=np.int64)
+assert vector.intersect_indices(wide, np.array([1 << 40, 5])).tolist() == [5, 1 << 40]
+chain = [AffineSite(0, "w", "A", 1, 0), AffineSite(1, "r", "A", 1, -1)]
+assert affine_dependences(chain, 8).flow_edges == [(k, k + 1) for k in range(7)]
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_set_paths_do_not_import_numpy_ma():
+    # np.unique and np.intersect1d import numpy.ma (~50 ms) on first use;
+    # the wide-span intersection and the affine test must not call them.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    subprocess.run([sys.executable, "-c", _NO_NUMPY_MA], env=env, check=True)
