@@ -7,8 +7,6 @@ Usage (also via ``python -m repro``)::
     python -m repro run extend:clean -p 8 --trace run.jsonl --breakdown
     python -m repro certify scatter -p 8          # all strategies vs oracle
     python -m repro ddg spice15:adder.128 -p 8    # extraction + wavefront
-    python -m repro run doall -p 8 --status s.jsonl &  # then, live:
-    python -m repro top s.jsonl                   # dashboard over the run
     python -m repro report --bundle crashes/crash-...  # read a crash bundle
     python -m repro bench-trend BENCH_host.json   # speedups across commits
 
@@ -157,8 +155,6 @@ def config_from_args(args) -> RuntimeConfig:
         overrides["metrics"] = True
     if getattr(args, "perfetto", None) is not None:
         overrides["perfetto_path"] = args.perfetto
-    if getattr(args, "status", None) is not None:
-        overrides["status_path"] = args.status
     if getattr(args, "resources", False):
         overrides["resources"] = True
     if getattr(args, "crash_dir", None) is not None:
@@ -268,12 +264,6 @@ def cmd_report(args) -> int:
         written = write_perfetto(events, args.perfetto)
         print(f"\nwrote {written} Perfetto trace entries to {args.perfetto}")
     return 0
-
-
-def cmd_top(args) -> int:
-    from repro.obs.top import follow
-
-    return follow(args.status, interval=args.interval, once=args.once)
 
 
 def cmd_bench_trend(args) -> int:
@@ -401,12 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(viewable at https://ui.perfetto.dev); implies span tracing",
     )
     run_p.add_argument(
-        "--status", default=None, metavar="PATH",
-        help="stream live run status (events + operational records + "
-        "resource samples) as JSONL to PATH; watch it with `repro top "
-        "PATH` from another terminal (implies --resources)",
-    )
-    run_p.add_argument(
         "--resources", action="store_true",
         help="sample host resources (RSS, CPU, worker health) "
         "on a background thread; merged into --perfetto counter tracks",
@@ -445,20 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_CRASH_DIR) instead of a trace",
     )
     report_p.set_defaults(fn=cmd_report)
-
-    top_p = sub.add_parser(
-        "top", help="live dashboard over a run's --status JSONL stream"
-    )
-    top_p.add_argument("status", help="status JSONL written by run --status")
-    top_p.add_argument(
-        "--interval", type=float, default=0.5, metavar="SEC",
-        help="poll interval between frames (default %(default)s)",
-    )
-    top_p.add_argument(
-        "--once", action="store_true",
-        help="render a single frame from the current file contents and exit",
-    )
-    top_p.set_defaults(fn=cmd_top)
 
     trend_p = sub.add_parser(
         "bench-trend",

@@ -152,14 +152,10 @@ class RuntimeConfig:
     """Minimum seconds a worker may hold a dispatched share before the
     supervisor declares it hung, SIGKILLs and re-forks it and
     re-dispatches its blocks (:mod:`repro.core.supervise`).  This is the
-    *floor* of an
-    adaptive deadline: once blocks have completed, the deadline grows to
-    ``worker_timeout_factor`` times the observed per-block maximum, so
-    slow-but-alive workers on long blocks are never misread as hangs."""
-
-    worker_timeout_factor: float = 8.0
-    """Multiplier over the observed per-block time estimate in the
-    supervisor's deadline (see ``worker_timeout``)."""
+    *floor* of an adaptive deadline: once blocks have completed, the
+    deadline grows to ``WORKER_TIMEOUT_FACTOR`` (8) times the observed
+    per-block maximum, so slow-but-alive workers on long blocks are never
+    misread as hangs."""
 
     max_worker_respawns: int = 3
     """Worker recoveries the fork pool may spend over its lifetime:
@@ -197,24 +193,12 @@ class RuntimeConfig:
     """Sample host resources (RSS, CPU time, queue depths) on a
     background thread during the run
     (:mod:`repro.obs.resources`).  ``None`` = the process default: on
-    when ``status_path`` is set or the ``REPRO_RESOURCES`` environment
-    variable is truthy, else off.  Samples live strictly on the
-    operational plane -- never in the deterministic event stream."""
+    when the ``REPRO_RESOURCES`` environment variable is truthy, else
+    off.  Samples live strictly on the operational plane -- never in the
+    deterministic event stream."""
 
     resource_interval: float = 0.05
     """Seconds between host resource samples (must be > 0)."""
-
-    status_path: str | None = None
-    """Stream all three observability planes (deterministic events,
-    oplog records, resource samples) as line-flushed JSONL to this path
-    for live monitoring with ``repro top`` (``None`` = no stream).
-    Implies ``resources`` unless explicitly disabled."""
-
-    flight_events: int = 256
-    """Ring-buffer capacity of the crash flight recorder
-    (:mod:`repro.obs.flight`): how many recent stage events and oplog
-    records are kept in memory for a crash bundle.  ``0`` disables the
-    recorder entirely."""
 
     crash_dir: str | None = None
     """Directory receiving a crash bundle (trace tail, oplog tail,
@@ -238,14 +222,10 @@ class RuntimeConfig:
             raise ConfigurationError("backend_workers must be >= 1")
         if self.worker_timeout <= 0:
             raise ConfigurationError("worker_timeout must be > 0")
-        if self.worker_timeout_factor < 1:
-            raise ConfigurationError("worker_timeout_factor must be >= 1")
         if self.max_worker_respawns < 0:
             raise ConfigurationError("max_worker_respawns must be >= 0")
         if self.resource_interval <= 0:
             raise ConfigurationError("resource_interval must be > 0")
-        if self.flight_events < 0:
-            raise ConfigurationError("flight_events must be >= 0")
         if self.kernels is not None:
             from repro.kernels import kernel_names
 

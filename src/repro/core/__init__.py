@@ -19,12 +19,7 @@ Entry points:
 """
 
 from repro.core.results import RunResult, StageResult, ProgramResult
-from repro.core.backend import (
-    backend_names,
-    get_default_backend,
-    set_default_backend,
-    use_backend,
-)
+from repro.core.backend import backend_names, use_backend
 from repro.core.engine import (
     StageEngine,
     register_strategy,
@@ -60,8 +55,6 @@ __all__ = [
     "strategy_for_config",
     "strategy_names",
     "backend_names",
-    "get_default_backend",
-    "set_default_backend",
     "use_backend",
     "run_induction",
     "parallelize",

@@ -120,34 +120,23 @@ DEFAULT_BACKEND = "serial"
 _default_backend = DEFAULT_BACKEND
 
 
-def get_default_backend() -> str:
-    """Backend used when ``RuntimeConfig.backend`` is ``None``."""
-    return _default_backend
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default backend (``use_backend`` scopes it)."""
-    global _default_backend
-    _ensure_registered()
-    if name not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown execution backend {name!r}; known: {', '.join(backend_names())}"
-        )
-    _default_backend = name
-
-
 @contextlib.contextmanager
 def use_backend(name: str):
     """Scope the default backend: every run started inside the ``with``
     whose config leaves ``backend=None`` uses ``name``.  Lets existing
     entry points (and the golden parity suite) run under the fork backend
     without threading a parameter through every call."""
-    previous = _default_backend
-    set_default_backend(name)
+    global _default_backend
+    _ensure_registered()
+    if name not in BACKENDS:
+        raise ConfigurationError(
+            f"unknown execution backend {name!r}; known: {', '.join(backend_names())}"
+        )
+    previous, _default_backend = _default_backend, name
     try:
         yield
     finally:
-        set_default_backend(previous)
+        _default_backend = previous
 
 
 def resolve_backend_name(config) -> str:

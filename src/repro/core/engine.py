@@ -100,7 +100,6 @@ from repro.obs.oplog import get_oplog
 from repro.obs.resources import ResourceSampler, resolve_resources_enabled
 from repro.obs.sinks import AggregatingSink, EventBus, EventSink, JsonlTraceSink
 from repro.obs.spans import NullTracer, PerfettoTraceSink, SpanTracker
-from repro.obs.top import StatusStreamSink
 from repro.util.blocks import Block
 
 
@@ -437,29 +436,17 @@ class StageEngine:
             self.os_chaos = None
         self.backend = make_backend(self)
 
-        # Operational plane (repro.obs oplog/flight/resources/top): host
+        # Operational plane (repro.obs oplog/flight/resources): host
         # telemetry that must never enter the deterministic event stream.
         self.oplog = get_oplog()
-        self.flight = (
-            FlightRecorder(config.flight_events)
-            if config.flight_events else None
-        )
-        self._status = (
-            StatusStreamSink(config.status_path)
-            if config.status_path else None
-        )
+        self.flight = FlightRecorder()
         self.sampler = (
             ResourceSampler(self, interval=config.resource_interval)
             if resolve_resources_enabled(config) else None
         )
-        self._oplog_taps: list = []
 
         self._agg = AggregatingSink()
-        bus_sinks: list[EventSink] = [self._agg, *sinks]
-        if self.flight is not None:
-            bus_sinks.append(self.flight)
-        if self._status is not None:
-            bus_sinks.append(self._status)
+        bus_sinks: list[EventSink] = [self._agg, *sinks, self.flight]
         if config.trace_path:
             bus_sinks.append(JsonlTraceSink(config.trace_path))
         self._perfetto = (
@@ -648,16 +635,12 @@ class StageEngine:
     # -- operational plane -------------------------------------------------------
 
     def _begin_ops(self) -> None:
-        """Open the operational plane: subscribe the flight recorder and
-        status stream to the oplog and the resource sampler, start the
-        sampler thread, announce the run."""
-        for consumer in (self.flight, self._status):
-            if consumer is not None:
-                self.oplog.add_tap(consumer.note_oplog)
-                self._oplog_taps.append(consumer.note_oplog)
-                if self.sampler is not None:
-                    self.sampler.add_consumer(consumer.note_resources)
+        """Open the operational plane: subscribe the flight recorder to
+        the oplog and the resource sampler, start the sampler thread,
+        announce the run."""
+        self.oplog.add_tap(self.flight.note_oplog)
         if self.sampler is not None:
+            self.sampler.add_consumer(self.flight.note_resources)
             self.sampler.start()
         self.oplog.log(
             "engine", "run-begin", loop=self.loop.name, strategy=self.label,
@@ -668,14 +651,13 @@ class StageEngine:
     def _end_ops(self) -> None:
         """Close the operational plane: stop the sampler, hand its samples
         to the Perfetto exporter (counter tracks merge at close, outside
-        the deterministic stream), detach the oplog taps."""
+        the deterministic stream), detach the flight recorder's oplog
+        tap."""
         if self.sampler is not None:
             self.sampler.stop()
             if self._perfetto is not None:
                 self._perfetto.set_resource_samples(list(self.sampler.samples))
-        for tap in self._oplog_taps:
-            self.oplog.remove_tap(tap)
-        self._oplog_taps = []
+        self.oplog.remove_tap(self.flight.note_oplog)
 
     def _record_failure(self, exc: BaseException) -> None:
         """Operational post-mortem for an uncaught failure: one final
@@ -702,7 +684,7 @@ class StageEngine:
                 stage=self.stage_idx, committed_upto=self.committed_upto,
             )
             crash_dir = resolve_crash_dir(self.config)
-            if self.flight is not None and crash_dir:
+            if crash_dir:
                 path = dump_bundle(
                     self.flight, crash_dir,
                     error=exc, config=self.config, state=state,

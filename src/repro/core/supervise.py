@@ -59,6 +59,10 @@ _BACKOFF_CAP = 0.5
 #: quarantined as poison and the pool degrades.
 _MAX_BLOCK_DEATHS = 2
 
+#: Multiplier over the observed per-block time estimate in a dispatch's
+#: deadline (floored by ``RuntimeConfig.worker_timeout``).
+WORKER_TIMEOUT_FACTOR = 8.0
+
 #: Grace period for reaping an already-SIGKILLed process.
 _REAP_TIMEOUT = 5.0
 
@@ -220,7 +224,6 @@ class WorkerSupervisor:
         eng = backend.eng
         config = getattr(eng, "config", None)
         self.timeout = float(getattr(config, "worker_timeout", 30.0))
-        self.factor = float(getattr(config, "worker_timeout_factor", 8.0))
         self.max_respawns = int(getattr(config, "max_worker_respawns", 3))
         stats = getattr(eng, "supervision", None)
         self.stats = stats if stats is not None else SupervisionStats()
@@ -418,7 +421,7 @@ class WorkerSupervisor:
         is larger -- long blocks must not be misread as hangs."""
         return max(
             self.timeout,
-            self.factor * self._per_block_est * max(1, len(share)),
+            WORKER_TIMEOUT_FACTOR * self._per_block_est * max(1, len(share)),
         )
 
     def _note_duration(self, k: int, share: list) -> None:

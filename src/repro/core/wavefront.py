@@ -49,9 +49,6 @@ class WavefrontSchedule:
             return 0.0
         return self.n_iterations / len(self.levels)
 
-    def max_width(self) -> int:
-        return max((len(level) for level in self.levels), default=0)
-
     def validate(self, graph: nx.DiGraph) -> None:
         """Check every edge crosses levels forward and coverage is exact."""
         level_of: dict[int, int] = {}

@@ -20,7 +20,7 @@ measured overheads being a modest fraction of loop time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +112,3 @@ class CostModel:
             return False
         threshold = n_procs * self.sync / (self.omega - self.ell)
         return remaining_iters >= threshold
-
-    def with_costs(self, **overrides: float) -> "CostModel":
-        """Return a copy with some costs replaced (convenience for sweeps)."""
-        return replace(self, **overrides)

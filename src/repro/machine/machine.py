@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.machine.costs import CostModel
-from repro.machine.memory import MemoryImage, SharedArray
+from repro.machine.memory import MemoryImage
 from repro.machine.timeline import GLOBAL, Category, StageRecord, Timeline
 from repro.machine.topology import Topology
 
@@ -42,12 +42,6 @@ class Machine:
 
         self.metrics = NULL_REGISTRY
 
-    # -- memory helpers -------------------------------------------------------
-
-    def add_array(self, array: SharedArray) -> SharedArray:
-        self.memory.add(array)
-        return array
-
     # -- timeline helpers -----------------------------------------------------
 
     def begin_stage(self) -> StageRecord:
@@ -78,12 +72,6 @@ class Machine:
     def barrier(self) -> None:
         """Charge one barrier synchronization ``s`` to the current stage."""
         self.charge_global(Category.SYNC, self.costs.sync)
-
-    def fresh_timeline(self) -> Timeline:
-        """Replace the timeline (a new measured run) and return the old one."""
-        old = self.timeline
-        self.timeline = Timeline()
-        return old
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

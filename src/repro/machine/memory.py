@@ -126,98 +126,43 @@ class MemoryImage:
 
 
 class PrivateView:
-    """Abstract per-processor speculative overlay of one shared array.
+    """Per-processor speculative overlay of one shared array: the
+    interface :class:`DensePrivateView` and :class:`SparsePrivateView`
+    implement.
 
-    ``load`` returns ``(value, copied_in)`` where ``copied_in`` reports
-    whether the shared value had to be brought into private storage (so the
-    caller can charge the copy-in cost and mark an exposed read).  ``store``
-    buffers the value privately.  ``written_items`` yields the data needed
-    by the commit phase.
+    * ``load(index) -> (value, copied_in)``: ``copied_in`` reports whether
+      the shared value had to be brought into private storage (so the
+      caller can charge the copy-in cost and mark an exposed read);
+      ``load_many(indices) -> (values, distinct elements copied in)`` is
+      its bulk form.
+    * ``store(index, value)`` / ``store_many(indices, values)`` buffer
+      values privately.
+    * ``has_local(index)``: whether the element already has a private
+      copy (written or copied in).
+    * ``written_items()``: ``(index, last_private_value)`` for every
+      element this processor wrote, index-sorted.
+    * ``written_arrays() -> (indices, values)``: the same as index-sorted
+      ndarrays, values cast to the shared dtype (exactly the cast a scalar
+      ``data[index] = value`` would perform), so the commit phase is one
+      fancy-indexed assignment.
+    * ``export_written()`` / ``absorb_written(payload)``: the written
+      elements shipped between processes (:mod:`repro.core.backend`);
+      the payload round-trips bit-exactly into a freshly reset view of
+      the same array.
+    * ``n_written()``; ``reset()`` discards all private state (between
+      stages).
+    * ``preload() -> int``: pre-initialize the private copy from shared
+      memory (the paper's 'before the start of the speculative loop'
+      option) and return the element count copied.  Sparse views copy
+      nothing and return 0: they always copy in on demand, since
+      bulk-copying a huge sparsely-touched array is exactly what the
+      sparse representation avoids.
     """
 
     __slots__ = ("shared",)
 
     def __init__(self, shared: SharedArray) -> None:
         self.shared = shared
-
-    def load(self, index: int) -> tuple[object, bool]:
-        raise NotImplementedError
-
-    def store(self, index: int, value: object) -> None:
-        raise NotImplementedError
-
-    def has_local(self, index: int) -> bool:
-        """Whether the element already has a private copy (written or copied)."""
-        raise NotImplementedError
-
-    def written_items(self) -> Iterable[tuple[int, object]]:
-        """``(index, last_private_value)`` for every element this processor
-        wrote (iteration order within the processor is already folded in:
-        the private copy holds the processor's last value)."""
-        raise NotImplementedError
-
-    def written_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indices, values)`` ndarrays of every written element, index-
-        sorted, so the commit phase is one fancy-indexed assignment instead
-        of a Python loop per element.  Values are cast to the shared dtype
-        (exactly the cast a scalar ``data[index] = value`` would perform)."""
-        pairs = list(self.written_items())
-        indices = np.fromiter(
-            (i for i, _ in pairs), dtype=np.int64, count=len(pairs)
-        )
-        values = get_kernels().pack_values(
-            [value for _, value in pairs], self.shared.data.dtype
-        )
-        return indices, values
-
-    def export_written(self) -> object:
-        """Representation-specific payload of the written elements, suitable
-        for shipping between processes (see :mod:`repro.core.backend`).
-        Must round-trip bit-exactly through :meth:`absorb_written`."""
-        raise NotImplementedError
-
-    def absorb_written(self, payload: object) -> None:
-        """Merge a payload produced by :meth:`export_written` on a view of
-        the same array (the receiving view is assumed freshly reset)."""
-        raise NotImplementedError
-
-    def store_many(self, indices: np.ndarray, values: np.ndarray) -> None:
-        """Bulk :meth:`store` over parallel index/value arrays."""
-        # hot-path: generic fallback for custom views; the shipped dense and
-        # sparse views override this with a kernel batch call.
-        for index, value in zip(indices.tolist(), values):
-            self.store(index, value)
-
-    def load_many(self, indices: np.ndarray) -> tuple[np.ndarray, int]:
-        """Bulk :meth:`load`; returns ``(values, distinct elements copied
-        in)`` so the caller can charge the copy-in cost once."""
-        copied = 0
-        out = np.empty(len(indices), dtype=self.shared.data.dtype)
-        seen: set[int] = set()
-        # hot-path: generic fallback for custom views; the shipped dense and
-        # sparse views override this with a kernel batch call.
-        for k, index in enumerate(indices.tolist()):
-            value, copied_in = self.load(index)
-            out[k] = value
-            if copied_in and index not in seen:
-                seen.add(index)
-                copied += 1
-        return out, copied
-
-    def n_written(self) -> int:
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Discard all private state (between stages)."""
-        raise NotImplementedError
-
-    def preload(self) -> int:
-        """Pre-initialize the private copy from shared memory (the paper's
-        'before the start of the speculative loop' option).  Returns the
-        element count copied; sparse views return 0 (they always use
-        on-demand copy-in -- bulk-copying a huge sparsely-touched array is
-        exactly what the sparse representation avoids)."""
-        return 0
 
 
 class DensePrivateView(PrivateView):
@@ -261,9 +206,6 @@ class DensePrivateView(PrivateView):
         # hot-path: compat iterator; the commit phase uses written_arrays
         for index in np.flatnonzero(self._written):
             yield int(index), self._values[index]
-
-    def written_indices(self) -> np.ndarray:
-        return np.flatnonzero(self._written)
 
     def written_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return get_kernels().copy_out_dense(self._values, self._written)
@@ -337,9 +279,6 @@ class SparsePrivateView(PrivateView):
         for index in sorted(self._written):
             yield index, self._values[index]
 
-    def written_indices(self) -> np.ndarray:
-        return np.fromiter(sorted(self._written), dtype=np.int64, count=len(self._written))
-
     def written_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return get_kernels().copy_out_sparse(
             self._values, self._written, self.shared.data.dtype
@@ -369,6 +308,9 @@ class SparsePrivateView(PrivateView):
     def reset(self) -> None:
         self._values.clear()
         self._written.clear()
+
+    def preload(self) -> int:
+        return 0
 
 
 #: Arrays at or below this element count default to the dense view.

@@ -181,11 +181,3 @@ class Timeline:
             acc += stage.span()
             out.append(acc)
         return out
-
-    def merge_from(self, other: "Timeline") -> None:
-        """Append another run's stages (used for multi-loop programs)."""
-        for stage in other._stages:
-            record = self.begin_stage()
-            for proc, charges in stage.per_proc.items():
-                for category, amount in charges.items():
-                    record.charge(proc, category, amount)

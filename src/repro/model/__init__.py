@@ -5,7 +5,6 @@ from repro.model.analytic import (
     k_d_geometric,
     k_s_geometric,
     k_s_linear,
-    recommend_strategy,
     remaining_after,
     speedup_geometric,
     speedup_linear,
@@ -43,7 +42,6 @@ __all__ = [
     "total_time_linear",
     "speedup_geometric",
     "speedup_linear",
-    "recommend_strategy",
     "estimate_alpha",
     "estimate_beta",
     "classify_loop",

@@ -172,16 +172,3 @@ def speedup_linear(n: int, omega: float, s: float, p: int, beta: float) -> float
     """Model-predicted speedup of the NRD execution of a linear loop."""
     t = total_time_linear(n, omega, s, p, beta)
     return (n * omega) / t if t > 0 else float("inf")
-
-
-def recommend_strategy(
-    n: int, omega: float, ell: float, s: float, p: int
-) -> str:
-    """The paper's a-priori redistribution advice.
-
-    ``omega <= ell + s`` per iteration: "it does not pay to redistribute"
-    (NRD).  Otherwise adaptive redistribution governed by Eq. (4).
-    """
-    if omega <= ell + s / max(1, n // max(1, p)):
-        return "nrd"
-    return "adaptive"

@@ -27,9 +27,11 @@ host-clock, non-deterministic, never part of golden traces
 * :mod:`repro.obs.resources` -- a background host resource sampler
   (RSS, CPU, worker health);
 * :mod:`repro.obs.flight` -- bounded rings of recent activity, dumped
-  as a crash bundle on uncaught failure (``repro report --bundle``);
-* :mod:`repro.obs.top` -- the live status stream and the ``repro top``
-  dashboard over it.
+  as a crash bundle on uncaught failure (``repro report --bundle``).
+
+Live narration is ``repro run --progress`` (:class:`CliProgressSink`);
+a run is read afterwards with ``repro report``, ``repro report
+--bundle`` and the ``REPRO_OPLOG`` file.
 """
 
 from repro.obs.events import (
@@ -68,7 +70,6 @@ from repro.obs.flight import FlightRecorder, dump_bundle, load_bundle, render_bu
 from repro.obs.oplog import OpLog, get_oplog
 from repro.obs.resources import ResourceSampler, resolve_resources_enabled
 from repro.obs.spans import PerfettoTraceSink, SpanTracker, chrome_trace
-from repro.obs.top import StatusStreamSink, TopState, follow, render_top
 
 __all__ = [
     "StageEvent",
@@ -110,8 +111,4 @@ __all__ = [
     "dump_bundle",
     "load_bundle",
     "render_bundle",
-    "StatusStreamSink",
-    "TopState",
-    "render_top",
-    "follow",
 ]

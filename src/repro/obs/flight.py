@@ -44,6 +44,10 @@ from repro.util.tables import format_table
 
 ENV_CRASH_DIR = "REPRO_CRASH_DIR"
 
+#: Capacity of the event and oplog rings: how many recent stage events
+#: and oplog records a crash bundle carries.
+FLIGHT_EVENTS = 256
+
 #: Resource samples kept regardless of the event-ring capacity: they are
 #: periodic, so a short ring still spans the recent past.
 _RESOURCE_RING = 64
@@ -55,10 +59,10 @@ class FlightRecorder:
     Subscribes to all three streams of one engine run: it is an event
     sink (``emit``), an oplog tap (``note_oplog``) and a resource-sampler
     consumer (``note_resources``).  ``capacity`` bounds the event and
-    oplog rings (``RuntimeConfig.flight_events``).
+    oplog rings.
     """
 
-    def __init__(self, capacity: int = 256) -> None:
+    def __init__(self, capacity: int = FLIGHT_EVENTS) -> None:
         self.capacity = max(1, int(capacity))
         self.events: deque = deque(maxlen=self.capacity)
         self.oplog_records: deque = deque(maxlen=self.capacity)

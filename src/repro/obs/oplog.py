@@ -25,9 +25,9 @@ Design constraints, in order:
 * **append-only with rotation** -- records append so concurrent runs can
   share one file; when the file exceeds ``REPRO_OPLOG_MAX_BYTES``
   (default 16 MiB) it is renamed to ``<path>.1`` and a fresh file starts;
-* **taps** -- in-process consumers (the crash flight recorder, the
-  ``repro top`` status stream) subscribe with :meth:`add_tap` and see
-  every record whether or not a file path is configured.
+* **taps** -- in-process consumers (the crash flight recorder)
+  subscribe with :meth:`add_tap` and see every record whether or not a
+  file path is configured.
 
 The supervisor's records keep their historical field names on top of the
 common envelope.
@@ -45,8 +45,6 @@ ENV_PATH = "REPRO_OPLOG"
 ENV_MAX_BYTES = "REPRO_OPLOG_MAX_BYTES"
 DEFAULT_MAX_BYTES = 16 << 20
 
-_UNSET = object()
-
 
 class OpLog:
     """Process-wide structured JSONL operational logger.
@@ -59,34 +57,11 @@ class OpLog:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._taps: list[Callable[[dict], None]] = []
-        self._path_override: object = _UNSET
-        self._max_override: object = _UNSET
         self._t0 = time.monotonic()
 
     # -- configuration -----------------------------------------------------------
 
-    def configure(
-        self, path: str | None = None, max_bytes: int | None = None
-    ) -> None:
-        """Pin the log path/rotation size, overriding the environment.
-
-        ``configure()`` with no arguments reverts to environment
-        resolution (``REPRO_OPLOG``).  ``configure(path=None)`` explicitly also reverts --
-        embedders that want a hard "no file" should simply not set the
-        environment variables.
-        """
-        self._path_override = _UNSET if path is None else path
-        self._max_override = _UNSET if max_bytes is None else int(max_bytes)
-
-    def _resolve_path(self) -> str | None:
-        """Current target path (``None``: no file)."""
-        if self._path_override is not _UNSET:
-            return self._path_override  # type: ignore[return-value]
-        return os.environ.get(ENV_PATH) or None
-
     def _max_bytes(self) -> int:
-        if self._max_override is not _UNSET:
-            return self._max_override  # type: ignore[return-value]
         try:
             return int(os.environ.get(ENV_MAX_BYTES, DEFAULT_MAX_BYTES))
         except ValueError:
@@ -132,7 +107,7 @@ class OpLog:
                 tap(record)
             except Exception:  # pragma: no cover - taps must not kill runs
                 pass
-        path = self._resolve_path()
+        path = os.environ.get(ENV_PATH)
         if path:
             self._write(path, record)
         return record

@@ -16,8 +16,8 @@ every ``RuntimeConfig.resource_interval`` seconds to record:
 * the interpreter's GIL mode (:func:`gil_mode`).
 
 Samples are plain dicts on the **host clock only** (the engine's
-run-relative ``host_now``), consumed by the crash flight recorder, the
-``repro top`` status stream, and the Perfetto exporter's counter tracks
+run-relative ``host_now``), consumed by the crash flight recorder and
+the Perfetto exporter's counter tracks
 (:func:`repro.obs.spans.chrome_trace`).
 
 Platform fallback: on hosts without ``/proc`` (macOS), per-worker
@@ -60,8 +60,7 @@ def gil_mode() -> str:
 def resolve_resources_enabled(config) -> bool:
     """Whether a run under ``config`` samples host resources.
 
-    Explicit ``config.resources`` wins; a set ``status_path`` implies
-    sampling (``repro top`` wants the sparklines); otherwise the
+    Explicit ``config.resources`` wins; otherwise the
     ``REPRO_RESOURCES`` environment variable is the process default --
     which is how CI re-runs the parity matrix with the sampler on
     without touching any case config.
@@ -69,8 +68,6 @@ def resolve_resources_enabled(config) -> bool:
     explicit = getattr(config, "resources", None)
     if explicit is not None:
         return bool(explicit)
-    if getattr(config, "status_path", None):
-        return True
     return os.environ.get(ENV_ENABLE, "").lower() in ("1", "on", "true", "yes")
 
 
@@ -115,10 +112,10 @@ class ResourceSampler:
     """Samples host resources for one engine run on a daemon thread.
 
     ``consumers`` are called with each sample dict from the sampler
-    thread (the flight recorder's ring, the status stream); exceptions in
-    consumers are swallowed -- telemetry must never kill the run.  The
-    full sample list is kept (bounded by run length / interval) for the
-    Perfetto counter-track merge at close.
+    thread (the flight recorder's ring); exceptions in consumers are
+    swallowed -- telemetry must never kill the run.  The full sample list
+    is kept (bounded by run length / interval) for the Perfetto
+    counter-track merge at close.
     """
 
     def __init__(

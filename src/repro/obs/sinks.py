@@ -34,9 +34,6 @@ class EventBus:
     def __init__(self, sinks: Iterable[EventSink] = ()) -> None:
         self.sinks: list[EventSink] = list(sinks)
 
-    def subscribe(self, sink: EventSink) -> None:
-        self.sinks.append(sink)
-
     def emit(self, event: StageEvent) -> None:
         for sink in self.sinks:
             sink.emit(event)

@@ -35,7 +35,6 @@ deterministic even though host durations are not.
 from __future__ import annotations
 
 import json
-import time
 from typing import IO, Callable, Iterable
 
 from repro.obs.events import MetricsSnapshot, SpanClosed, StageEvent
@@ -151,12 +150,6 @@ class NullTracer:
 
     def block_span(self, *timings) -> None:
         pass
-
-
-def make_host_clock() -> Callable[[], float]:
-    """Seconds since this clock was created (one per engine run)."""
-    t0 = time.perf_counter()
-    return lambda: time.perf_counter() - t0
 
 
 # -- Chrome trace-event (Perfetto) export --------------------------------------------

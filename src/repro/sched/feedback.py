@@ -99,7 +99,3 @@ class FeedbackBalancer:
 
     def known_loops(self) -> list[str]:
         return sorted(self._weights)
-
-    def forget(self, loop_name: str) -> None:
-        self._weights.pop(loop_name, None)
-        self._previous.pop(loop_name, None)

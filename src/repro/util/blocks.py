@@ -73,14 +73,6 @@ def validate_blocks(blocks: Sequence[Block], start: int, stop: int) -> None:
         )
 
 
-def blocks_cover(blocks: Sequence[Block]) -> tuple[int, int]:
-    """Return the ``(start, stop)`` span covered by non-empty ``blocks``."""
-    nonempty = [b for b in blocks if len(b)]
-    if not nonempty:
-        return (0, 0)
-    return (min(b.start for b in nonempty), max(b.stop for b in nonempty))
-
-
 def partition_even(start: int, stop: int, procs: Sequence[int]) -> list[Block]:
     """Partition ``[start, stop)`` as evenly as possible over ``procs``.
 
@@ -157,22 +149,3 @@ def partition_weighted(
     ]
     validate_blocks(blocks, start, stop)
     return blocks
-
-
-def scale_boundaries(boundaries: Sequence[int], old_n: int, new_n: int) -> list[int]:
-    """Rescale relative block boundaries to a new iteration count.
-
-    The paper reuses the balanced distribution computed on one loop
-    instantiation as a first-order predictor for the next; *"when the
-    iteration space changes from one instantiation to another, we scale the
-    block distribution accordingly"* (Section 5.1).
-    """
-    if old_n <= 0:
-        raise ScheduleError("old iteration count must be positive")
-    if new_n < 0:
-        raise ScheduleError("new iteration count must be non-negative")
-    scaled = [min(new_n, (b * new_n) // old_n) for b in boundaries]
-    # Keep monotone after integer truncation.
-    for k in range(1, len(scaled)):
-        scaled[k] = max(scaled[k], scaled[k - 1])
-    return scaled

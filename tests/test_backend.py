@@ -23,10 +23,8 @@ from repro.core.analysis import analyze_stage
 from repro.core.backend import (
     BlockTask,
     backend_names,
-    get_default_backend,
     make_backend,
     resolve_backend_name,
-    set_default_backend,
     use_backend,
 )
 from repro.core.ddg import extract_ddg
@@ -67,7 +65,6 @@ class TestBackendSelection:
         assert backend_names() == ["fork", "serial", "shm", "threads"]
 
     def test_serial_is_the_default(self):
-        assert get_default_backend() == "serial"
         assert resolve_backend_name(RuntimeConfig.nrd()) == "serial"
 
     def test_config_overrides_default(self):
@@ -81,11 +78,12 @@ class TestBackendSelection:
                 resolve_backend_name(RuntimeConfig.nrd(backend="serial"))
                 == "serial"
             )
-        assert get_default_backend() == "serial"
+        assert resolve_backend_name(RuntimeConfig.nrd()) == "serial"
 
     def test_unknown_default_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown execution backend"):
-            set_default_backend("gpu")
+            with use_backend("gpu"):
+                pass
 
     def test_unknown_config_backend_fails_at_engine_construction(self):
         with pytest.raises(ConfigurationError, match="unknown execution backend"):

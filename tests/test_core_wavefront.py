@@ -44,7 +44,6 @@ class TestScheduleConstruction:
         sched = wavefront_schedule(graph_of(8, [(0, 4)]), 8)
         assert sched.critical_path == 2
         assert sched.average_parallelism == 4.0
-        assert sched.max_width() == 7
 
     def test_backward_edge_rejected(self):
         g = nx.DiGraph()

@@ -32,12 +32,6 @@ class TestValidation:
         with pytest.raises(AttributeError):
             cm.omega = 2.0
 
-    def test_with_costs_returns_modified_copy(self):
-        cm = CostModel()
-        cm2 = cm.with_costs(omega=5.0)
-        assert cm2.omega == 5.0
-        assert cm.omega == 1.0
-
 
 class TestAnalysisCost:
     def test_scales_with_refs(self):

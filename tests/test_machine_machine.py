@@ -26,11 +26,6 @@ class TestConstruction:
         m = Machine(2, memory=mem)
         assert "A" in m.memory
 
-    def test_add_array(self):
-        m = Machine(2)
-        m.add_array(SharedArray("X", np.zeros(2)))
-        assert "X" in m.memory
-
 
 class TestCharging:
     def test_charge_requires_stage(self):
@@ -65,14 +60,3 @@ class TestCharging:
         m.charge(1, Category.WORK, 5.0)
         m.charge_global(Category.ANALYSIS, 2.0)
         assert m.timeline.current.span() == 7.0  # max(5,5) + 2
-
-
-class TestFreshTimeline:
-    def test_swaps_and_returns_old(self):
-        m = Machine(2)
-        m.begin_stage()
-        m.charge(0, Category.WORK, 1.0)
-        old = m.fresh_timeline()
-        assert old.total_time() == 1.0
-        assert m.timeline.total_time() == 0.0
-        assert m.timeline.n_stages() == 0

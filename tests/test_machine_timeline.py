@@ -93,14 +93,6 @@ class TestTimeline:
         tl.begin_stage().charge(1, Category.MARK, 2.0)
         assert tl.total_category(Category.MARK) == 3.0
 
-    def test_merge_from(self):
-        a, b = Timeline(), Timeline()
-        a.begin_stage().charge(0, Category.WORK, 1.0)
-        b.begin_stage().charge(0, Category.WORK, 2.0)
-        a.merge_from(b)
-        assert a.n_stages() == 2
-        assert a.total_time() == 3.0
-
     def test_empty_timeline(self):
         tl = Timeline()
         assert tl.total_time() == 0.0

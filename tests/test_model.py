@@ -142,14 +142,6 @@ class TestLinearModelAndAdvice:
 
         assert speedup_linear(100, 1.0, 4.0, 8, 7 / 8) < 1.0
 
-    def test_recommend_strategy(self):
-        from repro.model.analytic import recommend_strategy
-
-        # Cheap iterations, expensive movement: never redistribute.
-        assert recommend_strategy(1000, 0.1, 0.5, 4.0, 8) == "nrd"
-        # Heavy iterations: adaptive redistribution.
-        assert recommend_strategy(1000, 10.0, 0.5, 4.0, 8) == "adaptive"
-
     def test_linear_model_tracks_nrd_simulation(self):
         n, p = 1024, 8
         from repro.model.analytic import total_time_linear

@@ -40,10 +40,6 @@ class TestEnableResolution:
         monkeypatch.delenv(ENV_ENABLE, raising=False)
         assert resolve_resources_enabled(RuntimeConfig(resources=True))
 
-    def test_status_path_implies_sampling(self, monkeypatch):
-        monkeypatch.delenv(ENV_ENABLE, raising=False)
-        assert resolve_resources_enabled(RuntimeConfig(status_path="s.jsonl"))
-
     @pytest.mark.parametrize("value,expected", [
         ("1", True), ("on", True), ("TRUE", True), ("yes", True),
         ("0", False), ("off", False), ("", False),

@@ -22,7 +22,6 @@ from repro.obs.spans import (
     PerfettoTraceSink,
     SpanTracker,
     chrome_trace,
-    make_host_clock,
 )
 from repro.workloads.synthetic import chain_loop, geometric_chain_targets
 
@@ -78,11 +77,6 @@ class TestSpanTracker:
         assert (event.stage, event.proc) == (2, 5)
         assert (event.host_start, event.host_dur) == (0.25, 0.5)
         assert (event.virt_start, event.virt_dur) == (100.0, 64.0)
-
-    def test_make_host_clock_is_monotone_from_zero(self):
-        clock = make_host_clock()
-        first = clock()
-        assert 0.0 <= first <= clock()
 
 
 def _span(name, cat, stage=None, proc=None, **kw):

@@ -6,10 +6,8 @@ import pytest
 from repro.errors import ScheduleError
 from repro.util.blocks import (
     Block,
-    blocks_cover,
     partition_even,
     partition_weighted,
-    scale_boundaries,
     validate_blocks,
 )
 
@@ -144,32 +142,3 @@ class TestValidation:
     def test_empty_blocks_skipped(self):
         blocks = [Block(0, 0, 4), Block(1, 4, 4), Block(2, 4, 8)]
         validate_blocks(blocks, 0, 8)
-
-    def test_blocks_cover(self):
-        blocks = [Block(0, 3, 5), Block(1, 5, 9)]
-        assert blocks_cover(blocks) == (3, 9)
-
-    def test_blocks_cover_empty(self):
-        assert blocks_cover([Block(0, 4, 4)]) == (0, 0)
-
-
-class TestScaleBoundaries:
-    def test_identity_scale(self):
-        assert scale_boundaries([0, 5, 10], 10, 10) == [0, 5, 10]
-
-    def test_double(self):
-        assert scale_boundaries([0, 5, 10], 10, 20) == [0, 10, 20]
-
-    def test_halve(self):
-        assert scale_boundaries([0, 5, 10], 10, 5) == [0, 2, 5]
-
-    def test_monotone_after_truncation(self):
-        scaled = scale_boundaries([0, 3, 4, 9], 9, 4)
-        assert all(a <= b for a, b in zip(scaled, scaled[1:]))
-
-    def test_clamped_to_new_n(self):
-        assert max(scale_boundaries([0, 10], 10, 3)) <= 3
-
-    def test_invalid_old_n(self):
-        with pytest.raises(ScheduleError):
-            scale_boundaries([0], 0, 5)
