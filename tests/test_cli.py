@@ -1,5 +1,7 @@
 """Tests for the command-line driver."""
 
+import json
+
 import pytest
 
 from repro.cli import WORKLOADS, main, resolve_workload
@@ -154,8 +156,6 @@ class TestEngineCli:
             main(["run", "doall", "-p", "2", "--strategy", "induction"])
 
     def test_run_trace_writes_valid_jsonl(self, tmp_path, capsys):
-        import json
-
         from repro.obs.events import event_from_dict, validate_events
 
         path = tmp_path / "run.jsonl"
@@ -171,3 +171,33 @@ class TestEngineCli:
         assert main(["run", "doall", "-p", "2", "--progress"]) == 0
         out = capsys.readouterr().out
         assert "stage 0:" in out and "done:" in out
+
+
+class TestRetiredSurface:
+    """Live narration is ``run --progress``; post-hoc reading is ``repro
+    report``, ``--bundle`` and the ``REPRO_OPLOG`` file.  There is no
+    live status stream and no dashboard over it."""
+
+    def test_top_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["top", "status.jsonl"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'top'" in capsys.readouterr().err
+
+    def test_run_has_no_status_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "doall", "--status", str(tmp_path / "s.jsonl")])
+        assert exited.value.code == 2
+        assert "--status" in capsys.readouterr().err
+        assert not (tmp_path / "s.jsonl").exists()
+
+    def test_progress_run_leaves_its_oplog_records(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        oplog = tmp_path / "ops.jsonl"
+        monkeypatch.setenv("REPRO_OPLOG", str(oplog))
+        assert main(["run", "doall", "-p", "2", "--progress"]) == 0
+        assert "done:" in capsys.readouterr().out
+        events = [json.loads(line)["event"]
+                  for line in oplog.read_text().splitlines()]
+        assert events[0] == "run-begin" and events[-1] == "run-end"

@@ -1,5 +1,7 @@
 """Tests for RuntimeConfig and the result types."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import (
@@ -80,6 +82,42 @@ class TestRuntimeConfig:
         cfg = RuntimeConfig()
         assert cfg.condition is TestCondition.COPY_IN
         assert cfg.on_demand_checkpoint
+
+
+class TestValidation:
+    @pytest.mark.parametrize("overrides, message", [
+        ({"certify": "always"}, "unknown certify mode"),
+        ({"max_fault_retries": -1}, "max_fault_retries"),
+        ({"worker_timeout": 0.0}, "worker_timeout"),
+        ({"max_worker_respawns": -1}, "max_worker_respawns"),
+        ({"resource_interval": 0.0}, "resource_interval"),
+    ], ids=["certify", "max_fault_retries", "worker_timeout",
+            "max_worker_respawns", "resource_interval"])
+    def test_out_of_range_value_rejected(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=message):
+            RuntimeConfig(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"max_fault_retries": 0},
+        {"worker_timeout": 1e-3},
+        {"max_worker_respawns": 0},
+    ], ids=["max_fault_retries", "worker_timeout", "max_worker_respawns"])
+    def test_boundary_value_accepted(self, overrides):
+        cfg = RuntimeConfig(**overrides)
+        (name, value), = overrides.items()
+        assert getattr(cfg, name) == value
+
+    @pytest.mark.parametrize(
+        "name", ["status_path", "worker_timeout_factor", "flight_events"]
+    )
+    def test_retired_field_is_not_an_option(self, name):
+        # The live status stream is gone; the supervisor's deadline factor
+        # and the flight recorder's ring size are module constants.
+        with pytest.raises(TypeError):
+            RuntimeConfig(**{name: 1})
+
+    def test_field_count(self):
+        assert len(dataclasses.fields(RuntimeConfig)) == 26
 
 
 class TestProgramResult:

@@ -140,6 +140,31 @@ class TestPrivateViews:
         value, _ = view.load(6)
         assert value == 66.0
 
+    def test_load_many_counts_distinct_copy_ins(self, view_cls):
+        _, view = self.make(view_cls)
+        view.store(1, 9.0)
+        values, copied = view.load_many(np.array([1, 2, 2, 3]))
+        assert values.tolist() == [9.0, 2.0, 2.0, 3.0]
+        assert copied == 2  # 2 and 3; 1 was already private
+        assert view.n_written() == 1
+
+    def test_store_many_matches_scalar_stores(self, view_cls):
+        _, bulk = self.make(view_cls)
+        _, scalar = self.make(view_cls)
+        indices, values = np.array([6, 0, 6]), np.array([1.0, 2.0, 3.0])
+        bulk.store_many(indices, values)
+        for i, v in zip(indices, values):
+            scalar.store(int(i), v)
+        assert dict(bulk.written_items()) == dict(scalar.written_items())
+        assert dict(bulk.written_items()) == {0: 2.0, 6: 3.0}
+
+    def test_preload_copies_in_only_for_dense_views(self, view_cls):
+        shared, view = self.make(view_cls)
+        dense = view_cls is DensePrivateView
+        assert view.preload() == (len(shared) if dense else 0)
+        _, copied = view.load(5)
+        assert copied is not dense
+
 
 class TestViewSelection:
     def test_small_array_dense(self):

@@ -15,6 +15,7 @@ from repro.core.runner import parallelize
 from repro.errors import SpeculationError
 from repro.obs.flight import (
     ENV_CRASH_DIR,
+    FLIGHT_EVENTS,
     FlightRecorder,
     dump_bundle,
     load_bundle,
@@ -51,6 +52,20 @@ class TestFlightRecorder:
         assert snap["oplog"] == [{"event": "a"}]
         assert snap["resources"] == [{"t": 0.0, "rss_bytes": 1}]
         assert snap["events"] == []
+
+    def test_default_capacity_is_the_module_constant(self):
+        recorder = FlightRecorder()
+        assert recorder.capacity == FLIGHT_EVENTS
+        for i in range(FLIGHT_EVENTS + 10):
+            recorder.note_oplog({"event": f"e{i}"})
+        assert len(recorder.oplog_records) == FLIGHT_EVENTS
+        assert recorder.oplog_records[0]["event"] == "e10"
+
+    def test_capacity_keeps_at_least_one_record(self):
+        recorder = FlightRecorder(capacity=0)
+        recorder.note_oplog({"event": "a"})
+        recorder.note_oplog({"event": "b"})
+        assert list(recorder.oplog_records) == [{"event": "b"}]
 
 
 class TestCrashDirResolution:

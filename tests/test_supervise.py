@@ -15,6 +15,7 @@ import os
 import re
 import signal
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ import pytest
 from repro.config import RuntimeConfig
 from repro.core.backend import _shutdown_pool
 from repro.core.runner import parallelize
+from repro.core.supervise import WORKER_TIMEOUT_FACTOR, WorkerSupervisor
 from repro.errors import BackendError
 from repro.faults.os_chaos import OsChaosPlan
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
@@ -317,3 +319,28 @@ class TestWorkerExceptionContext:
             r"stage 0 blocks \[\d+\] \(procs \[\d+\]\) raised",
             str(cause),
         )
+
+
+# -- the adaptive deadline ----------------------------------------------------------
+
+
+def _supervisor(**config):
+    eng = SimpleNamespace(
+        config=RuntimeConfig(**config), supervision=None, os_chaos=None
+    )
+    return WorkerSupervisor(SimpleNamespace(eng=eng))
+
+
+class TestDeadline:
+    def test_floor_is_the_configured_worker_timeout(self):
+        # Before any block has completed there is no estimate to scale.
+        sup = _supervisor(worker_timeout=2.5)
+        assert sup._deadline_for([]) == 2.5
+        assert sup._deadline_for([object()] * 4) == 2.5
+
+    def test_grows_to_factor_times_the_per_block_estimate(self):
+        sup = _supervisor(worker_timeout=1.0)
+        sup._per_block_est = 0.5
+        share = [object()] * 3
+        assert sup._deadline_for(share) == WORKER_TIMEOUT_FACTOR * 0.5 * 3
+        assert sup._deadline_for(share) > sup.timeout
