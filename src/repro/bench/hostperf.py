@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import os
 import platform
+import statistics
 
 import numpy as np
 
@@ -189,11 +190,16 @@ SAMPLER_GATE_MIN_S = 0.25
 
 def _sized_for(make_loop, n: int, n_procs: int, min_s: float) -> int:
     """The smallest ``n * 2**k`` whose plain serial run of
-    ``make_loop(n)`` lasts at least ``min_s`` host seconds."""
+    ``make_loop(n)`` lasts at least ``min_s`` host seconds, in the median
+    of three timings: one fast sample near ``min_s`` must not double
+    ``n``, and the gate's runtime with it."""
     config = RuntimeConfig.adaptive(backend="serial", resources=False, certify="off")
 
     def seconds(n: int) -> float:
-        return measure_host(lambda: parallelize(make_loop(n), n_procs, config), 1)[0]
+        return statistics.median(
+            measure_host(lambda: parallelize(make_loop(n), n_procs, config), 1)[0]
+            for _ in range(3)
+        )
 
     while seconds(n) < min_s:
         n *= 2

@@ -281,7 +281,7 @@ class SerialBackend(ExecutionBackend):
         eng = self.eng
         return [
             run_task(
-                task, eng.machine, eng.loop, eng.states, eng.ckpt,
+                task, eng.machine, eng.body_loop, eng.states, eng.ckpt,
                 eng.untested_log, preload=eng.preload,
                 skip=eng.reduction_names, spans=eng.spans_enabled,
             )
@@ -578,6 +578,10 @@ class DispatchCosts:
 #: Backend class -> its measured dispatch costs.
 _DISPATCH_COSTS: dict[type, DispatchCosts] = {}
 
+#: The host's CPU count, read once: ``os.cpu_count()`` takes 3-40 us per
+#: call, and every stage decision sizes the pool.
+_CPUS = os.cpu_count() or 1
+
 
 def _body_key(loop):
     """Per-body key for the per-iteration figures: loops built by one
@@ -615,16 +619,19 @@ class ForkBackend(ExecutionBackend):
     def _pool_size(self) -> int:
         """Workers the pool has (or would have once started)."""
         eng = self.eng
-        n_workers = eng.config.backend_workers or min(
-            eng.n_procs, os.cpu_count() or 1
-        )
+        n_workers = eng.config.backend_workers or min(eng.n_procs, _CPUS)
         return max(1, min(n_workers, eng.n_procs))
 
     # -- where a stage runs ------------------------------------------------------
 
     @property
     def _costs(self) -> DispatchCosts:
-        return _DISPATCH_COSTS.setdefault(type(self), DispatchCosts())
+        costs = _DISPATCH_COSTS.get(type(self))
+        if costs is None:
+            # Not ``setdefault``: its default would build a DispatchCosts
+            # (two figures, two dicts) on every lookup.
+            costs = _DISPATCH_COSTS[type(self)] = DispatchCosts()
+        return costs
 
     def dispatch_pays(self, tasks: list[BlockTask]) -> bool:
         """Whether this stage goes to the pool; otherwise it runs in the
@@ -702,7 +709,15 @@ class ForkBackend(ExecutionBackend):
         if not tasks:
             return []
         check_unique_procs(self.name, tasks)
-        stats, costs = self.eng.supervision, self._costs
+        eng = self.eng
+        stats = eng.supervision
+        if eng.body_loop is not eng.loop:
+            # A replayed certified stage makes no loads or stores, so a
+            # worker has nothing to do; and every replay shares one body
+            # code object, so it must not feed the per-body figures.
+            stats.inline_stages += 1
+            return self._run_inline(tasks)
+        costs = self._costs
         dispatch = self.dispatch_pays(tasks)
         t0 = time.perf_counter()
         if dispatch:
@@ -718,7 +733,7 @@ class ForkBackend(ExecutionBackend):
             stats.inline_stages += 1
             outcomes = self._run_inline(tasks)
         figures = costs.dispatch if dispatch else costs.inline
-        figures.setdefault(_body_key(self.eng.loop), _Figure()).add(
+        figures.setdefault(_body_key(eng.loop), _Figure()).add(
             time.perf_counter() - t0, _iterations(tasks)
         )
         return outcomes

@@ -371,6 +371,10 @@ class StageEngine:
     ) -> None:
         strategy.validate(loop, config)
         self.loop = loop
+        #: The loop whose body the blocks execute: ``loop`` itself, or a
+        #: certified fast path's replay of its probe
+        #: (:mod:`repro.core.fastpath`), set in ``strategy.setup``.
+        self.body_loop = loop
         #: Certificate that selected (or merely annotated) this run, when
         #: the certification front-end examined the loop (surfaced on the
         #: RunResult; never enters the deterministic event stream).

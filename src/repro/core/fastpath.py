@@ -27,7 +27,23 @@ reachable only through a certificate
 ``--strategy``, because running them on an uncertified loop would
 silently compute wrong answers.
 
-Out-of-process backends see these stages as ``plain`` block tasks
+**Replay.**  A certificate that rests on a full probe (``basis="trace"``)
+comes with the probe, which already ran every iteration in loop order
+with reference semantics on a scratch copy of memory.  Handed that probe,
+either class runs the loop once, not twice: its blocks execute a *replay
+body* (:func:`replay_body`) that re-issues each iteration's recorded
+``ctx.work(units)`` calls, and ``exit_loop()`` where the probe exited,
+with no loads or stores.  The run's memory already holds the probe's
+result: :func:`repro.core.runner.parallelize` adopts the probe's
+scratch image, or lands the probe's writes in the caller's arrays
+(:meth:`~repro.loopir.symbolic.ProbeResult.land`), before the engine is
+built.  Plain states charge nothing for loads and stores, so every
+charge, ``iteration_times``, event and metric is the same float as
+executing the body gives.  A replayed stage always runs in the parent.
+
+Otherwise -- affine certificates under ``--certify=trust``, an explicit
+``strategy=`` -- the blocks execute the loop body.  Out-of-process
+backends see those stages as ``plain`` block tasks
 (:class:`~repro.core.backend.BlockTask`): workers run on plain states
 too, capturing written elements through a charge-free checkpoint so the
 direct writes ship home through the same untested-delta protocol the
@@ -36,13 +52,40 @@ speculative path uses.
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
+
 from repro.config import RuntimeConfig
 from repro.core.engine import StageEngine, Strategy
 from repro.core.executor import make_plain_state
 from repro.core.rlrpd import partition_blocks
 from repro.errors import ConfigurationError, SpeculationError
 from repro.loopir.loop import SpeculativeLoop
+from repro.loopir.symbolic import ProbeResult
 from repro.util.blocks import Block
+
+
+def replay_body(probe: ProbeResult):
+    """The body a replayed run executes: iteration ``i`` re-issues the
+    probe's ``ctx.work(units)`` calls of iteration ``i`` in their order,
+    then ``ctx.exit_loop()`` if the probe exited there.  It makes no
+    loads or stores."""
+    log = probe.work_log
+    units = log[1::2]
+    # A full probe's log is in iteration order: iteration i's calls are
+    # units[first[i]:first[i + 1]].
+    first = np.searchsorted(log[0::2], np.arange(probe.n + 1)).tolist()
+    exit_at = probe.exit_at
+
+    def replay(ctx, i):
+        # hot-path: the replayed run's body; one step per recorded call
+        for k in range(first[i], first[i + 1]):
+            ctx.work(units[k])
+        if i == exit_at:
+            ctx.exit_loop()
+
+    return replay
 
 
 class _CertifiedBase(Strategy):
@@ -53,8 +96,12 @@ class _CertifiedBase(Strategy):
     plain_tasks = True
     preloads = False  # no private views to pre-initialize
 
-    def __init__(self, certificate=None) -> None:
+    def __init__(self, certificate=None, probe: ProbeResult | None = None) -> None:
         self.certificate = certificate
+        #: The body that replays ``probe`` (see the module docstring), or
+        #: None to execute the loop's own body.  The probe itself is not
+        #: kept.
+        self.replay = None if probe is None else replay_body(probe)
 
     def validate(self, loop: SpeculativeLoop, config: RuntimeConfig) -> None:
         # These are certifier bugs if ever hit: certify_loop returns
@@ -88,6 +135,8 @@ class _CertifiedBase(Strategy):
         # No checkpoint: stores charge nothing, restores are no-ops.  The
         # certificate guarantees no stage ever rolls back.
         eng.ckpt = None
+        if self.replay is not None:
+            eng.body_loop = dataclasses.replace(eng.loop, body=self.replay)
 
     def run_label(self, eng: StageEngine) -> str:
         return self.name

@@ -47,10 +47,13 @@ def parallelize(
     loop first: a certified-DOALL loop runs on the zero-speculation fast
     path, a certified-SEQUENTIAL loop runs in order on one processor, and
     anything else proceeds speculatively with the certificate attached to
-    the result.  Certification never applies when the caller passes an
-    explicit ``strategy`` or injects faults/OS chaos (the fast paths drop
-    the checkpoint machinery recovery depends on); ``certify="off"``
-    disables it entirely.
+    the result.  A fast path whose certificate rests on a full probe
+    replays that probe instead of running the loop body a second time
+    (:mod:`repro.core.fastpath`); ``memory``, when given, still receives
+    the writes in place.  Certification never applies when the caller
+    passes an explicit ``strategy`` or injects faults/OS chaos (the fast
+    paths drop the checkpoint machinery recovery depends on);
+    ``certify="off"`` disables it entirely.
     """
     config = config or RuntimeConfig.adaptive()
     certificate = None
@@ -60,13 +63,30 @@ def parallelize(
         and config.fault_plan is None
         and config.os_chaos is None
     ):
-        certificate = certify_loop(loop, memory=memory)
-        strategy = fastpath_strategy(certificate, config)
+        certificate, strategy, memory = _certified(loop, memory, config)
     strategy = strategy or strategy_for_config(loop, config)
     return StageEngine(
         loop, n_procs, strategy, config, costs=costs, weights=weights,
         memory=memory, sinks=sinks, certificate=certificate,
     ).run()
+
+
+def _certified(loop: SpeculativeLoop, memory: MemoryImage | None, config):
+    """Certify ``loop``: its certificate, fast-path strategy (or None) and
+    start image.  When the fast path replays the full probe, the start
+    image already holds the probe's result; the probe (log and scratch
+    image) is freed on return, before the engine is built."""
+    probes: list = []
+    certificate = certify_loop(loop, memory=memory, evidence=probes)
+    # A self-check run executes the body, so the oracle checks it.
+    if not probes or config.self_check:
+        return certificate, fastpath_strategy(certificate, config), memory
+    probe = probes[0]
+    if memory is None:
+        memory = probe.scratch  # the probe ran on a fresh image: adopt it
+    else:
+        probe.land(memory)  # in place: callers hold the arrays
+    return certificate, fastpath_strategy(certificate, config, probe), memory
 
 
 def run_program(

@@ -124,9 +124,10 @@ class SequentialContext(IterationContext):
     Arrays are routed once, when the context is built: a name maps to its
     ``(data, code)``, with codes indexing ``array_names``.  A traced
     context appends every access's ``(iteration, kind code, array code,
-    index)`` quad to the flat ``log`` (None when untraced);
-    :attr:`records` rebuilds :class:`AccessRecord` objects from it on
-    demand.
+    index)`` quad to the flat ``log`` and every :meth:`work` call's
+    ``(iteration, units)`` pair to the flat ``work_log`` (both None when
+    untraced); :attr:`records` rebuilds :class:`AccessRecord` objects
+    from the log on demand.
     """
 
     __slots__ = (
@@ -138,6 +139,7 @@ class SequentialContext(IterationContext):
         "array_names",
         "extra_work",
         "log",
+        "work_log",
         "exited",
     )
 
@@ -165,6 +167,7 @@ class SequentialContext(IterationContext):
         # None when untraced; accesses extend a local alias of the list in
         # place, the cheapest traced append.
         self.log: list[int] | None = [] if trace else None
+        self.work_log: list | None = [] if trace else None
         self.exited = False
 
     @classmethod
@@ -258,6 +261,9 @@ class SequentialContext(IterationContext):
         if units < 0:
             raise ValueError("work units must be non-negative")
         self.extra_work += units
+        work_log = self.work_log
+        if work_log is not None:
+            work_log += (self.iteration, units)
 
     # -- premature exit ------------------------------------------------------------
 

@@ -33,10 +33,11 @@ two different iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.kernels import ACCESS_KINDS, get_kernels
+from repro.kernels import ACCESS_KINDS, READ, get_kernels
 from repro.kernels.vector import unique_indices
 from repro.loopir.context import AccessRecord, SequentialContext, trace_records
 from repro.loopir.loop import SpeculativeLoop
@@ -84,6 +85,12 @@ class ProbeResult:
     """Exact affine fits per call site; ``None`` when the probe was full,
     was not uniform, or some site's indices do not fit
     ``stride * i + offset``."""
+    scratch: MemoryImage
+    """The scratch image the probe ran on, as the probe left it: after a
+    full probe, the loop's final memory."""
+    work_log: list
+    """Every ``ctx.work(units)`` call as a flat ``(iteration, units)``
+    pair, in execution order."""
 
     @property
     def records(self) -> list[AccessRecord]:
@@ -91,10 +98,28 @@ class ProbeResult:
         (tests and inspectors; the certifier reads the columns)."""
         return trace_records(self.log, self.array_names)
 
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The log as ``(4, m)`` int64 columns (see :func:`_log_columns`)."""
+        return _log_columns(self.log)
+
     def dependences(self) -> DependenceSummary:
         """Exact dependence summary of the recorded trace (meaningful as a
         proof only for a full probe)."""
-        return _trace_summary(_log_columns(self.log))
+        return _trace_summary(self.columns)
+
+    def land(self, memory: MemoryImage) -> None:
+        """Copy every element the probe wrote from ``scratch`` into
+        ``memory``, in place: after a full probe, ``memory`` then holds
+        what running the loop on it would have left."""
+        _, kind, array, index = self.columns
+        writes = kind != READ
+        arrays, indices = array[writes], index[writes]
+        # hot-path: per written array, one scatter each
+        for code in unique_indices(arrays).tolist():
+            name = self.array_names[code]
+            where = indices[arrays == code]
+            memory[name].data[where] = self.scratch[name].data[where]
 
 
 def probe_loop(
@@ -147,6 +172,8 @@ def probe_loop(
         exit_at=exit_at,
         uniform=uniform,
         sites=sites,
+        scratch=scratch,
+        work_log=ctx.work_log,
     )
 
 

@@ -105,6 +105,65 @@ def _next_pow2(x: int) -> int:
     return p
 
 
+def _trace_certificate(cert, probe, n: int) -> LoopCertificate:
+    """The verdict a full probe proves (exact, ``basis="trace"``)."""
+    deps = probe.dependences()
+    stats = {
+        "probed": len(probe.iterations),
+        "conflicts": deps.conflicts,
+        "critical_path": deps.critical_path,
+        "max_distance": deps.max_distance,
+        "sink_iterations": deps.sink_iterations,
+    }
+    if probe.exit_at is not None:
+        # A premature exit is unsound under the plain DOALL fast path
+        # (later iterations would already have written shared memory);
+        # sequential in-order execution handles it naturally.
+        if deps.conflicts == 0:
+            return cert(
+                SPECULATE, "trace", True,
+                f"independent but exits early at iteration {probe.exit_at}",
+                hint="nrd", exit_at=probe.exit_at, **stats,
+            )
+        executed = probe.exit_at + 1
+        if deps.critical_path >= max(
+            2, _SEQUENTIAL_CHAIN_FRACTION * executed
+        ):
+            return cert(
+                SEQUENTIAL, "trace", True,
+                f"flow chain covers {deps.critical_path} of {executed} "
+                f"executed iterations (exit at {probe.exit_at})",
+                exit_at=probe.exit_at, **stats,
+            )
+        hint, window = _speculate_hints(deps, executed)
+        return cert(
+            SPECULATE, "trace", True,
+            f"{deps.conflicts} conflicting element(s) before exit",
+            hint=hint, window=window, exit_at=probe.exit_at, **stats,
+        )
+    if deps.conflicts == 0:
+        return cert(
+            DOALL, "trace", True,
+            "full sequential probe found no cross-iteration "
+            "element sharing",
+            **stats,
+        )
+    if deps.critical_path >= max(2, _SEQUENTIAL_CHAIN_FRACTION * n):
+        return cert(
+            SEQUENTIAL, "trace", True,
+            f"flow-dependence chain covers {deps.critical_path} of "
+            f"{n} iterations",
+            **stats,
+        )
+    hint, window = _speculate_hints(deps, n)
+    return cert(
+        SPECULATE, "trace", True,
+        f"{deps.conflicts} conflicting element(s), chain "
+        f"{deps.critical_path}/{n}",
+        hint=hint, window=window, **stats,
+    )
+
+
 def _speculate_hints(
     deps: DependenceSummary, n: int
 ) -> tuple[str, int | None]:
@@ -130,6 +189,7 @@ def certify_loop(
     memory: MemoryImage | None = None,
     probe_limit: int = 4096,
     sample: int = 48,
+    evidence: list | None = None,
 ) -> LoopCertificate:
     """Certify one loop instantiation.
 
@@ -137,6 +197,12 @@ def certify_loop(
     loop's own materialization); the probe never mutates it.
     ``probe_limit`` bounds the full-probe size -- larger loops get a
     sampled probe and affine-model (non-exact) evidence.
+
+    When ``evidence`` is a list and a full probe proves DOALL or
+    SEQUENTIAL, the probe (:class:`~repro.loopir.symbolic.ProbeResult`)
+    is appended to it: that probe already ran the loop, and
+    :func:`fastpath_strategy` can replay it instead of running the loop
+    again.  The certificate itself never holds the probe.
     """
     n = loop.n_iterations
 
@@ -183,61 +249,10 @@ def certify_loop(
         )
 
     if probe.full:
-        deps = probe.dependences()
-        stats = {
-            "probed": len(probe.iterations),
-            "conflicts": deps.conflicts,
-            "critical_path": deps.critical_path,
-            "max_distance": deps.max_distance,
-            "sink_iterations": deps.sink_iterations,
-        }
-        if probe.exit_at is not None:
-            # A premature exit is unsound under the plain DOALL fast path
-            # (later iterations would already have written shared memory);
-            # sequential in-order execution handles it naturally.
-            if deps.conflicts == 0:
-                return cert(
-                    SPECULATE, "trace", True,
-                    f"independent but exits early at iteration {probe.exit_at}",
-                    hint="nrd", exit_at=probe.exit_at, **stats,
-                )
-            executed = probe.exit_at + 1
-            if deps.critical_path >= max(
-                2, _SEQUENTIAL_CHAIN_FRACTION * executed
-            ):
-                return cert(
-                    SEQUENTIAL, "trace", True,
-                    f"flow chain covers {deps.critical_path} of {executed} "
-                    f"executed iterations (exit at {probe.exit_at})",
-                    exit_at=probe.exit_at, **stats,
-                )
-            hint, window = _speculate_hints(deps, executed)
-            return cert(
-                SPECULATE, "trace", True,
-                f"{deps.conflicts} conflicting element(s) before exit",
-                hint=hint, window=window, exit_at=probe.exit_at, **stats,
-            )
-        if deps.conflicts == 0:
-            return cert(
-                DOALL, "trace", True,
-                "full sequential probe found no cross-iteration "
-                "element sharing",
-                **stats,
-            )
-        if deps.critical_path >= max(2, _SEQUENTIAL_CHAIN_FRACTION * n):
-            return cert(
-                SEQUENTIAL, "trace", True,
-                f"flow-dependence chain covers {deps.critical_path} of "
-                f"{n} iterations",
-                **stats,
-            )
-        hint, window = _speculate_hints(deps, n)
-        return cert(
-            SPECULATE, "trace", True,
-            f"{deps.conflicts} conflicting element(s), chain "
-            f"{deps.critical_path}/{n}",
-            hint=hint, window=window, **stats,
-        )
+        certificate = _trace_certificate(cert, probe, n)
+        if evidence is not None and certificate.verdict in (DOALL, SEQUENTIAL):
+            evidence.append(probe)
+        return certificate
 
     # Sampled probe: affine-model evidence only.
     if probe.exit_at is not None:
@@ -283,12 +298,17 @@ def certify_loop(
     )
 
 
-def fastpath_strategy(certificate: LoopCertificate | None, config):
+def fastpath_strategy(
+    certificate: LoopCertificate | None, config, probe=None
+):
     """Resolve a certificate to a fast-path strategy object, or ``None``.
 
     ``None`` means "no fast path": the caller falls through to the normal
     registry resolution.  Non-exact (affine-model) certificates are acted
-    on only under ``certify="trust"``.
+    on only under ``certify="trust"``.  With ``probe`` -- the full probe
+    the certificate rests on, as :func:`certify_loop` hands it out -- the
+    strategy replays the probe instead of executing the loop body
+    (:mod:`repro.core.fastpath`); without it, it executes the body.
     """
     if certificate is None:
         return None
@@ -297,7 +317,7 @@ def fastpath_strategy(certificate: LoopCertificate | None, config):
     from repro.core.fastpath import CertifiedDoall, CertifiedSequential
 
     if certificate.verdict == DOALL:
-        return CertifiedDoall(certificate)
+        return CertifiedDoall(certificate, probe)
     if certificate.verdict == SEQUENTIAL:
-        return CertifiedSequential(certificate)
+        return CertifiedSequential(certificate, probe)
     return None

@@ -28,6 +28,7 @@ from repro.core.backend import (
     use_backend,
 )
 from repro.core.ddg import extract_ddg
+from repro.core.fastpath import CertifiedDoall
 from repro.core.executor import execute_block, make_processor_state
 from repro.core.lrpd import run_doall_lrpd
 from repro.core.runner import parallelize
@@ -191,7 +192,12 @@ class TestShmSynonym:
                 arrays=[ArraySpec("A", np.zeros(32, dtype=np.float64))],
             )
 
-        result = parallelize(make_loop(), 4, RuntimeConfig.nrd(backend="shm"))
+        # An explicit CertifiedDoall executes the body (a certified run
+        # replays its probe in the parent, where the poison never fires).
+        result = parallelize(
+            make_loop(), 4, RuntimeConfig.nrd(backend="shm"),
+            strategy=CertifiedDoall(),
+        )
         chain = [
             (d["from"], d["to"])
             for d in result.supervision["supervise.degradations"]
@@ -294,8 +300,9 @@ POOLED = ["fork", "shm"]
 def _rule_backend(name="fork", *, workers=2, os_chaos=None):
     """A pooled backend over a stub engine (the figures start empty)."""
     backend_names()  # registers shm
+    loop = fully_parallel_loop(64)
     eng = SimpleNamespace(
-        os_chaos=os_chaos, loop=fully_parallel_loop(64), n_procs=4,
+        os_chaos=os_chaos, loop=loop, body_loop=loop, n_procs=4,
         config=SimpleNamespace(backend_workers=workers),
         supervision=SupervisionStats(),
     )

@@ -9,16 +9,23 @@ Three layers under test:
   agree with an independently computed shadow-marked serial replay;
 * the engine fast path (:mod:`repro.core.fastpath`): certified-DOALL and
   certified-SEQUENTIAL runs must be bit-identical to the sequential
-  reference on every backend, and ``--certify=off`` must reproduce the
-  speculative pipeline byte-for-byte.
+  reference on every backend, ``--certify=off`` must reproduce the
+  speculative pipeline byte-for-byte, and a run that replays its full
+  probe must match one that executes the body, byte for byte.
 """
 
+import json
 import multiprocessing as mp
+import weakref
 
 import numpy as np
 import pytest
 
+import repro.core.runner as runner_mod
+import repro.workloads.track_sim as track_sim_mod
 from repro.config import RuntimeConfig
+from repro.core import backend as backend_mod
+from repro.core.backend import ForkBackend
 from repro.core.runner import parallelize
 from repro.errors import BackendError, ConfigurationError
 from repro.loopir.context import SequentialContext
@@ -54,6 +61,9 @@ from repro.workloads.synthetic import (
     reduction_loop,
     strided_doall_loop,
 )
+from repro.workloads.track_sim import TrackSimConfig, TrackSimulation
+from tests.certify_golden_cases import GOLDEN_PATH, TRACK_PROCS, TRACK_STEPS
+from tests.certify_golden_cases import LOOPS as GOLDEN_LOOPS
 from tests.conftest import assert_matches_sequential
 from tests.engine_parity_cases import summarize
 
@@ -427,13 +437,17 @@ class TestFastPath:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("loop_name", ["strided-doall", "prefix-sum"])
     def test_bit_identical_across_backends(self, loop_name, backend, always_dispatch):
-        # Pinned to the pool: fast-path plain tasks must cross each data plane.
+        # Pinned to the pool: fast-path plain tasks must cross each data
+        # plane, so the strategy is explicit (it executes the body; a
+        # certified run replays its probe in the parent).
         factory = _corpus()
         serial = summarize(parallelize(factory[loop_name], P))
+        loop = _corpus()[loop_name]
+        config = RuntimeConfig.adaptive(backend=backend, backend_workers=P)
         got = summarize(
             parallelize(
-                _corpus()[loop_name], P,
-                RuntimeConfig.adaptive(backend=backend, backend_workers=P),
+                loop, P, config,
+                strategy=fastpath_strategy(certify_loop(loop), config),
             )
         )
         assert got == serial
@@ -555,3 +569,236 @@ class TestSurfacing:
         )
         report = run_report(load_trace(str(trace)))
         assert "certified fast path" in report
+
+
+# -- replay: exact certificates run the loop once ---------------------------------
+
+
+def _replayed_golden_cases() -> list[str]:
+    """Golden-corpus loops whose certificate rests on a full probe and
+    takes a fast path (so the default run replays the probe)."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    return sorted(
+        name for name in GOLDEN_LOOPS
+        if golden[name]["basis"] == "trace"
+        and golden[name]["verdict"] in (DOALL, SEQUENTIAL)
+    )
+
+
+@pytest.fixture(scope="module")
+def track_fptrak_inputs():
+    """Every FPTRAK loop of the golden corpus's TRACK steps, with the
+    live memory the runner hands it (captured from a serial run)."""
+    captured = []
+    original = track_sim_mod.parallelize
+
+    def capturing(loop, *args, memory=None, **kwargs):
+        if "fptrak" in loop.name:
+            captured.append((loop, memory.snapshot()))
+        return original(loop, *args, memory=memory, **kwargs)
+
+    sim = TrackSimulation(TrackSimConfig())
+    track_sim_mod.parallelize = capturing
+    try:
+        for _ in range(TRACK_STEPS):
+            sim.step(TRACK_PROCS)
+    finally:
+        track_sim_mod.parallelize = original
+    assert len(captured) == TRACK_STEPS
+    return captured
+
+
+def _image(snapshot: dict) -> MemoryImage:
+    return MemoryImage(SharedArray(name, data) for name, data in snapshot.items())
+
+
+def _observed(result, trace) -> dict:
+    """Everything replay must reproduce, floats as reprs."""
+    memory = result.memory
+    return {
+        "memory": {name: memory[name].data.tobytes() for name in memory.names()},
+        "n_stages": result.n_stages,
+        "total_time": repr(result.total_time),
+        "sequential_work": repr(result.sequential_work),
+        "iteration_times": {i: repr(t) for i, t in result.iteration_times.items()},
+        "exit_iteration": result.exit_iteration,
+        "trace": trace.read_bytes(),
+        "metrics": result.metrics,
+    }
+
+
+#: (backend, pin every stage to the pool)
+_REPLAY_LEGS = [("serial", False), ("fork", False), ("fork", True)]
+
+
+def _replay_vs_execute(tmp_path, monkeypatch, make, snapshot, backend, pinned):
+    """Run one loop the default way (replaying its probe) and through an
+    explicit fast-path strategy (executing the body); both observed."""
+    if pinned:
+        monkeypatch.setattr(ForkBackend, "dispatch_pays", lambda self, tasks: True)
+    out = []
+    for leg, explicit in (("replayed", False), ("executed", True)):
+        trace = tmp_path / f"{leg}.jsonl"
+        config = RuntimeConfig.adaptive(
+            backend=backend, backend_workers=P, trace_path=str(trace),
+            metrics=True,
+        )
+        loop = make()
+        memory = None if snapshot is None else _image(snapshot)
+        strategy = None
+        if explicit:
+            strategy = fastpath_strategy(certify_loop(loop, memory), config)
+        result = parallelize(loop, P, config, memory=memory, strategy=strategy)
+        assert result.strategy in ("certified-doall", "certified-seq")
+        out.append(_observed(result, trace))
+    return out
+
+
+@pytest.mark.usefixtures("kernel_mode")
+class TestReplayMatchesExecution:
+    @pytest.mark.parametrize("backend,pinned", _REPLAY_LEGS)
+    @pytest.mark.parametrize("name", _replayed_golden_cases())
+    def test_golden_corpus(self, name, backend, pinned, tmp_path, monkeypatch):
+        if backend == "fork" and not HAS_FORK:
+            pytest.skip("needs the fork start method")
+        replayed, executed = _replay_vs_execute(
+            tmp_path, monkeypatch, GOLDEN_LOOPS[name], None, backend, pinned
+        )
+        assert replayed == executed
+
+    @pytest.mark.parametrize("backend,pinned", _REPLAY_LEGS)
+    def test_track_fptrak_steps(
+        self, track_fptrak_inputs, backend, pinned, tmp_path, monkeypatch
+    ):
+        if backend == "fork" and not HAS_FORK:
+            pytest.skip("needs the fork start method")
+        for step, (loop, snapshot) in enumerate(track_fptrak_inputs):
+            replayed, executed = _replay_vs_execute(
+                tmp_path, monkeypatch, lambda loop=loop: loop, snapshot, backend, pinned
+            )
+            assert replayed == executed, f"TRACK step {step}"
+
+    def test_corpus_covers_both_fast_paths_and_an_exit(self):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        cases = [golden[name] for name in _replayed_golden_cases()]
+        assert {c["verdict"] for c in cases} == {DOALL, SEQUENTIAL}
+        assert any("exit_at" in c["stats"] for c in cases)
+
+
+def _counting_doall(n: int, calls: list):
+    def body(ctx, i):
+        calls.append(i)
+        ctx.work(0.5 + (i % 3))
+        ctx.store("A", i, ctx.load("A", i) + 1.0)
+
+    return SpeculativeLoop("counted", n, body, arrays=[ArraySpec("A", np.zeros(n))])
+
+
+class TestReplay:
+    def test_body_runs_once_per_iteration(self):
+        calls: list[int] = []
+        res = parallelize(_counting_doall(64, calls), P)
+        assert res.strategy == "certified-doall"
+        assert sorted(calls) == list(range(64))  # n calls, not 2n
+        calls.clear()
+        loop = _counting_doall(64, calls)
+        config = RuntimeConfig.adaptive()
+        executed = parallelize(
+            loop, P, config, strategy=fastpath_strategy(certify_loop(loop), config)
+        )
+        assert len(calls) == 128  # the probe, then the execution
+        assert repr(executed.total_time) == repr(res.total_time)
+        assert executed.iteration_times == res.iteration_times
+
+    def test_sequential_with_premature_exit(self):
+        calls: list[int] = []
+
+        def make():
+            def body(ctx, i):
+                calls.append(i)
+                prev = ctx.load("A", i - 1) if i else 0.0
+                ctx.work(1.0 + prev)
+                ctx.store("A", i, prev + 1.0)
+                if prev >= 9.0:
+                    ctx.exit_loop()
+
+            return SpeculativeLoop(
+                "exit-chain", 64, body, arrays=[ArraySpec("A", np.zeros(64))]
+            )
+
+        res = parallelize(make(), P)
+        assert res.strategy == "certified-seq"
+        assert res.exit_iteration == 9
+        assert calls == list(range(10))  # the probe alone, stopped at the exit
+        loop = make()
+        config = RuntimeConfig.adaptive()
+        executed = parallelize(
+            loop, P, config, strategy=fastpath_strategy(certify_loop(loop), config)
+        )
+        assert executed.exit_iteration == res.exit_iteration
+        assert executed.memory.equals(res.memory.snapshot())
+        assert repr(executed.total_time) == repr(res.total_time)
+        assert executed.iteration_times == res.iteration_times
+        assert_matches_sequential(res, make())
+
+    def test_self_check_executes_and_checks_the_real_body(self, monkeypatch):
+        import repro.core.engine as engine_mod
+
+        checked = []
+        original = engine_mod.check_final_state
+
+        def recording(loop, memory, initial):
+            checked.append((loop, {k: v.copy() for k, v in initial.items()}))
+            return original(loop, memory, initial)
+
+        monkeypatch.setattr(engine_mod, "check_final_state", recording)
+        calls: list[int] = []
+        loop = _counting_doall(32, calls)
+        start = loop.materialize().snapshot()
+        res = parallelize(loop, P, RuntimeConfig.adaptive(self_check=True))
+        assert res.strategy == "certified-doall"
+        [(checked_loop, initial)] = checked
+        assert checked_loop is loop
+        assert all(np.array_equal(initial[k], start[k]) for k in start)
+        # The probe, the execution and the oracle's replay each ran it.
+        assert len(calls) == 3 * 32
+        assert_matches_sequential(res, _counting_doall(32, []))
+
+    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+    @pytest.mark.usefixtures("always_dispatch")
+    @pytest.mark.parametrize("backend", ["fork", "shm"])
+    def test_replayed_pool_run_starts_no_pool(self, backend):
+        res = parallelize(
+            fully_parallel_loop(64), P,
+            RuntimeConfig.adaptive(backend=backend, backend_workers=P),
+        )
+        assert res.strategy == "certified-doall"
+        assert res.supervision["supervise.pools_started"] == 0
+        assert res.supervision["supervise.dispatched_stages"] == 0
+        assert res.supervision["supervise.inline_stages"] == 1
+        assert backend_mod._DISPATCH_COSTS == {}
+
+    def test_scratch_image_does_not_outlive_the_call(self, monkeypatch):
+        refs = []
+        original = runner_mod.certify_loop
+
+        def recording(loop, memory=None, **kwargs):
+            cert = original(loop, memory=memory, **kwargs)
+            refs.extend(weakref.ref(p.scratch) for p in kwargs["evidence"])
+            return cert
+
+        monkeypatch.setattr(runner_mod, "certify_loop", recording)
+        loop = fully_parallel_loop(64)
+        memory = loop.materialize()
+        arrays = {name: memory[name].data for name in memory.names()}
+        res = parallelize(loop, P, memory=memory)
+        [ref] = refs
+        assert ref() is None
+        assert res.memory is memory
+        # The writes landed in the caller's own arrays.
+        assert all(memory[name].data is data for name, data in arrays.items())
+        assert_matches_sequential(res, fully_parallel_loop(64))
+        # Without a start image the run adopts the probe's image instead.
+        refs.clear()
+        res = parallelize(fully_parallel_loop(64), P)
+        assert refs[0]() is res.memory

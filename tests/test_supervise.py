@@ -22,6 +22,7 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.core.backend import _shutdown_pool
+from repro.core.fastpath import CertifiedDoall
 from repro.core.runner import parallelize
 from repro.core.supervise import WORKER_TIMEOUT_FACTOR, WorkerSupervisor
 from repro.errors import BackendError
@@ -178,9 +179,12 @@ class TestKillRecovery:
             )
 
         serial = summarize(parallelize(make_loop(), P, RuntimeConfig.nrd()))
+        # An explicit CertifiedDoall executes the body in the workers (a
+        # certified run replays its probe in the parent).
         result = parallelize(
             make_loop(), P,
             RuntimeConfig.nrd(backend=backend, backend_workers=P),
+            strategy=CertifiedDoall(),
         )
         assert summarize(result) == serial
         assert result.supervision["supervise.respawns"] >= 1
@@ -310,7 +314,8 @@ class TestWorkerExceptionContext:
         )
         with pytest.raises(ValueError, match="intentional worker bug") as raised:
             parallelize(
-                loop, P, RuntimeConfig.nrd(backend="fork", backend_workers=P)
+                loop, P, RuntimeConfig.nrd(backend="fork", backend_workers=P),
+                strategy=CertifiedDoall(),  # executes the body in the workers
             )
         cause = raised.value.__cause__
         assert isinstance(cause, BackendError)

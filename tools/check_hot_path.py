@@ -33,6 +33,7 @@ SRC = ROOT / "src" / "repro"
 HOT_PATHS = (
     "shadow",
     "core/executor.py",
+    "core/fastpath.py",
     "machine/checkpoint.py",
     "machine/memory.py",
     "core/analysis.py",

@@ -90,6 +90,8 @@ EXEMPT = {
         "`repro run --resources --perfetto`",
     "repro.obs.resources.read_self_rusage": "`--resources` on a host without /proc",
     "repro.core.backend.ForkBackend.resource_info": "`--resources`: fork-worker samples",
+    "repro.obs.metrics.MetricsRegistry.merge":
+        "a metrics run's dispatched stage: folds each worker's registry",
     "repro.obs.oplog.OpLog._write": "`REPRO_OPLOG`, set by CI's test and chaos jobs",
     "repro.obs.oplog.OpLog._rotate": "`REPRO_OPLOG_MAX_BYTES` rotation",
     "repro.obs.oplog.OpLog._max_bytes": "`REPRO_OPLOG_MAX_BYTES` rotation",
