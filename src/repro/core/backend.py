@@ -633,9 +633,10 @@ class ForkBackend(ExecutionBackend):
             costs = _DISPATCH_COSTS[type(self)] = DispatchCosts()
         return costs
 
-    def dispatch_pays(self, tasks: list[BlockTask]) -> bool:
+    def dispatch_pays(self, tasks: list[BlockTask], n: int | None = None) -> bool:
         """Whether this stage goes to the pool; otherwise it runs in the
-        parent.  The host-time twin of Eq. 4: dispatch only when
+        parent (``n``: the stage's iterations, when the caller has summed
+        them already).  The host-time twin of Eq. 4: dispatch only when
 
             ``T_inline > T_dispatch``                      (a pool runs), or
             ``T_inline > T_dispatch + C_open + C_close``   (none runs yet),
@@ -677,7 +678,8 @@ class ForkBackend(ExecutionBackend):
         inline, dispatch = costs.inline.get(key), costs.dispatch.get(key)
         if inline is None:
             return False
-        n = _iterations(tasks)
+        if n is None:
+            n = _iterations(tasks)
         t_inline, c_pool = inline.value * n, 0.0
         if self._workers is None:
             # Dispatch cannot beat T_inline / w: a stage whose best-case
@@ -718,7 +720,8 @@ class ForkBackend(ExecutionBackend):
             stats.inline_stages += 1
             return self._run_inline(tasks)
         costs = self._costs
-        dispatch = self.dispatch_pays(tasks)
+        n = _iterations(tasks)
+        dispatch = self.dispatch_pays(tasks, n)
         t0 = time.perf_counter()
         if dispatch:
             stats.dispatched_stages += 1
@@ -734,7 +737,7 @@ class ForkBackend(ExecutionBackend):
             outcomes = self._run_inline(tasks)
         figures = costs.dispatch if dispatch else costs.inline
         figures.setdefault(_body_key(eng.loop), _Figure()).add(
-            time.perf_counter() - t0, _iterations(tasks)
+            time.perf_counter() - t0, n
         )
         return outcomes
 

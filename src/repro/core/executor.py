@@ -16,9 +16,10 @@ index (a write as ``~index``) to its array's per-block log, and the block's
 (:meth:`~repro.shadow.log.ShadowArray.record`) -- the log *is* the shadow,
 resolved by the stage's analysis; DDG extraction's per-iteration marks are
 resolved from each block's logs in one kernel pass per array.
-Untested writes save
-their first-touch old value eagerly and append to their processor's
-checkpoint column (:meth:`~repro.machine.checkpoint.CheckpointManager.write_handles`).
+Untested writes raise
+their element's first-touch flag (saving its chunk's old values on the
+chunk's first write) and append to their processor's checkpoint column
+(:meth:`~repro.machine.checkpoint.CheckpointManager.write_handles`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from repro.kernels import get_kernels
 from repro.loopir.context import IterationContext
 from repro.loopir.loop import SpeculativeLoop
-from repro.machine.checkpoint import CheckpointManager
+from repro.machine.checkpoint import CHUNK_SHIFT, CheckpointManager
 from repro.machine.machine import Machine
 from repro.machine.memory import PrivateView, make_private_view
 from repro.machine.timeline import Category
@@ -39,15 +40,18 @@ from repro.shadow.marklist import written_values
 from repro.util.blocks import Block
 
 #: The execution-phase charge categories, indexed by the context's fold
-#: slots.  Slots are plain ints so the per-access fold never hashes a
-#: :class:`Category` (``Enum.__hash__`` is a Python-level call).
+#: slots, and the context attribute holding each slot's running total.
 _FOLD_CATEGORIES = (Category.WORK, Category.MARK, Category.COPY_IN, Category.CHECKPOINT)
 _WORK, _MARK, _COPY_IN, _CHECKPOINT = range(len(_FOLD_CATEGORIES))
+_FOLD_TOTALS = ("_work_total", "_mark_total", "_copy_in_total", "_checkpoint_total")
 
 #: Write handles of a context without a checkpoint, and the handle of an
 #: array without one.
 _NO_WRITES: dict[str, tuple] = {}
-_NO_HANDLE = (None, None, None)
+_NO_HANDLE = (None, None)
+
+#: Missing-key sentinel of a sparse route's value map (values may be None).
+_ABSENT = object()
 
 #: The block log of a marked array the block never touched.
 _NO_LOG = np.empty(0, dtype=np.int64)
@@ -165,10 +169,12 @@ class SpeculativeContext(IterationContext):
     copy-in; untested arrays are written to shared memory under checkpoint.
 
     Every array is *routed* once, when the context is built: a tested
-    array's route holds its private view, size and access log, an untested
-    array's its shared data buffer and this processor's checkpoint handles.
-    An access makes one route lookup and does only its eager work: the
-    private-view value, copy-in detection, the virtual-time additions and
+    array's route holds its shared data, size, access log and its private
+    view's own buffers (:meth:`~repro.machine.memory.PrivateView.buffers`),
+    an untested array's its shared data buffer and this processor's
+    checkpoint handles.  An access makes one route lookup and does only
+    its eager work, inline: the private value with its copy-in (exactly
+    what the view's ``load``/``store`` do), the virtual-time additions and
     one append to the array's access log (tested) or the processor's
     checkpoint column after the first-touch save (untested).  Accesses with
     no route take one cold path (:meth:`_cold_route`): reduction arrays
@@ -178,10 +184,12 @@ class SpeculativeContext(IterationContext):
 
     Virtual time is *folded*, not charged, as accesses happen: each access
     adds its (straggler-stretched) amount to a per-category running total
-    of this block, seeded with the processor's totals in the current stage
-    (e.g. a pre-initialization copy).  :meth:`settle_charges` writes the
-    totals back once per block, in first-appearance order -- exactly the
-    floats and dict layout one timeline charge per access would produce.
+    of this block (one slot attribute per category, ``None`` until the
+    category first appears), seeded with the processor's totals in the
+    current stage (e.g. a pre-initialization copy).  :meth:`settle_charges`
+    writes the totals back once per block, in first-appearance order --
+    exactly the floats and dict layout one timeline charge per access
+    would produce.
     Every backend folds here: the serial backend settles on the machine,
     worker backends on their stand-in, whose totals ship to the parent.
     :func:`execute_block` runs the per-iteration part of the bookkeeping
@@ -199,7 +207,11 @@ class SpeculativeContext(IterationContext):
         "_inductions",
         "_iter_time",
         "_iter_work",
-        "_folded",
+        "_work_total",
+        "_mark_total",
+        "_copy_in_total",
+        "_checkpoint_total",
+        "_order",
         "_costs",
         "_omega",
         "_slowdown",
@@ -235,14 +247,19 @@ class SpeculativeContext(IterationContext):
         # read by execute_block around each body call.
         self._iter_time = 0.0
         self._iter_work = 0.0
-        # Fold slot -> running total; seeded from the processor's charges
-        # so far this stage so the fold continues them float-for-float.
+        # The fold's running totals (None: not charged yet) and its slots
+        # in first-appearance order; seeded in slot order from the
+        # processor's charges so far this stage so the fold continues them
+        # float-for-float.  A category's first charge stores the charge
+        # itself (0.0 + c == c).
         prior = machine.running_charges(state.proc)
-        self._folded: dict[int, float] = {
-            slot: prior[category]
-            for slot, category in enumerate(_FOLD_CATEGORIES)
-            if category in prior
-        }
+        self._order: list[int] = []
+        # hot-path: four fold slots, once a block
+        for slot, category in enumerate(_FOLD_CATEGORIES):
+            total = prior.get(category)
+            if total is not None:
+                self._order.append(slot)
+            setattr(self, _FOLD_TOTALS[slot], total)
         self.block_time = 0.0
         """Sum of this block's charges in the order they happened (the
         worker backends' block-span virtual duration)."""
@@ -264,12 +281,16 @@ class SpeculativeContext(IterationContext):
                 self._save_charge = costs.checkpoint_per_elem * slowdown
         # Self-check: per-stage recorder of untested-array traffic.
         self._untested_log = untested_log
-        # Routes: name -> (view, data, size, log, saved, tally).  Tested
-        # arrays: (view, None, size, access log, None, copy-in tally).
-        # Untested arrays: (None, shared data, 0, checkpoint column or
-        # None, first-touch saves or None, checkpoint-save tally); while
-        # the self-check logs they wait in ``_logged`` for the cold path.
-        # Reduction arrays get none: update() reads state.access.
+        # Routes: name -> (data, size, log, values, have, written, tally),
+        # ``data`` the shared data buffer.  Tested arrays: (data, size,
+        # access log, then the view's buffers -- dense: values array,
+        # have flags, written flags; sparse: value dict, None, written set
+        # -- and the copy-in tally).  Untested arrays: (data, None,
+        # checkpoint column or None, then -- on-demand -- the first-touch
+        # flags, chunk flags and chunk saver of the array's FirstTouch, or
+        # three Nones, and the checkpoint-save tally); while the self-check
+        # logs they wait in ``_logged`` for the cold path.  Reduction
+        # arrays get none: update() reads state.access.
         self._routes: dict[str, tuple] = {}
         self._logged: dict[str, tuple] = {}
         untested = self._routes if untested_log is None else self._logged
@@ -279,10 +300,16 @@ class SpeculativeContext(IterationContext):
             record = state.access.get(name)
             if record is not None:
                 view, size, log = record
-                self._routes[name] = (view, None, size, log, None, [0])
+                self._routes[name] = (view.shared.data, size, log, *view.buffers(), [0])
             else:
-                saved, column, _ = handles.get(name, _NO_HANDLE)
-                untested[name] = (None, shared.data, 0, column, saved, [0])
+                column, touch = handles.get(name, _NO_HANDLE)
+                if touch is None:
+                    untested[name] = (shared.data, None, column, None, None, None, [0])
+                else:
+                    untested[name] = (
+                        shared.data, None, column,
+                        touch.saved, touch.copied, touch.save_chunk, [0],
+                    )
         # Marks applied this block, folded into the registry once per
         # block (flush_metrics) with the route tallies.
         self._m_marks = 0
@@ -299,17 +326,30 @@ class SpeculativeContext(IterationContext):
         charged = amount * self._slowdown
         self._iter_time += charged
         if charged:
-            folded = self._folded
-            folded[slot] = folded.get(slot, 0.0) + charged
+            self._fold(slot, charged)
             self.block_time += charged
+
+    def _fold(self, slot: int, charged: float) -> None:
+        """Add ``charged`` to ``slot``'s running total (the accesses
+        inline this for their own slot)."""
+        name = _FOLD_TOTALS[slot]
+        total = getattr(self, name)
+        if total is None:
+            self._order.append(slot)
+            setattr(self, name, charged)
+        else:
+            setattr(self, name, total + charged)
 
     def settle_charges(self) -> None:
         """Write the folded per-category totals to the machine (once per
         block, by :func:`execute_block`)."""
-        if self._folded:
+        if self._order:
             self._machine.settle_charges(
                 self._state.proc,
-                [(_FOLD_CATEGORIES[slot], total) for slot, total in self._folded.items()],
+                [
+                    (_FOLD_CATEGORIES[slot], getattr(self, _FOLD_TOTALS[slot]))
+                    for slot in self._order
+                ],
             )
 
     def flush_marks(self) -> dict[str, np.ndarray]:
@@ -355,63 +395,106 @@ class SpeculativeContext(IterationContext):
 
     def load(self, name: str, index: int):
         try:
-            view, data, size, log, _, tally = self._routes[name]
+            data, size, log, values, have, _, tally = self._routes[name]
         except KeyError:
-            view, data, size, log, _, tally = self._cold_route(name, (index,), False)
-        if view is None:
+            data, size, log, values, have, _, tally = self._cold_route(
+                name, (index,), False
+            )
+        if size is None:
             # Untested array: direct shared read, no instrumentation.
             return data[index]
         if not 0 <= index < size:
             raise _out_of_range(index, size)
-        value, copied_in = view.load(index)
+        # The view's load, inline: a private value, or a copy-in.
+        copied_in = False
+        if have is None:
+            value = values.get(index, _ABSENT)
+            if value is _ABSENT:
+                value = values[index] = data[index]
+                copied_in = True
+        elif have[index]:
+            value = values[index]
+        else:
+            value = values[index] = data[index]
+            have[index] = True
+            copied_in = True
         log.append(index)
         charged = self._mark_charge
         self._iter_time += charged
         if charged:
-            folded = self._folded
-            folded[_MARK] = folded.get(_MARK, 0.0) + charged
+            total = self._mark_total
+            if total is None:
+                self._order.append(_MARK)
+                self._mark_total = charged
+            else:
+                self._mark_total = total + charged
             self.block_time += charged
         if copied_in:
             tally[0] += 1
             charged = self._copy_in_charge
             self._iter_time += charged
             if charged:
-                folded = self._folded
-                folded[_COPY_IN] = folded.get(_COPY_IN, 0.0) + charged
+                total = self._copy_in_total
+                if total is None:
+                    self._order.append(_COPY_IN)
+                    self._copy_in_total = charged
+                else:
+                    self._copy_in_total = total + charged
                 self.block_time += charged
         return value
 
     def store(self, name: str, index: int, value) -> None:
         try:
-            view, data, size, log, saved, tally = self._routes[name]
+            data, size, log, values, have, written, tally = self._routes[name]
         except KeyError:
-            view, data, size, log, saved, tally = self._cold_route(name, (index,), True)
-        if view is None:
+            data, size, log, values, have, written, tally = self._cold_route(
+                name, (index,), True
+            )
+        if size is None:
             if log is not None:
-                # Checkpointed: ``log`` is this processor's write column.
-                if saved is not None and index not in saved:
-                    # On-demand first touch: save before the write lands.
-                    saved[index] = data[index]
+                # Checkpointed: ``log`` is this processor's write column;
+                # on-demand, the next three are the array's first-touch
+                # flags, chunk flags and chunk saver.
+                saved, copied, save_chunk = values, have, written
+                if saved is not None and not saved[index]:
+                    # First touch: save before the write lands.
+                    saved[index] = True
+                    if index < 0 or not copied[index >> CHUNK_SHIFT]:
+                        save_chunk(index)
                     charged = self._save_charge
                     if charged is not None:
                         tally[0] += 1
                         self._iter_time += charged
                         if charged:
-                            folded = self._folded
-                            folded[_CHECKPOINT] = folded.get(_CHECKPOINT, 0.0) + charged
+                            total = self._checkpoint_total
+                            if total is None:
+                                self._order.append(_CHECKPOINT)
+                                self._checkpoint_total = charged
+                            else:
+                                self._checkpoint_total = total + charged
                             self.block_time += charged
                 log.append(index)
             data[index] = value
             return
         if not 0 <= index < size:
             raise _out_of_range(index, size)
-        view.store(index, value)
+        # The view's store, inline.
+        values[index] = value
+        if have is None:
+            written.add(index)
+        else:
+            have[index] = True
+            written[index] = True
         log.append(~index)
         charged = self._mark_charge
         self._iter_time += charged
         if charged:
-            folded = self._folded
-            folded[_MARK] = folded.get(_MARK, 0.0) + charged
+            total = self._mark_total
+            if total is None:
+                self._order.append(_MARK)
+                self._mark_total = charged
+            else:
+                self._mark_total = total + charged
             self.block_time += charged
 
     def update(self, name: str, index: int, value) -> None:
@@ -427,8 +510,12 @@ class SpeculativeContext(IterationContext):
         charged = self._mark_charge
         self._iter_time += charged
         if charged:
-            folded = self._folded
-            folded[_MARK] = folded.get(_MARK, 0.0) + charged
+            total = self._mark_total
+            if total is None:
+                self._order.append(_MARK)
+                self._mark_total = charged
+            else:
+                self._mark_total = total + charged
             self.block_time += charged
 
     # -- bulk memory access -------------------------------------------------------
@@ -440,8 +527,8 @@ class SpeculativeContext(IterationContext):
             route = self._routes[name]
         except KeyError:
             route = self._cold_route(name, idx.tolist(), write)
-        size = route[2]
-        if route[0] is not None and idx.size:
+        size = route[1]
+        if size is not None and idx.size:
             bad = (idx < 0) | (idx >= size)
             if bad.any():
                 raise _out_of_range(int(idx[int(np.argmax(bad))]), size)
@@ -459,10 +546,10 @@ class SpeculativeContext(IterationContext):
         the shared array's dtype.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        view, data, _, log, _, tally = self._bulk_route(name, idx, False)
-        if view is None:
+        data, size, log, _, _, _, tally = self._bulk_route(name, idx, False)
+        if size is None:
             return get_kernels().gather(data, idx)
-        values, copied = view.load_many(idx)
+        values, copied = self._state.views[name].load_many(idx)
         log.extend(idx.tolist())
         self._charge(_MARK, self._costs.mark * len(idx))
         if copied:
@@ -481,8 +568,8 @@ class SpeculativeContext(IterationContext):
         """
         idx = np.asarray(indices, dtype=np.int64)
         vals = np.asarray(values)
-        view, data, _, log, _, tally = self._bulk_route(name, idx, True)
-        if view is None:
+        data, size, log, _, _, _, tally = self._bulk_route(name, idx, True)
+        if size is None:
             if log is not None:
                 saves = self._ckpt.note_write_many(self._state.proc, name, idx)
                 if saves:
@@ -494,7 +581,7 @@ class SpeculativeContext(IterationContext):
                         self._charge(_CHECKPOINT, amount)
             get_kernels().scatter(data, idx, vals)
             return
-        view.store_many(idx, vals)
+        self._state.views[name].store_many(idx, vals)
         log.extend((~idx).tolist())
         self._charge(_MARK, self._costs.mark * len(idx))
 
@@ -521,8 +608,12 @@ class SpeculativeContext(IterationContext):
         charged = amount * self._slowdown
         self._iter_time += charged
         if charged:
-            folded = self._folded
-            folded[_WORK] = folded.get(_WORK, 0.0) + charged
+            total = self._work_total
+            if total is None:
+                self._order.append(_WORK)
+                self._work_total = charged
+            else:
+                self._work_total = total + charged
             self.block_time += charged
         # iter_work stays nominal under a straggler slowdown.
         self._iter_work += amount
@@ -547,10 +638,10 @@ class SpeculativeContext(IterationContext):
         registry.counter("shadow.marks").inc(self._m_marks)
         memory = self._machine.memory
         routes = (*self._routes.items(), *self._logged.items())
-        for name, (view, _, _, _, _, (n,)) in routes:  # hot-path: per array, once a block
+        for name, (_, size, _, _, _, _, (n,)) in routes:  # hot-path: per array, once a block
             if not n:
                 continue
-            kind = "shadow.copy_in" if view is not None else "checkpoint.saved"
+            kind = "shadow.copy_in" if size is not None else "checkpoint.saved"
             registry.counter(f"{kind}.elements").inc(n)
             registry.counter(f"{kind}.bytes").inc(n * memory[name].data.itemsize)
         registry.counter("exec.blocks").inc()
@@ -607,7 +698,6 @@ def execute_block(
     # uniform default 1.0 multiplied out once.
     uniform_base = 1.0 * omega
     iter_times, iter_works = state.iter_times, state.iter_work
-    folded = ctx._folded
     marked = None
     if marklists is not None:
         # (name, mark list, access log, log bounds, value-logging view,
@@ -645,7 +735,12 @@ def execute_block(
                 charged = base * slowdown
                 iter_time += charged
                 if charged:
-                    folded[_WORK] = folded.get(_WORK, 0.0) + charged
+                    total = ctx._work_total
+                    if total is None:
+                        ctx._order.append(_WORK)
+                        ctx._work_total = charged
+                    else:
+                        ctx._work_total = total + charged
                     ctx.block_time += charged
                 iter_work_only += base
             ctx._iter_time = iter_time

@@ -197,15 +197,6 @@ def scatter(data: np.ndarray, indices: np.ndarray, values) -> None:
         data[index] = values[k]
 
 
-def pack_values(values, dtype) -> np.ndarray:
-    """Pack a sequence of scalars into a fresh array of ``dtype`` (same
-    element-wise cast as scalar assignment)."""
-    out = np.empty(len(values), dtype=dtype)
-    for k, value in enumerate(values):
-        out[k] = value
-    return out
-
-
 # -- index sets -------------------------------------------------------------------
 
 

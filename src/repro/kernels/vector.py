@@ -147,13 +147,6 @@ def scatter(data: np.ndarray, indices: np.ndarray, values) -> None:
     data[indices] = values
 
 
-def pack_values(values, dtype) -> np.ndarray:
-    out = np.empty(len(values), dtype=dtype)
-    if len(values):
-        out[:] = values
-    return out
-
-
 # -- index sets -------------------------------------------------------------------
 
 

@@ -14,6 +14,14 @@ restored before re-execution.  Two flavors are implemented:
   important optimization for NLFILT; the cost becomes proportional to the
   state actually modified.
 
+On-demand state is kept per array as flags and buffers, never per element
+in a Python object: a first-touch flag per element (shared by every
+processor, so the first touch wins) and, per fixed-size chunk of
+:data:`CHUNK` elements, a copy of the chunk's old values, taken the first
+time any element of the chunk is written in the stage (see
+:class:`FirstTouch`).  The virtual-time model charges per element saved;
+the chunk copy is only how the host keeps the old values.
+
 Restoration only needs to roll back elements first-touched by *failed*
 processors.  The statically-analyzable contract means committing and failed
 processors never write the same untested element in one stage; the manager
@@ -31,16 +39,147 @@ from repro.errors import CheckpointError
 from repro.kernels import get_kernels
 from repro.machine.memory import MemoryImage
 
+#: Old values are copied this many elements at a time (a power of two).
+CHUNK_SHIFT = 6
+CHUNK = 1 << CHUNK_SHIFT
+
+
+class FirstTouch:
+    """On-demand checkpoint state of one array of ``n`` elements.
+
+    * ``saved``: a memoryview of the per-element first-touch flags.  A
+      writer tests ``saved[index]``; on a first touch it sets the flag,
+      calls :meth:`save_chunk` unless ``copied`` says the element's chunk
+      is already saved (or the index is negative), then writes.
+    * ``copied``: a memoryview of the per-chunk flags.
+    * The chunk copies live in a slab, one row per chunk copied this
+      stage, in copy order, with a chunk -> row map.  The slab grows by
+      doubling and is reused across stages, so memory follows the chunks
+      a stage touches, not the array's size.
+
+    An element's old value is its chunk's copy: any write to an element
+    first copies its chunk, and a rolled-back element is restored to
+    exactly that copy, so the copy stays its old value for the stage.
+    """
+
+    __slots__ = (
+        "data", "n", "_flags", "saved", "_chunk_flags", "copied",
+        "_slots", "_chunks", "_slab", "_used",
+    )
+
+    def __init__(self, data: np.ndarray) -> None:
+        self.data = data
+        n = self.n = len(data)
+        n_chunks = -(-n // CHUNK)
+        # Padded to whole chunks so a stage's flags clear chunk-wise; the
+        # writers' view stops at ``n``, so out-of-range indices still raise.
+        self._flags = np.zeros(n_chunks * CHUNK, dtype=bool)
+        self.saved = memoryview(self._flags[:n])
+        self._chunk_flags = np.zeros(n_chunks, dtype=bool)
+        self.copied = memoryview(self._chunk_flags)
+        self._slots = np.empty(n_chunks, dtype=np.int64)
+        self._chunks = np.empty(0, dtype=np.int64)
+        self._slab = np.empty((0, CHUNK), dtype=data.dtype)
+        self._used = 0
+
+    def clear(self) -> None:
+        """Forget the stage: every flag down, no chunk copied."""
+        if self._used:
+            chunks = self._chunks[: self._used]
+            self._flags.reshape(-1, CHUNK)[chunks] = False
+            self._chunk_flags[chunks] = False
+            self._used = 0
+
+    def _rows(self, m: int) -> int:
+        """Make room for ``m`` more chunk copies; return the first row."""
+        used = self._used
+        if used + m > len(self._slab):
+            size = max(2 * len(self._slab), used + m, 4)
+            slab = np.empty((size, CHUNK), dtype=self._slab.dtype)
+            slab[:used] = self._slab[:used]
+            chunks = np.empty(size, dtype=np.int64)
+            chunks[:used] = self._chunks[:used]
+            self._slab, self._chunks = slab, chunks
+        self._used = used + m
+        return used
+
+    def save_chunk(self, index: int) -> None:
+        """Copy the chunk holding element ``index`` (numpy-style negative
+        indices count from the end) unless it is already saved."""
+        if index < 0:
+            index += self.n
+        chunk = index >> CHUNK_SHIFT
+        if self.copied[chunk]:
+            return
+        row = self._rows(1)
+        lo = chunk << CHUNK_SHIFT
+        values = self.data[lo:lo + CHUNK]
+        if len(values) == CHUNK:
+            self._slab[row] = values
+        else:  # the last, partial chunk
+            self._slab[row, : len(values)] = values
+        self._slots[chunk] = row
+        self._chunks[row] = chunk
+        self.copied[chunk] = True
+
+    def save_many(self, indices: np.ndarray) -> int:
+        """First-touch every distinct element of ``indices`` (sorted and
+        unique) not saved yet; return how many were new.  Raises
+        :class:`IndexError`, saving nothing, if one is out of range."""
+        if indices[0] < 0 or indices[-1] >= self.n:
+            bad = indices[0] if indices[0] < 0 else indices[-1]
+            raise IndexError(f"element {bad} out of range [0, {self.n})")
+        new = indices[~self._flags[indices]]
+        if not new.size:
+            return 0
+        chunks = get_kernels().unique_indices(new >> CHUNK_SHIFT)
+        chunks = chunks[~self._chunk_flags[chunks]]
+        if chunks.size:
+            rows = np.arange(self._rows(len(chunks)), self._used)
+            offsets = (chunks[:, None] << CHUNK_SHIFT) + np.arange(CHUNK)
+            # A last partial chunk copies its final element into its
+            # padding: those slab cells are never read back.
+            np.minimum(offsets, self.n - 1, out=offsets)
+            self._slab[rows] = get_kernels().gather(
+                self.data, offsets.ravel()
+            ).reshape(-1, CHUNK)
+            self._slots[chunks] = rows
+            self._chunks[rows] = chunks
+            self._chunk_flags[chunks] = True
+        self._flags[new] = True
+        return len(new)
+
+    def old_values(self, indices: np.ndarray) -> np.ndarray:
+        """The saved old values of ``indices`` (sorted, unique,
+        non-negative, every one first-touched this stage)."""
+        rows = self._slots[indices >> CHUNK_SHIFT]
+        return get_kernels().gather(
+            self._slab.reshape(-1), (rows << CHUNK_SHIFT) + (indices & (CHUNK - 1))
+        )
+
+    def drop(self, indices: np.ndarray) -> None:
+        """Lower the first-touch flags of ``indices``: their next write is
+        a first touch again (their chunk copies stay)."""
+        self._flags[indices] = False
+
+    def n_saved(self) -> int:
+        """Elements flagged as saved now."""
+        if not self._used:
+            return 0
+        chunks = self._chunks[: self._used]
+        return int(np.count_nonzero(self._flags.reshape(-1, CHUNK)[chunks]))
+
 
 class CheckpointManager:
     """Tracks old values of untested arrays for one speculative stage.
 
     Writes are recorded as per-(array, processor) index columns: the
     executor appends each untested write's index to its processor's column
-    (see :meth:`write_handles`) and saves the element's old value eagerly
-    on its first touch, before the write lands.  Rollback, the contract
-    check and the backends' write capture are kernel passes over those
-    columns.
+    (see :meth:`write_handles`) and, in on-demand mode, saves the element
+    on its first touch, before the write lands, through the array's
+    :class:`FirstTouch` flags and chunk copies.  Full mode reads old values
+    from its stage-begin copy instead.  Rollback, the contract check and
+    the backends' write capture are kernel passes over the columns.
 
     ``charge_saves=False`` makes a *capture* checkpoint: it records old
     values and writers exactly the same way, but its first-touch saves
@@ -61,9 +200,8 @@ class CheckpointManager:
         self.charge_saves = bool(charge_saves) and self.on_demand
         """Whether a first-touch save is charged (on-demand mode only: a
         full checkpoint is paid for once, at stage begin)."""
-        # name -> index -> old value; first touch wins.  On-demand only:
-        # full mode reads old values from the stage-begin copy.
-        self._saved: dict[str, dict[int, object]] = {}
+        # name -> first-touch state (on-demand only), kept across stages.
+        self._touch: dict[str, FirstTouch] = {}
         self._full: dict[str, np.ndarray] = {}
         # name -> proc -> indices the proc wrote this stage, in write order.
         self._columns: dict[str, dict[int, list[int]]] = {}
@@ -84,23 +222,28 @@ class CheckpointManager:
         first-touch save (rolled-back ones included) when on-demand."""
         if not self.on_demand:
             return self._full_elements
-        return self._dropped_saves + sum(len(s) for s in self._saved.values())
+        return self._dropped_saves + sum(t.n_saved() for t in self._touch.values())
 
     def begin_stage(self) -> int:
         """Start a stage; returns the number of elements checkpointed now
         (full mode copies everything up front, on-demand copies nothing)."""
-        self._saved = {name: {} for name in self._names} if self.on_demand else {}
         self._columns = {name: {} for name in self._names}
         self._handles = {}
         self._full = {}
         self._full_elements = 0
         self._dropped_saves = 0
         self._stage_active = True
-        if not self.on_demand:
-            for name in self._names:  # hot-path: per array, once a stage
-                data = self._memory[name].data
+        for name in self._names:  # hot-path: per array, once a stage
+            data = self._memory[name].data
+            if not self.on_demand:
                 self._full[name] = data.copy()
                 self._full_elements += len(data)
+                continue
+            touch = self._touch.get(name)
+            if touch is None or touch.data is not data:
+                self._touch[name] = FirstTouch(data)
+            else:
+                touch.clear()
         return self._full_elements
 
     def _require_open(self, what: str) -> None:
@@ -118,24 +261,23 @@ class CheckpointManager:
             raise CheckpointError(f"array {name!r} is not under checkpoint")
 
     def write_handles(self, proc: int) -> dict[str, tuple]:
-        """``proc``'s per-array ``(saved, column, shared)`` write handles.
+        """``proc``'s per-array ``(column, touch)`` write handles.
 
-        ``saved`` maps index -> old value (``None`` in full mode), shared
-        by every processor; ``column`` is ``proc``'s own index column and
-        ``shared`` the checkpointed :class:`SharedArray`.  A writer saves
-        ``shared.data[index]`` into ``saved`` if the index is not there
-        yet, appends the index to ``column``, then writes -- what
-        :meth:`note_write` does, without a call per write.  Built once per
-        (stage, processor); restoring the processor invalidates them.
+        ``column`` is ``proc``'s own index column and ``touch`` the
+        array's :class:`FirstTouch` (``None`` in full mode), shared by
+        every processor.  A writer first-touches the index through
+        ``touch`` (see there), appends it to ``column``, then writes --
+        what :meth:`note_write` does, without a call per write.  Built
+        once per (stage, processor); restoring the processor invalidates
+        them.
         """
         handles = self._handles.get(proc)
         if handles is None:
             self._require_open(f"write_handles({proc})")
             handles = {
                 name: (
-                    self._saved.get(name),
                     self._columns[name].setdefault(proc, []),
-                    self._memory[name],
+                    self._touch.get(name),
                 )
                 for name in self._names
             }
@@ -150,11 +292,13 @@ class CheckpointManager:
         else 0) so the caller can charge it.
         """
         self._check_writable(name)
-        saved, column, shared = self.write_handles(proc)[name]
+        column, touch = self.write_handles(proc)[name]
+        first = touch is not None and not touch.saved[index]
         column.append(index)
-        if saved is None or index in saved:
+        if not first:
             return 0
-        saved[index] = shared.data[index]
+        touch.saved[index] = True
+        touch.save_chunk(index)
         return 1 if self.charge_saves else 0
 
     def note_write_many(self, proc: int, name: str, indices: np.ndarray) -> int:
@@ -166,17 +310,21 @@ class CheckpointManager:
         """
         self._check_writable(name)
         idx = np.asarray(indices, dtype=np.int64)
-        saved, column, shared = self.write_handles(proc)[name]
+        column, touch = self.write_handles(proc)[name]
+        new = 0
+        if touch is not None and idx.size:
+            new = touch.save_many(self._normalized(name, idx))
         column.extend(idx.tolist())
-        if saved is None or not idx.size:
-            return 0
-        new = [i for i in get_kernels().unique_indices(idx).tolist() if i not in saved]
-        if new:
-            old = get_kernels().gather(
-                shared.data, np.fromiter(new, dtype=np.int64, count=len(new))
-            )
-            saved.update(zip(new, old))
-        return len(new) if self.charge_saves else 0
+        return new if self.charge_saves else 0
+
+    def _normalized(self, name: str, indices: np.ndarray) -> np.ndarray:
+        """Sorted unique ``indices`` of ``name``, numpy-style negative
+        indices mapped onto the elements they name."""
+        idx = get_kernels().unique_indices(indices)
+        if idx.size and idx[0] < 0:
+            n = len(self._memory[name].data)
+            idx = get_kernels().unique_indices(np.where(idx < 0, idx + n, idx))
+        return idx
 
     def _written(self, name: str, procs) -> np.ndarray:
         """Sorted unique indices of ``name`` written by any of ``procs``."""
@@ -184,8 +332,8 @@ class CheckpointManager:
         parts = [columns[p] for p in procs if columns.get(p)]
         if not parts:
             return np.empty(0, dtype=np.int64)
-        return get_kernels().unique_indices(
-            np.concatenate([np.asarray(c, dtype=np.int64) for c in parts])
+        return self._normalized(
+            name, np.concatenate([np.asarray(c, dtype=np.int64) for c in parts])
         )
 
     def restore_failed(self, failed_procs: Iterable[int]) -> int:
@@ -222,10 +370,9 @@ class CheckpointManager:
             if self.on_demand:
                 # Failed procs will re-write: dropping their saves makes
                 # the next first touch re-checkpoint the restored value.
-                saved = self._saved[name]
-                old = kernels.pack_values(
-                    list(map(saved.pop, dirty.tolist())), data.dtype
-                )
+                touch = self._touch[name]
+                old = touch.old_values(dirty)
+                touch.drop(dirty)
                 self._dropped_saves += len(dirty)
             else:
                 old = kernels.gather(self._full[name], dirty)

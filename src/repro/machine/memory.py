@@ -139,6 +139,11 @@ class PrivateView:
       values privately.
     * ``has_local(index)``: whether the element already has a private
       copy (written or copied in).
+    * ``buffers() -> (values, have, written)``: the view's own storage,
+      for callers that inline ``load``/``store`` (the speculative
+      context's routes).  Dense: the values array and memoryviews of the
+      have and written flags.  Sparse: the value dict, ``None`` and the
+      written set.  The objects stay the view's for its whole life.
     * ``written_items()``: ``(index, last_private_value)`` for every
       element this processor wrote, index-sorted.
     * ``written_arrays() -> (indices, values)``: the same as index-sorted
@@ -201,6 +206,9 @@ class DensePrivateView(PrivateView):
 
     def has_local(self, index: int) -> bool:
         return bool(self._have[index])
+
+    def buffers(self) -> tuple[np.ndarray, memoryview, memoryview]:
+        return self._values, self._have_flags, self._written_flags
 
     def written_items(self):
         # hot-path: compat iterator; the commit phase uses written_arrays
@@ -273,6 +281,9 @@ class SparsePrivateView(PrivateView):
 
     def has_local(self, index: int) -> bool:
         return index in self._values
+
+    def buffers(self) -> tuple[dict, None, set]:
+        return self._values, None, self._written
 
     def written_items(self):
         # hot-path: compat iterator; the commit phase uses written_arrays

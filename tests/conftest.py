@@ -79,4 +79,4 @@ def always_dispatch(monkeypatch):
     pool itself -- its data plane, supervision and chaos -- pin every
     stage to the pool with this fixture.
     """
-    monkeypatch.setattr(ForkBackend, "dispatch_pays", lambda self, tasks: True)
+    monkeypatch.setattr(ForkBackend, "dispatch_pays", lambda self, tasks, n=None: True)

@@ -510,7 +510,7 @@ class TestDispatchRule:
         for inline in (1.0, 1e-9):
             backend = _rule_backend(pooled)
             monkeypatch.setattr(backend_mod, "_DISPATCH_COSTS", {})
-            monkeypatch.setattr(backend, "dispatch_pays", lambda tasks: True)
+            monkeypatch.setattr(backend, "dispatch_pays", lambda tasks, n=None: True)
             _figure(backend, "inline").add(inline)
             _stub_paths(monkeypatch, backend, inline=lambda k: 0.0,
                         dispatch=35e-6, pool_open=1e-4, pool_close=1e-4)
@@ -653,7 +653,7 @@ class TestInlineShareStaysOnTheHostPlane:
     def test_alternating_run_writes_serials_trace(
         self, backend, monkeypatch, tmp_path
     ):
-        def alternate(self, tasks):
+        def alternate(self, tasks, n=None):
             self.turn = not getattr(self, "turn", True)
             return self.turn
 

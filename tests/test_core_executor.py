@@ -1,9 +1,12 @@
 """Unit tests for speculative block execution and virtual-time charging."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.baselines.sequential import run_sequential
 from repro.config import RuntimeConfig
 from repro.core.backend import BlockTask, _run_worker_task, _WorkerContext
 from repro.core.executor import (
@@ -18,7 +21,7 @@ from repro.faults.selfcheck import UntestedAccessLog
 from repro.kernels import kernel_names, use_kernels
 from repro.loopir.loop import ArraySpec, SpeculativeLoop
 from repro.loopir.reductions import ReductionOp
-from repro.machine.checkpoint import CheckpointManager
+from repro.machine.checkpoint import CHUNK, CheckpointManager
 from repro.machine.costs import CostModel
 from repro.machine.machine import Machine
 from repro.machine.timeline import Category, StageRecord
@@ -396,6 +399,11 @@ class TestEagerBoundsCheck:
 REC_N = 6
 REC_PROCS = 3
 REC_COSTS = CostModel(mark=0.013, copy_in=0.029, checkpoint_per_elem=0.017)
+#: The untested array ``U`` is longer: op index ``k`` names its element
+#: ``REC_U_BASE + k``, so indices 0-2 and 3-5 sit on either side of an
+#: on-demand chunk boundary, and the second chunk is a partial one.
+REC_U_BASE = CHUNK - REC_N // 2
+REC_U_N = REC_U_BASE + REC_N
 
 _rec_index = st.integers(min_value=0, max_value=REC_N - 1)
 _rec_op = st.one_of(
@@ -431,6 +439,8 @@ def _rec_loop(program, zero_work=frozenset()):
 
     def body(ctx, i):
         for k, (op, name, arg) in enumerate(program[i]):
+            if name == "U":
+                arg = REC_U_BASE + (np.asarray(arg, dtype=np.int64) if isinstance(arg, list) else arg)
             if op == "work":
                 ctx.work(arg)
             elif op == "load":
@@ -453,7 +463,7 @@ def _rec_loop(program, zero_work=frozenset()):
             ArraySpec("D", np.arange(float(REC_N)), tested=True, sparse=False),
             ArraySpec("S", np.arange(float(REC_N)), tested=True, sparse=True),
             ArraySpec("R", np.zeros(REC_N), tested=True, sparse=False),
-            ArraySpec("U", np.arange(float(REC_N)) + 50.0, tested=False),
+            ArraySpec("U", np.arange(float(REC_U_N)) + 50.0, tested=False),
         ],
         reductions={"R": ReductionOp.SUM},
         iter_work=lambda i: 0.0 if i in zero_work else 1.0 + 0.1 * i,
@@ -477,7 +487,7 @@ class _PerAccessReference:
             for p in range(REC_PROCS)
         }
         self.have = {p: {"D": set(), "S": set()} for p in range(REC_PROCS)}
-        self.untested = np.arange(float(REC_N)) + 50.0
+        self.untested = np.arange(float(REC_U_N)) + 50.0
         self.full = self.untested.copy()
         self.saved: dict[int, tuple[int, float]] = {}
         self.writers: dict[int, set[int]] = {}
@@ -543,10 +553,10 @@ class _PerAccessReference:
                     work += arg * REC_COSTS.omega
                 elif name == "U":
                     if op == "store":
-                        self._write_untested(arg, value)
+                        self._write_untested(REC_U_BASE + arg, value)
                     elif op == "store_many":
                         for j, index in enumerate(arg):
-                            self._write_untested(index, value + j)
+                            self._write_untested(REC_U_BASE + index, value + j)
                 elif op == "load":
                     self._read(name, [arg], bulk=False)
                 elif op == "load_many":
@@ -622,6 +632,24 @@ class TestColumnarRecorder:
                 (1, 1.7, [[("load", "S", 5), ("store_many", "D", [0]), ("load", "D", 0)]])],
         on_demand=False, failed=set(), zero_work=frozenset(), marks=True,
     )
+    @example(  # on-demand writes on both sides of a chunk boundary (U 2 | U 3),
+        # rolled back from both chunks while proc 1's stay
+        blocks=[(0, 1.0, [[("store", "U", 2), ("store", "U", 3)]]),
+                (1, 1.0, [[("store_many", "U", [1, 4, 4]), ("store", "U", 5)]]),
+                (0, 1.7, [[("store", "U", 2), ("store_many", "U", [3, 0])]])],
+        on_demand=True, failed={0}, zero_work=frozenset(), marks=None,
+    )
+    @example(  # the first untested store comes before any tested access and
+        # there is no base work, so CHECKPOINT opens the fold before MARK
+        blocks=[(0, 1.0, [[("store", "U", 0), ("load", "D", 1), ("work", None, 0.25)]]),
+                (1, 1.7, [[("store_many", "U", [5, 5]), ("store", "S", 2)]])],
+        on_demand=True, failed={1}, zero_work=frozenset({0, 1}), marks=None,
+    )
+    @example(  # a full-mode clash: a committing and a failed proc both write U 3
+        blocks=[(0, 1.0, [[("store", "U", 3)]]),
+                (1, 1.0, [[("store_many", "U", [4, 3])]])],
+        on_demand=False, failed={1}, zero_work=frozenset(), marks=None,
+    )
     @settings(max_examples=60, deadline=None)
     def test_matches_per_access_marking(
         self, kernels, blocks, on_demand, failed, zero_work, marks
@@ -629,13 +657,14 @@ class TestColumnarRecorder:
         program = [ops for _, _, iterations in blocks for ops in iterations]
         loop = _rec_loop(program, zero_work)
         reference = _PerAccessReference(loop, on_demand)
-        with use_kernels(kernels):
+
+        def run(observe):
             machine = Machine(REC_PROCS, costs=REC_COSTS, memory=loop.materialize())
             machine.begin_stage()
             states = {p: make_processor_state(machine, loop, p) for p in range(REC_PROCS)}
             ckpt = CheckpointManager(machine.memory, ["U"], on_demand=on_demand)
             ckpt.begin_stage()
-            start, block_times, levels = 0, [], []
+            start = 0
             for proc, slowdown, iterations in blocks:
                 block = Block(proc, start, start + len(iterations))
                 marklists = None if marks is None else {
@@ -645,15 +674,24 @@ class TestColumnarRecorder:
                     machine, loop, states[proc], block, ckpt,
                     marklists=marklists, slowdown=slowdown,
                 )
-                block_times.append(ctx.block_time)
-                reference.run_block(proc, slowdown, iterations, start)
+                observe(ctx, block, marklists, iterations, slowdown)
                 start = block.stop
+            return machine, states, ckpt
+
+        with use_kernels(kernels):
+            block_times, levels = [], []
+
+            def observe(ctx, block, marklists, iterations, slowdown):
+                block_times.append(ctx.block_time)
+                reference.run_block(block.proc, slowdown, iterations, block.start)
                 if marklists is not None:
                     assert all(len(ml) == len(block) for ml in marklists.values())
-                    levels += [
+                    levels.extend(
                         {name: ml.level(k) for name, ml in marklists.items()}
                         for k in range(len(block))
-                    ]
+                    )
+
+            machine, states, ckpt = run(observe)
 
             assert [repr(t) for t in block_times] == [repr(t) for t in reference.block_times]
             if marks is not None:
@@ -679,10 +717,18 @@ class TestColumnarRecorder:
                 written = set(ckpt.modified_by([p])["U"])
                 assert written == {i for i, w in reference.writers.items() if p in w}
             if on_demand:
-                assert ckpt._saved["U"] == {i: v for i, (_, v) in reference.saved.items()}
                 assert ckpt.elements_checkpointed == len(reference.saved)
             u = machine.memory["U"].data
             assert np.array_equal(u, reference.untested)
+            # The saved old values: a twin run that rolls back every writer
+            # restores each written element to the value its first touch
+            # saved, here the stage-begin one.
+            twin_machine, _, twin_ckpt = run(lambda *_: None)
+            assert twin_ckpt.restore_failed(range(REC_PROCS)) == len(reference.saved)
+            assert np.array_equal(twin_machine.memory["U"].data, reference.full)
+            assert reference.saved == {
+                i: (p, reference.full[i]) for i, (p, _) in reference.saved.items()
+            }
 
             try:
                 expected = reference.restore_failed(failed)
@@ -695,6 +741,142 @@ class TestColumnarRecorder:
             assert np.array_equal(u, reference.untested)
             for p in failed:
                 assert ckpt.modified_by([p])["U"] == []
+
+
+# -- routed tested access against the private views' reference semantics ----------
+
+_VIEW_N = 8
+_view_value = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+    st.booleans(),
+)
+_view_op = st.tuples(
+    st.sampled_from(["load", "store"]),
+    st.integers(min_value=0, max_value=_VIEW_N - 1),
+    _view_value,
+)
+
+
+def _written(view):
+    return [(i, type(v), repr(v)) for i, v in view.written_items()]
+
+
+class TestRoutedAccessMatchesViews:
+    """``ctx.load``/``ctx.store`` inline the private view's ``load`` and
+    ``store`` through its buffers; the view's own methods stay the
+    reference semantics."""
+
+    @given(
+        sparse=st.booleans(),
+        dtype=st.sampled_from([np.float64, np.int64]),
+        preload=st.booleans(),
+        ops=st.lists(_view_op, max_size=30),
+    )
+    @example(  # copy-in, private hit, store, re-store, load of a stored value
+        sparse=True, dtype=np.int64, preload=False,
+        ops=[("load", 2, 0), ("load", 2, 0), ("store", 2, 1.5), ("store", 5, True),
+             ("load", 5, 0), ("store", 5, -0.0), ("load", 5, 0)],
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_routed_access_matches_the_view(self, sparse, dtype, preload, ops):
+        costs = CostModel(mark=0.013, copy_in=0.029)
+        initial = (np.arange(_VIEW_N) * 3 - 5).astype(dtype)
+        loop = SpeculativeLoop(
+            "routes", 1, lambda ctx, i: None,
+            arrays=[ArraySpec("A", initial, tested=True, sparse=sparse)],
+        )
+        machine = Machine(1, costs=costs, memory=loop.materialize())
+        machine.begin_stage()
+        state = make_processor_state(machine, loop, 0)
+        view = state.views["A"]
+        reference = type(view)(machine.memory["A"])
+        if preload:
+            assert view.preload() == reference.preload()
+        ctx = SpeculativeContext(machine, loop, state, None)
+        log = []
+        for op, index, value in ops:
+            expected = ctx.block_time + costs.mark
+            if op == "load":
+                got = ctx.load("A", index)
+                want, copied_in = reference.load(index)
+                assert (type(got), repr(got)) == (type(want), repr(want))
+                if copied_in:
+                    expected += costs.copy_in
+                log.append(index)
+            else:
+                ctx.store("A", index, value)
+                reference.store(index, value)
+                log.append(~index)
+            # The charges show the copy-in flag: a copy-in adds COPY_IN.
+            assert ctx.block_time == expected
+            assert [view.has_local(i) for i in range(_VIEW_N)] == [
+                reference.has_local(i) for i in range(_VIEW_N)
+            ]
+            assert _written(view) == _written(reference)
+            assert view.n_written() == reference.n_written()
+        logs = ctx.flush_marks()
+        assert (logs["A"].tolist() if "A" in logs else []) == log
+        assert [(i, repr(v)) for i, v in zip(*view.written_arrays())] == [
+            (i, repr(v)) for i, v in zip(*reference.written_arrays())
+        ]
+
+
+# -- a large, sparsely written untested array stays cheap ---------------------------
+
+_LARGE_U = 1 << 20
+_LARGE_N = 400
+
+
+def _large_untested_loop():
+    """Each iteration writes one scattered element of a 1 Mi-element
+    untested array; the tested chain ``A[i] -> A[i + 100]`` fails every
+    stage but the last, so about 100-300 untested writes are rolled back
+    per stage."""
+
+    def body(ctx, i):
+        ctx.store("A", (i + 100) % _LARGE_N, ctx.load("A", i) + 1.0)
+        ctx.store("U", (i * 2654435761) % _LARGE_U, float(i))
+
+    return SpeculativeLoop(
+        "large-untested", _LARGE_N, body,
+        arrays=[
+            ArraySpec("A", np.zeros(_LARGE_N)),
+            ArraySpec("U", np.zeros(_LARGE_U), tested=False),
+        ],
+    )
+
+
+class TestLargeSparseUntestedState:
+    #: Whole copies of the shared image a run legitimately holds in the
+    #: parent: the machine's own, plus the fork pool's last broadcast.
+    IMAGES = {"serial": 1, "fork": 2}
+    #: What the run may allocate beyond them; one more copy of ``U``
+    #: alone is 8 MiB.
+    SLACK = 4 << 20
+
+    @pytest.mark.parametrize("backend", ["serial", "fork"])
+    def test_no_whole_array_copy_per_stage_or_task(self, backend, request):
+        if backend == "fork":
+            request.getfixturevalue("always_dispatch")
+        loop = _large_untested_loop()
+        expected = run_sequential(loop).memory.snapshot()
+        config = RuntimeConfig(certify="off", backend=backend, on_demand_checkpoint=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = parallelize(loop, 4, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        failed = [stage for stage in result.stages if stage.failed]
+        assert len(failed) >= 3
+        assert all(stage.restored_elements >= 50 for stage in failed)
+        if backend == "fork":
+            assert result.supervision["supervise.dispatched_stages"] == result.n_stages
+        assert result.memory.equals(expected)
+        nbytes = expected["U"].nbytes
+        assert peak - base <= self.IMAGES[backend] * nbytes + self.SLACK
 
 
 # -- the routed access's error paths, in the parent and in a fork worker -----------

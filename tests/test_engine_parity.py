@@ -72,7 +72,7 @@ def _alternating(monkeypatch, first: bool) -> list[bool]:
     Returns the decisions taken, in order."""
     decisions: list[bool] = []
 
-    def dispatch_pays(self, tasks):
+    def dispatch_pays(self, tasks, n=None):
         turn = getattr(self, "mixed_turn", first)
         self.mixed_turn = not turn
         decisions.append(turn)

@@ -1,10 +1,12 @@
 """Unit tests for checkpoint/restore of untested state."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import CheckpointError
-from repro.machine.checkpoint import CheckpointManager, verify_untested_isolation
+from repro.machine.checkpoint import CHUNK, CheckpointManager, verify_untested_isolation
 from repro.machine.memory import MemoryImage, SharedArray
 
 
@@ -188,6 +190,98 @@ class TestWriterColumns:
         ckpt.note_write(5, "B", 3)
         with pytest.raises(CheckpointError, match=r"element 3 .*\[0\].*\[4, 5\]"):
             ckpt.restore_failed([4, 5])
+
+
+class TestFirstTouchChunks:
+    """On-demand old values live in chunk copies taken on a chunk's first
+    write; flags say which elements were first-touched."""
+
+    def test_later_first_touch_in_a_copied_chunk_restores(self, kernel_mode):
+        mem = make_memory(CHUNK + 5)
+        ckpt = CheckpointManager(mem, ["B"], on_demand=True)
+        ckpt.begin_stage()
+        assert ckpt.note_write(1, "B", 2) == 1
+        mem["B"].data[2] = -2.0
+        assert ckpt.note_write(1, "B", 3) == 1  # its chunk is already copied
+        mem["B"].data[3] = -3.0
+        assert ckpt.restore_failed([1]) == 2
+        assert mem["B"].data.tolist() == list(np.arange(CHUNK + 5.0))
+
+    def test_restore_spans_chunks_and_the_partial_last_one(self, kernel_mode):
+        mem = make_memory(CHUNK + 5)
+        ckpt = CheckpointManager(mem, ["B"], on_demand=True)
+        ckpt.begin_stage()
+        written = [CHUNK - 1, CHUNK, CHUNK + 4]
+        assert ckpt.note_write_many(2, "B", np.array(written[:2])) == 2
+        assert ckpt.note_write(2, "B", CHUNK + 4) == 1
+        assert ckpt.note_write(0, "B", 0) == 1  # a committing proc's element
+        mem["B"].data[written + [0]] = -1.0
+        assert ckpt.restore_failed([2]) == 3
+        assert mem["B"].data[written].tolist() == [float(i) for i in written]
+        assert mem["B"].data[0] == -1.0
+        assert ckpt.elements_checkpointed == 4
+
+    def test_negative_index_names_the_element_from_the_end(self, kernel_mode):
+        mem = make_memory(CHUNK + 1)
+        ckpt = CheckpointManager(mem, ["B"], on_demand=True)
+        ckpt.begin_stage()
+        assert ckpt.note_write(1, "B", -2) == 1
+        assert ckpt.note_write(1, "B", CHUNK - 1) == 0  # the same element
+        mem["B"].data[-2] = -1.0
+        assert ckpt.modified_by([1]) == {"B": [CHUNK - 1]}
+        assert ckpt.restore_failed([1]) == 1
+        assert mem["B"].data[CHUNK - 1] == CHUNK - 1.0
+
+    def test_out_of_range_batch_records_nothing(self):
+        ckpt = CheckpointManager(make_memory(), ["B"], on_demand=True)
+        ckpt.begin_stage()
+        with pytest.raises(IndexError, match="element 8 out of range"):
+            ckpt.note_write_many(1, "B", np.array([3, 8]))
+        with pytest.raises(IndexError):
+            ckpt.note_write(1, "B", 8)
+        assert ckpt.modified_by([1]) == {"B": []}
+        assert ckpt.elements_checkpointed == 0
+
+    def test_a_new_stage_forgets_flags_and_chunk_copies(self):
+        mem = make_memory()
+        ckpt = CheckpointManager(mem, ["B"], on_demand=True)
+        ckpt.begin_stage()
+        ckpt.note_write(0, "B", 3)
+        mem["B"].data[3] = 30.0  # committed: no restore
+        ckpt.begin_stage()
+        assert ckpt.elements_checkpointed == 0
+        assert ckpt.note_write(1, "B", 3) == 1  # a first touch again
+        mem["B"].data[3] = -1.0
+        ckpt.restore_failed([1])
+        assert mem["B"].data[3] == 30.0  # this stage's old value
+
+    def test_state_follows_the_writes_not_the_array(self):
+        # A 1 Mi-element array written at ~100 scattered elements per
+        # stage: one long-lived manager over several failing stages and a
+        # fresh manager per stage (as a fork worker builds one per task)
+        # allocate flags and chunk copies, never a copy of the array.
+        n = 1 << 20
+        mem = MemoryImage([SharedArray("U", np.zeros(n))])
+        idx = (np.arange(100, dtype=np.int64) * 2654435761) % n
+        kept = CheckpointManager(mem, ["U"], on_demand=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for stage in range(4):
+                for ckpt in (kept, CheckpointManager(mem, ["U"], on_demand=True)):
+                    ckpt.begin_stage()
+                    assert ckpt.note_write_many(1, "U", idx + stage) == 100
+                    assert ckpt.note_write(2, "U", int(idx[0]) + 7) == 1
+                    mem["U"].data[idx + stage] = 1.0
+                    mem["U"].data[int(idx[0]) + 7] = 2.0
+                    assert ckpt.restore_failed([1, 2]) == 101
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not mem["U"].data.any()
+        # Two managers' flags (one byte per element) and chunk tables;
+        # one copy of the array alone is 8 MiB.
+        assert peak - base <= 3 << 20
 
 
 class TestIsolationValidator:

@@ -635,7 +635,7 @@ def _replay_vs_execute(tmp_path, monkeypatch, make, snapshot, backend, pinned):
     """Run one loop the default way (replaying its probe) and through an
     explicit fast-path strategy (executing the body); both observed."""
     if pinned:
-        monkeypatch.setattr(ForkBackend, "dispatch_pays", lambda self, tasks: True)
+        monkeypatch.setattr(ForkBackend, "dispatch_pays", lambda self, tasks, n=None: True)
     out = []
     for leg, explicit in (("replayed", False), ("executed", True)):
         trace = tmp_path / f"{leg}.jsonl"

@@ -236,3 +236,44 @@ def test_report_lists_files_with_a_non_product_function(tool):
     assert report[report.index("test-only:") + 1] == "  repro.mod.tested  (2 lines)"
     [total] = [line for line in report if line.startswith("total")]
     assert total.split()[1:] == ["4", "2", "(4)", "-", "1", "(2)", "1", "(2)"]
+
+
+def test_changed_sources_names_edited_added_and_removed_files(tool, tmp_path):
+    pkg = _package(tmp_path, NESTED)
+    hashes = {}
+    tool.definitions(pkg, src=tmp_path, hashes=hashes)
+    assert sorted(hashes) == [str(pkg / "__init__.py"), str(pkg / "mod.py")]
+    assert tool.changed_sources(hashes, pkg) == []
+    (pkg / "mod.py").write_text(NESTED.replace("return 1", "return 10"))
+    (pkg / "new.py").write_text("")
+    (pkg / "__init__.py").unlink()
+    assert tool.changed_sources(hashes, pkg) == sorted(
+        str(pkg / name) for name in ("__init__.py", "mod.py", "new.py")
+    )
+
+
+@pytest.mark.parametrize("edit", [False, True])
+def test_an_edit_before_the_last_run_ends_fails_the_audit(
+    tool, tmp_path, monkeypatch, capsys, edit,
+):
+    pkg = _package(tmp_path, NESTED)
+    monkeypatch.setattr(tool, "PKG", pkg)
+    monkeypatch.setattr(tool, "SRC", tmp_path)
+    monkeypatch.setattr(tool, "EXEMPT", {})
+    monkeypatch.setattr(tool, "run_product", lambda tmp, prefix: [])
+
+    def run_tests(tmp, prefix):
+        if edit:  # a docstring grows while the suite runs
+            (pkg / "mod.py").write_text('"""Docs."""\n' + NESTED)
+        return 0
+
+    monkeypatch.setattr(tool, "run_tests", run_tests)
+    status = tool.main([])
+    out, err = capsys.readouterr()
+    if edit:
+        assert status == 1
+        assert f"source changed during the audit: {pkg / 'mod.py'}" in err
+        assert out == ""
+    else:
+        assert status == 0
+        assert "unreached:" in out and "pkg.mod.outer" in out
